@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 
@@ -20,6 +21,8 @@ from . import __version__, covering, extensions, genext, report, semigroups, sha
 from .families import UnivalentMap
 
 FAMILY_SHORTCUTS = ("identity", "koebe", "half_plane")
+COMPLEX_OPTIONS = ("--x0", "--beta", "--z0", "--mu", "--lambda")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 class UsageError(ValueError):
@@ -254,22 +257,16 @@ def cmd_gen_extend(args):
     xs *= 0.8  # keep quadrature-backed h well resolved
     pts = [extensions.BallPoint.of(x, y) for x, y in zip(xs, ys)]
     resid = genext.conjugation_residual(g, h, pts)
-    dh_res = max(genext.dh_tilde_identity_residual(g, h, p) for p in pts[:50])
-    exits = 0
-    rows = []
-    for p in pts[:args.flows]:
-        traj = genext.flow_ball(g, p, args.T)
-        exits += int(traj.exited)
-        if args.dump_traj:
-            for t, pt in traj.samples:
-                rows.append([t, pt.x.real, pt.x.imag]
-                            + [v for y in pt.y for v in (y.real, y.imag)])
+    dh_res = genext.dh_tilde_identity_residual(g, h, pts[:50])
+    trajs = genext.flow_ball(g, pts[:args.flows], args.T)
+    exits = sum(traj.exited for traj in trajs)
     if args.dump_traj:
         with open(args.dump_traj, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "x_re", "x_im"]
                        + [f"y{k}_{p}" for k in range(space.m) for p in ("re", "im")])
-            w.writerows(rows)
+            w.writerows([t, pt.x.real, pt.x.imag] + [v for y in pt.y for v in (y.real, y.imag)]
+                        for traj in trajs for t, pt in traj.samples)
     payload = _base_report(args, "gen-extend")
     payload["conjugation_residual"] = resid
     payload["dh_identity_residual"] = dh_res
@@ -361,9 +358,21 @@ def build_parser():
     return ap
 
 
+def _glue_negative_values(argv):
+    """argparse reads a value such as '-0.7,0.1' as an option name; join it to
+    its complex-valued option as '--z0=-0.7,0.1'."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in COMPLEX_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as e:

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ode
-from .extensions import BallPoint, BallSpace, HomogeneousPolynomial, sup_norm_Q
+from .extensions import (BallPoint, BallSpace, HomogeneousPolynomial, sup_norm_Q,
+                         sup_norm_Q_bound)
 from .semigroups import Generator
 
 
@@ -35,62 +36,114 @@ class ExtendedGenerator:
         if self.Q.degree != self.space.r:
             raise ValueError("Q degree must equal the ball exponent r")
         if self.check_bound and self.Q.terms:
+            # the sampled estimate never exceeds the rigorous upper bound, so
+            # the sampling is needed only when the upper bound is too large
             bound = self.space.r * self.lam.real / 4.0
-            est = sup_norm_Q(self.Q, self.space, samples=20_000)
-            if est > bound + 1e-12:
-                raise ValueError(f"sup|Q| estimate {est} exceeds bound {bound}")
+            if sup_norm_Q_bound(self.Q, self.space) > bound + 1e-12:
+                est = sup_norm_Q(self.Q, self.space, samples=20_000)
+                if est > bound + 1e-12:
+                    raise ValueError(f"sup|Q| estimate {est} exceeds bound {bound}")
 
     # (mu - f'(x)) / f(x), removable at the interior Denjoy-Wolff point
     def quotient(self, x):
+        x = np.asarray(x, dtype=complex)
+        return self._quotient(x, self.base.f(x), self.base.df(x))[()]
+
+    def _quotient(self, x, fx, dfx):
         gen = self.base
-        x = complex(x)
-        if gen.kind == "dilation" and abs(x - gen.tau) < self.singularity_radius:
-            f2 = complex(gen.d2f(gen.tau))
-            return -f2 / (gen.mu + 0.5 * f2 * (x - gen.tau))
-        fx = complex(gen.f(x))
-        if abs(fx) < 1e-12:
+        tiny = np.abs(fx) < 1e-12
+        near = False
+        if gen.kind == "dilation":
+            near = np.abs(x - gen.tau) < self.singularity_radius
+            tiny &= ~near
+        if np.any(tiny):
             raise UnresolvedSingularity(
-                f"f vanishes at {x} away from the Denjoy-Wolff point")
-        return (gen.mu - complex(gen.df(x))) / fx
+                f"f vanishes at {x[tiny].ravel()[0]} away from the Denjoy-Wolff point")
+        if not np.any(near):
+            return (gen.mu - dfx) / fx
+        f2 = complex(gen.d2f(gen.tau))
+        return np.where(near, -f2 / (gen.mu + 0.5 * f2 * (x - gen.tau)),
+                        (gen.mu - dfx) / np.where(near, 1.0, fx))
 
 
-def extend_generator(g: ExtendedGenerator, p: BallPoint):
-    """Vector field value ( f(x)+Q(y), (1/r)(f'(x)+r lam - quotient Q(y)) y )."""
-    x, y = p.x, p.y_array
+def _xy(p):
+    """Coordinates of a BallPoint (x 0-d, y (m,)), of a sequence of BallPoints,
+    or of an (x, y) pair of arrays (x (n,), y (n, m))."""
+    if isinstance(p, BallPoint):
+        return np.asarray(p.x), p.y_array
+    if isinstance(p, tuple) and len(p) == 2 and not isinstance(p[0], BallPoint):
+        return np.asarray(p[0], dtype=complex), np.asarray(p[1], dtype=complex)
+    return (np.array([q.x for q in p], dtype=complex),
+            np.array([q.y for q in p], dtype=complex))
+
+
+def _jet(h, x):
+    """h(x), a continuous log h'(x) and h''(x), each shaped like x."""
+    return tuple(np.reshape(fn(x), x.shape)
+                 for fn in (h.eval_array, h.log_deriv_array, h.deriv2_array))
+
+
+def extend_generator(g: ExtendedGenerator, p):
+    """Vector field value ( f(x)+Q(y), (1/r)(f'(x)+r lam - quotient Q(y)) y ),
+    at one point or at all points of a batch (see _xy)."""
+    x, y = _xy(p)
     r = g.space.r
+    fx, dfx = g.base.f(x), g.base.df(x)
+    if not g.Q.terms:
+        return fx, ((dfx + r * g.lam) / r)[..., None] * y
     qv = g.Q.eval(y)
-    first = complex(g.base.f(x)) + qv
-    second = (complex(g.base.df(x)) + r * g.lam - g.quotient(x) * qv) * y / r
+    first = fx + qv
+    second = ((dfx + r * g.lam - g._quotient(x, fx, dfx) * qv) / r)[..., None] * y
     return first, second
 
 
-def h_tilde(g: ExtendedGenerator, h, p: BallPoint):
-    """(h(x) - h'(x) Q(y)/(r lam), h'(x)^(1/r) y)."""
-    x, y = p.x, p.y_array
+def _h_tilde(g, jet, y):
+    hx, L, _ = jet
     r = g.space.r
-    L = h.log_deriv(x)
-    z = h.eval(x) - np.exp(L) * g.Q.eval(y) / (r * g.lam)
-    return BallPoint.of(z, np.exp(L / r) * y)
+    z = hx - np.exp(L) * g.Q.eval(y) / (r * g.lam)
+    return z, np.exp(L / r)[..., None] * y
 
 
-def _dh_tilde(g: ExtendedGenerator, h, p: BallPoint):
-    """Analytic differential of h_tilde as an (m+1)x(m+1) matrix."""
-    x, y = p.x, p.y_array
+def h_tilde(g: ExtendedGenerator, h, p):
+    """(h(x) - h'(x) Q(y)/(r lam), h'(x)^(1/r) y); a BallPoint for a BallPoint,
+    else (z (n,), w (n, m)) arrays."""
+    x, y = _xy(p)
+    z, w = _h_tilde(g, _jet(h, x), y)
+    return BallPoint.of(z, w) if isinstance(p, BallPoint) else (z, w)
+
+
+def _dh_tilde(g, jet, y):
+    """Analytic differential of h_tilde at points with jet _jet(h, x): one
+    (m+1, m+1) matrix per point."""
+    _, L, d2 = jet
     r, lam, m = g.space.r, g.lam, g.space.m
-    L = h.log_deriv(x)
     d1 = np.exp(L)
-    d2 = h.deriv2(x)
     qv = g.Q.eval(y)
     qg = g.Q.grad(y)
-    D = np.zeros((m + 1, m + 1), dtype=complex)
-    D[0, 0] = d1 - d2 * qv / (r * lam)
-    D[0, 1:] = -d1 * qg / (r * lam)
-    D[1:, 0] = d2 * np.exp(L * (1.0 / r - 1.0)) * y / r
-    D[1:, 1:] = np.exp(L / r) * np.eye(m)
+    D = np.zeros(L.shape + (m + 1, m + 1), dtype=complex)
+    D[..., 0, 0] = d1 - d2 * qv / (r * lam)
+    D[..., 0, 1:] = -(d1 / (r * lam))[..., None] * qg
+    D[..., 1:, 0] = (d2 * np.exp(L * (1.0 / r - 1.0)) / r)[..., None] * y
+    D[..., 1:, 1:] = np.exp(L / r)[..., None, None] * np.eye(m)
     return D
 
 
-def dh_tilde_inverse(g: ExtendedGenerator, h, p: BallPoint):
+def _dh_tilde_inverse(g, jet, y):
+    _, L, d2 = jet
+    r, lam, m = g.space.r, g.lam, g.space.m
+    d1 = np.exp(L)
+    qg = g.Q.grad(y)
+    M = np.zeros(L.shape + (m + 1, m + 1), dtype=complex)
+    M[..., 0, 0] = 1.0 / d1
+    M[..., 0, 1:] = (1.0 / (r * lam * np.exp(L / r)))[..., None] * qg
+    M[..., 1:, 0] = (-d2 / (r * d1 * d1))[..., None] * y
+    M[..., 1:, 1:] = np.exp(-L / r)[..., None, None] * np.eye(m) \
+        - (d2 / (r * r * lam * np.exp(L * (1.0 + 1.0 / r))))[..., None, None] \
+        * (y[..., :, None] * qg[..., None, :])
+    return M
+
+
+def dh_tilde_inverse(g: ExtendedGenerator, h, p):
     """Closed-form block inverse of the differential of h_tilde.
 
     The fiber-fiber block is h'^(-1/r) I minus a rank-one correction
@@ -98,40 +151,30 @@ def dh_tilde_inverse(g: ExtendedGenerator, h, p: BallPoint):
     Q'(y).y = r Q(y), it collapses to the scalar
     (r lam h' - h'' Q(y))/(r lam h'^(1+1/r)) when m = 1 (and, for any m,
     when acting on vectors parallel to y)."""
-    x, y = p.x, p.y_array
-    r, lam, m = g.space.r, g.lam, g.space.m
-    L = h.log_deriv(x)
-    d1 = np.exp(L)
-    d2 = h.deriv2(x)
-    qg = g.Q.grad(y)
-    M = np.zeros((m + 1, m + 1), dtype=complex)
-    M[0, 0] = 1.0 / d1
-    M[0, 1:] = qg / (r * lam * np.exp(L / r))
-    M[1:, 0] = -d2 * y / (r * d1 * d1)
-    M[1:, 1:] = np.exp(-L / r) * np.eye(m) \
-        - d2 * np.outer(y, qg) / (r * r * lam * np.exp(L * (1.0 + 1.0 / r)))
-    return M
+    x, y = _xy(p)
+    return _dh_tilde_inverse(g, _jet(h, x), y)
 
 
-def dh_tilde_identity_residual(g: ExtendedGenerator, h, p: BallPoint):
-    D = _dh_tilde(g, h, p)
-    M = dh_tilde_inverse(g, h, p)
-    return float(np.linalg.norm(D @ M - np.eye(g.space.m + 1)))
+def dh_tilde_identity_residual(g: ExtendedGenerator, h, points):
+    """max over the points of the Frobenius norm of DH~ (DH~)^-1 - I."""
+    x, y = _xy(points)
+    jet = _jet(h, x)
+    E = _dh_tilde(g, jet, y) @ _dh_tilde_inverse(g, jet, y) - np.eye(g.space.m + 1)
+    return float(np.max(np.linalg.norm(E, axis=(-2, -1))))
 
 
 def conjugation_residual(g: ExtendedGenerator, h, points):
     """max over the sample points of || DH~(p) fhat(p) - ftilde(H~(p)) ||,
     ftilde the diagonal linear field (mu z, (lam + mu/r) w)."""
     mu, r = g.base.mu, g.space.r
-    worst = 0.0
-    for p in points:
-        first, second = extend_generator(g, p)
-        vec = np.concatenate([[first], second])
-        D = _dh_tilde(g, h, p)
-        img = h_tilde(g, h, p)
-        target = np.concatenate([[mu * img.x], (g.lam + mu / r) * img.y_array])
-        worst = max(worst, float(np.linalg.norm(D @ vec - target)))
-    return worst
+    x, y = _xy(points)
+    jet = _jet(h, x)
+    first, second = extend_generator(g, (x, y))
+    vec = np.concatenate([first[..., None], second], axis=-1)
+    z, w = _h_tilde(g, jet, y)
+    target = np.concatenate([(mu * z)[..., None], (g.lam + mu / r) * w], axis=-1)
+    lhs = (_dh_tilde(g, jet, y) @ vec[..., None])[..., 0]
+    return float(np.max(np.linalg.norm(lhs - target, axis=-1)))
 
 
 @dataclass
@@ -145,39 +188,45 @@ class BallTrajectory:
         return self.samples[-1][1]
 
 
-def flow_ball(g: ExtendedGenerator, p: BallPoint, T, tol=1e-10, checkpoints=50):
+def flow_ball(g: ExtendedGenerator, p, T, tol=1e-10, checkpoints=50):
     """Integrate d(x,y)/dt = -fhat(x,y) over [0, T], recording checkpoints.
 
-    A checkpoint with gauge >= 1 marks the trajectory as exited (witness
-    against generator-hood); integration stops there."""
+    p is one BallPoint (returns its BallTrajectory) or a sequence of them
+    (returns a list); all starts are integrated together as one (n, m+1)
+    state.  A trajectory that leaves the ball, or starts outside it, is marked
+    exited (a witness against generator-hood) and stops at its last
+    checkpoint; the segment is then redone for the others."""
+    single = isinstance(p, BallPoint)
+    starts = [p] if single else list(p)
     space = g.space
 
     def rhs(v):
-        pt = BallPoint.of(v[0], v[1:])
-        first, second = extend_generator(g, pt)
-        return -np.concatenate([[first], second])
+        first, second = extend_generator(g, (v[:, 0], v[:, 1:]))
+        return -np.concatenate([first[:, None], second], axis=1)
 
     def inside(v):
-        return bool(space.gauge(v[0], v[1:]) < 1.0)
+        return space.gauge(v[:, 0], v[:, 1:]) < 1.0
 
-    v = np.concatenate([[p.x], p.y_array])
-    traj = BallTrajectory(samples=[(0.0, p)])
-    if not inside(v):
-        traj.exited = True
-        return traj
+    x, y = _xy(starts)
+    v = np.concatenate([x[:, None], y.reshape(len(starts), space.m)], axis=1)
+    trajs = [BallTrajectory(samples=[(0.0, q)]) for q in starts]
+    live = np.flatnonzero(inside(v))
     dt = T / checkpoints
     t = 0.0
     for _ in range(checkpoints):
-        try:
-            v, steps, _ = ode.integrate(rhs, v, dt, tol=tol, domain=inside)
-        except ode.LeftDomain:
-            traj.exited = True
+        while live.size:
+            try:
+                end, steps, _ = ode.integrate(rhs, v[live], dt, tol=tol, domain=inside)
+                break
+            except ode.LeftDomain as e:
+                live = live[~e.mask]
+        if not live.size:
             break
-        traj.steps += steps
+        v[live] = end
         t += dt
-        pt = BallPoint.of(v[0], v[1:])
-        traj.samples.append((t, pt))
-        if not inside(v):
-            traj.exited = True
-            break
-    return traj
+        for i in live:
+            trajs[i].steps += steps
+            trajs[i].samples.append((t, BallPoint.of(v[i, 0], v[i, 1:])))
+    for i, traj in enumerate(trajs):
+        traj.exited = i not in live
+    return trajs[0] if single else trajs

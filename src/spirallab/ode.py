@@ -7,9 +7,10 @@ round-tripping through stacked real coordinates.
 
 import numpy as np
 
-# Dormand-Prince tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
+# Dormand-Prince tableau.  Row i of _A weights the stages behind stage i's
+# point; row 6 is the 5th-order solution, so the last stage is f at the new
+# point and serves as the first stage of the next step (FSAL).
+_A = np.array([row + [0.0] * (6 - len(row)) for row in [
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -17,10 +18,11 @@ _A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+]])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
+_E = _B5 - _B4  # weights of the embedded error estimate y5 - y4
 
 
 class StepUnderflow(RuntimeError):
@@ -28,14 +30,22 @@ class StepUnderflow(RuntimeError):
 
 
 class LeftDomain(RuntimeError):
-    """The integrated trajectory escaped the required invariant domain."""
+    """The integrated trajectory escaped the required invariant domain.
+
+    mask is the domain predicate's negated value at the last rejected state:
+    for a predicate returning one flag per row, the rows that left."""
+
+    def __init__(self, msg, mask=True):
+        super().__init__(msg)
+        self.mask = mask
 
 
 def integrate(rhs, y0, t_end, tol=1e-10, max_steps=1_000_000, domain=None):
     """Integrate y' = rhs(y) from 0 to t_end (autonomous).
 
-    domain, if given, is a predicate; a converged step landing outside it is
-    first retried with smaller h, and reported as LeftDomain once h underflows.
+    domain, if given, is a predicate returning a flag or an array of flags (one
+    per row of a batched state); a converged step with any flag false is first
+    retried with smaller h, and reported as LeftDomain once h underflows.
     Returns (y, steps_taken, last_error_estimate).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=complex))
@@ -47,32 +57,34 @@ def integrate(rhs, y0, t_end, tol=1e-10, max_steps=1_000_000, domain=None):
     h = min(0.1, t_end) if t_end > 0 else 0.0
     steps = 0
     err = 0.0
-    domain_squeeze = False
-    k = [None] * 7
+    left = None  # rows outside the domain at the last squeezed step
+    k = np.empty((7, y.size), dtype=complex)
+    kr = k.view(float)  # real weights act on real and imaginary parts alike
+    if t_end > 0:
+        k[0] = np.ravel(rhs(y))
     while t < t_end:
         if steps >= max_steps:
             raise StepUnderflow(f"not converged after {max_steps} steps")
         h = min(h, t_end - t)
         if h < 1e-15 * max(1.0, t_end):
-            if domain_squeeze:
-                raise LeftDomain("trajectory forced against the domain boundary")
+            if left is not None:
+                raise LeftDomain("trajectory forced against the domain boundary", left)
             raise StepUnderflow("step size underflow")
-        k[0] = np.asarray(rhs(y), dtype=complex)
         for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i] = np.asarray(rhs(yi), dtype=complex)
-        y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
-        err = float(np.max(np.abs(y5 - y4)))
+            yi = y + h * (_A[i, :i] @ kr[:i]).view(complex).reshape(y.shape)
+            k[i] = np.ravel(rhs(yi))
+        err = h * float(np.max(np.abs((_E @ kr).view(complex))))
         steps += 1
         if err <= tol:
-            if domain is not None and not domain(y5):
-                domain_squeeze = True
+            ok = True if domain is None else np.asarray(domain(yi))
+            if not np.all(ok):
+                left = ~ok
                 h *= 0.5
                 continue
-            domain_squeeze = False
+            left = None
             t += h
-            y = y5
+            y = yi
+            k[0] = k[6]
         # PI-free step control with the usual safety factor
         scale = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.1, scale))

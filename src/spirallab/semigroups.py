@@ -5,11 +5,11 @@ margins."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-import warnings
+from functools import lru_cache
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.integrate import IntegrationWarning, quad
 
 from . import families, ode
 
@@ -77,12 +77,8 @@ class Generator:
         d2 = P.polyder(coeffs, 2)
         if mu is None:
             mu = P.polyval(complex(tau), d1)
-        return cls(
-            func=lambda z: P.polyval(z, coeffs),
-            dfunc=lambda z: P.polyval(z, d1),
-            d2func=lambda z: P.polyval(z, d2),
-            kind=kind, tau=tau, mu=mu, poly=tuple(coeffs),
-        )
+        return cls(func=_horner(coeffs), dfunc=_horner(d1), d2func=_horner(d2),
+                   kind=kind, tau=tau, mu=mu, poly=tuple(coeffs))
 
     @classmethod
     def from_spec(cls, spec):
@@ -100,6 +96,21 @@ class Generator:
             "tau": [self.tau.real, self.tau.imag],
             "mu": [self.mu.real, self.mu.imag],
         }
+
+
+def _horner(coeffs):
+    """Evaluator of the polynomial with ascending coefficients: numpy's polyval
+    recurrence without its per-call argument handling, which dominates on the
+    small arrays of ODE right-hand sides."""
+    c = [complex(v) for v in coeffs]
+
+    def ev(z):
+        acc = c[-1] + z * 0
+        for v in reversed(c[:-1]):
+            acc = v + acc * z
+        return acc
+
+    return ev
 
 
 def _c(v):
@@ -160,15 +171,33 @@ def flow_many(gen: Generator, z0s, t, tol=1e-10):
     return y.reshape(z0s.shape)
 
 
-def _quad_c(fn, epsabs=1e-13):
-    # Roundoff warnings near the requested tolerance floor are expected for
-    # conjugated integrands; accuracy is enforced downstream by the
-    # linearization residual, so don't let QUADPACK spam the caller.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re = quad(lambda s: fn(s).real, 0.0, 1.0, epsabs=epsabs, epsrel=1e-12, limit=200)[0]
-        im = quad(lambda s: fn(s).imag, 0.0, 1.0, epsabs=epsabs, epsrel=1e-12, limit=200)[0]
-    return complex(re, im)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_BLOCK = 1 << 18  # quadrature nodes x points per block, bounds temporaries
+
+
+@lru_cache(maxsize=64)
+def _graded_rule(n_panels):
+    """Composite 16-point Gauss-Legendre rule on s in [0, 1] whose panels
+    [0, 1/2], [1/2, 3/4], ... halve toward s = 1 (Trefethen, SIAM Rev. 2008)."""
+    edges = np.append(1.0 - 0.5 ** np.arange(n_panels), 1.0)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    s, w = (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
+def _panel_count(rho):
+    """Panels needed for points with |z| <= rho: the last panel is no wider than
+    1 - rho, so every panel is at most as wide as its gap to the singularity of
+    the integrand near s = 1/|z|."""
+    if not rho < 1.0:
+        raise families.PointOutsideDisk(f"|z| = {rho} >= 1")
+    return max(4, int(np.ceil(np.log2(1.0 / (1.0 - rho)))) + 1)
+
+
+def _as_points(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex))
 
 
 class KoenigsMap:
@@ -177,6 +206,10 @@ class KoenigsMap:
     Normalization: h(0)=0, h'(0)=1 for dilation type with tau = 0;
     h(0)=1 for hyperbolic type.  Dilation with tau != 0 is handled by
     conjugating the generator back to the origin first.
+
+    log h (log(h/z) for dilation type) and log h' are integrals over s in
+    [0, 1] along the ray to z, evaluated for all points at once with one
+    graded Gauss-Legendre rule sized by the largest |z| of the call.
     """
 
     def __init__(self, gen: Generator):
@@ -185,100 +218,86 @@ class KoenigsMap:
         self.gen = gen
         self.mu = gen.mu
         self.kind = gen.kind
+        self._f2 = gen.d2f(np.asarray([0j]))[0]
+        self._log_d0 = 0j
         if gen.kind == "hyperbolic":
             f0 = gen.f(np.asarray([0j]))[0]
             if f0 == 0:
                 raise InvalidGenerator("hyperbolic generator with f(0) = 0")
             self._log_d0 = np.log(self.mu / f0)
 
-    # scalar core ---------------------------------------------------------
+    def _logs(self, z):
+        """(log h or log(h/z), log h') at the points z, of z's shape."""
+        z = _as_points(z)
+        flat = z.ravel()
+        s, w = _graded_rule(_panel_count(float(np.max(np.abs(flat), initial=0.0))))
+        step = _BLOCK // s.size
+        parts = [self._integrate(flat[i:i + step], s, w)
+                 for i in range(0, max(flat.size, 1), step)]
+        a, b = (np.concatenate(v).reshape(z.shape) for v in zip(*parts))
+        return a, self._log_d0 + b
 
-    def _log_ratio(self, z):
-        # integral_0^1 (mu z s - f(sz)) / (s f(sz)) ds  [dilation, tau=0]
-        z = complex(z)
-        if z == 0:
-            return 0j
+    def _integrate(self, z, s, w):
+        mu = self.mu
+        ws = s[:, None] * z
+        fw = self.gen.f(ws)
+        dfw = self.gen.df(ws)
+        # dilation type: both integrands are removable at ws = 0
+        removable = (np.abs(ws) < 1e-12 if self.kind == "dilation"
+                     else np.zeros(ws.shape, bool))
+        if np.any((fw == 0) & ~removable):
+            raise InvalidGenerator("f vanishes inside the disk away from tau")
+        fw = np.where(removable, 1.0, fw)
+        log_d = z * (mu - dfw) / fw
+        if self.kind == "hyperbolic":
+            return w @ (mu * z / fw), w @ log_d
+        log_h = (mu * ws - fw) / (s[:, None] * fw)
+        # the limits at ws = 0 are -z f''(0)/(2 mu) and -z f''(0)/mu
+        z0 = np.broadcast_to(z, ws.shape)[removable]
+        log_h[removable] = -z0 * self._f2 / (2.0 * mu)
+        log_d[removable] = -z0 * self._f2 / mu
+        return w @ log_h, w @ log_d
 
-        def phi(s):
-            w = s * z
-            fw = self.gen.f(np.asarray([w]))[0]
-            if fw == 0:
-                raise InvalidGenerator(f"f vanishes at {w} away from tau")
-            return (self.mu * w - fw) / (s * fw)
+    def eval_array(self, z):
+        a, _ = self._logs(z)
+        return _as_points(z) * np.exp(a) if self.kind == "dilation" else np.exp(a)
 
-        return _quad_c(phi)
+    def log_deriv_array(self, z):
+        return self._logs(z)[1]
 
-    def _log_hyp(self, z):
-        z = complex(z)
-        if z == 0:
-            return 0j
+    def deriv_array(self, z):
+        return np.exp(self._logs(z)[1])
 
-        def phi(s):
-            w = s * z
-            fw = self.gen.f(np.asarray([w]))[0]
-            if fw == 0:
-                raise InvalidGenerator(f"f vanishes at {w} inside the disk")
-            return self.mu * z / fw
-
-        return _quad_c(phi)
+    def deriv2_array(self, z):
+        # h'' = h' (mu - f')/f; for dilation type h''(0) = -f''(0)/mu
+        z = _as_points(z)
+        near = (np.abs(z) < 1e-9 if self.kind == "dilation"
+                else np.zeros(z.shape, bool))
+        out = self.deriv_array(z) * (self.mu - self.gen.df(z)) \
+            / np.where(near, 1.0, self.gen.f(z))
+        out[near] = -self._f2 / self.mu
+        return out
 
     def eval(self, z):
-        z = complex(z)
-        if self.kind == "dilation":
-            return z * np.exp(self._log_ratio(z))
-        return complex(np.exp(self._log_hyp(z)))
-
-    def log_deriv(self, z):
-        z = complex(z)
-        base = 0j if self.kind == "dilation" else self._log_d0
-
-        def phi(s):
-            w = s * z
-            fw = self.gen.f(np.asarray([w]))[0]
-            dfw = self.gen.df(np.asarray([w]))[0]
-            if abs(w) < 1e-12 and self.kind == "dilation":
-                # removable: (mu - f')/f -> -f''(0)/mu at 0
-                return -z * self.gen.d2f(np.asarray([0j]))[0] / self.mu
-            return z * (self.mu - dfw) / fw
-
-        if z == 0:
-            return complex(base)
-        return complex(base + _quad_c(phi))
+        return complex(self.eval_array(z)[0])
 
     def deriv(self, z):
-        z = complex(z)
-        if self.kind == "dilation" and abs(z) < 1e-12:
-            return 1.0 + 0j
-        return self.mu * self.eval(z) / self.gen.f(np.asarray([z]))[0]
+        return complex(self.deriv_array(z)[0])
 
     def deriv2(self, z):
-        z = complex(z)
-        if self.kind == "dilation" and abs(z) < 1e-9:
-            return -self.gen.d2f(np.asarray([0j]))[0] / self.mu
-        fz = self.gen.f(np.asarray([z]))[0]
-        dfz = self.gen.df(np.asarray([z]))[0]
-        return self.deriv(z) * (self.mu - dfz) / fz
+        return complex(self.deriv2_array(z)[0])
+
+    def log_deriv(self, z):
+        return complex(self.log_deriv_array(z)[0])
 
     def invert(self, w, guess=0j):
         return families.newton_invert(self, w, guess=guess)
 
-    # array conveniences ----------------------------------------------------
 
-    def eval_array(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.array([self.eval(v) for v in z.ravel()]).reshape(z.shape)
-
-    def deriv_array(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.array([self.deriv(v) for v in z.ravel()]).reshape(z.shape)
-
-    def deriv2_array(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.array([self.deriv2(v) for v in z.ravel()]).reshape(z.shape)
-
-    def log_deriv_array(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.array([self.log_deriv(v) for v in z.ravel()]).reshape(z.shape)
+def _dphi(tau, z, k=1):
+    """k-th derivative (k = 1, 2, 3) of the involution (tau - z)/(1 - conj(tau) z)."""
+    c = np.conj(tau)
+    return math.factorial(k) * c ** (k - 1) * (abs(tau) ** 2 - 1.0) / (1.0 - c * z) ** (k + 1)
 
 
 class _ConjugatedMap:
@@ -287,33 +306,43 @@ class _ConjugatedMap:
     def __init__(self, h0, tau):
         self.h0 = h0
         self.tau = complex(tau)
+        # log(|tau|^2 - 1) of the negative constant in phi'
+        self._log_c = np.log(complex(abs(self.tau) ** 2 - 1.0))
 
     def _phi(self, z):
         return families.disk_automorphism(self.tau, z)
 
-    def _dphi(self, z):
-        return (abs(self.tau) ** 2 - 1.0) / (1.0 - np.conj(self.tau) * z) ** 2
-
-    def eval(self, z):
-        return self.h0.eval(self._phi(z))
-
-    def deriv(self, z):
-        return self.h0.deriv(self._phi(z)) * self._dphi(z)
-
-    def deriv2(self, z):
-        z = complex(z)
-        d2phi = 2.0 * np.conj(self.tau) * (abs(self.tau) ** 2 - 1.0) \
-            / (1.0 - np.conj(self.tau) * z) ** 3
-        w = self._phi(z)
-        return self.h0.deriv2(w) * self._dphi(z) ** 2 + self.h0.deriv(w) * d2phi
-
     def eval_array(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.array([self.eval(v) for v in z.ravel()]).reshape(z.shape)
+        return self.h0.eval_array(self._phi(_as_points(z)))
 
     def deriv_array(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.array([self.deriv(v) for v in z.ravel()]).reshape(z.shape)
+        z = _as_points(z)
+        return self.h0.deriv_array(self._phi(z)) * _dphi(self.tau, z)
+
+    def deriv2_array(self, z):
+        z = _as_points(z)
+        w = self._phi(z)
+        return (self.h0.deriv2_array(w) * _dphi(self.tau, z) ** 2
+                + self.h0.deriv_array(w) * _dphi(self.tau, z, 2))
+
+    def log_deriv_array(self, z):
+        # log h0'(phi(z)) + log phi'(z); Re(1 - conj(tau) z) > 0 on the disk,
+        # so the principal log of that factor is continuous there
+        z = _as_points(z)
+        return (self.h0.log_deriv_array(self._phi(z)) + self._log_c
+                - 2.0 * np.log(1.0 - np.conj(self.tau) * z))
+
+    def eval(self, z):
+        return complex(self.eval_array(z)[0])
+
+    def deriv(self, z):
+        return complex(self.deriv_array(z)[0])
+
+    def deriv2(self, z):
+        return complex(self.deriv2_array(z)[0])
+
+    def log_deriv(self, z):
+        return complex(self.log_deriv_array(z)[0])
 
     def invert(self, w, guess=0j):
         return families.newton_invert(self, w, guess=guess)
@@ -327,32 +356,27 @@ def koenigs(gen: Generator):
     if gen.kind == "dilation" and gen.tau != 0:
         tau = gen.tau
 
-        def phi(z):
-            return families.disk_automorphism(tau, z)
+        # pull the vector field back to g(w) = phi'(phi(w)) f(phi(w)), a
+        # generator fixing the origin, and differentiate by the chain rule
+        def func(w):
+            u = families.disk_automorphism(tau, w)
+            return _dphi(tau, u) * gen.f(u)
 
-        def dphi(z):
-            return (abs(tau) ** 2 - 1.0) / (1.0 - np.conj(tau) * z) ** 2
+        def dfunc(w):
+            u = families.disk_automorphism(tau, w)
+            return (_dphi(tau, u, 2) * gen.f(u) + _dphi(tau, u) * gen.df(u)) * _dphi(tau, w)
 
-        def d2phi(z):
-            return 2.0 * np.conj(tau) * (abs(tau) ** 2 - 1.0) \
-                / (1.0 - np.conj(tau) * z) ** 3
+        def d2func(w):
+            u = families.disk_automorphism(tau, w)
+            f0, f1, f2 = gen.f(u), gen.df(u), gen.d2f(u)
+            a1, a2, a3 = (_dphi(tau, u, k) for k in (1, 2, 3))
+            return ((a3 * f0 + 2.0 * a2 * f1 + a1 * f2) * _dphi(tau, w) ** 2
+                    + (a2 * f0 + a1 * f1) * _dphi(tau, w, 2))
 
-        # pull the vector field back to a generator fixing the origin
-        g = Generator(
-            func=lambda w: dphi(phi(w)) * gen.f(phi(w)),
-            dfunc=lambda w: (d2phi(phi(w)) * gen.f(phi(w))
-                             + dphi(phi(w)) * gen.df(phi(w))) * dphi(w),
-            d2func=lambda w: _second_diff(
-                lambda u: dphi(phi(u)) * gen.f(phi(u)), w),
-            kind="dilation", tau=0j, mu=gen.mu,
-        )
+        g = Generator(func=func, dfunc=dfunc, d2func=d2func,
+                      kind="dilation", tau=0j, mu=gen.mu)
         return _ConjugatedMap(KoenigsMap(g), tau)
     return KoenigsMap(gen)
-
-
-def _second_diff(fn, z, h=1e-5):
-    z = np.asarray(z, dtype=complex)
-    return (fn(z + h) - 2.0 * fn(z) + fn(z - h)) / h**2
 
 
 def schroder_residual(h, gen: Generator, t, samples):

@@ -132,3 +132,68 @@ def test_complex_encoding_is_re_im_pairs(tmp_path):
                     "--x0", "0.2,0.1", "--alpha", "0.4")
     assert code == 0
     assert isinstance(rep["center"], list) and len(rep["center"]) == 2
+
+
+def test_gen_extend_conjugated_generator(tmp_path):
+    """Denjoy-Wolff point tau = 0.3: the conjugated logistic generator
+    f(z) = -(0.3 - z)(1 + z)/1.3 with Q at the bound r Re lambda / 4."""
+    k = -1.0 / 1.3
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(
+        {"poly": [[0.3 * k, 0], [-0.7 * k, 0], [-k, 0]], "kind": "dilation",
+         "tau": [0.3, 0], "mu": [1, 0]}))
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(
+        {"degree": 2, "terms": [{"exps": [2], "coef": [0.5, 0]}]}))
+    code, rep = run(tmp_path, "gen-extend", "--gen", str(gen),
+                    "--lambda", "1,0", "--r", "2", "--Q", str(q),
+                    "--samples", "40", "--flows", "3", "--T", "2")
+    assert code == 0 and rep["pass"]
+    assert rep["conjugation_residual"] <= 1e-8
+    assert rep["ball_exits"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--gen", None, "--z0", "-0.7,0.1", "--t", "1"),
+    ("covering", "--fn", "half_plane", "--x0", "-0.6,0", "--alpha", "0.5",
+     "--grid", "60,60"),
+    ("covering", "--fn", "identity", "--x0", "-0.2,-0.1", "--alpha", "0.3",
+     "--beta", "-.5,0", "--grid", "60,60"),
+])
+def test_negative_complex_values(tmp_path, argv):
+    """'--z0 -0.7,0.1' parses like '--z0=-0.7,0.1' and gives the same report."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(
+        {"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
+         "tau": [0, 0], "mu": [1, 0]}))
+    spaced = [str(gen) if a is None else a for a in argv]
+    glued = []
+    for a in spaced:
+        if glued and glued[-1] in ("--z0", "--x0", "--beta"):
+            glued[-1] += "=" + a
+        else:
+            glued.append(a)
+    reports = []
+    for args in (spaced, glued):
+        code, rep = run(tmp_path, *args)
+        assert code in (0, 1)
+        rep.pop("timing_s")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+def test_cli_import_leaves_scipy_out():
+    """numpy is the only runtime dependency: importing the CLI loads no scipy."""
+    import os
+    import subprocess
+    import sys
+
+    import spirallab
+
+    src = os.path.dirname(os.path.dirname(spirallab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spirallab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

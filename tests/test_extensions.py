@@ -243,3 +243,22 @@ def test_invariance_detects_violation():
                             n_samples=400, mode="muir", seed=5)
     assert out["failures"] > 0 and not out["pass"]
     assert out["witnesses"]
+
+@pytest.mark.parametrize("mode,n_samples,times", [
+    ("muir", 300, [0.1, 0.5, 1.0, 2.0]),
+    ("gamma", 100, [0.5, 2.0]),
+])
+def test_invariance_failures_count_every_failing_point(mode, n_samples, times):
+    """failures counts every failed membership, not the capped witness list.
+    spiral_koebe at theta = 0.5 is not mu-spirallike for mu = e^{-0.5i}."""
+    h = UnivalentMap.spiral_koebe(0.5)
+    sp = space(1.0, 1)
+    capped, full = (verify_invariance(h, np.exp(-0.5j), 1.0, sp,
+                                      HomogeneousPolynomial.zero(1, 1), times=times,
+                                      n_samples=n_samples, mode=mode, seed=42,
+                                      n_gamma=4, max_witnesses=cap)
+                    for cap in (1, 10**6))
+    assert capped["failures"] == full["failures"] > 20
+    assert not capped["pass"]
+    assert len(capped["witnesses"]) == 1
+    assert len(full["witnesses"]) == full["failures"]

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from spirallab.extensions import BallPoint, BallSpace, HomogeneousPolynomial, sample_ball
+from spirallab.extensions import (
+    BallPoint,
+    BallSpace,
+    HomogeneousPolynomial,
+    sample_ball,
+    sup_norm_Q,
+    sup_norm_Q_bound,
+)
 from spirallab.genext import (
     ExtendedGenerator,
     conjugation_residual,
@@ -142,3 +149,119 @@ def test_flow_ball_flags_exit_for_reversed_field(monkeypatch):
         lambda gg, p: tuple(-np.asarray(v) for v in orig(gg, p)))
     traj = gx.flow_ball(g, BallPoint.of(0.6, [0.5]), T=10.0)
     assert traj.exited
+
+
+# ------------------------------------------------------------ batched calls
+
+def _same_trajectory(a, b, tol=1e-9):
+    assert [t for t, _ in a.samples] == [t for t, _ in b.samples]
+    for (_, p), (_, q) in zip(a.samples, b.samples):
+        assert abs(p.x - q.x) <= tol
+        assert np.max(np.abs(p.y_array - q.y_array)) <= tol
+
+
+def test_flow_ball_batch_matches_single_starts():
+    g = make(q=0.25)
+    starts = sample_points(g, 6, seed=11, margin=0.02)
+    batch = flow_ball(g, starts, T=2.0)
+    assert len(batch) == len(starts)
+    for p, traj in zip(starts, batch):
+        assert not traj.exited
+        _same_trajectory(traj, flow_ball(g, p, T=2.0))
+
+
+def test_flow_ball_batch_flags_only_the_exterior_start():
+    g = make(q=0.25)
+    starts = sample_points(g, 4, seed=12, margin=0.02)
+    starts.insert(2, BallPoint.of(0.9, [0.9]))
+    batch = flow_ball(g, starts, T=1.0)
+    assert [traj.exited for traj in batch] == [False, False, True, False, False]
+    assert len(batch[2].samples) == 1
+    for i in (0, 1, 3, 4):
+        _same_trajectory(batch[i], flow_ball(g, starts[i], T=1.0))
+
+
+def test_flow_ball_batch_redoes_segment_after_an_exit(monkeypatch):
+    """A trajectory that leaves mid-flow stops at its last checkpoint; the
+    others go on as if integrated alone."""
+    import spirallab.genext as gx
+
+    g = make(q=0.0)
+    inner = BallPoint.of(-0.4, [0.3])
+    alone = gx.flow_ball(g, inner, T=3.0)
+    orig = gx.extend_generator
+
+    def reversed_where_re_x_positive(gg, p):
+        first, second = orig(gg, p)
+        sign = np.where(np.real(p[0]) > 0, -1.0, 1.0)
+        return sign * first, sign[..., None] * second
+
+    monkeypatch.setattr(gx, "extend_generator", reversed_where_re_x_positive)
+    out, kept = gx.flow_ball(g, [BallPoint.of(0.6, [0.5]), inner], T=3.0)
+    assert out.exited and not kept.exited
+    assert 1 < len(out.samples) < len(kept.samples)
+    _same_trajectory(kept, alone)
+
+
+def test_batched_residuals_match_per_point_calls():
+    g = make(q=0.25)
+    h = koenigs(gen_logistic())
+    pts = [BallPoint.of(0.8 * p.x, p.y) for p in sample_points(g, 20, seed=13)]
+    per_point = max(conjugation_residual(g, h, [p]) for p in pts)
+    assert abs(conjugation_residual(g, h, pts) - per_point) <= 1e-13
+    z, w = h_tilde(g, h, pts)
+    for i, p in enumerate(pts):
+        img = h_tilde(g, h, p)
+        assert abs(img.x - z[i]) <= 1e-12
+        assert np.max(np.abs(img.y_array - w[i])) <= 1e-12
+    assert dh_tilde_identity_residual(g, h, pts) < 1e-9
+
+
+# ------------------------------------------------------------ bound gate
+
+def _gate_rejects(Q, sp, lam):
+    try:
+        ExtendedGenerator(base=gen_logistic(), lam=lam, space=sp, Q=Q)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("m,terms", [
+    (1, {(2,): 0.5}),                                 # monomial at the bound
+    (1, {(2,): 0.5 + 1e-6}),                          # monomial just above it
+    (2, {(1, 1): 1.0}),                               # sup 1/2 on the sphere
+    (2, {(2, 0): 0.3, (0, 2): 0.3}),                  # sum of |c| 0.6, sup 0.3
+    (2, {(2, 0): 0.45, (1, 1): 0.2}),                 # upper bound 0.55, sup 0.471
+    (2, {(2, 0): 0.5, (1, 1): 0.2}),                  # sup 0.519 > 0.5
+])
+def test_bound_gate_matches_sampled_gate(m, terms):
+    """The upper-bound fast path never changes the verdict of the sampled gate
+    (r Re lam / 4 = 0.5 here)."""
+    sp = BallSpace(r=2.0, m=m)
+    Q = HomogeneousPolynomial.build(2, m, terms)
+    est = sup_norm_Q(Q, sp, samples=20_000)
+    assert est <= sup_norm_Q_bound(Q, sp) + 1e-12
+    assert _gate_rejects(Q, sp, 1.0) == (est > 0.5 + 1e-12)
+
+
+def test_bound_gate_skips_sampling_under_the_upper_bound(monkeypatch):
+    import spirallab.genext as gx
+
+    def no_sampling(*a, **k):
+        raise AssertionError("sampled sup_norm_Q called")
+
+    monkeypatch.setattr(gx, "sup_norm_Q", no_sampling)
+    sp = BallSpace(r=2.0, m=2)
+    make(q=0.5, lam=1.0, r=2)
+    ExtendedGenerator(base=gen_logistic(), lam=1.0, space=sp,
+                      Q=HomogeneousPolynomial.build(2, 2, {(1, 1): 1.0}))
+    with pytest.raises(AssertionError):
+        make(q=0.6, lam=1.0, r=2)
+
+
+def test_sup_norm_bound_is_exact_for_monomials():
+    """sup |y^a| on the unit sphere: sqrt(prod a^a / |a|^|a|) (Euclidean), 1 (sup)."""
+    Q = HomogeneousPolynomial.build(3, 2, {(1, 2): 1.0})
+    assert abs(sup_norm_Q_bound(Q, BallSpace(r=3.0, m=2)) - np.sqrt(4 / 27)) <= 1e-15
+    assert sup_norm_Q_bound(Q, BallSpace(r=3.0, m=2, y_norm="sup")) == 1.0

@@ -183,3 +183,74 @@ def test_generator_spec_round_trip():
     zs = random_disk(np.random.default_rng(39), 10)
     assert np.max(np.abs(again.f(zs) - g.f(zs))) < 1e-14
     assert again.kind == g.kind and again.mu == g.mu
+
+
+# ------------------------------------------------- graded quadrature accuracy
+
+def gen_conj_logistic(tau=0.3):
+    # f(z) = -(tau - z)(1 + z)/(1 + tau), mu = 1, h = (tau - z)/((1 - tau)(1 + z))
+    k = -1.0 / (1.0 + tau)
+    return Generator.from_poly([k * tau, k * (tau - 1.0), -k], kind="dilation",
+                               tau=tau, mu=1.0)
+
+
+CLOSED_FORMS = {
+    "logistic": (gen_logistic, lambda z: z / (1 - z), lambda z: 1 / (1 - z) ** 2),
+    "hyperbolic": (gen_hyperbolic, lambda z: (1 - z) / (1 + z),
+                   lambda z: -2 / (1 + z) ** 2),
+    "conj_logistic": (gen_conj_logistic, lambda z: (0.3 - z) / (0.7 * (1 + z)),
+                      lambda z: -1.3 / (0.7 * (1 + z) ** 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_koenigs_closed_forms_to_the_boundary(name):
+    """eval, deriv and exp(log_deriv) match the closed forms to 1e-12 relative
+    for |z| <= 0.999, and the scalar calls agree with the array calls."""
+    make_gen, h_exact, dh_exact = CLOSED_FORMS[name]
+    h = koenigs(make_gen())
+    zs = np.concatenate([random_disk(np.random.default_rng(40), 300, 0.999),
+                         0.999 * np.exp(2j * np.pi * np.arange(16) / 16)])
+
+    def rel(got, want):
+        return float(np.max(np.abs(got - want) / np.abs(want)))
+
+    assert rel(h.eval_array(zs), h_exact(zs)) <= 1e-12
+    assert rel(h.deriv_array(zs), dh_exact(zs)) <= 1e-12
+    assert rel(np.exp(h.log_deriv_array(zs)), dh_exact(zs)) <= 1e-12
+    for z in zs[::37]:
+        assert h.eval(z) == h.eval_array([z])[0]
+        assert h.log_deriv(z) == h.log_deriv_array([z])[0]
+
+
+def test_koenigs_second_derivative_closed_form():
+    z = random_disk(np.random.default_rng(41), 100, 0.99)
+    h = koenigs(gen_logistic())
+    assert np.max(np.abs(h.deriv2_array(z) * (1 - z) ** 3 / 2 - 1)) <= 1e-12
+    assert abs(h.deriv2(0.0) - 2.0) <= 1e-12
+    hc = koenigs(gen_conj_logistic())
+    exact = 2.6 / (0.7 * (1 + z) ** 3)
+    assert np.max(np.abs(hc.deriv2_array(z) / exact - 1)) <= 1e-12
+
+
+def test_conjugated_log_deriv_is_continuous():
+    """log h' of the conjugated map is one continuous branch on the disk: no
+    2 pi jump between neighbours on a circle, where |d log h'/dz| <= 40."""
+    h = koenigs(gen_conj_logistic())
+    ring = 0.95 * np.exp(2j * np.pi * np.arange(2001) / 2000)
+    steps = np.abs(np.diff(h.log_deriv_array(ring)))
+    assert np.max(steps) < 0.2
+
+
+def test_pulled_back_generator_derivatives_are_exact():
+    """The tau != 0 pullback's f' and f'' (chain rule) match Cauchy integrals
+    on a circle, by the trapezoid rule, to 1e-11."""
+    g = koenigs(gen_conj_logistic()).h0.gen
+    w = random_disk(np.random.default_rng(42), 20, 0.6)
+    rho, n = 0.5, 128
+    e = np.exp(2j * np.pi * np.arange(n) / n)
+    vals = g.f(w[:, None] + rho * e)
+    d1 = np.mean(vals / e, axis=1) / rho
+    d2 = 2.0 * np.mean(vals / e ** 2, axis=1) / rho ** 2
+    assert np.max(np.abs(g.df(w) - d1)) <= 1e-11
+    assert np.max(np.abs(g.d2f(w) - d2)) <= 1e-11
