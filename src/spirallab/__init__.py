@@ -2,5 +2,3 @@
 Roper-Suffridge type extension operators on the ball of C x C^m."""
 
 __version__ = "0.1.0"
-
-from .kernels import BACKEND as KERNEL_BACKEND  # noqa: F401

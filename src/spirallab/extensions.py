@@ -7,10 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import BranchedPower, UnivalentMap, newton_invert
+from .families import BranchedPower, invert_map, newton_invert
 
 INTERIOR_MARGIN = 1e-3
-MEMBER_TOL = 1e-9
+# a preimage x of z counts when |h(x) - z| <= MEMBER_RTOL * max(1, |z|): near
+# the rim |h| grows without bound and rounding alone exceeds an absolute 1e-8
+MEMBER_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -166,33 +168,17 @@ class SpiralMatrix:
         return self.lam + self.mu / self.r
 
 
-def _branch(h, r):
-    return BranchedPower(h, r) if float(r).is_integer() else _RealPower(h, float(r))
-
-
-class _RealPower:
-    # non-integer r: same anchored log, fractional exponent
-    def __init__(self, h, r):
-        self.h = h
-        self.r = r
-
-    def __call__(self, x):
-        return complex(np.exp(self.h.log_deriv(x) / self.r))
-
-    def array(self, x):
-        return np.exp(self.h.log_deriv_array(x) / self.r)
-
-
 def extend_H(h, space: BallSpace, p: BallPoint):
     """(x, y) -> (h(x), h'(x)^(1/r) y)."""
-    fac = _branch(h, space.r)(p.x) if space.r != 1 else h.deriv(p.x)
-    return BallPoint.of(h.eval(p.x), fac * p.y_array)
+    zs, ws = extend_H_arrays(h, space, np.asarray([p.x]), p.y_array[None, :])
+    return BallPoint.of(zs[0], ws[0])
 
 
 def extend_H_arrays(h, space: BallSpace, xs, ys):
+    """extend_H on xs of shape (n,) and ys of shape (n, m)."""
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
-    fac = np.exp(h.log_deriv_array(xs) / space.r)
+    fac = BranchedPower(h, space.r).array(xs)
     return h.eval_array(xs), fac[..., None] * ys
 
 
@@ -236,30 +222,22 @@ def conjugated_action(Q: HomogeneousPolynomial, t, z, w):
 def membership_H(h, space: BallSpace, z, w, guess=0j):
     """Is (z, w) in the image of the unperturbed extension?  False (not an
     exception) when the first-coordinate inversion fails."""
-    try:
-        if isinstance(h, UnivalentMap):
-            x = h.invert(z, guess=guess)
-        else:
-            x = newton_invert(h, z, guess=guess)
-    except Exception:
-        return False
-    fac = _branch(h, space.r)(x) if space.r != 1 else h.deriv(x)
-    y = np.asarray(w, dtype=complex) / fac
-    return bool(space.gauge(x, y) < 1.0)
+    return bool(membership_H_arrays(h, space, np.asarray([z]), np.reshape(w, (1, -1)),
+                                    guess)[0])
 
 
 def membership_H_arrays(h, space: BallSpace, zs, ws, guess=0j):
-    """Vectorized membership for maps exposing array inversion (the built-in
-    families).  Returns a boolean array; failed inversions count as outside."""
+    """Membership of the points (zs[i], ws[i]) in the image of the unperturbed
+    extension.  Maps without their own invert_array are inverted by damped
+    Newton.  Returns a boolean array; failed inversions count as outside."""
     zs = np.asarray(zs, dtype=complex)
     ws = np.asarray(ws, dtype=complex)
-    xs = h.invert_array(zs, guess=guess)
+    invert = getattr(h, "invert_array", None)
+    xs = invert(zs, guess=guess) if invert else newton_invert(h, zs, guess)
     ok = ~np.isnan(xs)
     xs = np.where(ok, xs, 0j)
-    resid = np.abs(h.eval_array(xs) - zs)
-    ok &= resid <= 1e-8
-    fac = np.exp(h.log_deriv_array(xs) / space.r)
-    ys = ws / fac[..., None]
+    ok &= np.abs(h.eval_array(xs) - zs) <= MEMBER_RTOL * np.maximum(1.0, np.abs(zs))
+    ys = ws / BranchedPower(h, space.r).array(xs)[..., None]
     return ok & (space.gauge(xs, ys) < 1.0)
 
 
@@ -268,11 +246,7 @@ def covering_radius_Rt(h, mu, lam, r, t, z0, guess=0j):
     the rotated-scaled center e^(-mu t) z0."""
     if complex(lam).real <= 0:
         raise ValueError("Re lambda must be > 0")
-    z1 = np.exp(-complex(mu) * t) * z0
-    if isinstance(h, UnivalentMap):
-        x1 = h.invert(z1, guess=guess)
-    else:
-        x1 = newton_invert(h, z1, guess=guess)
+    x1 = invert_map(h, np.exp(-complex(mu) * t) * z0, guess=guess)
     contraction = 1.0 - np.abs(np.exp(-complex(lam) * t)) ** r
     return contraction / 4.0 * abs(h.deriv(x1)) * (1.0 - abs(x1) ** 2)
 

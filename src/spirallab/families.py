@@ -2,9 +2,11 @@
 branch-tracked fractional powers of h', Newton inversion and the classical
 distortion lower bounds.
 
-A "disk map" anywhere in this package is any object exposing eval/deriv on
-scalars and ndarrays; UnivalentMap covers the closed-form families, while
-numerically-defined maps (e.g. Koenigs functions) implement the same surface.
+A "disk map" anywhere in this package is any object exposing eval_array and
+deriv_array on ndarrays (most also log_deriv_array and invert_array, with
+scalar eval/deriv/invert as thin wrappers); UnivalentMap covers the
+closed-form families, while numerically-defined maps (e.g. Koenigs functions)
+implement the same surface.
 """
 
 from __future__ import annotations
@@ -98,10 +100,6 @@ class UnivalentMap:
             raise ValueError("zero denominator polynomial")
         return cls("rational", num=num, den=den)
 
-    @property
-    def has_closed_inverse(self):
-        return self.family in ("identity", "koebe", "mobius_spiral", "half_plane")
-
     def declared_spirallike(self, mu):
         """Sufficient-condition metadata for mobius_spiral; re-verified by the
         spirallike-margin oracle elsewhere."""
@@ -129,20 +127,19 @@ class UnivalentMap:
         return complex(self._k(kernels.eval_deriv2, z)[0])
 
     def eval_array(self, z):
-        return np.asarray(self._k(kernels.eval_map, z))
+        return self._k(kernels.eval_map, z)
 
     def deriv_array(self, z):
-        return np.asarray(self._k(kernels.eval_deriv, z))
+        return self._k(kernels.eval_deriv, z)
 
     def deriv2_array(self, z):
-        return np.asarray(self._k(kernels.eval_deriv2, z))
+        return self._k(kernels.eval_deriv2, z)
 
     def log_deriv_array(self, z):
         """Continuous log of h' anchored at 0 with the principal value there."""
         if self.family == "rational":
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            return np.array([continued_log_deriv(self, complex(v)) for v in z])
-        return np.asarray(self._k(kernels.log_deriv, z))
+            return continued_log_deriv(self, np.atleast_1d(np.asarray(z, dtype=complex)))
+        return self._k(kernels.log_deriv, z)
 
     def log_deriv(self, z):
         return complex(self.log_deriv_array(np.asarray([z]))[0])
@@ -151,18 +148,12 @@ class UnivalentMap:
 
     def invert(self, w, guess=0j):
         """Solve h(z) = w inside the disk (closed form or damped Newton)."""
-        z = self.invert_array(np.asarray([w], dtype=complex), guess=guess)[0]
-        if np.isnan(z):
-            raise NoConvergence(f"inversion did not converge for w = {w}")
-        if abs(self.eval_array(np.asarray([z]))[0] - w) > INVERT_TOL:
-            raise NoConvergence(f"w = {w} appears to lie outside the image")
-        return complex(z)
+        return invert_map(self, w, guess=guess)
 
     def invert_array(self, w, guess=0j):
-        return np.asarray(self._k(
-            lambda code, params, num, den, ww: kernels.invert(code, params, num, den, ww, guess),
-            w,
-        ))
+        """Preimages of the points w; NaN where Newton stays above its tolerance."""
+        return kernels.invert(self.code, self.params, self.num or None, self.den or None,
+                              w, guess)
 
     # -- serialization ---------------------------------------------------------
 
@@ -263,47 +254,62 @@ def normalize_at(h, x0):
     return NormalizedMap(h, x0)
 
 
+_PATH_BLOCK = 1 << 18  # path nodes per h'-evaluation, bounds the temporaries
+
+
 def continued_log_deriv(h, x, anchor=0j, steps=64, max_steps=65536):
-    """log h'(x) continued from the principal value at the anchor.
+    """log h'(x) continued from the principal value at the anchor, for one
+    point or an ndarray of points.
 
     Path: radial leg from the anchor out/in to radius |x| along the anchor's
     ray, then a rotational arc to x (a single radial segment when anchor=0).
-    Steps double until every per-step log increment is well inside the
-    principal strip.
+    Each point's steps double until every per-step log increment on its path
+    is well inside the principal strip.
     """
-    x = complex(x)
+    x = np.asarray(x, dtype=complex)
+    flat = x.ravel()
+    out = np.empty_like(flat)
     anchor = complex(anchor)
-    while steps <= max_steps:
-        path = _branch_path(anchor, x, steps)
-        d = h.deriv_array(path)
-        if np.any(d == 0):
-            raise DerivativeVanishes("h' vanishes on the continuation path")
-        inc = np.log(d[1:] / d[:-1])
-        if np.max(np.abs(inc.imag), initial=0.0) < np.pi / 2:
-            return complex(np.log(d[0]) + inc.sum())
+    todo = np.arange(flat.size)
+    while todo.size and steps <= max_steps:
+        left = []
+        rows = max(1, _PATH_BLOCK // steps)
+        for idx in np.split(todo, np.arange(rows, todo.size, rows)):
+            d = h.deriv_array(_branch_path(anchor, flat[idx], steps))
+            if np.any(d == 0):
+                raise DerivativeVanishes("h' vanishes on the continuation path")
+            inc = np.log(d[:, 1:] / d[:, :-1])
+            ok = np.max(np.abs(inc.imag), axis=1) < np.pi / 2
+            out[idx[ok]] = np.log(d[ok, 0]) + inc[ok].sum(axis=1)
+            left.append(idx[~ok])
+        todo = np.concatenate(left)
         steps *= 2
-    raise BranchTrackingError("h' winds too fast for the path resolution")
+    if todo.size:
+        raise BranchTrackingError("h' winds too fast for the path resolution")
+    return out.reshape(x.shape) if x.ndim else complex(out[0])
 
 
 def _branch_path(anchor, x, steps):
+    """Continuation paths from the anchor, one row of nodes per point of x."""
     t = np.linspace(0.0, 1.0, steps + 1)
+    x = x[:, None]
     if anchor == 0:
         return t * x
-    r0, r1 = abs(anchor), abs(x)
-    a0, a1 = np.angle(anchor), np.angle(x)
+    r1, a0, a1 = np.abs(x), np.angle(anchor), np.angle(x)
     mid = r1 * np.exp(1j * a0)
     leg1 = anchor + t * (mid - anchor)
     da = (a1 - a0 + np.pi) % (2 * np.pi) - np.pi
     leg2 = r1 * np.exp(1j * (a0 + t * da))
-    return np.concatenate([leg1, leg2[1:]])
+    return np.concatenate([leg1, leg2[:, 1:]], axis=1)
 
 
 @dataclass(frozen=True)
 class BranchedPower:
-    """Branch-consistent h'(x)^(1/r), anchored at the principal log at 0."""
+    """Branch-consistent h'(x)^(1/r) for real r >= 1, from log h' continued
+    from its principal value at the anchor."""
 
     map: object
-    r: int
+    r: float
     anchor: complex = 0j
 
     def __post_init__(self):
@@ -311,18 +317,14 @@ class BranchedPower:
             raise ValueError("root order must be >= 1")
 
     def __call__(self, x):
-        return complex(np.exp(self.log_at(x) / self.r))
-
-    def log_at(self, x):
-        if hasattr(self.map, "log_deriv") and self.anchor == 0:
-            return self.map.log_deriv(x)
-        return continued_log_deriv(self.map, x, anchor=self.anchor)
+        return complex(self.array(np.asarray([x], dtype=complex))[0])
 
     def array(self, x):
-        if hasattr(self.map, "log_deriv_array") and self.anchor == 0:
-            return np.exp(self.map.log_deriv_array(x) / self.r)
-        x = np.atleast_1d(np.asarray(x, dtype=complex))
-        return np.exp(np.array([self.log_at(complex(v)) for v in x]) / self.r)
+        if self.anchor == 0 and hasattr(self.map, "log_deriv_array"):
+            logs = self.map.log_deriv_array(x)
+        else:
+            logs = continued_log_deriv(self.map, x, anchor=self.anchor)
+        return np.exp(logs / self.r)
 
 
 def fractional_power(b: BranchedPower, x):
@@ -330,40 +332,19 @@ def fractional_power(b: BranchedPower, x):
     return b(x)
 
 
-def newton_invert(h, w, guess=0j, tol=1e-12, max_iter=100):
-    """Damped Newton solve of h(z) = w for a generic disk map.
-
-    Iterates are clamped to |z| <= 1 - 1e-9 since images may be unbounded."""
-    w = complex(w)
-    z = complex(guess)
-    if abs(z) >= 1.0 - 1e-9:
-        z *= (1.0 - 1e-9) / abs(z)
-    resid = h.eval(z) - w
-    for _ in range(max_iter):
-        if abs(resid) <= tol:
-            return z
-        d = h.deriv(z)
-        if d == 0:
-            raise DerivativeVanishes(f"h'({z}) = 0 during inversion")
-        step = resid / d
-        lam = 1.0
-        while True:
-            cand = z - lam * step
-            if abs(cand) >= 1.0 - 1e-9:
-                cand *= (1.0 - 1e-9) / abs(cand)
-            new_resid = h.eval(cand) - w
-            if abs(new_resid) < abs(resid) or lam <= 2.0**-24:
-                break
-            lam *= 0.5
-        z, resid = cand, new_resid
-    if abs(resid) <= INVERT_TOL:
-        return z
-    raise NoConvergence(f"inversion stalled at |residual| = {abs(resid)}")
+def newton_invert(h, w, guess=0j):
+    """Damped Newton solve of h(z) = w on arrays for a generic disk map;
+    NaN where |h(z) - w| stays above INVERT_TOL."""
+    z, res = kernels.newton(h.eval_array, h.deriv_array, w, guess)
+    return np.where(res <= INVERT_TOL, z, np.nan + 0j)
 
 
 def invert_map(h, w, guess=0j):
-    """Front door for inversion: closed form / family Newton on UnivalentMap,
-    generic damped Newton otherwise."""
-    if isinstance(h, UnivalentMap):
-        return h.invert(w, guess=guess)
-    return newton_invert(h, w, guess=guess)
+    """Front door for inverting one point through h.invert_array; raises
+    NoConvergence when the solve fails or w lies outside the image."""
+    z = complex(h.invert_array(np.asarray([w], dtype=complex), guess=guess)[0])
+    if np.isnan(z):
+        raise NoConvergence(f"inversion did not converge for w = {w}")
+    if abs(h.eval_array(np.asarray([z]))[0] - w) > INVERT_TOL:
+        raise NoConvergence(f"w = {w} appears to lie outside the image")
+    return z

@@ -1,16 +1,221 @@
-"""Kernel backend selection: compiled extension if available, numpy fallback
-otherwise.  ``BACKEND`` reports which one is live."""
+"""Numpy kernels: the built-in disk-map families, damped Newton inversion and
+the polar covering sweep.
 
-try:
-    from . import _core as _impl  # type: ignore[attr-defined]
-except ImportError:  # extension not built
-    from . import _core_py as _impl
+Families are addressed by an integer code:
 
-BACKEND = _impl.BACKEND
+    0  identity      h(z) = z
+    1  koebe         h(z) = z/(1-z)^2
+    2  mobius        h(z) = z/(1+c z),            params = [c]
+    3  spiral_koebe  h(z) = z(1-z)^(-p),          params = [p, p-1]
+    4  half_plane    h(z) = (1-z)/(1+z)
+    5  rational      h(z) = N(z)/D(z),            num/den = ascending coeffs
 
-eval_map = _impl.eval_map
-eval_deriv = _impl.eval_deriv
-eval_deriv2 = _impl.eval_deriv2
-log_deriv = _impl.log_deriv
-invert = _impl.invert
-covered_min_distance = _impl.covered_min_distance
+All z-arguments are complex128 ndarrays (scalars go through np.asarray).
+``newton`` and ``min_distance`` take the map as callables F (and its
+derivative dF) on arrays, so every disk map shares them; ``invert`` and
+``covered_min_distance`` are their entry points for the family codes.
+"""
+
+import numpy as np
+from numpy.polynomial import polynomial as P
+
+NEWTON_MAX_ITER = 100
+NEWTON_TOL = 1e-12
+DISK_CLAMP = 1.0 - 1e-9
+
+
+def _polyval(c, z):
+    return P.polyval(z, c)
+
+
+def eval_map(code, params, num, den, z):
+    z = np.asarray(z, dtype=complex)
+    if code == 0:
+        return z.copy()
+    if code == 1:
+        return z / (1.0 - z) ** 2
+    if code == 2:
+        return z / (1.0 + params[0] * z)
+    if code == 3:
+        p = params[0]
+        return z * np.exp(-p * np.log1p(-z))
+    if code == 4:
+        return (1.0 - z) / (1.0 + z)
+    if code == 5:
+        return _polyval(num, z) / _polyval(den, z)
+    raise ValueError(f"unknown family code {code}")
+
+
+def eval_deriv(code, params, num, den, z):
+    z = np.asarray(z, dtype=complex)
+    if code == 0:
+        return np.ones_like(z)
+    if code == 1:
+        return (1.0 + z) / (1.0 - z) ** 3
+    if code == 2:
+        return 1.0 / (1.0 + params[0] * z) ** 2
+    if code == 3:
+        p, q = params[0], params[1]
+        return np.exp(-(p + 1.0) * np.log1p(-z)) * (1.0 + q * z)
+    if code == 4:
+        return -2.0 / (1.0 + z) ** 2
+    if code == 5:
+        n, d = _polyval(num, z), _polyval(den, z)
+        n1, d1 = _polyval(P.polyder(num), z), _polyval(P.polyder(den), z)
+        return (n1 * d - n * d1) / d**2
+    raise ValueError(f"unknown family code {code}")
+
+
+def eval_deriv2(code, params, num, den, z):
+    z = np.asarray(z, dtype=complex)
+    if code == 0:
+        return np.zeros_like(z)
+    if code == 1:
+        return 2.0 * (2.0 + z) / (1.0 - z) ** 4
+    if code == 2:
+        c = params[0]
+        return -2.0 * c / (1.0 + c * z) ** 3
+    if code == 3:
+        p, q = params[0], params[1]
+        return p * np.exp(-(p + 2.0) * np.log1p(-z)) * (2.0 + q * z)
+    if code == 4:
+        return 4.0 / (1.0 + z) ** 3
+    if code == 5:
+        n, d = _polyval(num, z), _polyval(den, z)
+        n1, d1 = _polyval(P.polyder(num), z), _polyval(P.polyder(den), z)
+        n2, d2 = _polyval(P.polyder(num, 2), z), _polyval(P.polyder(den, 2), z)
+        u = n1 * d - n * d1
+        return ((n2 * d - n * d2) * d - 2.0 * d1 * u) / d**3
+    raise ValueError(f"unknown family code {code}")
+
+
+def log_deriv(code, params, num, den, z):
+    """Continuous logarithm of h', anchored at log h'(0) = principal value.
+
+    Closed forms exist for codes 0-4 because every factor has positive real
+    part on the disk; rational maps need path continuation (handled upstream).
+    """
+    z = np.asarray(z, dtype=complex)
+    if code == 0:
+        return np.zeros_like(z)
+    if code == 1:
+        return np.log1p(z) - 3.0 * np.log1p(-z)
+    if code == 2:
+        return -2.0 * np.log1p(params[0] * z)
+    if code == 3:
+        p, q = params[0], params[1]
+        return -(p + 1.0) * np.log1p(-z) + np.log1p(q * z)
+    if code == 4:
+        return np.log(2.0) + 1j * np.pi - 2.0 * np.log1p(z)
+    raise ValueError(f"no closed-form log-derivative for family code {code}")
+
+
+def _closed_invert(code, params, w):
+    if code == 0:
+        return w.copy()
+    if code == 1:
+        # rationalized root of w z^2 - (2w+1) z + w = 0; stable as w -> 0
+        return 2.0 * w / (2.0 * w + 1.0 + np.sqrt(4.0 * w + 1.0))
+    if code == 2:
+        return w / (1.0 - params[0] * w)
+    if code == 4:
+        return (1.0 - w) / (1.0 + w)
+    return None
+
+
+def _clamp(z):
+    """Pull entries with |z| >= DISK_CLAMP back onto that circle, in place."""
+    r = np.abs(z)
+    big = r >= DISK_CLAMP
+    z[big] *= DISK_CLAMP / r[big]
+    return z
+
+
+def newton(F, dF, w, z0):
+    """Damped Newton solve of F(z) = w on arrays, from z0 (broadcast to w).
+
+    Iterates are clamped to |z| <= DISK_CLAMP since images may be unbounded.
+    An entry stops once |F(z) - w| <= NEWTON_TOL or after NEWTON_MAX_ITER
+    steps; each step is halved, at most 24 times, until the residual drops.
+    F and dF only see the entries still iterating.  Returns (z, |F(z) - w|)
+    in the shape of w.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    z = _clamp(np.atleast_1d(np.asarray(z0, dtype=complex)) * np.ones_like(w))
+    z, wf = z.ravel(), w.ravel()
+    resid = F(z) - wf
+    act = np.flatnonzero(np.abs(resid) > NEWTON_TOL)
+    for _ in range(NEWTON_MAX_ITER):
+        if not act.size:
+            break
+        za, ra, wa = z[act], resid[act], wf[act]
+        step = ra / dF(za)
+        lam = np.ones(act.size)
+        cand, new = np.empty_like(za), np.empty_like(za)
+        todo = np.arange(act.size)
+        for _ in range(25):
+            c = _clamp(za[todo] - lam[todo] * step[todo])
+            cand[todo], new[todo] = c, F(c) - wa[todo]
+            todo = todo[(np.abs(new[todo]) >= np.abs(ra[todo])) & (lam[todo] > 2.0**-24)]
+            if not todo.size:
+                break
+            lam[todo] *= 0.5
+        z[act], resid[act] = cand, new
+        act = act[np.abs(new) > NEWTON_TOL]
+    return z.reshape(w.shape), np.abs(resid).reshape(w.shape)
+
+
+def invert(code, params, num, den, w, guess):
+    """Invert h on arrays: closed form where the family has one, else damped
+    Newton from ``guess``.  Entries left above NEWTON_TOL come back as NaN."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    closed = _closed_invert(code, params, w)
+    if closed is not None:
+        return closed
+    z, res = newton(lambda z: eval_map(code, params, num, den, z),
+                    lambda z: eval_deriv(code, params, num, den, z), w, guess)
+    return np.where(res > NEWTON_TOL, np.nan + 0j, z)
+
+
+def polar_grid(nr, nt):
+    """Radii r_k = 1 - (1 - k/nr)^2, k < nr, which concentrate at the rim, and
+    the ring of the nt-th roots of unity."""
+    k = np.arange(nr, dtype=float)
+    theta = 2.0 * np.pi * np.arange(nt) / nt
+    return 1.0 - (1.0 - k / nr) ** 2, np.exp(1j * theta)
+
+
+def polar_sweep(dF, radii, ring):
+    """Yield (x, |dF(x)| (1 - |x|^2)) for x = r * ring, one radius r at a time."""
+    for r in radii:
+        x = r * ring
+        yield x, np.abs(dF(x)) * (1.0 - r * r)
+
+
+def min_distance(F, dF, threshold, center, nr, nt, boundary_eps):
+    """Covering sweep of a disk map on the polar grid.
+
+    Returns (min |F(x)-center| over grid points failing the region inequality
+    |dF(x)|(1-|x|^2) > threshold, witness x, min over the circle
+    |x| = 1-boundary_eps, number of grid points in the region complement).
+    """
+    radii, ring = polar_grid(nr, nt)
+    best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
+    for x, crit in polar_sweep(dF, radii, ring):
+        out = crit <= threshold
+        cnt = int(out.sum())
+        if cnt:
+            n_out += cnt
+            d = np.abs(F(x[out]) - center)
+            i = int(np.argmin(d))
+            if d[i] < best:
+                best, witness = float(d[i]), complex(x[out][i])
+    bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
+    return best, witness, bmin, n_out
+
+
+def covered_min_distance(code, params, num, den, threshold, center, nr, nt, boundary_eps):
+    """``min_distance`` of the family map with the given code."""
+    return min_distance(lambda z: eval_map(code, params, num, den, z),
+                        lambda z: eval_deriv(code, params, num, den, z),
+                        threshold, center, nr, nt, boundary_eps)

@@ -290,8 +290,11 @@ class KoenigsMap:
     def log_deriv(self, z):
         return complex(self.log_deriv_array(z)[0])
 
-    def invert(self, w, guess=0j):
+    def invert_array(self, w, guess=0j):
         return families.newton_invert(self, w, guess=guess)
+
+    def invert(self, w, guess=0j):
+        return families.invert_map(self, w, guess=guess)
 
 
 def _dphi(tau, z, k=1):
@@ -344,8 +347,11 @@ class _ConjugatedMap:
     def log_deriv(self, z):
         return complex(self.log_deriv_array(z)[0])
 
-    def invert(self, w, guess=0j):
+    def invert_array(self, w, guess=0j):
         return families.newton_invert(self, w, guess=guess)
+
+    def invert(self, w, guess=0j):
+        return families.invert_map(self, w, guess=guess)
 
 
 def koenigs(gen: Generator):

@@ -31,6 +31,27 @@ def test_covering_shifted(tmp_path):
     assert code == 0
     assert abs(rep["predicted_radius"] - 0.1) < 1e-12
     assert abs(rep["secondary_radius"] - 0.05) < 1e-12
+    assert "reason" not in rep  # passing shifted reports keep their hashes
+
+
+@pytest.mark.parametrize("fn,x0,alpha,beta", [
+    ("half_plane", "0.3,0", "0.2", "0.3,0.3"),
+    ("spiral_koebe", "0.5854,-0.1318", "0.5723", "0.7449,0"),
+], ids=["complex_beta", "not_starlike"])
+def test_covering_shifted_radius_chain_violated(tmp_path, fn, x0, alpha, beta):
+    """A complex beta, or a spirallike map that is not starlike, can put the
+    shifted radius below its secondary bound: a failed verdict with a reason."""
+    if fn == "spiral_koebe":
+        fn = str(tmp_path / "spiral.json")
+        (tmp_path / "spiral.json").write_text(
+            json.dumps({"family": "spiral_koebe", "theta": 0.5}))
+    code, rep = run(tmp_path, "covering", "--fn", fn, f"--x0={x0}",
+                    "--alpha", alpha, f"--beta={beta}")
+    assert code == 1
+    assert rep["pass"] is False
+    assert rep["reason"] == "radius_chain_violated"
+    assert rep["predicted_radius"] < rep["secondary_radius"]
+    assert rep["complement_points"] > 0
 
 
 def test_covering_region_csv(tmp_path):

@@ -18,13 +18,14 @@ from spirallab.extensions import (
     extend_H,
     extend_H_arrays,
     membership_H,
+    membership_H_arrays,
     muir_extend,
     sample_ball,
     semigroup_action,
     sup_norm_Q,
     verify_invariance,
 )
-from spirallab.families import UnivalentMap
+from spirallab.families import UnivalentMap, normalize_at
 
 
 def space(r=2.0, m=1):
@@ -203,6 +204,33 @@ def test_membership_H_koebe():
     assert membership_H(h, sp, 2.0, np.array([1.0 + 0j]))  # image of (1/2, ...)
     assert not membership_H(h, sp, 2.0, np.array([3.0 + 0j]))
     assert not membership_H(h, sp, -0.5, np.array([0.0j]))  # off the image
+
+
+def test_membership_of_near_rim_koebe_points():
+    """Every extended point is a member, also where |k(x)| ~ 1e5 and rounding
+    alone puts |k(x) - z| above an absolute 1e-8 (17 of these points)."""
+    sp = space(1.0, 1)
+    h = UnivalentMap.koebe()
+    rng = np.random.default_rng(46)
+    n = 200_000
+    rad = rng.uniform(0.99, 0.999, n)
+    xs = rad * np.exp(2j * np.pi * rng.uniform(size=n))
+    ys = (0.5 * (1 - rad**2) * rng.uniform(size=n))[:, None] + 0j
+    zs, ws = extend_H_arrays(h, sp, xs, ys)
+    assert membership_H_arrays(h, sp, zs, ws).all()
+
+
+def test_membership_of_a_map_without_invert_array():
+    """A normalized map has no invert_array: membership goes through damped
+    Newton and the continued logarithm of h'."""
+    sp = space(2.0, 1)
+    g = normalize_at(UnivalentMap.mobius_spiral(0.5), 0.3 + 0.2j)
+    xs, ys = sample_ball(sp, 100, np.random.default_rng(47))
+    zs, ws = extend_H_arrays(g, sp, xs, ys)
+    assert membership_H_arrays(g, sp, zs, ws).all()
+    # the same x with |y| = 1.01 lies outside the ball
+    zs, ws = extend_H_arrays(g, sp, xs, 1.01 * ys / np.abs(ys))
+    assert not membership_H_arrays(g, sp, zs, ws).any()
 
 
 def test_covering_radius_Rt_identity():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spirallab import kernels
-from spirallab import _core_py
 from spirallab.families import (
     BranchedPower,
     PointOutsideDisk,
@@ -25,6 +24,11 @@ from conftest import random_disk, standard_families
 
 disk_points = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                                  allow_infinity=False)
+RATIONAL = UnivalentMap.rational([0, 1, 0.1], [1, -1])  # (z + z^2/10)/(1 - z)
+# one map per family code 0-5, in code order
+ALL_CODES = [UnivalentMap.identity(), UnivalentMap.koebe(),
+             UnivalentMap.mobius_spiral(0.25j), UnivalentMap.spiral_koebe(0.5),
+             UnivalentMap.half_plane(), RATIONAL]
 
 
 # ---------------------------------------------------------------- oracles
@@ -127,6 +131,25 @@ def test_invert_map_generic_newton():
     assert abs(invert_map(h, h.eval(z), guess=0.3) - z) < 1e-10
 
 
+def test_rational_newton_round_trip_to_the_rim():
+    """The rational family has no closed inverse: damped Newton from 0."""
+    h = RATIONAL
+    zs = random_disk(np.random.default_rng(12), 2000, 0.999)
+    back = h.invert_array(h.eval_array(zs), guess=0j)
+    assert np.max(np.abs(back - zs)) < 1e-9
+    z = complex(zs[0])
+    assert abs(h.invert(h.eval(z)) - z) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="damped Newton from guess 0 stalls on ~10% of "
+                   "the points of spiral_koebe(0.5) and returns NaN")
+def test_spiral_koebe_newton_round_trip_from_zero():
+    h = UnivalentMap.spiral_koebe(0.5)
+    zs = random_disk(np.random.default_rng(13), 2000, 0.9)
+    back = h.invert_array(h.eval_array(zs), guess=0j)
+    assert not np.isnan(back).any()
+
+
 # ------------------------------------------------------------ automorphism
 
 @given(x0=st.complex_numbers(max_magnitude=0.95, allow_nan=False,
@@ -208,35 +231,62 @@ def test_branched_power_consistency():
         assert abs(v * v - h.deriv(complex(z))) < 1e-10
 
 
-# ----------------------------------------------------------------- backend
-
-def test_backends_agree():
-    """Compiled kernels and the pure-python fallback must match bit-for-all
-    practical purposes on every family code."""
-    rng = np.random.default_rng(9)
-    zs = random_disk(rng, 500, 0.9)
-    for h in standard_families().values():
-        spec = h
-        for fn, gn in (
-            (kernels.eval_map, _core_py.eval_map),
-            (kernels.eval_deriv, _core_py.eval_deriv),
-            (kernels.log_deriv, _core_py.log_deriv),
-        ):
-            a = fn(spec.code, spec.params, spec.num, spec.den, zs)
-            b = gn(spec.code, spec.params, spec.num, spec.den, zs)
-            assert np.max(np.abs(a - b)) < 1e-12
+def test_branched_power_real_order_and_anchor():
+    """A non-integer order, and an anchor away from 0 on a map whose log h'
+    agrees with the principal branch there."""
+    h = UnivalentMap.koebe()
+    zs = random_disk(np.random.default_rng(14), 50, 0.8)
+    v = BranchedPower(h, 2.5).array(zs)
+    assert np.max(np.abs(v ** 2.5 / h.deriv_array(zs) - 1.0)) < 1e-12
+    anchored = BranchedPower(h, 2.0, anchor=0.3 - 0.2j).array(zs)
+    assert np.max(np.abs(anchored - BranchedPower(h, 2.0).array(zs))) < 1e-10
 
 
-def test_backend_invert_agrees():
-    rng = np.random.default_rng(10)
-    zs = random_disk(rng, 200, 0.85)
-    h = UnivalentMap.mobius_spiral(0.25j)
-    ws = h.eval_array(zs)
-    a = kernels.invert(h.code, h.params, h.num, h.den, ws,
-                       np.zeros_like(ws))
-    b = _core_py.invert(h.code, h.params, h.num, h.den, ws,
-                        np.zeros_like(ws))
-    assert np.max(np.abs(a - b)) < 1e-9
+@pytest.mark.parametrize("anchor", [0j, 0.3 - 0.2j], ids=["origin", "anchored"])
+def test_continued_log_arrays_match_single_points(anchor):
+    """Each point keeps its own step doubling: the batched call agrees with
+    one call per point, bit for bit from the origin."""
+    h = RATIONAL
+    zs = random_disk(np.random.default_rng(15), 300, 0.999)
+    batch = continued_log_deriv(h, zs, anchor=anchor)
+    single = np.array([continued_log_deriv(h, complex(z), anchor=anchor) for z in zs])
+    if anchor == 0:
+        assert np.array_equal(batch, single)
+    else:
+        assert np.max(np.abs(batch - single)) < 1e-13
+    assert np.array_equal(continued_log_deriv(h, zs.reshape(20, 15), anchor=anchor),
+                          batch.reshape(20, 15))
+
+
+# ----------------------------------------------------------------- kernels
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_log_deriv_exponentiates_to_deriv(h):
+    """exp(log h') = h' on every family code; the rational code has no closed
+    form in the kernels and goes through the continued logarithm."""
+    zs = random_disk(np.random.default_rng(9), 500, 0.9)
+    if h.code == 5:
+        with pytest.raises(ValueError):
+            kernels.log_deriv(h.code, h.params, h.num, h.den, zs)
+        ld = h.log_deriv_array(zs)
+    else:
+        ld = kernels.log_deriv(h.code, h.params, None, None, zs)
+    d = kernels.eval_deriv(h.code, h.params, h.num or None, h.den or None, zs)
+    assert np.max(np.abs(np.exp(ld) / d - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_deriv2_matches_cauchy_integral(h):
+    """h''(z) = 2/rho^2 * mean_k h(z + rho w^k) w^(-2k) over the n-th roots of
+    unity w (the trapezoid rule of Cauchy's formula, exact to rounding here)."""
+    n = 256
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    zs = random_disk(np.random.default_rng(10), 40, 0.8)
+    rho = (1.0 - np.abs(zs)) / 2.0
+    vals = h.eval_array(zs[:, None] + rho[:, None] * ring)
+    cauchy = 2.0 / rho**2 * np.mean(vals * ring ** -2, axis=1)
+    d2 = kernels.eval_deriv2(h.code, h.params, h.num or None, h.den or None, zs)
+    assert np.max(np.abs(d2 - cauchy) / np.maximum(1.0, np.abs(d2))) < 1e-9
 
 
 # --------------------------------------------------------------- ser/deser

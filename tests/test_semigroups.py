@@ -165,6 +165,19 @@ def test_koenigs_inverse():
         assert abs(h.invert(w, guess=complex(z) * 0.9) - z) < 1e-8
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3 - 0.2j], ids=["plain", "conjugated"])
+def test_koenigs_invert_array_round_trip(tau):
+    """Batched damped Newton on a Koenigs map, plain (tau = 0) and conjugated."""
+    tau = complex(tau)
+    g = Generator.from_poly([-tau, 1 + abs(tau) ** 2, -np.conj(tau)], kind="dilation",
+                            tau=tau, mu=1 - abs(tau) ** 2)
+    h = koenigs(g)
+    zs = random_disk(np.random.default_rng(39), 200, 0.8)
+    back = h.invert_array(h.eval_array(zs), guess=0j)
+    assert np.max(np.abs(back - zs)) < 1e-9
+    assert abs(h.invert(h.eval(complex(zs[0]))) - zs[0]) < 1e-9
+
+
 # ------------------------------------------------------------------ margins
 
 def test_spirallike_margin_koebe():
