@@ -3,7 +3,9 @@
 Subcommands: covering, koenigs, flow, spiral-check, extend, sharp-bound,
 gen-extend.  Complex values on the command line are "re,im" pairs (a bare
 real is accepted); complex values in JSON are [re, im] arrays.  Exit codes:
-0 pass, 1 verified failure, 2 usage/input error.
+0 pass, 1 verified failure, 2 usage/input error, 3 undecided (a solver gave up:
+no Newton convergence, a lost branch, a step underflow, a trajectory forced out
+of its domain, no roots in the search window or an unresolved singularity).
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ import time
 import numpy as np
 
 from . import __version__, covering, extensions, genext, report, semigroups, sharp_bound
-from .families import UnivalentMap
+from .families import BranchTrackingError, NoConvergence, UnivalentMap
+from .ode import LeftDomain, StepUnderflow
+
+UNDECIDED = (NoConvergence, BranchTrackingError, StepUnderflow, LeftDomain,
+             sharp_bound.NoRootsInWindow, genext.UnresolvedSingularity)
 
 FAMILY_SHORTCUTS = ("identity", "koebe", "half_plane")
 COMPLEX_OPTIONS = ("--x0", "--beta", "--z0", "--mu", "--lambda")
@@ -381,6 +387,9 @@ def main(argv=None):
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except UNDECIDED as e:
+        print(f"error: undecided: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -140,6 +140,6 @@ def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
 def omega_region_points(h, spec: OmegaSpec, grid=(100, 100)):
     """(x, in_omega) samples on the covering sweep's polar grid, for plotting
     and CSV dumps."""
-    rings = kernels.polar_sweep(h.deriv_array, *kernels.polar_grid(*grid))
-    x, crit = (np.concatenate(v) for v in zip(*rings))
+    blocks = kernels.polar_sweep(h.deriv_array, *kernels.polar_grid(*grid))
+    x, crit = (np.concatenate(v, axis=None) for v in zip(*blocks))
     return x, crit > spec.threshold

@@ -274,27 +274,24 @@ def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=100_000,
     ys = g / space.norm(g)[:, None]
     vals = np.abs(Q.eval(ys))
     best = float(np.max(vals))
-    idx = np.argsort(vals)[-top:]
-    for i in idx:
-        y = ys[i].copy()
-        step = 0.1
-        val = abs(Q.eval(y))
-        for _ in range(ascent_steps):
-            q = Q.eval(y)
-            d = q * np.conj(Q.grad(y))  # ascent direction for |Q|^2
-            nd = np.linalg.norm(d)
-            if nd == 0:
-                break
-            cand = y + step * d / nd
-            cand = cand / space.norm(cand)
-            cval = abs(Q.eval(cand))
-            if cval > val:
-                y, val = cand, cval
-                step *= 1.2
-            else:
-                step *= 0.5
-        best = max(best, val)
-    return best
+    # projected gradient ascent of every start at once, each with its own step;
+    # a start whose ascent direction vanishes stays put from then on
+    y = ys[np.argsort(vals)[-top:]]
+    step = np.full(len(y), 0.1)
+    val = np.abs(Q.eval(y))
+    for _ in range(ascent_steps):
+        d = Q.eval(y)[:, None] * np.conj(Q.grad(y))  # ascent direction for |Q|^2
+        nd = np.linalg.norm(d, axis=-1)
+        rows = np.flatnonzero(nd)
+        if not rows.size:
+            break
+        cand = y[rows] + step[rows, None] * d[rows] / nd[rows, None]
+        cand = cand / space.norm(cand)[:, None]
+        cval = np.abs(Q.eval(cand))
+        up = cval > val[rows]
+        y[rows[up]], val[rows[up]] = cand[up], cval[up]
+        step[rows] *= np.where(up, 1.2, 0.5)
+    return max(best, float(np.max(val)))
 
 
 def sup_norm_Q_bound(Q: HomogeneousPolynomial, space: BallSpace):

@@ -22,6 +22,7 @@ from numpy.polynomial import polynomial as P
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
 DISK_CLAMP = 1.0 - 1e-9
+SWEEP_BLOCK = 4096  # grid points per sweep block: the temporaries stay in L2
 
 
 def _polyval(c, z):
@@ -186,8 +187,11 @@ def polar_grid(nr, nt):
 
 
 def polar_sweep(dF, radii, ring):
-    """Yield (x, |dF(x)| (1 - |x|^2)) for x = r * ring, one radius r at a time."""
-    for r in radii:
+    """Yield (x, |dF(x)| (1 - |x|^2)) for x = radii[k:k+s, None] * ring: blocks
+    of s = max(1, SWEEP_BLOCK // nt) whole rings, in ring-major order."""
+    s = max(1, SWEEP_BLOCK // ring.size)
+    for k in range(0, radii.size, s):
+        r = radii[k:k + s, None]
         x = r * ring
         yield x, np.abs(dF(x)) * (1.0 - r * r)
 
@@ -198,18 +202,18 @@ def min_distance(F, dF, threshold, center, nr, nt, boundary_eps):
     Returns (min |F(x)-center| over grid points failing the region inequality
     |dF(x)|(1-|x|^2) > threshold, witness x, min over the circle
     |x| = 1-boundary_eps, number of grid points in the region complement).
+    Ties go to the first grid point in ring-major order.
     """
     radii, ring = polar_grid(nr, nt)
     best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
     for x, crit in polar_sweep(dF, radii, ring):
-        out = crit <= threshold
-        cnt = int(out.sum())
-        if cnt:
-            n_out += cnt
-            d = np.abs(F(x[out]) - center)
+        x = x[crit <= threshold]
+        if x.size:
+            n_out += x.size
+            d = np.abs(F(x) - center)
             i = int(np.argmin(d))
             if d[i] < best:
-                best, witness = float(d[i]), complex(x[out][i])
+                best, witness = float(d[i]), complex(x[i])
     bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
     return best, witness, bmin, n_out
 

@@ -6,6 +6,13 @@ import pytest
 from spirallab.families import UnivalentMap
 
 
+RATIONAL = UnivalentMap.rational([0, 1, 0.1], [1, -1])  # (z + z^2/10)/(1 - z)
+# one map per family code 0-5, in code order
+ALL_CODES = [UnivalentMap.identity(), UnivalentMap.koebe(),
+             UnivalentMap.mobius_spiral(0.25j), UnivalentMap.spiral_koebe(0.5),
+             UnivalentMap.half_plane(), RATIONAL]
+
+
 def standard_families():
     return {
         "identity": UnivalentMap.identity(),

@@ -148,6 +148,19 @@ def test_usage_errors_exit_2(tmp_path):
                  "--z0", "0,0", "--t", "1"]) == 2
 
 
+def test_solver_fault_exits_3_undecided(tmp_path, capsys):
+    """A generator with a negative Berkson-Porta margin forces the flow from
+    -0.9 against the boundary: the ODE solver gives up, which is undecided
+    (exit 3), not a checked failure and not a traceback."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [1.5, 0]], "kind": "dilation",
+                               "tau": [0, 0], "mu": [1, 0]}))
+    code, rep = run(tmp_path, "flow", "--gen", str(gen), "--z0=-0.9,0", "--t", "5")
+    assert code == 3
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: undecided: LeftDomain: ")
+
+
 def test_complex_encoding_is_re_im_pairs(tmp_path):
     code, rep = run(tmp_path, "covering", "--fn", "koebe",
                     "--x0", "0.2,0.1", "--alpha", "0.4")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from spirallab import kernels
 from spirallab.covering import (
+    BOUNDARY_EPS,
     OmegaSpec,
     grid_tolerance,
     omega_contains,
@@ -11,9 +13,10 @@ from spirallab.covering import (
     verify_covering_bound,
     verify_shifted_covering_bound,
 )
-from spirallab.families import UnivalentMap, disk_automorphism
+from spirallab.families import UnivalentMap, disk_automorphism, normalize_at
+from spirallab.semigroups import Generator, koenigs
 
-from conftest import random_disk
+from conftest import ALL_CODES, random_disk
 
 
 def test_omega_identity_is_annulus_complement():
@@ -125,3 +128,78 @@ def test_omega_region_points_fractions():
     outside = np.abs(pts) > np.sqrt(0.5) + 1e-6
     assert np.all(flags[inside])
     assert not np.any(flags[outside])
+
+
+# ---------------------------------------------------------- blocked sweep
+
+# (400, 400): 10 rings a block; (401, 400): a last block of one ring;
+# (401, 7): one block of every ring; (3, 5000): nt > SWEEP_BLOCK, a ring a block
+SWEEP_GRIDS = [(400, 400), (401, 400), (401, 7), (3, 5000)]
+
+
+def _per_ring_min_distance(F, dF, threshold, center, nr, nt, boundary_eps):
+    """Reference: the covering sweep one ring at a time."""
+    radii, ring = kernels.polar_grid(nr, nt)
+    best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
+    for r in radii:
+        x = r * ring
+        out = np.abs(dF(x)) * (1.0 - r * r) <= threshold
+        if out.any():
+            n_out += int(out.sum())
+            d = np.abs(F(x[out]) - center)
+            i = int(np.argmin(d))
+            if d[i] < best:
+                best, witness = float(d[i]), complex(x[out][i])
+    bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
+    return best, witness, bmin, n_out
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=lambda g: "x".join(map(str, g)))
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_blocked_sweep_matches_per_ring_loop(h, grid):
+    """The family sweep visits the grid in blocks of whole rings and returns the
+    per-ring result bit for bit, about h(x0) and about the shifted centre."""
+    x0 = 0.3 + 0.1j
+    spec = OmegaSpec.build(h, x0, 0.5)
+    fam = (h.code, h.params, h.num or None, h.den or None)
+    for center in (h.eval(x0), 0.5 * h.eval(x0)):
+        got = kernels.covered_min_distance(*fam, spec.threshold, center, *grid, BOUNDARY_EPS)
+        ref = _per_ring_min_distance(lambda z: kernels.eval_map(*fam, z),
+                                     lambda z: kernels.eval_deriv(*fam, z),
+                                     spec.threshold, center, *grid, BOUNDARY_EPS)
+        assert ref[3] > 0
+        assert got == ref
+
+
+@pytest.mark.parametrize("grid", [(100, 100), (3, 5000)], ids=["100x100", "3x5000"])
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_omega_region_points_match_per_ring_loop(h, grid):
+    spec = OmegaSpec.build(h, 0.3 + 0.1j, 0.5)
+    radii, ring = kernels.polar_grid(*grid)
+    ref_x = np.concatenate([r * ring for r in radii])
+    ref_in = np.concatenate([np.abs(h.deriv_array(r * ring)) * (1.0 - r * r)
+                             for r in radii]) > spec.threshold
+    x, flags = omega_region_points(h, spec, grid=grid)
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(flags, ref_in)
+
+
+@pytest.mark.parametrize("kind", ["normalized", "koenigs"])
+def test_generic_map_sweep_matches_per_ring_loop(kind):
+    """Maps outside the family codes go through ``kernels.min_distance``.  A
+    KoenigsMap sizes its quadrature by the largest |z| of each call, so the
+    block size may move its last digits: agreement to 1e-12 relative."""
+    if kind == "normalized":
+        h, grid = normalize_at(UnivalentMap.koebe(), 0.3 + 0.2j), (400, 400)
+    else:
+        h = koenigs(Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0))
+        grid = (120, 64)
+    x0 = 0.2 - 0.1j
+    spec = OmegaSpec.build(h, x0, 0.5)
+    for center in (h.eval(x0), 0.5 * h.eval(x0)):
+        args = (h.eval_array, h.deriv_array, spec.threshold, center, *grid, BOUNDARY_EPS)
+        best, _, bmin, n_out = kernels.min_distance(*args)
+        ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(*args)
+        assert n_out == ref_n_out > 0
+        assert abs(best - ref_best) <= 1e-12 * ref_best
+        assert abs(bmin - ref_bmin) <= 1e-12 * ref_bmin

@@ -20,15 +20,10 @@ from spirallab.families import (
     normalize_at,
 )
 
-from conftest import random_disk, standard_families
+from conftest import ALL_CODES, RATIONAL, random_disk, standard_families
 
 disk_points = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                                  allow_infinity=False)
-RATIONAL = UnivalentMap.rational([0, 1, 0.1], [1, -1])  # (z + z^2/10)/(1 - z)
-# one map per family code 0-5, in code order
-ALL_CODES = [UnivalentMap.identity(), UnivalentMap.koebe(),
-             UnivalentMap.mobius_spiral(0.25j), UnivalentMap.spiral_koebe(0.5),
-             UnivalentMap.half_plane(), RATIONAL]
 
 
 # ---------------------------------------------------------------- oracles
