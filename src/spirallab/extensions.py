@@ -228,8 +228,9 @@ def membership_H(h, space: BallSpace, z, w, guess=0j):
 
 def membership_H_arrays(h, space: BallSpace, zs, ws, guess=0j):
     """Membership of the points (zs[i], ws[i]) in the image of the unperturbed
-    extension.  Maps without their own invert_array are inverted by damped
-    Newton.  Returns a boolean array; failed inversions count as outside."""
+    extension, a boolean array.  The preimage x = h^-1(z), y = w / h'(x)^(1/r)
+    has gauge |x|^2 + ||w||^r / |h'(x)| on every branch of the root.  Maps
+    without invert_array are inverted by damped Newton; failures count as outside."""
     zs = np.asarray(zs, dtype=complex)
     ws = np.asarray(ws, dtype=complex)
     invert = getattr(h, "invert_array", None)
@@ -237,8 +238,8 @@ def membership_H_arrays(h, space: BallSpace, zs, ws, guess=0j):
     ok = ~np.isnan(xs)
     xs = np.where(ok, xs, 0j)
     ok &= np.abs(h.eval_array(xs) - zs) <= MEMBER_RTOL * np.maximum(1.0, np.abs(zs))
-    ys = ws / BranchedPower(h, space.r).array(xs)[..., None]
-    return ok & (space.gauge(xs, ys) < 1.0)
+    gauge = np.abs(xs) ** 2 + space.norm(ws) ** space.r / np.abs(h.deriv_array(xs))
+    return ok & (gauge < 1.0)
 
 
 def covering_radius_Rt(h, mu, lam, r, t, z0, guess=0j):

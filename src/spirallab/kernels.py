@@ -8,13 +8,15 @@ Families are addressed by an integer code:
     2  mobius        h(z) = z/(1+c z),            params = [c]
     3  spiral_koebe  h(z) = z(1-z)^(-p),          params = [p, p-1]
     4  half_plane    h(z) = (1-z)/(1+z)
-    5  rational      h(z) = N(z)/D(z),            num/den = ascending coeffs
+    5  rational      h(z) = N(z)/D(z),            num/den = ascending coeff tuples
 
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
 ``newton`` and ``min_distance`` take the map as callables F (and its
 derivative dF) on arrays, so every disk map shares them; ``invert`` and
 ``covered_min_distance`` are their entry points for the family codes.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -25,8 +27,18 @@ DISK_CLAMP = 1.0 - 1e-9
 SWEEP_BLOCK = 4096  # grid points per sweep block: the temporaries stay in L2
 
 
-def _polyval(c, z):
-    return P.polyval(z, c)
+def horner(c, z):
+    """Polynomial with ascending coefficients c at z: polyval's recurrence, minus its set-up."""
+    acc = c[-1] + z * 0
+    for v in c[-2::-1]:
+        acc = v + acc * z
+    return acc
+
+
+@lru_cache(maxsize=32)
+def _rational(num, den):
+    """((N, N', N''), (D, D', D'')) as coefficient tuples, derived once per map."""
+    return tuple(tuple(tuple(P.polyder(c, k)) for k in range(3)) for c in (num, den))
 
 
 def eval_map(code, params, num, den, z):
@@ -43,7 +55,8 @@ def eval_map(code, params, num, den, z):
     if code == 4:
         return (1.0 - z) / (1.0 + z)
     if code == 5:
-        return _polyval(num, z) / _polyval(den, z)
+        nc, dc = _rational(num, den)
+        return horner(nc[0], z) / horner(dc[0], z)
     raise ValueError(f"unknown family code {code}")
 
 
@@ -61,8 +74,8 @@ def eval_deriv(code, params, num, den, z):
     if code == 4:
         return -2.0 / (1.0 + z) ** 2
     if code == 5:
-        n, d = _polyval(num, z), _polyval(den, z)
-        n1, d1 = _polyval(P.polyder(num), z), _polyval(P.polyder(den), z)
+        nc, dc = _rational(num, den)
+        n, n1, d, d1 = (horner(c, z) for c in (nc[0], nc[1], dc[0], dc[1]))
         return (n1 * d - n * d1) / d**2
     raise ValueError(f"unknown family code {code}")
 
@@ -82,9 +95,9 @@ def eval_deriv2(code, params, num, den, z):
     if code == 4:
         return 4.0 / (1.0 + z) ** 3
     if code == 5:
-        n, d = _polyval(num, z), _polyval(den, z)
-        n1, d1 = _polyval(P.polyder(num), z), _polyval(P.polyder(den), z)
-        n2, d2 = _polyval(P.polyder(num, 2), z), _polyval(P.polyder(den, 2), z)
+        nc, dc = _rational(num, den)
+        n, n1, n2 = (horner(c, z) for c in nc)
+        d, d1, d2 = (horner(c, z) for c in dc)
         u = n1 * d - n * d1
         return ((n2 * d - n * d2) * d - 2.0 * d1 * u) / d**3
     raise ValueError(f"unknown family code {code}")

@@ -5,13 +5,13 @@ margins."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import families, ode
+from . import families, kernels, ode
 
 
 class InvalidGenerator(ValueError):
@@ -77,8 +77,9 @@ class Generator:
         d2 = P.polyder(coeffs, 2)
         if mu is None:
             mu = P.polyval(complex(tau), d1)
-        return cls(func=_horner(coeffs), dfunc=_horner(d1), d2func=_horner(d2),
-                   kind=kind, tau=tau, mu=mu, poly=tuple(coeffs))
+        f, df, d2f = (partial(kernels.horner, tuple(map(complex, c))) for c in (coeffs, d1, d2))
+        return cls(func=f, dfunc=df, d2func=d2f, kind=kind, tau=tau, mu=mu,
+                   poly=tuple(coeffs))
 
     @classmethod
     def from_spec(cls, spec):
@@ -96,21 +97,6 @@ class Generator:
             "tau": [self.tau.real, self.tau.imag],
             "mu": [self.mu.real, self.mu.imag],
         }
-
-
-def _horner(coeffs):
-    """Evaluator of the polynomial with ascending coefficients: numpy's polyval
-    recurrence without its per-call argument handling, which dominates on the
-    small arrays of ODE right-hand sides."""
-    c = [complex(v) for v in coeffs]
-
-    def ev(z):
-        acc = c[-1] + z * 0
-        for v in reversed(c[:-1]):
-            acc = v + acc * z
-        return acc
-
-    return ev
 
 
 def _c(v):

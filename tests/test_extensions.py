@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spirallab import families
 from spirallab.extensions import (
+    MEMBER_RTOL,
     BallPoint,
     BallSpace,
     DegreeMismatch,
@@ -27,7 +29,9 @@ from spirallab.extensions import (
     sup_norm_Q,
     verify_invariance,
 )
-from spirallab.families import UnivalentMap, normalize_at
+from spirallab.families import BranchedPower, UnivalentMap, normalize_at
+
+from conftest import ALL_CODES, RATIONAL, random_disk
 
 
 def space(r=2.0, m=1):
@@ -275,7 +279,7 @@ def test_membership_of_near_rim_koebe_points():
 
 def test_membership_of_a_map_without_invert_array():
     """A normalized map has no invert_array: membership goes through damped
-    Newton and the continued logarithm of h'."""
+    Newton."""
     sp = space(2.0, 1)
     g = normalize_at(UnivalentMap.mobius_spiral(0.5), 0.3 + 0.2j)
     xs, ys = sample_ball(sp, 100, np.random.default_rng(47))
@@ -284,6 +288,55 @@ def test_membership_of_a_map_without_invert_array():
     # the same x with |y| = 1.01 lies outside the ball
     zs, ws = extend_H_arrays(g, sp, xs, 1.01 * ys / np.abs(ys))
     assert not membership_H_arrays(g, sp, zs, ws).any()
+
+
+def _branch_tracked_membership(h, sp, zs, ws):
+    """Residual check and gauge of the preimage (x, w / h'(x)^(1/r)), with the
+    root taken on the branch continued from the principal value at 0."""
+    xs = h.invert_array(zs, guess=0j)
+    ok = ~np.isnan(xs)
+    xs = np.where(ok, xs, 0j)
+    ok &= np.abs(h.eval_array(xs) - zs) <= MEMBER_RTOL * np.maximum(1.0, np.abs(zs))
+    return ok, sp.gauge(xs, ws / BranchedPower(h, sp.r).array(xs)[:, None])
+
+
+@pytest.mark.parametrize("norm,p", [("euclidean", None), ("sup", None), ("p_norm", 3.0)],
+                         ids=["euclidean", "sup", "p3"])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_membership_gauge_matches_branch_tracked_definition(h, r, norm, p):
+    """|x|^2 + ||w||^r / |h'(x)| decides membership as the gauge of
+    (x, w / h'(x)^(1/r)) does, also within 1e-6 of the rim; only points whose
+    gauge lies within 1e-12 of 1, where rounding decides, are skipped."""
+    sp = BallSpace(r=r, m=2, y_norm=norm, p=p)
+    rng = np.random.default_rng(48)
+    n = 600
+    xs = random_disk(rng, n, 0.7)
+    target = rng.uniform(0.5, 1.5, n)
+    target[::3] = 1.0 + rng.uniform(-1e-6, 1e-6, target[::3].size)
+    g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    ys = g / sp.norm(g)[:, None] * ((target - np.abs(xs) ** 2) ** (1.0 / r))[:, None]
+    zs, ws = extend_H_arrays(h, sp, xs, ys)
+    ok, gauge = _branch_tracked_membership(h, sp, zs, ws)
+    keep = np.abs(gauge - 1.0) > 1e-12
+    assert np.array_equal(membership_H_arrays(h, sp, zs, ws)[keep], (ok & (gauge < 1.0))[keep])
+    near = keep & ok & (np.abs(gauge - 1.0) < 1e-6)
+    assert (gauge[near] < 1.0).sum() > 50 and (gauge[near] > 1.0).sum() > 50
+
+
+def test_rational_membership_does_no_path_continuation(monkeypatch):
+    """The gauge needs |h'| alone, so membership never continues log h'."""
+    sp = space(1.5, 2)
+    xs, ys = sample_ball(sp, 300, np.random.default_rng(49))
+    zs, ws = extend_H_arrays(RATIONAL, sp, xs, ys)
+    zo, wo = extend_H_arrays(RATIONAL, sp, xs, 1.01 * ys / sp.norm(ys)[:, None])
+
+    def no_continuation(*args, **kwargs):
+        raise AssertionError("continued_log_deriv called")
+
+    monkeypatch.setattr(families, "continued_log_deriv", no_continuation)
+    assert membership_H_arrays(RATIONAL, sp, zs, ws).all()
+    assert not membership_H_arrays(RATIONAL, sp, zo, wo).any()
 
 
 def test_covering_radius_Rt_identity():

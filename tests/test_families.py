@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from spirallab import kernels
 from spirallab.families import (
@@ -282,6 +283,24 @@ def test_deriv2_matches_cauchy_integral(h):
     cauchy = 2.0 / rho**2 * np.mean(vals * ring ** -2, axis=1)
     d2 = kernels.eval_deriv2(h.code, h.params, h.num or None, h.den or None, zs)
     assert np.max(np.abs(d2 - cauchy) / np.maximum(1.0, np.abs(d2))) < 1e-9
+
+
+@pytest.mark.parametrize("num,den", [
+    (RATIONAL.num, RATIONAL.den),
+    ((0.3, 1 + 0.2j, -0.1j, 0.05), (1, -0.4j, 0.1)),
+    ((0j, 1), (1 + 0j,)),
+], ids=["conftest", "cubic", "constant_den"])
+def test_rational_kernels_match_polyval_bit_for_bit(num, den):
+    """Horner on coefficients derived once per map gives numpy's polyval of
+    polyder, bit for bit, for h, h' and h''."""
+    zs = random_disk(np.random.default_rng(12), 1000, 0.99)
+    n, n1, n2 = (P.polyval(zs, P.polyder(num, k)) for k in range(3))
+    d, d1, d2 = (P.polyval(zs, P.polyder(den, k)) for k in range(3))
+    u = n1 * d - n * d1
+    assert np.array_equal(kernels.eval_map(5, (), num, den, zs), n / d)
+    assert np.array_equal(kernels.eval_deriv(5, (), num, den, zs), u / d**2)
+    assert np.array_equal(kernels.eval_deriv2(5, (), num, den, zs),
+                          ((n2 * d - n * d2) * d - 2.0 * d1 * u) / d**3)
 
 
 # --------------------------------------------------------------- ser/deser
