@@ -40,8 +40,9 @@ class BallSpace:
             return np.max(np.abs(y), axis=-1)
         return np.sum(np.abs(y) ** self.p, axis=-1) ** (1.0 / self.p)
 
-    def gauge(self, x, y):
-        return np.abs(x) ** 2 + self.norm(y) ** self.r
+    def gauge(self, x, y, scale=1.0):
+        """|x|^2 + ||y||^r / scale; scale = |h'(x)| gives the gauge of H^-1(h(x), y)."""
+        return np.abs(x) ** 2 + self.norm(y) ** self.r / scale
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,7 @@ def membership_H_arrays(h, space: BallSpace, zs, ws, guess=0j):
     ok = ~np.isnan(xs)
     xs = np.where(ok, xs, 0j)
     ok &= np.abs(h.eval_array(xs) - zs) <= MEMBER_RTOL * np.maximum(1.0, np.abs(zs))
-    gauge = np.abs(xs) ** 2 + space.norm(ws) ** space.r / np.abs(h.deriv_array(xs))
-    return ok & (gauge < 1.0)
+    return ok & (space.gauge(xs, ws, np.abs(h.deriv_array(xs))) < 1.0)
 
 
 def covering_radius_Rt(h, mu, lam, r, t, z0, guess=0j):

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Parent-versus-change runs of the verdict benchmark, written to one JSON file.
 
-    python3 tools/bench_pairs.py --parent HEAD --out BENCH_7.json \\
+    python3 tools/bench_pairs.py --parent <base commit> --out BENCH_<n>.json \\
         --pairs ball-invariance:1:10 --pairs covering-sweep:1:1 \\
         --traced ball-invariance:1 --hashes ball-invariance:1
 
-The change is the repository's working tree; the parent is the given
-revision, exported with ``git archive`` into a temporary directory (the
-repository's own git metadata is left alone).  Both sides run their own
-``verdictbench/run.py`` from their own root, one process at a time.
+The change is the repository's working tree, uncommitted edits included; the
+parent is the given revision (the commit the change is based on, e.g.
+``HEAD~1`` once the change is committed), exported with ``git archive`` into a
+temporary directory (the repository's own git metadata is left alone).  The
+tool refuses a parent whose tracked files equal the working tree's, and warns
+when the working tree has uncommitted edits.  Both sides run their own
+``verdictbench/run.py`` from their own root, one process at a time, each run
+``run_seconds`` of ``BENCHMARK.json`` long.
 
 - ``--pairs W:S:N`` runs N pairs of ``--trace 0`` runs of workload W at seed S,
   alternating which side runs first, and summarises every end-to-end metric of
@@ -16,7 +20,8 @@ repository's own git metadata is left alone).  Both sides run their own
 - ``--traced W:S`` runs one ``--trace 1`` run of each side.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
-  ``determinism_hash`` differs.
+  ``determinism_hash`` differs, the ops that ran on one side only, and the ops
+  that wrote no report on either side.
 
 The output file is rewritten after every run, and sections already in it are
 kept, so several invocations can fill one file.
@@ -81,6 +86,23 @@ def run_hashes(tree, workload, seed, workdir):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def compare_hashes(parent, change):
+    """Ops whose report hash differs, ops run on one side only, and ops that
+    wrote no report (counted as neither equal nor different)."""
+    both = parent.keys() & change.keys()
+    missing = sorted(k for k in both if parent[k] is None or change[k] is None)
+    return {"ops": len(both),
+            "differ": sorted(k for k in both if k not in missing and parent[k] != change[k]),
+            "no_report": missing,
+            "parent_only": sorted(parent.keys() - change.keys()),
+            "change_only": sorted(change.keys() - parent.keys())}
+
+
+def same_tracked_files(rev):
+    """Do the tracked files of the working tree equal those of rev?"""
+    return subprocess.run(["git", "diff", "--quiet", rev, "--"], cwd=ROOT).returncode == 0
+
+
 def quartiles(xs):
     return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
 
@@ -124,8 +146,6 @@ def main():
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--claim", default=None, help="one line: the claimed gain")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--pairs", action="append", default=[], type=lambda t: spec(t, 3))
     ap.add_argument("--traced", action="append", default=[], type=lambda t: spec(t, 2))
     ap.add_argument("--hashes", action="append", default=[], type=lambda t: spec(t, 2))
@@ -133,9 +153,13 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                          stdout=subprocess.PIPE, text=True).stdout.strip()
+    if same_tracked_files(rev):
+        sys.exit(f"error: the working tree equals {rev}; pass the commit the change is based on")
+    if not same_tracked_files("HEAD"):
+        print("warning: uncommitted edits are measured as part of the change", file=sys.stderr)
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -192,10 +216,7 @@ def main():
             got = {side: run_hashes(trees[side], workload, seed, workdir)
                    for side in ("parent", "change")}
             shutil.rmtree(workdir)
-            doc.setdefault("hashes", {})[f"{workload}/seed{seed}"] = {
-                "ops": len(got["change"]),
-                "differ": sorted(k for k in got["change"]
-                                 if got["change"][k] != got["parent"].get(k))}
+            doc.setdefault("hashes", {})[f"{workload}/seed{seed}"] = compare_hashes(**got)
             save()
 
 
