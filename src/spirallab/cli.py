@@ -89,9 +89,10 @@ def _load_generator(arg):
         raise UsageError(f"bad generator spec {arg}: {e}")
 
 
-def _load_poly(arg, m):
+def _load_poly(arg, m, r):
+    """The degree-r polynomial spec at arg, or the zero polynomial of degree int(r)."""
     if arg is None:
-        return None
+        return extensions.HomogeneousPolynomial.zero(int(r), m)
     spec = _load_json(arg)
     try:
         q = extensions.HomogeneousPolynomial.from_spec(spec)
@@ -99,6 +100,8 @@ def _load_poly(arg, m):
         raise UsageError(f"bad polynomial spec {arg}: {e}")
     if q.m != m:
         raise UsageError(f"polynomial has {q.m} variables, expected m={m}")
+    if q.degree != r:
+        raise UsageError(f"polynomial has degree {q.degree}, expected r={r}")
     return q
 
 
@@ -206,8 +209,7 @@ def cmd_extend(args):
     t0 = time.time()
     h = _load_map(args.fn)
     space = extensions.BallSpace(r=args.r, m=args.m)
-    q = _load_poly(args.Q, args.m) or extensions.HomogeneousPolynomial.zero(
-        int(args.r), args.m)
+    q = _load_poly(args.Q, args.m, args.r)
     mu = _parse_complex(args.mu)
     lam = _parse_complex(args.lam)
     times = _parse_floats(args.times)
@@ -254,8 +256,7 @@ def cmd_gen_extend(args):
     gen = _load_generator(args.gen)
     lam = _parse_complex(args.lam)
     space = extensions.BallSpace(r=args.r, m=args.m)
-    q = _load_poly(args.Q, args.m) or extensions.HomogeneousPolynomial.zero(
-        int(args.r), args.m)
+    q = _load_poly(args.Q, args.m, args.r)
     g = genext.ExtendedGenerator(base=gen, lam=lam, space=space, Q=q)
     h = semigroups.koenigs(gen)
     rng = np.random.default_rng(args.seed)
@@ -381,9 +382,6 @@ def main(argv=None):
     args = ap.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

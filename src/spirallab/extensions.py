@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import BranchedPower, invert_map, newton_invert
+from .families import BranchedPower, newton_invert
 
 INTERIOR_MARGIN = 1e-3
 # a preimage x of z counts when |h(x) - z| <= MEMBER_RTOL * max(1, |z|): near
@@ -97,10 +97,6 @@ class HomogeneousPolynomial:
         exps = [0] * m
         exps[index] = degree
         return cls.build(degree, m, {tuple(exps): coef})
-
-    def scaled(self, c):
-        return HomogeneousPolynomial.build(
-            self.degree, self.m, {e: v * c for e, v in self.terms})
 
     def eval(self, y):
         """Q(y); y is (m,) or (..., m), evaluated on the trailing axis."""
@@ -208,16 +204,14 @@ def semigroup_action(A: SpiralMatrix, t, z, w):
     return np.exp(-A.mu * t) * z, np.exp(-A.fiber_rate * t) * w
 
 
-def conjugated_action(Q: HomogeneousPolynomial, t, z, w):
-    """Shear-conjugated starlike action
-    (z, w) -> (e^(-t) z + (e^(-t) - e^(-2t)) Q(w), e^(-t) w)."""
-    if Q.degree != 2:
-        raise DegreeMismatch("the conjugated formula uses Q of degree 2")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    w = np.asarray(w, dtype=complex)
-    et = np.exp(-t)
-    return et * z + (et - et * et) * Q.eval(w), et * w
+def conjugated_action(A: SpiralMatrix, Q: HomogeneousPolynomial, t, z, w):
+    """Shear-conjugated action Phi_Q^-1 o e^(-At) o Phi_Q:
+    (z, w) -> (e^(-mu t) z + (e^(-mu t) - e^(-r(lambda + mu/r) t)) Q(w),
+    e^(-(lambda + mu/r) t) w), as Q(c w) = c^r Q(w) for Q of degree r."""
+    if Q.terms and Q.degree != A.r:
+        raise DegreeMismatch(f"Q degree {Q.degree} != space r {A.r}")
+    z1, w1 = semigroup_action(A, t, z, w)
+    return z1 + (np.exp(-A.mu * t) - np.exp(-A.fiber_rate * A.r * t)) * Q.eval(w), w1
 
 
 def membership_H(h, space: BallSpace, z, w, guess=0j):
@@ -242,14 +236,17 @@ def membership_H_arrays(h, space: BallSpace, zs, ws, guess=0j):
     return ok & (space.gauge(xs, ws, np.abs(h.deriv_array(xs))) < 1.0)
 
 
-def covering_radius_Rt(h, mu, lam, r, t, z0, guess=0j):
-    """(1 - |e^(-lambda t)|^r)/4 * |h'(x1)| (1 - |x1|^2), x1 the preimage of
-    the rotated-scaled center e^(-mu t) z0."""
-    if complex(lam).real <= 0:
-        raise ValueError("Re lambda must be > 0")
-    x1 = invert_map(h, np.exp(-complex(mu) * t) * z0, guess=guess)
-    contraction = 1.0 - np.abs(np.exp(-complex(lam) * t)) ** r
-    return contraction / 4.0 * abs(h.deriv(x1)) * (1.0 - abs(x1) ** 2)
+def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
+    """(1 - |e^(-lambda t)|^r)/4 * |h'(x1)| (1 - |x1|^2) at each center z0 of
+    an array, x1 the preimage of the contracted center e^(-mu t) z0, the first
+    coordinate of e^(-At)(z0, 0); NaN where h.invert_array finds no preimage."""
+    z1, _ = semigroup_action(A, t, z0, 0j)
+    x1 = h.invert_array(z1, guess=guess)
+    ok = ~np.isnan(x1)
+    x1 = np.where(ok, x1, 0j)
+    rt = (1.0 - np.abs(np.exp(-A.lam * t)) ** A.r) / 4.0 \
+        * np.abs(h.deriv_array(x1)) * (1.0 - np.abs(x1) ** 2)
+    return np.where(ok, rt, np.nan)
 
 
 def sample_ball(space: BallSpace, n, rng, margin=INTERIOR_MARGIN):
@@ -320,39 +317,31 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     failures counts every failed membership; witnesses keeps the first
     max_witnesses of them.
     """
-    mu, lam = complex(mu), complex(lam)
+    if mode not in ("muir", "gamma"):
+        raise ValueError(f"unknown mode {mode!r}")
+    A = SpiralMatrix(complex(mu), complex(lam), space.r)
     rng = np.random.default_rng(seed)
     xs, ys = sample_ball(space, n_samples, rng)
     zs, ws = extend_H_arrays(h, space, xs, ys)
-    fiber = lam + mu / space.r
     failures = 0
     witnesses = []
     checked = 0
     for t in times:
-        w1 = np.exp(-fiber * t) * ws
         if mode == "muir":
-            z1 = np.exp(-mu * t) * zs \
-                + (np.exp(-mu * t) - np.exp(-fiber * space.r * t)) * Q.eval(ws)
-            ok = membership_H_arrays(h, space, z1, w1)
-            checked += ok.size
-            failures += int(np.count_nonzero(~ok))
-            for i in np.nonzero(~ok)[0][:max_witnesses]:
-                witnesses.append({"t": t, "z": _ri(z1[i]), "w": _ri_vec(w1[i])})
-        elif mode == "gamma":
-            z1 = np.exp(-mu * t) * zs
-            x1 = h.invert_array(z1, guess=0j)
-            rt = (1.0 - np.abs(np.exp(-lam * t)) ** space.r) / 4.0 \
-                * np.abs(h.deriv_array(x1)) * (1.0 - np.abs(x1) ** 2)
-            for k in range(n_gamma):
-                gamma = gamma_frac * rt * np.exp(2j * np.pi * k / n_gamma)
-                ok = membership_H_arrays(h, space, z1 + gamma, w1)
-                checked += ok.size
-                failures += int(np.count_nonzero(~ok))
-                for i in np.nonzero(~ok)[0][:max_witnesses]:
-                    witnesses.append({"t": t, "z": _ri(z1[i] + gamma[i]),
-                                      "w": _ri_vec(w1[i])})
+            probes = [conjugated_action(A, Q, t, zs, ws)]
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            z1, w1 = semigroup_action(A, t, zs, ws)
+            rt = covering_radius_Rt(h, A, t, zs)
+            # one direction at a time, so the n_gamma copies are never all held
+            probes = ((z1 + gamma_frac * rt * np.exp(2j * np.pi * k / n_gamma), w1)
+                      for k in range(n_gamma))
+        for z, w in probes:
+            ok = membership_H_arrays(h, space, z, w)
+            bad = np.flatnonzero(~ok)
+            checked += ok.size
+            failures += bad.size
+            witnesses += [{"t": t, "z": _ri(z[i]), "w": _ri_vec(w[i])}
+                          for i in bad[:max_witnesses]]
     return {
         "mode": mode,
         "n_samples": int(n_samples),

@@ -1,12 +1,13 @@
 """Disk primitives: built-in univalent families, disk automorphisms,
-branch-tracked fractional powers of h', Newton inversion and the classical
-distortion lower bounds.
+normalization at a point, branch-tracked powers h'(x)^(1/r), Newton
+inversion and the classical distortion lower bounds.
 
 A "disk map" anywhere in this package is any object exposing eval_array and
-deriv_array on ndarrays (most also log_deriv_array and invert_array, with
-scalar eval/deriv/invert as thin wrappers); UnivalentMap covers the
-closed-form families, while numerically-defined maps (e.g. Koenigs functions)
-implement the same surface.
+deriv_array on ndarrays; most also expose log_deriv_array and invert_array.
+Their scalar eval/deriv/invert, where present, are thin wrappers of the array
+methods, so each formula exists once.  UnivalentMap covers the closed-form
+families and NormalizedMap the normalization of a disk map at a point;
+numerically-defined maps (e.g. Koenigs functions) implement the same surface.
 """
 
 from __future__ import annotations
@@ -233,12 +234,12 @@ class NormalizedMap:
         return disk_automorphism(self.x0, z)
 
     def eval(self, z):
-        return (self.h.eval(self._phi(complex(z))) - self._h_x0) / self._scale
+        _require_in_disk(z)
+        return complex(self.eval_array(np.asarray([z]))[0])
 
     def deriv(self, z):
-        z = complex(z)
-        dphi = (abs(self.x0) ** 2 - 1.0) / (1.0 - np.conj(self.x0) * z) ** 2
-        return self.h.deriv(self._phi(z)) * dphi / self._scale
+        _require_in_disk(z)
+        return complex(self.deriv_array(np.asarray([z]))[0])
 
     def eval_array(self, z):
         z = np.asarray(z, dtype=complex)
@@ -325,11 +326,6 @@ class BranchedPower:
         else:
             logs = continued_log_deriv(self.map, x, anchor=self.anchor)
         return np.exp(logs / self.r)
-
-
-def fractional_power(b: BranchedPower, x):
-    _require_in_disk(x)
-    return b(x)
 
 
 def newton_invert(h, w, guess=0j):

@@ -25,7 +25,6 @@ class ExtendedGenerator:
     space: BallSpace
     Q: HomogeneousPolynomial
     singularity_radius: float = 1e-4
-    check_bound: bool = True
 
     def __post_init__(self):
         self.lam = complex(self.lam)
@@ -35,7 +34,7 @@ class ExtendedGenerator:
             raise ValueError("integer r required when Q is attached")
         if self.Q.degree != self.space.r:
             raise ValueError("Q degree must equal the ball exponent r")
-        if self.check_bound and self.Q.terms:
+        if self.Q.terms:
             # the sampled estimate never exceeds the rigorous upper bound, so
             # the sampling is needed only when the upper bound is too large
             bound = self.space.r * self.lam.real / 4.0
@@ -129,6 +128,14 @@ def _dh_tilde(g, jet, y):
 
 
 def _dh_tilde_inverse(g, jet, y):
+    """Closed-form block inverse of the differential of h_tilde at points with
+    jet _jet(h, x).
+
+    The fiber-fiber block is h'^(-1/r) I minus a rank-one correction
+    h'' y (x) Q'(y) / (r^2 lam h'^(1+1/r)); by Euler's identity
+    Q'(y).y = r Q(y), it collapses to the scalar
+    (r lam h' - h'' Q(y))/(r lam h'^(1+1/r)) when m = 1 (and, for any m,
+    when acting on vectors parallel to y)."""
     _, L, d2 = jet
     r, lam, m = g.space.r, g.lam, g.space.m
     d1 = np.exp(L)
@@ -141,18 +148,6 @@ def _dh_tilde_inverse(g, jet, y):
         - (d2 / (r * r * lam * np.exp(L * (1.0 + 1.0 / r))))[..., None, None] \
         * (y[..., :, None] * qg[..., None, :])
     return M
-
-
-def dh_tilde_inverse(g: ExtendedGenerator, h, p):
-    """Closed-form block inverse of the differential of h_tilde.
-
-    The fiber-fiber block is h'^(-1/r) I minus a rank-one correction
-    h'' y (x) Q'(y) / (r^2 lam h'^(1+1/r)); by Euler's identity
-    Q'(y).y = r Q(y), it collapses to the scalar
-    (r lam h' - h'' Q(y))/(r lam h'^(1+1/r)) when m = 1 (and, for any m,
-    when acting on vectors parallel to y)."""
-    x, y = _xy(p)
-    return _dh_tilde_inverse(g, _jet(h, x), y)
 
 
 def dh_tilde_identity_residual(g: ExtendedGenerator, h, points):

@@ -49,7 +49,6 @@ def integrate(rhs, y0, t_end, tol=1e-10, max_steps=1_000_000, domain=None):
     Returns (y, steps_taken, last_error_estimate).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=complex))
-    scalar = np.ndim(y0) == 0
     t = 0.0
     t_end = float(t_end)
     if t_end < 0:
@@ -88,4 +87,4 @@ def integrate(rhs, y0, t_end, tol=1e-10, max_steps=1_000_000, domain=None):
         # PI-free step control with the usual safety factor
         scale = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.1, scale))
-    return (complex(y[0]) if scalar else y), steps, err
+    return y, steps, err

@@ -131,30 +131,28 @@ def berkson_porta_margin(gen: Generator, grid=None):
 
 @dataclass
 class FlowResult:
-    endpoint: complex
+    endpoint: complex | np.ndarray
     steps: int
     local_error_estimate: float
 
 
 def flow(gen: Generator, z0, t, tol=1e-10):
-    """Endpoint of dz/dt = -f(z) from z0 over [0, t]."""
-    if abs(z0) >= 1:
-        raise families.PointOutsideDisk(f"|z0| = {abs(z0)} >= 1")
+    """Endpoint of dz/dt = -f(z) over [0, t] from z0, a point or an array of
+    points integrated together (the system is elementwise autonomous)."""
+    z0 = np.asarray(z0, dtype=complex)
+    if np.any(np.abs(z0) >= 1):
+        raise families.PointOutsideDisk(f"|z0| = {np.max(np.abs(z0))} >= 1")
     y, steps, err = ode.integrate(
-        lambda y: -gen.f(y), complex(z0), t, tol=tol,
+        lambda y: -gen.f(y), z0.ravel(), t, tol=tol,
         domain=lambda y: np.all(np.abs(y) < 1.0),
     )
-    return FlowResult(endpoint=complex(y), steps=steps, local_error_estimate=err)
+    end = complex(y[0]) if z0.ndim == 0 else y.reshape(z0.shape)
+    return FlowResult(endpoint=end, steps=steps, local_error_estimate=err)
 
 
 def flow_many(gen: Generator, z0s, t, tol=1e-10):
-    """Flow a whole sample batch at once (elementwise autonomous system)."""
-    z0s = np.asarray(z0s, dtype=complex)
-    y, _, _ = ode.integrate(
-        lambda y: -gen.f(y), z0s.ravel(), t, tol=tol,
-        domain=lambda y: np.all(np.abs(y) < 1.0),
-    )
-    return y.reshape(z0s.shape)
+    """Endpoints of the flow from a whole sample batch at once."""
+    return flow(gen, z0s, t, tol=tol).endpoint
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

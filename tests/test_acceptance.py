@@ -238,8 +238,8 @@ def test_09_algebraic_identities():
         z2, w2 = semigroup_action(A, s + t, z, w)
         worst = max(worst, abs(z1 - z2), float(np.max(np.abs(w1 - w2))))
         # conjugated action semigroup law
-        z1, w1 = conjugated_action(Q, s, *conjugated_action(Q, t, z, w))
-        z2, w2 = conjugated_action(Q, s + t, z, w)
+        z1, w1 = conjugated_action(A, Q, s, *conjugated_action(A, Q, t, z, w))
+        z2, w2 = conjugated_action(A, Q, s + t, z, w)
         worst = max(worst, abs(z1 - z2), float(np.max(np.abs(w1 - w2))))
         # shear round trip
         zr, wr = automorphism_phi(Q, *automorphism_phi(Q, z, w), inverse=True)

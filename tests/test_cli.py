@@ -148,6 +148,29 @@ def test_usage_errors_exit_2(tmp_path):
                  "--z0", "0,0", "--t", "1"]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ("--mu=-1,0", "--lambda", "1,0"),
+    ("--mu", "0,1", "--lambda", "1,0"),
+    ("--mu", "1,0", "--lambda=-1,0", "--mode", "gamma"),
+    ("--mu", "1,0", "--lambda", "1,0", "--times=-0.5,1"),
+    ("--mu", "1,0", "--lambda", "1,0", "--times=-0.5,1", "--mode", "gamma"),
+    ("--mu", "1,0", "--lambda", "1,0", "--Q", "cubic"),
+    ("--mu", "1,0", "--lambda", "1,0", "--Q", "cubic", "--mode", "gamma"),
+], ids=["negative_mu", "imaginary_mu", "negative_lambda", "negative_time_muir",
+        "negative_time_gamma", "Q_degree_muir", "Q_degree_gamma"])
+def test_extend_rejects_invalid_action(tmp_path, capsys, extra):
+    """Re mu <= 0, Re lambda <= 0, a negative time or a Q whose degree is not r
+    is an input error (exit 2, no report), not a verdict on the points the
+    invalid action moves."""
+    q = tmp_path / "q3.json"
+    q.write_text(json.dumps({"degree": 3, "terms": [{"exps": [3], "coef": [0.2, 0]}]}))
+    extra = [str(q) if a == "cubic" else a for a in extra]
+    code, rep = run(tmp_path, "extend", "--fn", "koebe", "--r", "1", *extra)
+    assert code == 2
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solver_fault_exits_3_undecided(tmp_path, capsys):
     """A generator with a negative Berkson-Porta margin forces the flow from
     -0.9 against the boundary: the ODE solver gives up, which is undecided

@@ -228,29 +228,43 @@ def test_semigroup_action_law():
 
 def test_conjugated_action_law():
     """The sheared action also satisfies the semigroup law, to 1e-14."""
+    A = SpiralMatrix(mu=1.0, lam=0.5, r=2.0)
     Q = q_poly(0.25)
     z, w = 0.3 + 0.4j, np.array([0.2 - 0.1j])
     s, t = 0.4, 1.1
-    z1, w1 = conjugated_action(Q, t, z, w)
-    z1, w1 = conjugated_action(Q, s, z1, w1)
-    z2, w2 = conjugated_action(Q, s + t, z, w)
+    z1, w1 = conjugated_action(A, Q, t, z, w)
+    z1, w1 = conjugated_action(A, Q, s, z1, w1)
+    z2, w2 = conjugated_action(A, Q, s + t, z, w)
     assert abs(z1 - z2) < 1e-14
     assert np.max(np.abs(w1 - w2)) < 1e-14
 
 
-def test_conjugated_matches_shear_conjugation():
-    """conjugated_action == shear o diagonal(mu=1, lam s.t. fiber matches) o
-    shear^{-1} for the degree-2 normalization it implements."""
-    Q = q_poly(0.25)
-    A = SpiralMatrix(mu=1.0, lam=0.5, r=2.0)  # fiber rate 0.5 + 1/2 = 1
-    z, w = 0.2 + 0.1j, np.array([0.3 + 0j])
-    t = 0.8
-    zi, wi = automorphism_phi(Q, z, w)
-    za, wa = semigroup_action(A, t, zi, wi)
-    zs, ws = automorphism_phi(Q, za, wa, inverse=True)
-    zc, wc = conjugated_action(Q, t, z, w)
-    assert abs(zs - zc) < 1e-14
-    assert np.max(np.abs(ws - wc)) < 1e-14
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("mu,lam", [(1.0, 0.5), (1 + 0.5j, 0.7 - 0.2j), (0.3 - 1j, 2 + 1.5j)],
+                         ids=["real", "complex", "fast_rotation"])
+def test_conjugated_matches_shear_conjugation(mu, lam, r, m):
+    """conjugated_action == shear^-1 o e^{-At} o shear on arrays of points,
+    A = diag(mu, lam + mu/r), for a degree-r Q with every monomial of C^m."""
+    A = SpiralMatrix(mu=mu, lam=lam, r=float(r))
+    rng = np.random.default_rng(45)
+    exps = [e for e in itertools.product(range(r + 1), repeat=m) if sum(e) == r]
+    Q = HomogeneousPolynomial.build(r, m, {e: complex(*rng.normal(size=2)) * 0.3 for e in exps})
+    z = (rng.normal(size=40) + 1j * rng.normal(size=40)) * 0.3
+    w = (rng.normal(size=(40, m)) + 1j * rng.normal(size=(40, m))) * 0.3
+    for t in (0.0, 0.3, 1.7):
+        zs, ws = automorphism_phi(Q, *semigroup_action(A, t, *automorphism_phi(Q, z, w)),
+                                  inverse=True)
+        zc, wc = conjugated_action(A, Q, t, z, w)
+        assert np.max(np.abs(zs - zc)) < 1e-14
+        assert np.max(np.abs(ws - wc)) < 1e-14
+
+
+def test_conjugated_action_rejects_degree_mismatch():
+    """The closed form needs Q(c w) = c^r Q(w): a Q of another degree is refused."""
+    A = SpiralMatrix(mu=1.0, lam=0.5, r=2.0)
+    with pytest.raises(DegreeMismatch):
+        conjugated_action(A, q_poly(0.25, r=3), 0.5, 0.1, np.array([0.1]))
 
 
 # ------------------------------------------------------------- membership
@@ -340,13 +354,31 @@ def test_rational_membership_does_no_path_continuation(monkeypatch):
 
 
 def test_covering_radius_Rt_identity():
-    """h = id: R_t = (1 - e^{-r lam t})/4 * 1 * (1 - |z1|^2), z1 = e^{-t} z0."""
+    """h = id: R_t = (1 - |e^{-lam t}|^r)/4 * 1 * (1 - |z1|^2), z1 = e^{-mu t} z0,
+    at every center of an array."""
     h = UnivalentMap.identity()
-    t, z0 = 1.0, 0.4
-    rt = covering_radius_Rt(h, 1.0, 1.0, 2.0, t, z0)
-    z1 = np.exp(-1.0) * z0
-    expect = (1 - np.exp(-2.0)) / 4.0 * (1 - z1**2)
-    assert abs(rt - expect) < 1e-10
+    A = SpiralMatrix(mu=1 + 0.5j, lam=0.7 - 0.2j, r=2.0)
+    z0 = random_disk(np.random.default_rng(50), 200, 0.95)
+    for t in (0.0, 0.4, 1.0, 3.0):
+        rt = covering_radius_Rt(h, A, t, z0)
+        z1 = np.exp(-A.mu * t) * z0
+        expect = (1 - np.exp(-2 * 0.7 * t)) / 4.0 * (1 - np.abs(z1) ** 2)
+        assert rt.shape == z0.shape
+        assert np.max(np.abs(rt - expect)) < 1e-15
+
+
+def test_covering_radius_Rt_is_nan_where_inversion_fails():
+    """The spiral_koebe points on which Newton from 0 stalls (the strict xfail
+    in test_families) give NaN radii, without raising, and only there."""
+    h = UnivalentMap.spiral_koebe(0.5)
+    A = SpiralMatrix(mu=np.exp(-0.5j), lam=1.0, r=1.0)
+    t = 0.5
+    z0 = np.exp(A.mu * t) * h.eval_array(random_disk(np.random.default_rng(13), 2000, 0.9))
+    rt = covering_radius_Rt(h, A, t, z0)
+    failed = np.isnan(h.invert_array(np.exp(-A.mu * t) * z0, guess=0j))
+    assert failed.any()
+    assert np.array_equal(np.isnan(rt), failed)
+    assert np.all(rt[~failed] > 0)
 
 
 # -------------------------------------------------------------- invariance

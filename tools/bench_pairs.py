@@ -20,8 +20,9 @@ when the working tree has uncommitted edits.  Both sides run their own
 - ``--traced W:S`` runs one ``--trace 1`` run of each side.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
-  ``determinism_hash`` differs, the ops that ran on one side only, and the ops
-  that wrote no report on either side.
+  ``determinism_hash`` differs, the ops that ran on one side only, the ops
+  that raised an uncaught exception on either side, and the other ops that
+  wrote no report on either side.
 
 The output file is rewritten after every run, and sections already in it are
 kept, so several invocations can fill one file.
@@ -40,9 +41,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # One round of ops, run once from the tree given as argv[1] in the work
-# directory argv[4]; prints {op name: determinism hash}.
+# directory argv[4]; prints {"hashes": {op name: determinism hash or None},
+# "raised": {op name: exception}}.  An op that raises is recorded and the
+# round goes on, so a broken signature shows up as a result, not a crash.
 HASH_SCRIPT = r"""
-import json, os, sys
+import json, os, sys, traceback
 tree, workload, seed, workdir = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "verdictbench")]
 from spirallab import cli
@@ -51,16 +54,20 @@ wl = workloads.build(workload, seed, workdir)
 for fname, spec in wl.specs.items():
     with open(os.path.join(workdir, fname), "w") as fh:
         json.dump(spec, fh)
-hashes = {}
+hashes, raised = {}, {}
 for op in wl.ops:
     out = op.argv[op.argv.index("--out") + 1]
-    cli.main(list(op.argv))
     hashes[op.name] = None
+    try:
+        cli.main(list(op.argv))
+    except (Exception, SystemExit) as e:
+        traceback.print_exc()
+        raised[op.name] = f"{type(e).__name__}: {e}"
     if os.path.exists(out):
         with open(out) as fh:
             hashes[op.name] = json.load(fh)["determinism_hash"]
         os.unlink(out)
-print(json.dumps(hashes))
+print(json.dumps({"hashes": hashes, "raised": raised}))
 """
 
 
@@ -87,15 +94,23 @@ def run_hashes(tree, workload, seed, workdir):
 
 
 def compare_hashes(parent, change):
-    """Ops whose report hash differs, ops run on one side only, and ops that
-    wrote no report (counted as neither equal nor different)."""
-    both = parent.keys() & change.keys()
-    missing = sorted(k for k in both if parent[k] is None or change[k] is None)
+    """Ops whose report hash differs, ops run on one side only, ops that raised
+    an uncaught exception on either side (with each side's exception), and the
+    other ops that wrote no report; ops without a report on a side count as
+    neither equal nor different."""
+    ph, ch = parent["hashes"], change["hashes"]
+    both = ph.keys() & ch.keys()
+    raised = {}
+    for side, got in (("parent", parent), ("change", change)):
+        for op, exc in got["raised"].items():
+            raised.setdefault(op, {})[side] = exc
+    missing = sorted(k for k in both if ph[k] is None or ch[k] is None)
     return {"ops": len(both),
-            "differ": sorted(k for k in both if k not in missing and parent[k] != change[k]),
-            "no_report": missing,
-            "parent_only": sorted(parent.keys() - change.keys()),
-            "change_only": sorted(change.keys() - parent.keys())}
+            "differ": sorted(k for k in both if k not in missing and ph[k] != ch[k]),
+            "raised": dict(sorted(raised.items())),
+            "no_report": [k for k in missing if k not in raised],
+            "parent_only": sorted(ph.keys() - ch.keys()),
+            "change_only": sorted(ch.keys() - ph.keys())}
 
 
 def same_tracked_files(rev):
