@@ -262,23 +262,23 @@ def cmd_gen_extend(args):
     rng = np.random.default_rng(args.seed)
     xs, ys = extensions.sample_ball(space, args.samples, rng)
     xs *= 0.8  # keep quadrature-backed h well resolved
-    pts = [extensions.BallPoint.of(x, y) for x, y in zip(xs, ys)]
-    resid = genext.conjugation_residual(g, h, pts)
-    dh_res = genext.dh_tilde_identity_residual(g, h, pts[:50])
-    trajs = genext.flow_ball(g, pts[:args.flows], args.T)
-    exits = sum(traj.exited for traj in trajs)
+    resid = genext.conjugation_residual(g, h, xs, ys)
+    dh_res = genext.dh_tilde_identity_residual(g, h, xs[:50], ys[:50])
+    flow = genext.flow_ball(g, xs[:args.flows], ys[:args.flows], args.T)
+    exits = int(np.sum(flow.exited))
     if args.dump_traj:
+        ts = flow.t.tolist()
         with open(args.dump_traj, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "x_re", "x_im"]
                        + [f"y{k}_{p}" for k in range(space.m) for p in ("re", "im")])
-            w.writerows([t, pt.x.real, pt.x.imag] + [v for y in pt.y for v in (y.real, y.imag)]
-                        for traj in trajs for t, pt in traj.samples)
+            w.writerows([ts[k]] + flow.v[k, i].view(float).tolist()
+                        for i, n in enumerate(flow.reached) for k in range(n))
     payload = _base_report(args, "gen-extend")
     payload["conjugation_residual"] = resid
     payload["dh_identity_residual"] = dh_res
     payload["ball_exits"] = exits
-    payload["flows"] = min(args.flows, len(pts))
+    payload["flows"] = min(args.flows, len(xs))
     ok = resid <= 1e-8 and dh_res <= 1e-9 and exits == 0
     return _finish(payload, args.out, t0, ok)
 

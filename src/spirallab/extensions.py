@@ -1,9 +1,13 @@
 """The ball {|x|^2 + ||y||^r < 1} in C x C^m, Roper-Suffridge / shear-perturbed
-extension operators, image-membership tests and invariance sweeps."""
+extension operators, image-membership tests and invariance sweeps.
+
+Points of the ball are a pair of arrays, x of shape (n,) and y of shape (n, m);
+inside means space.gauge(x, y) < 1.  extend_H and muir_extend take one point
+(x complex, y (m,)) and return (z, w)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,24 +47,6 @@ class BallSpace:
     def gauge(self, x, y, scale=1.0):
         """|x|^2 + ||y||^r / scale; scale = |h'(x)| gives the gauge of H^-1(h(x), y)."""
         return np.abs(x) ** 2 + self.norm(y) ** self.r / scale
-
-
-@dataclass(frozen=True)
-class BallPoint:
-    x: complex
-    y: tuple
-
-    @classmethod
-    def of(cls, x, y):
-        return cls(complex(x), tuple(complex(v) for v in np.atleast_1d(y)))
-
-    @property
-    def y_array(self):
-        return np.asarray(self.y, dtype=complex)
-
-
-def ball_contains(space: BallSpace, p: BallPoint):
-    return bool(space.gauge(p.x, p.y_array) < 1.0)
 
 
 class DegreeMismatch(ValueError):
@@ -165,10 +151,10 @@ class SpiralMatrix:
         return self.lam + self.mu / self.r
 
 
-def extend_H(h, space: BallSpace, p: BallPoint):
-    """(x, y) -> (h(x), h'(x)^(1/r) y)."""
-    zs, ws = extend_H_arrays(h, space, np.asarray([p.x]), p.y_array[None, :])
-    return BallPoint.of(zs[0], ws[0])
+def extend_H(h, space: BallSpace, x, y):
+    """(x, y) -> (h(x), h'(x)^(1/r) y) at one point, x complex and y (m,)."""
+    zs, ws = extend_H_arrays(h, space, [x], [y])
+    return zs[0], ws[0]
 
 
 def extend_H_arrays(h, space: BallSpace, xs, ys):
@@ -186,14 +172,12 @@ def automorphism_phi(Q: HomogeneousPolynomial, z, w, inverse=False):
     return (z - qv if inverse else z + qv), w
 
 
-def muir_extend(h, space: BallSpace, Q: HomogeneousPolynomial, p: BallPoint):
-    """(x, y) -> (h(x) + h'(x) Q(y), h'(x)^(1/r) y); equals shear after the
-    unperturbed extension."""
+def muir_extend(h, space: BallSpace, Q: HomogeneousPolynomial, x, y):
+    """(x, y) -> (h(x) + h'(x) Q(y), h'(x)^(1/r) y) at one point; equals the
+    shear after the unperturbed extension."""
     if Q.degree != space.r:
         raise DegreeMismatch(f"Q degree {Q.degree} != space r {space.r}")
-    hp = extend_H(h, space, p)
-    z, w = automorphism_phi(Q, hp.x, hp.y_array)
-    return BallPoint.of(z, w)
+    return automorphism_phi(Q, *extend_H(h, space, x, y))
 
 
 def semigroup_action(A: SpiralMatrix, t, z, w):

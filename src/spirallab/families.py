@@ -13,6 +13,7 @@ numerically-defined maps (e.g. Koenigs functions) implement the same surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -207,6 +208,15 @@ def disk_automorphism(x0, z):
     return (x0 - z) / (1.0 - np.conj(x0) * z)
 
 
+def disk_automorphism_deriv(x0, z, k=1):
+    """k-th derivative (k = 1, 2, 3) of the involution disk_automorphism(x0, z)."""
+    c = np.conj(x0)
+    d = abs(x0) ** 2 - 1.0
+    if k > 1:
+        d = math.factorial(k) * c ** (k - 1) * d
+    return d / (1.0 - c * z) ** (k + 1)
+
+
 def distortion_bounds(z):
     """Lower bounds ((1-|z|)/(1+|z|)^3, |z|/(1+|z|)^2) valid for |g'| and |g|
     of any normalized univalent g."""
@@ -247,8 +257,8 @@ class NormalizedMap:
 
     def deriv_array(self, z):
         z = np.asarray(z, dtype=complex)
-        dphi = (abs(self.x0) ** 2 - 1.0) / (1.0 - np.conj(self.x0) * z) ** 2
-        return self.h.deriv_array(self._phi(z)) * dphi / self._scale
+        return (self.h.deriv_array(self._phi(z)) * disk_automorphism_deriv(self.x0, z)
+                / self._scale)
 
 
 def normalize_at(h, x0):

@@ -1,16 +1,18 @@
 """Extension of disk semigroup generators to the ball: the perturbed vector
 field, the auxiliary shear-extended map and its block-inverse differential,
-the conjugation identity, and full ball-flow integration."""
+the conjugation identity, and full ball-flow integration.
+
+Every function takes its ball points as a pair of complex arrays, x of shape
+(n,) and y of shape (n, m)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ode
-from .extensions import (BallPoint, BallSpace, HomogeneousPolynomial, sup_norm_Q,
-                         sup_norm_Q_bound)
+from .extensions import BallSpace, HomogeneousPolynomial, sup_norm_Q, sup_norm_Q_bound
 from .semigroups import Generator
 
 
@@ -65,27 +67,15 @@ class ExtendedGenerator:
                         (gen.mu - dfx) / np.where(near, 1.0, fx))
 
 
-def _xy(p):
-    """Coordinates of a BallPoint (x 0-d, y (m,)), of a sequence of BallPoints,
-    or of an (x, y) pair of arrays (x (n,), y (n, m))."""
-    if isinstance(p, BallPoint):
-        return np.asarray(p.x), p.y_array
-    if isinstance(p, tuple) and len(p) == 2 and not isinstance(p[0], BallPoint):
-        return np.asarray(p[0], dtype=complex), np.asarray(p[1], dtype=complex)
-    return (np.array([q.x for q in p], dtype=complex),
-            np.array([q.y for q in p], dtype=complex))
-
-
 def _jet(h, x):
     """h(x), a continuous log h'(x) and h''(x), each shaped like x."""
     return tuple(np.reshape(fn(x), x.shape)
                  for fn in (h.eval_array, h.log_deriv_array, h.deriv2_array))
 
 
-def extend_generator(g: ExtendedGenerator, p):
-    """Vector field value ( f(x)+Q(y), (1/r)(f'(x)+r lam - quotient Q(y)) y ),
-    at one point or at all points of a batch (see _xy)."""
-    x, y = _xy(p)
+def extend_generator(g: ExtendedGenerator, x, y):
+    """Vector field value ( f(x)+Q(y), (1/r)(f'(x)+r lam - quotient Q(y)) y )
+    at the points (x, y), as first (n,) and second (n, m)."""
     r = g.space.r
     fx, dfx = g.base.f(x), g.base.df(x)
     if not g.Q.terms:
@@ -103,12 +93,9 @@ def _h_tilde(g, jet, y):
     return z, np.exp(L / r)[..., None] * y
 
 
-def h_tilde(g: ExtendedGenerator, h, p):
-    """(h(x) - h'(x) Q(y)/(r lam), h'(x)^(1/r) y); a BallPoint for a BallPoint,
-    else (z (n,), w (n, m)) arrays."""
-    x, y = _xy(p)
-    z, w = _h_tilde(g, _jet(h, x), y)
-    return BallPoint.of(z, w) if isinstance(p, BallPoint) else (z, w)
+def h_tilde(g: ExtendedGenerator, h, x, y):
+    """(h(x) - h'(x) Q(y)/(r lam), h'(x)^(1/r) y) as z (n,) and w (n, m)."""
+    return _h_tilde(g, _jet(h, x), y)
 
 
 def _dh_tilde(g, jet, y):
@@ -150,21 +137,19 @@ def _dh_tilde_inverse(g, jet, y):
     return M
 
 
-def dh_tilde_identity_residual(g: ExtendedGenerator, h, points):
+def dh_tilde_identity_residual(g: ExtendedGenerator, h, x, y):
     """max over the points of the Frobenius norm of DH~ (DH~)^-1 - I."""
-    x, y = _xy(points)
     jet = _jet(h, x)
     E = _dh_tilde(g, jet, y) @ _dh_tilde_inverse(g, jet, y) - np.eye(g.space.m + 1)
     return float(np.max(np.linalg.norm(E, axis=(-2, -1))))
 
 
-def conjugation_residual(g: ExtendedGenerator, h, points):
+def conjugation_residual(g: ExtendedGenerator, h, x, y):
     """max over the sample points of || DH~(p) fhat(p) - ftilde(H~(p)) ||,
     ftilde the diagonal linear field (mu z, (lam + mu/r) w)."""
     mu, r = g.base.mu, g.space.r
-    x, y = _xy(points)
     jet = _jet(h, x)
-    first, second = extend_generator(g, (x, y))
+    first, second = extend_generator(g, x, y)
     vec = np.concatenate([first[..., None], second], axis=-1)
     z, w = _h_tilde(g, jet, y)
     target = np.concatenate([(mu * z)[..., None], (g.lam + mu / r) * w], axis=-1)
@@ -172,56 +157,53 @@ def conjugation_residual(g: ExtendedGenerator, h, points):
     return float(np.max(np.linalg.norm(lhs - target, axis=-1)))
 
 
-@dataclass
-class BallTrajectory:
-    samples: list = field(default_factory=list)  # (t, BallPoint)
-    steps: int = 0
-    exited: bool = False
+@dataclass(frozen=True)
+class BallFlow:
+    """Checkpoint times t (k+1,) and states v (k+1, n, m+1), v[..., 0] = x, of
+    n ball flows; start i recorded its first reached[i] checkpoints, and the
+    rows after them are NaN."""
+
+    t: np.ndarray
+    v: np.ndarray
+    reached: np.ndarray
 
     @property
-    def endpoint(self):
-        return self.samples[-1][1]
+    def exited(self):
+        return self.reached < len(self.t)
 
 
-def flow_ball(g: ExtendedGenerator, p, T, tol=1e-10, checkpoints=50):
-    """Integrate d(x,y)/dt = -fhat(x,y) over [0, T], recording checkpoints.
+def flow_ball(g: ExtendedGenerator, x, y, T, tol=1e-10, checkpoints=50):
+    """Integrate d(x,y)/dt = -fhat(x,y) over [0, T] from every start (x[i],
+    y[i]) at once, as one (n, m+1) state, recording checkpoints.
 
-    p is one BallPoint (returns its BallTrajectory) or a sequence of them
-    (returns a list); all starts are integrated together as one (n, m+1)
-    state.  A trajectory that leaves the ball, or starts outside it, is marked
-    exited (a witness against generator-hood) and stops at its last
-    checkpoint; the segment is then redone for the others."""
-    single = isinstance(p, BallPoint)
-    starts = [p] if single else list(p)
+    A trajectory that leaves the ball, or starts outside it, has exited (a
+    witness against generator-hood) and stops at its last checkpoint; the
+    segment is then redone for the others."""
     space = g.space
 
     def rhs(v):
-        first, second = extend_generator(g, (v[:, 0], v[:, 1:]))
+        first, second = extend_generator(g, v[:, 0], v[:, 1:])
         return -np.concatenate([first[:, None], second], axis=1)
 
     def inside(v):
         return space.gauge(v[:, 0], v[:, 1:]) < 1.0
 
-    x, y = _xy(starts)
-    v = np.concatenate([x[:, None], y.reshape(len(starts), space.m)], axis=1)
-    trajs = [BallTrajectory(samples=[(0.0, q)]) for q in starts]
-    live = np.flatnonzero(inside(v))
     dt = T / checkpoints
-    t = 0.0
-    for _ in range(checkpoints):
+    # summed in sequence, the checkpoint times of a running t += dt
+    t = np.cumsum(np.r_[0.0, np.full(checkpoints, dt)])
+    v = np.full((checkpoints + 1, len(x), space.m + 1), np.nan, dtype=complex)
+    v[0, :, 0], v[0, :, 1:] = x, y
+    reached = np.ones(len(x), dtype=int)
+    live = np.flatnonzero(inside(v[0]))
+    for k in range(1, checkpoints + 1):
         while live.size:
             try:
-                end, steps, _ = ode.integrate(rhs, v[live], dt, tol=tol, domain=inside)
+                end, _, _ = ode.integrate(rhs, v[k - 1, live], dt, tol=tol, domain=inside)
                 break
             except ode.LeftDomain as e:
                 live = live[~e.mask]
         if not live.size:
             break
-        v[live] = end
-        t += dt
-        for i in live:
-            trajs[i].steps += steps
-            trajs[i].samples.append((t, BallPoint.of(v[i, 0], v[i, 1:])))
-    for i, traj in enumerate(trajs):
-        traj.exited = i not in live
-    return trajs[0] if single else trajs
+        v[k, live] = end
+        reached[live] = k + 1
+    return BallFlow(t=t, v=v, reached=reached)

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import families, kernels, ode
+from .families import _c, disk_automorphism_deriv as _dphi
 
 
 class InvalidGenerator(ValueError):
@@ -26,9 +26,9 @@ class Generator:
     'hyperbolic' (tau on the boundary, mu the angular derivative, real > 0).
     """
 
-    func: object
-    dfunc: object
-    d2func: object
+    f: object  # f, f' and f'' accept ndarrays
+    df: object
+    d2f: object
     kind: str
     tau: complex
     mu: complex
@@ -53,16 +53,6 @@ class Generator:
                 raise InvalidGenerator("hyperbolic type needs real mu > 0")
             self._check_angular_derivative()
 
-    # vectorized evaluation (func/dfunc accept ndarrays for the built-ins)
-    def f(self, z):
-        return self.func(z)
-
-    def df(self, z):
-        return self.dfunc(z)
-
-    def d2f(self, z):
-        return self.d2func(z)
-
     def _check_angular_derivative(self):
         r = 1.0 - 1e-4
         dq = self.f(r * self.tau) / (r * self.tau - self.tau)
@@ -78,8 +68,7 @@ class Generator:
         if mu is None:
             mu = P.polyval(complex(tau), d1)
         f, df, d2f = (partial(kernels.horner, tuple(map(complex, c))) for c in (coeffs, d1, d2))
-        return cls(func=f, dfunc=df, d2func=d2f, kind=kind, tau=tau, mu=mu,
-                   poly=tuple(coeffs))
+        return cls(f=f, df=df, d2f=d2f, kind=kind, tau=tau, mu=mu, poly=tuple(coeffs))
 
     @classmethod
     def from_spec(cls, spec):
@@ -97,12 +86,6 @@ class Generator:
             "tau": [self.tau.real, self.tau.imag],
             "mu": [self.mu.real, self.mu.imag],
         }
-
-
-def _c(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
 
 
 def disk_grid(n_r=40, n_t=64, r_max=1.0 - 1e-3):
@@ -281,12 +264,6 @@ class KoenigsMap:
         return families.invert_map(self, w, guess=guess)
 
 
-def _dphi(tau, z, k=1):
-    """k-th derivative (k = 1, 2, 3) of the involution (tau - z)/(1 - conj(tau) z)."""
-    c = np.conj(tau)
-    return math.factorial(k) * c ** (k - 1) * (abs(tau) ** 2 - 1.0) / (1.0 - c * z) ** (k + 1)
-
-
 class _ConjugatedMap:
     """h0 composed with the disk automorphism based at tau (dilation tau != 0)."""
 
@@ -363,7 +340,7 @@ def koenigs(gen: Generator):
             return ((a3 * f0 + 2.0 * a2 * f1 + a1 * f2) * _dphi(tau, w) ** 2
                     + (a2 * f0 + a1 * f1) * _dphi(tau, w, 2))
 
-        g = Generator(func=func, dfunc=dfunc, d2func=d2func,
+        g = Generator(f=func, df=dfunc, d2f=d2func,
                       kind="dilation", tau=0j, mu=gen.mu)
         return _ConjugatedMap(KoenigsMap(g), tau)
     return KoenigsMap(gen)

@@ -1,10 +1,15 @@
 """End-to-end tests of the spirallab command line interface."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from spirallab.cli import main
+from spirallab.extensions import BallSpace, HomogeneousPolynomial, sample_ball
+from spirallab.genext import ExtendedGenerator, flow_ball
+from spirallab.semigroups import Generator
 from spirallab.report import SCHEMA, determinism_hash
 
 
@@ -137,6 +142,44 @@ def test_gen_extend(tmp_path):
     assert rep["conjugation_residual"] <= 1e-8
     assert rep["dh_identity_residual"] <= 1e-9
     assert rep["ball_exits"] == 0
+
+
+@pytest.mark.parametrize("flows", [0, 3, 7])
+def test_gen_extend_dump_traj(tmp_path, flows):
+    """--dump-traj writes one block of checkpoint rows per flow, the rows of
+    flow_ball on the command's own seeded samples (x scaled by 0.8)."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(
+        {"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
+         "tau": [0, 0], "mu": [1, 0]}))
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(
+        {"degree": 2, "terms": [{"exps": [2, 0], "coef": [0.25, 0]}]}))
+    traj = tmp_path / "traj.csv"
+    code, rep = run(tmp_path, "gen-extend", "--gen", str(gen), "--lambda", "1,0",
+                    "--r", "2", "--m", "2", "--Q", str(q), "--samples", "5",
+                    "--flows", str(flows), "--T", "1.5", "--seed", "4",
+                    "--dump-traj", str(traj))
+    assert code == 0 and rep["ball_exits"] == 0
+    assert rep["flows"] == min(flows, 5)
+    with open(traj, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["t", "x_re", "x_im", "y0_re", "y0_im", "y1_re", "y1_im"]
+    rows = [[float(v) for v in row] for row in rows]
+    starts = [k for k, row in enumerate(rows) if row[0] == 0.0]
+    assert len(starts) == rep["flows"]
+    assert not rows or starts[0] == 0
+    for a, b in zip(starts, starts[1:] + [len(rows)]):
+        ts = np.array([row[0] for row in rows[a:b]])
+        assert np.allclose(ts, 1.5 / 50 * np.arange(b - a), rtol=0, atol=1e-14)
+    space = BallSpace(r=2, m=2)
+    g = ExtendedGenerator(
+        base=Generator.from_poly([0, 1, -1], kind="dilation", tau=0, mu=1), lam=1.0,
+        space=space, Q=HomogeneousPolynomial.build(2, 2, {(2, 0): 0.25}))
+    xs, ys = sample_ball(space, 5, np.random.default_rng(4))
+    flow = flow_ball(g, 0.8 * xs[:flows], ys[:flows], 1.5)
+    assert rows == [[flow.t[k], *flow.v[k, i].view(float)]
+                    for i, n in enumerate(flow.reached) for k in range(n)]
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from spirallab import families
 from spirallab.extensions import (
     MEMBER_RTOL,
-    BallPoint,
     BallSpace,
     DegreeMismatch,
     HomogeneousPolynomial,
     SpiralMatrix,
     automorphism_phi,
-    ball_contains,
     conjugated_action,
     covering_radius_Rt,
     extend_H,
@@ -46,8 +44,8 @@ def q_poly(coef=0.25, r=2, m=1):
 
 def test_gauge_and_membership():
     sp = space(2.0, 2)
-    assert ball_contains(sp, BallPoint.of(0.5, [0.5, 0.5]))  # 0.25+0.5 < 1
-    assert not ball_contains(sp, BallPoint.of(0.8, [0.6, 0.6]))
+    assert sp.gauge(0.5, np.array([0.5, 0.5])) < 1.0  # 0.25+0.5 < 1
+    assert not sp.gauge(0.8, np.array([0.6, 0.6])) < 1.0
 
 
 def test_gauge_formula():
@@ -166,10 +164,9 @@ def test_extend_H_koebe_point():
     """H(x,y) = (k(x), k'(x)^{1/2} y) at x=1/2: (2, sqrt(12) y)."""
     sp = space(2.0, 1)
     h = UnivalentMap.koebe()
-    p = BallPoint.of(0.5, [0.1])
-    hp = extend_H(h, sp, p)
-    assert abs(hp.x - 2.0) < 1e-12
-    assert abs(hp.y[0] - np.sqrt(12.0) * 0.1) < 1e-12
+    z, w = extend_H(h, sp, 0.5, np.array([0.1]))
+    assert abs(z - 2.0) < 1e-12
+    assert abs(w[0] - np.sqrt(12.0) * 0.1) < 1e-12
 
 
 def test_extend_H_arrays_matches_scalar():
@@ -179,9 +176,9 @@ def test_extend_H_arrays_matches_scalar():
     xs, ys = sample_ball(sp, 50, rng)
     zs, ws = extend_H_arrays(h, sp, xs, ys)
     for i in range(len(xs)):
-        hp = extend_H(h, sp, BallPoint.of(xs[i], ys[i]))
-        assert abs(zs[i] - hp.x) < 1e-11
-        assert np.max(np.abs(ws[i] - hp.y_array)) < 1e-11
+        z, w = extend_H(h, sp, xs[i], ys[i])
+        assert abs(zs[i] - z) < 1e-11
+        assert np.max(np.abs(ws[i] - w)) < 1e-11
 
 
 def test_automorphism_round_trip():
@@ -206,12 +203,10 @@ def test_muir_is_shear_of_extension():
     rng = np.random.default_rng(44)
     xs, ys = sample_ball(sp, 50, rng)
     for i in range(len(xs)):
-        p = BallPoint.of(xs[i], ys[i])
-        hp = extend_H(h, sp, p)
-        mp = muir_extend(h, sp, Q, p)
-        zc, wc = automorphism_phi(Q, hp.x, hp.y_array)
-        assert abs(mp.x - zc) < 1e-14
-        assert np.max(np.abs(mp.y_array - wc)) < 1e-14
+        zm, wm = muir_extend(h, sp, Q, xs[i], ys[i])
+        zc, wc = automorphism_phi(Q, *extend_H(h, sp, xs[i], ys[i]))
+        assert abs(zm - zc) < 1e-14
+        assert np.max(np.abs(wm - wc)) < 1e-14
 
 
 def test_semigroup_action_law():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spirallab.extensions import (
-    BallPoint,
     BallSpace,
     HomogeneousPolynomial,
     sample_ball,
@@ -40,8 +39,12 @@ def make(base=None, lam=1.0, r=2, m=1, q=0.25):
 
 def sample_points(g, n, seed=0, margin=0.05):
     rng = np.random.default_rng(seed)
-    xs, ys = sample_ball(g.space, n, rng, margin=margin)
-    return [BallPoint.of(xs[i], ys[i]) for i in range(n)]
+    return sample_ball(g.space, n, rng, margin=margin)
+
+
+def point(x, *y):
+    """One ball point as a batch of one: x (1,), y (1, m)."""
+    return np.array([x], dtype=complex), np.array([y], dtype=complex)
 
 
 # --------------------------------------------------------------- structure
@@ -51,10 +54,9 @@ def test_extend_generator_linear_base():
     and the quotient vanishes."""
     base = Generator.from_poly([0, 1], kind="dilation", tau=0.0, mu=1.0)
     g = make(base=base, lam=1.0, r=2, q=0.25)
-    p = BallPoint.of(0.3, [0.4])
-    first, second = extend_generator(g, p)
-    assert abs(first - (0.3 + 0.25 * 0.16)) < 1e-12
-    assert abs(second[0] - (0.5 + 1.0) * 0.4) < 1e-12
+    first, second = extend_generator(g, *point(0.3, 0.4))
+    assert abs(first[0] - (0.3 + 0.25 * 0.16)) < 1e-12
+    assert abs(second[0, 0] - (0.5 + 1.0) * 0.4) < 1e-12
 
 
 def test_quotient_removable_singularity():
@@ -84,10 +86,9 @@ def test_conjugation_residual_small(r, q):
     for base in (gen_logistic(), gen_hyperbolic()):
         g = make(base=base, lam=1.0, r=r, q=qv)
         h = koenigs(base)
-        pts = sample_points(g, 60, seed=7)
+        xs, ys = sample_points(g, 60, seed=7)
         # keep the base coordinate off the extremes for quadrature accuracy
-        pts = [BallPoint.of(0.8 * p.x, p.y) for p in pts]
-        assert conjugation_residual(g, h, pts) < 1e-8, (base.kind, r, qv)
+        assert conjugation_residual(g, h, 0.8 * xs, ys) < 1e-8, (base.kind, r, qv)
 
 
 def test_dh_identity_residual():
@@ -96,45 +97,41 @@ def test_dh_identity_residual():
         Q = HomogeneousPolynomial.monomial(2, m, coef=0.25, index=0)
         g = ExtendedGenerator(base=gen_logistic(), lam=1.0, space=sp, Q=Q)
         h = koenigs(gen_logistic())
-        for p in sample_points(g, 40, seed=8):
-            p = BallPoint.of(0.8 * p.x, p.y)
-            assert dh_tilde_identity_residual(g, h, p) < 1e-9
+        xs, ys = sample_points(g, 40, seed=8)
+        # the residual is the max over the points, so each point is checked
+        assert dh_tilde_identity_residual(g, h, 0.8 * xs, ys) < 1e-9
 
 
 def test_h_tilde_reduces_to_extension_when_Q_zero():
     g = make(q=0.0)
     h = koenigs(gen_logistic())
-    p = BallPoint.of(0.3, [0.2])
-    img = h_tilde(g, h, p)
-    assert abs(img.x - h.eval(0.3)) < 1e-10
+    z, _ = h_tilde(g, h, *point(0.3, 0.2))
+    assert abs(z[0] - h.eval(0.3)) < 1e-10
 
 
 # -------------------------------------------------------------------- flows
 
 def test_flow_ball_stays_inside():
     g = make(q=0.25)
-    starts = sample_points(g, 10, seed=9, margin=0.02)
-    for p in starts:
-        traj = flow_ball(g, p, T=5.0)
-        assert not traj.exited
-        end = traj.endpoint
-        assert g.space.gauge(end.x, end.y_array) < 1.0
+    flow = flow_ball(g, *sample_points(g, 10, seed=9, margin=0.02), T=5.0)
+    assert not np.any(flow.exited)
+    end = flow.v[-1]
+    assert np.all(g.space.gauge(end[:, 0], end[:, 1:]) < 1.0)
 
 
 def test_flow_ball_contracts_to_origin():
     """Dilation base: the extended flow collapses to (0, 0)."""
     g = make(q=0.25)
-    traj = flow_ball(g, BallPoint.of(0.4, [0.5]), T=30.0)
-    end = traj.endpoint
-    assert abs(end.x) < 1e-8
-    assert np.max(np.abs(end.y_array)) < 1e-8
+    end = flow_ball(g, *point(0.4, 0.5), T=30.0).v[-1, 0]
+    assert abs(end[0]) < 1e-8
+    assert np.max(np.abs(end[1:])) < 1e-8
 
 
 def test_flow_ball_flags_exterior_start():
     """Starting outside the ball is flagged rather than silently integrated."""
     g = make(q=0.0)
-    traj = flow_ball(g, BallPoint.of(0.9, [0.9]), T=1.0)
-    assert traj.exited
+    flow = flow_ball(g, *point(0.9, 0.9), T=1.0)
+    assert flow.exited[0] and flow.reached[0] == 1
 
 
 def test_flow_ball_flags_exit_for_reversed_field(monkeypatch):
@@ -146,39 +143,39 @@ def test_flow_ball_flags_exit_for_reversed_field(monkeypatch):
     orig = gx.extend_generator
     monkeypatch.setattr(
         gx, "extend_generator",
-        lambda gg, p: tuple(-np.asarray(v) for v in orig(gg, p)))
-    traj = gx.flow_ball(g, BallPoint.of(0.6, [0.5]), T=10.0)
-    assert traj.exited
+        lambda gg, x, y: tuple(-np.asarray(v) for v in orig(gg, x, y)))
+    assert gx.flow_ball(g, *point(0.6, 0.5), T=10.0).exited[0]
 
 
 # ------------------------------------------------------------ batched calls
 
-def _same_trajectory(a, b, tol=1e-9):
-    assert [t for t, _ in a.samples] == [t for t, _ in b.samples]
-    for (_, p), (_, q) in zip(a.samples, b.samples):
-        assert abs(p.x - q.x) <= tol
-        assert np.max(np.abs(p.y_array - q.y_array)) <= tol
+def _same_trajectory(a, i, b, j=0, tol=1e-9):
+    """Flow i of a and flow j of b record the same checkpoints."""
+    assert a.t.tolist() == b.t.tolist()
+    n = a.reached[i]
+    assert n == b.reached[j]
+    assert np.max(np.abs(a.v[:n, i] - b.v[:n, j])) <= tol
 
 
 def test_flow_ball_batch_matches_single_starts():
     g = make(q=0.25)
-    starts = sample_points(g, 6, seed=11, margin=0.02)
-    batch = flow_ball(g, starts, T=2.0)
-    assert len(batch) == len(starts)
-    for p, traj in zip(starts, batch):
-        assert not traj.exited
-        _same_trajectory(traj, flow_ball(g, p, T=2.0))
+    xs, ys = sample_points(g, 6, seed=11, margin=0.02)
+    batch = flow_ball(g, xs, ys, T=2.0)
+    assert batch.v.shape == (51, 6, 2)
+    assert not np.any(batch.exited)
+    for i in range(6):
+        _same_trajectory(batch, i, flow_ball(g, xs[i:i + 1], ys[i:i + 1], T=2.0))
 
 
 def test_flow_ball_batch_flags_only_the_exterior_start():
     g = make(q=0.25)
-    starts = sample_points(g, 4, seed=12, margin=0.02)
-    starts.insert(2, BallPoint.of(0.9, [0.9]))
-    batch = flow_ball(g, starts, T=1.0)
-    assert [traj.exited for traj in batch] == [False, False, True, False, False]
-    assert len(batch[2].samples) == 1
+    xs, ys = sample_points(g, 4, seed=12, margin=0.02)
+    xs, ys = np.insert(xs, 2, 0.9), np.insert(ys, 2, [0.9], axis=0)
+    batch = flow_ball(g, xs, ys, T=1.0)
+    assert batch.exited.tolist() == [False, False, True, False, False]
+    assert batch.reached[2] == 1
     for i in (0, 1, 3, 4):
-        _same_trajectory(batch[i], flow_ball(g, starts[i], T=1.0))
+        _same_trajectory(batch, i, flow_ball(g, xs[i:i + 1], ys[i:i + 1], T=1.0))
 
 
 def test_flow_ball_batch_redoes_segment_after_an_exit(monkeypatch):
@@ -187,34 +184,37 @@ def test_flow_ball_batch_redoes_segment_after_an_exit(monkeypatch):
     import spirallab.genext as gx
 
     g = make(q=0.0)
-    inner = BallPoint.of(-0.4, [0.3])
-    alone = gx.flow_ball(g, inner, T=3.0)
+    alone = gx.flow_ball(g, *point(-0.4, 0.3), T=3.0)
     orig = gx.extend_generator
 
-    def reversed_where_re_x_positive(gg, p):
-        first, second = orig(gg, p)
-        sign = np.where(np.real(p[0]) > 0, -1.0, 1.0)
+    def reversed_where_re_x_positive(gg, x, y):
+        first, second = orig(gg, x, y)
+        sign = np.where(np.real(x) > 0, -1.0, 1.0)
         return sign * first, sign[..., None] * second
 
     monkeypatch.setattr(gx, "extend_generator", reversed_where_re_x_positive)
-    out, kept = gx.flow_ball(g, [BallPoint.of(0.6, [0.5]), inner], T=3.0)
-    assert out.exited and not kept.exited
-    assert 1 < len(out.samples) < len(kept.samples)
-    _same_trajectory(kept, alone)
+    batch = gx.flow_ball(g, np.array([0.6, -0.4], dtype=complex),
+                         np.array([[0.5], [0.3]], dtype=complex), T=3.0)
+    assert batch.exited.tolist() == [True, False]
+    assert 1 < batch.reached[0] < batch.reached[1]
+    assert np.all(np.isnan(batch.v[batch.reached[0]:, 0]))
+    _same_trajectory(batch, 1, alone)
 
 
 def test_batched_residuals_match_per_point_calls():
     g = make(q=0.25)
     h = koenigs(gen_logistic())
-    pts = [BallPoint.of(0.8 * p.x, p.y) for p in sample_points(g, 20, seed=13)]
-    per_point = max(conjugation_residual(g, h, [p]) for p in pts)
-    assert abs(conjugation_residual(g, h, pts) - per_point) <= 1e-13
-    z, w = h_tilde(g, h, pts)
-    for i, p in enumerate(pts):
-        img = h_tilde(g, h, p)
-        assert abs(img.x - z[i]) <= 1e-12
-        assert np.max(np.abs(img.y_array - w[i])) <= 1e-12
-    assert dh_tilde_identity_residual(g, h, pts) < 1e-9
+    xs, ys = sample_points(g, 20, seed=13)
+    xs = 0.8 * xs
+    per_point = max(conjugation_residual(g, h, xs[i:i + 1], ys[i:i + 1])
+                    for i in range(20))
+    assert abs(conjugation_residual(g, h, xs, ys) - per_point) <= 1e-13
+    z, w = h_tilde(g, h, xs, ys)
+    for i in range(20):
+        zi, wi = h_tilde(g, h, xs[i:i + 1], ys[i:i + 1])
+        assert abs(zi[0] - z[i]) <= 1e-12
+        assert np.max(np.abs(wi[0] - w[i])) <= 1e-12
+    assert dh_tilde_identity_residual(g, h, xs, ys) < 1e-9
 
 
 # ------------------------------------------------------------ bound gate

@@ -20,9 +20,10 @@ when the working tree has uncommitted edits.  Both sides run their own
 - ``--traced W:S`` runs one ``--trace 1`` run of each side.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
-  ``determinism_hash`` differs, the ops that ran on one side only, the ops
-  that raised an uncaught exception on either side, and the other ops that
-  wrote no report on either side.
+  ``determinism_hash`` differs, the ops whose dumped files (``--dump-traj``,
+  ``--out-csv``, ``--dump-region``, ``--dump-curve``) differ, the ops that ran
+  on one side only, the ops that raised an uncaught exception on either side,
+  and the other ops that wrote no report on either side.
 
 The output file is rewritten after every run, and sections already in it are
 kept, so several invocations can fill one file.
@@ -42,10 +43,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # One round of ops, run once from the tree given as argv[1] in the work
 # directory argv[4]; prints {"hashes": {op name: determinism hash or None},
+# "dumps": {op name: {dump option: sha256 of the file or None}},
 # "raised": {op name: exception}}.  An op that raises is recorded and the
 # round goes on, so a broken signature shows up as a result, not a crash.
 HASH_SCRIPT = r"""
-import json, os, sys, traceback
+import hashlib, json, os, sys, traceback
 tree, workload, seed, workdir = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "verdictbench")]
 from spirallab import cli
@@ -54,7 +56,7 @@ wl = workloads.build(workload, seed, workdir)
 for fname, spec in wl.specs.items():
     with open(os.path.join(workdir, fname), "w") as fh:
         json.dump(spec, fh)
-hashes, raised = {}, {}
+hashes, dumps, raised = {}, {}, {}
 for op in wl.ops:
     out = op.argv[op.argv.index("--out") + 1]
     hashes[op.name] = None
@@ -67,7 +69,16 @@ for op in wl.ops:
         with open(out) as fh:
             hashes[op.name] = json.load(fh)["determinism_hash"]
         os.unlink(out)
-print(json.dumps({"hashes": hashes, "raised": raised}))
+    for opt in ("--dump-traj", "--out-csv", "--dump-region", "--dump-curve"):
+        if opt in op.argv:
+            path = op.argv[op.argv.index(opt) + 1]
+            digest = None
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                os.unlink(path)
+            dumps.setdefault(op.name, {})[opt] = digest
+print(json.dumps({"hashes": hashes, "dumps": dumps, "raised": raised}))
 """
 
 
@@ -94,10 +105,11 @@ def run_hashes(tree, workload, seed, workdir):
 
 
 def compare_hashes(parent, change):
-    """Ops whose report hash differs, ops run on one side only, ops that raised
-    an uncaught exception on either side (with each side's exception), and the
-    other ops that wrote no report; ops without a report on a side count as
-    neither equal nor different."""
+    """Ops whose report hash differs, ops whose dumped files differ (a dump
+    missing on one side counts as different), ops run on one side only, ops
+    that raised an uncaught exception on either side (with each side's
+    exception), and the other ops that wrote no report; ops without a report
+    on a side count as neither equal nor different."""
     ph, ch = parent["hashes"], change["hashes"]
     both = ph.keys() & ch.keys()
     raised = {}
@@ -105,8 +117,11 @@ def compare_hashes(parent, change):
         for op, exc in got["raised"].items():
             raised.setdefault(op, {})[side] = exc
     missing = sorted(k for k in both if ph[k] is None or ch[k] is None)
+    pd, cd = parent["dumps"], change["dumps"]
     return {"ops": len(both),
             "differ": sorted(k for k in both if k not in missing and ph[k] != ch[k]),
+            "dumps": sum(len(pd.get(k, {})) for k in both),
+            "dumps_differ": sorted(k for k in both if pd.get(k) != cd.get(k)),
             "raised": dict(sorted(raised.items())),
             "no_report": [k for k in missing if k not in raised],
             "parent_only": sorted(ph.keys() - ch.keys()),
