@@ -253,6 +253,10 @@ def cmd_sharp_bound(args):
 
 def cmd_gen_extend(args):
     t0 = time.time()
+    if args.samples < 1 or args.flows < 0:
+        raise UsageError("gen-extend needs --samples >= 1 and --flows >= 0")
+    if not 0 <= args.T < np.inf:
+        raise UsageError(f"--T must be finite and >= 0, got {args.T}")
     gen = _load_generator(args.gen)
     lam = _parse_complex(args.lam)
     space = extensions.BallSpace(r=args.r, m=args.m)
@@ -261,7 +265,6 @@ def cmd_gen_extend(args):
     h = semigroups.koenigs(gen)
     rng = np.random.default_rng(args.seed)
     xs, ys = extensions.sample_ball(space, args.samples, rng)
-    xs *= 0.8  # keep quadrature-backed h well resolved
     resid = genext.conjugation_residual(g, h, xs, ys)
     dh_res = genext.dh_tilde_identity_residual(g, h, xs[:50], ys[:50])
     flow = genext.flow_ball(g, xs[:args.flows], ys[:args.flows], args.T)

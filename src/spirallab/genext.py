@@ -174,11 +174,12 @@ class BallFlow:
 
 def flow_ball(g: ExtendedGenerator, x, y, T, tol=1e-10, checkpoints=50):
     """Integrate d(x,y)/dt = -fhat(x,y) over [0, T] from every start (x[i],
-    y[i]) at once, as one (n, m+1) state, recording checkpoints.
+    y[i]) at once, as one (n, m+1) state, recording checkpoints from the
+    integrator's dense output.
 
     A trajectory that leaves the ball, or starts outside it, has exited (a
     witness against generator-hood) and stops at its last checkpoint; the
-    segment is then redone for the others."""
+    others restart from that checkpoint."""
     space = g.space
 
     def rhs(v):
@@ -189,21 +190,23 @@ def flow_ball(g: ExtendedGenerator, x, y, T, tol=1e-10, checkpoints=50):
         return space.gauge(v[:, 0], v[:, 1:]) < 1.0
 
     dt = T / checkpoints
-    # summed in sequence, the checkpoint times of a running t += dt
+    # summed in sequence, the checkpoint times of a running t += dt; t[-1] can
+    # differ from T by rounding, so the integration ends at t[-1]
     t = np.cumsum(np.r_[0.0, np.full(checkpoints, dt)])
     v = np.full((checkpoints + 1, len(x), space.m + 1), np.nan, dtype=complex)
     v[0, :, 0], v[0, :, 1:] = x, y
     reached = np.ones(len(x), dtype=int)
     live = np.flatnonzero(inside(v[0]))
-    for k in range(1, checkpoints + 1):
-        while live.size:
-            try:
-                end, _, _ = ode.integrate(rhs, v[k - 1, live], dt, tol=tol, domain=inside)
-                break
-            except ode.LeftDomain as e:
-                live = live[~e.mask]
-        if not live.size:
+    s = 0  # the checkpoint the live starts go on from
+    while live.size:
+        try:
+            v[s:, live], _, _ = ode.integrate(rhs, v[s, live], t[-1] - t[s], tol=tol,
+                                              domain=inside, t_eval=t[s:] - t[s])
+            reached[live] = checkpoints + 1
             break
-        v[k, live] = end
-        reached[live] = k + 1
+        except ode.LeftDomain as e:
+            k = s + len(e.dense)
+            v[s:k, live] = e.dense
+            reached[live] = k
+            live, s = live[~e.mask], k - 1
     return BallFlow(t=t, v=v, reached=reached)

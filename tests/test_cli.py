@@ -147,7 +147,7 @@ def test_gen_extend(tmp_path):
 @pytest.mark.parametrize("flows", [0, 3, 7])
 def test_gen_extend_dump_traj(tmp_path, flows):
     """--dump-traj writes one block of checkpoint rows per flow, the rows of
-    flow_ball on the command's own seeded samples (x scaled by 0.8)."""
+    flow_ball on the command's own seeded samples."""
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(
         {"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
@@ -177,7 +177,7 @@ def test_gen_extend_dump_traj(tmp_path, flows):
         base=Generator.from_poly([0, 1, -1], kind="dilation", tau=0, mu=1), lam=1.0,
         space=space, Q=HomogeneousPolynomial.build(2, 2, {(2, 0): 0.25}))
     xs, ys = sample_ball(space, 5, np.random.default_rng(4))
-    flow = flow_ball(g, 0.8 * xs[:flows], ys[:flows], 1.5)
+    flow = flow_ball(g, xs[:flows], ys[:flows], 1.5)
     assert rows == [[flow.t[k], *flow.v[k, i].view(float)]
                     for i, n in enumerate(flow.reached) for k in range(n)]
 
@@ -189,6 +189,28 @@ def test_usage_errors_exit_2(tmp_path):
                  "--alpha", "0.9", "--beta", "0.5,0"]) == 2
     assert main(["flow", "--gen", "/nonexistent.json",
                  "--z0", "0,0", "--t", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--z0", "0.3,0", "--t", "nan"),
+    ("flow", "--z0", "0.3,0", "--t", "inf"),
+    ("gen-extend", "--lambda", "1,0", "--r", "2", "--samples", "5", "--T", "nan"),
+    ("gen-extend", "--lambda", "1,0", "--r", "2", "--samples", "5", "--T", "nan",
+     "--flows", "0"),
+    ("gen-extend", "--lambda", "1,0", "--r", "2", "--samples", "5", "--flows=-1"),
+    ("gen-extend", "--lambda", "1,0", "--r", "2", "--samples", "0"),
+], ids=["flow_t_nan", "flow_t_inf", "gen_extend_T_nan", "gen_extend_T_nan_no_flows",
+        "gen_extend_negative_flows", "gen_extend_no_samples"])
+def test_bad_times_and_counts_exit_2(tmp_path, capsys, argv):
+    """A non-finite time or a count out of range is an input error (exit 2, no
+    report), not a pass over an empty or NaN flow."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
+                               "tau": [0, 0], "mu": [1, 0]}))
+    code, rep = run(tmp_path, argv[0], "--gen", str(gen), *argv[1:])
+    assert code == 2
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("extra", [

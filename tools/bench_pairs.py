@@ -21,16 +21,20 @@ when the working tree has uncommitted edits.  Both sides run their own
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
   ``determinism_hash`` differs, the ops whose dumped files (``--dump-traj``,
-  ``--out-csv``, ``--dump-region``, ``--dump-curve``) differ, the ops that ran
-  on one side only, the ops that raised an uncaught exception on either side,
-  and the other ops that wrote no report on either side.
+  ``--out-csv``, ``--dump-region``, ``--dump-curve``) differ, with the largest
+  absolute difference of the numeric cells of each differing dump that has
+  the same header and shape on both sides, the ops that ran on one side only,
+  the ops that raised an uncaught exception on either side, and the other ops
+  that wrote no report on either side.
 
 The output file is rewritten after every run, and sections already in it are
 kept, so several invocations can fill one file.
 """
 
 import argparse
+import csv
 import json
+import math
 import os
 import platform
 import shutil
@@ -38,17 +42,19 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import urllib.parse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # One round of ops, run once from the tree given as argv[1] in the work
-# directory argv[4]; prints {"hashes": {op name: determinism hash or None},
+# directory argv[4], moving each dumped file to keep_path(argv[5], op, option);
+# prints {"hashes": {op name: determinism hash or None},
 # "dumps": {op name: {dump option: sha256 of the file or None}},
 # "raised": {op name: exception}}.  An op that raises is recorded and the
 # round goes on, so a broken signature shows up as a result, not a crash.
 HASH_SCRIPT = r"""
-import hashlib, json, os, sys, traceback
-tree, workload, seed, workdir = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+import hashlib, json, os, sys, traceback, urllib.parse
+tree, workload, seed, workdir, keep = sys.argv[1], sys.argv[2], int(sys.argv[3]), *sys.argv[4:6]
 sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "verdictbench")]
 from spirallab import cli
 import workloads
@@ -76,7 +82,7 @@ for op in wl.ops:
             if os.path.exists(path):
                 with open(path, "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
-                os.unlink(path)
+                os.replace(path, os.path.join(keep, urllib.parse.quote(op.name + opt, safe="")))
             dumps.setdefault(op.name, {})[opt] = digest
 print(json.dumps({"hashes": hashes, "dumps": dumps, "raised": raised}))
 """
@@ -97,19 +103,52 @@ def run_bench(tree, workload, seed, seconds, trace):
     return json.loads(out.strip().splitlines()[-1])
 
 
-def run_hashes(tree, workload, seed, workdir):
-    out = subprocess.run([sys.executable, "-c", HASH_SCRIPT, tree, workload, str(seed), workdir],
+def keep_path(keep, op, opt):
+    """Where the hash round keeps op's dump for option opt (HASH_SCRIPT)."""
+    return os.path.join(keep, urllib.parse.quote(op + opt, safe=""))
+
+
+def run_hashes(tree, workload, seed, workdir, keep):
+    out = subprocess.run([sys.executable, "-c", HASH_SCRIPT, tree, workload, str(seed), workdir,
+                          keep],
                          cwd=tree, env=bench_env(), check=True, stdout=subprocess.PIPE,
                          text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
-def compare_hashes(parent, change):
+def max_abs_diff(a, b):
+    """Largest absolute difference of the numeric cells of two CSV files, or
+    None unless they have the same header and shape and equal non-numeric
+    cells (NaN equals NaN)."""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        ra, rb = list(csv.reader(fa)), list(csv.reader(fb))
+    if not ra or not rb or ra[0] != rb[0] or [len(r) for r in ra] != [len(r) for r in rb]:
+        return None
+    worst = 0.0
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        for u, v in zip(row_a, row_b):
+            try:
+                x, y = float(u), float(v)
+            except ValueError:
+                if u != v:
+                    return None
+                continue
+            if math.isnan(x) or math.isnan(y):
+                if not (math.isnan(x) and math.isnan(y)):
+                    return None
+                continue
+            worst = max(worst, abs(x - y))
+    return worst
+
+
+def compare_hashes(parent, change, keep):
     """Ops whose report hash differs, ops whose dumped files differ (a dump
-    missing on one side counts as different), ops run on one side only, ops
-    that raised an uncaught exception on either side (with each side's
-    exception), and the other ops that wrote no report; ops without a report
-    on a side count as neither equal nor different."""
+    missing on one side counts as different) with the largest absolute
+    difference of each one's numeric cells (max_abs_diff over its differing
+    dumps, kept under keep[side]), ops run on one side only, ops that raised
+    an uncaught exception on either side (with each side's exception), and
+    the other ops that wrote no report; ops without a report on a side count
+    as neither equal nor different."""
     ph, ch = parent["hashes"], change["hashes"]
     both = ph.keys() & ch.keys()
     raised = {}
@@ -118,10 +157,19 @@ def compare_hashes(parent, change):
             raised.setdefault(op, {})[side] = exc
     missing = sorted(k for k in both if ph[k] is None or ch[k] is None)
     pd, cd = parent["dumps"], change["dumps"]
+    dumps_differ = sorted(k for k in both if pd.get(k) != cd.get(k))
+    diffs = {}
+    for op in dumps_differ:
+        got = [max_abs_diff(*(keep_path(keep[side], op, opt) for side in ("parent", "change")))
+               if pd[op][opt] and cd[op][opt] else None
+               for opt in pd.get(op, {}).keys() & cd.get(op, {}).keys()
+               if pd[op][opt] != cd[op][opt]]
+        diffs[op] = max(got) if got and None not in got else None
     return {"ops": len(both),
             "differ": sorted(k for k in both if k not in missing and ph[k] != ch[k]),
             "dumps": sum(len(pd.get(k, {})) for k in both),
-            "dumps_differ": sorted(k for k in both if pd.get(k) != cd.get(k)),
+            "dumps_differ": dumps_differ,
+            "dumps_max_abs_diff": diffs,
             "raised": dict(sorted(raised.items())),
             "no_report": [k for k in missing if k not in raised],
             "parent_only": sorted(ph.keys() - ch.keys()),
@@ -242,11 +290,15 @@ def main():
 
         for workload, seed in args.hashes:
             workdir = os.path.join(tmp, "work")
-            os.mkdir(workdir)
-            got = {side: run_hashes(trees[side], workload, seed, workdir)
+            keep = {side: os.path.join(tmp, f"dumps-{side}") for side in ("parent", "change")}
+            for d in (workdir, *keep.values()):
+                os.mkdir(d)
+            got = {side: run_hashes(trees[side], workload, seed, workdir, keep[side])
                    for side in ("parent", "change")}
-            shutil.rmtree(workdir)
-            doc.setdefault("hashes", {})[f"{workload}/seed{seed}"] = compare_hashes(**got)
+            doc.setdefault("hashes", {})[f"{workload}/seed{seed}"] = compare_hashes(**got,
+                                                                                    keep=keep)
+            for d in (workdir, *keep.values()):
+                shutil.rmtree(d)
             save()
 
 
