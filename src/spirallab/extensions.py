@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import BranchedPower, newton_invert
+from .families import BranchedPower, deriv_modulus, newton_invert
 
 INTERIOR_MARGIN = 1e-3
 # a preimage x of z counts when |h(x) - z| <= MEMBER_RTOL * max(1, |z|): near
@@ -217,7 +217,7 @@ def membership_H_arrays(h, space: BallSpace, zs, ws, guess=0j):
     ok = ~np.isnan(xs)
     xs = np.where(ok, xs, 0j)
     ok &= np.abs(h.eval_array(xs) - zs) <= MEMBER_RTOL * np.maximum(1.0, np.abs(zs))
-    return ok & (space.gauge(xs, ws, np.abs(h.deriv_array(xs))) < 1.0)
+    return ok & (space.gauge(xs, ws, deriv_modulus(h, xs)) < 1.0)
 
 
 def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
@@ -229,7 +229,7 @@ def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
     ok = ~np.isnan(x1)
     x1 = np.where(ok, x1, 0j)
     rt = (1.0 - np.abs(np.exp(-A.lam * t)) ** A.r) / 4.0 \
-        * np.abs(h.deriv_array(x1)) * (1.0 - np.abs(x1) ** 2)
+        * deriv_modulus(h, x1) * (1.0 - np.abs(x1) ** 2)
     return np.where(ok, rt, np.nan)
 
 

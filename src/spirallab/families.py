@@ -4,6 +4,8 @@ inversion and the classical distortion lower bounds.
 
 A "disk map" anywhere in this package is any object exposing eval_array and
 deriv_array on ndarrays; most also expose log_deriv_array and invert_array.
+deriv_modulus gives |h'| of any disk map, in real arithmetic where the map has
+abs_deriv_array (UnivalentMap).
 Their scalar eval/deriv/invert, where present, are thin wrappers of the array
 methods, so each formula exists once.  UnivalentMap covers the closed-form
 families and NormalizedMap the normalization of a disk map at a point;
@@ -137,6 +139,9 @@ class UnivalentMap:
     def deriv2_array(self, z):
         return self._k(kernels.eval_deriv2, z)
 
+    def abs_deriv_array(self, z):
+        return self._k(kernels.abs_deriv, z)
+
     def log_deriv_array(self, z):
         """Continuous log of h' anchored at 0 with the principal value there."""
         if self.family == "rational":
@@ -198,6 +203,12 @@ def _c(v):
     if isinstance(v, (int, float)):
         return complex(v)
     return complex(v[0], v[1])
+
+
+def deriv_modulus(h, z):
+    """|h'(z)| on arrays: h.abs_deriv_array where the map has it, else |h.deriv_array|."""
+    abs_deriv = getattr(h, "abs_deriv_array", None)
+    return abs_deriv(z) if abs_deriv else np.abs(h.deriv_array(z))
 
 
 def disk_automorphism(x0, z):

@@ -11,9 +11,10 @@ Families are addressed by an integer code:
     5  rational      h(z) = N(z)/D(z),            num/den = ascending coeff tuples
 
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
-``newton`` and ``min_distance`` take the map as callables F (and its
-derivative dF) on arrays, so every disk map shares them; ``invert`` and
+``newton`` takes the map as callables F and dF on arrays, and ``min_distance``
+takes F and the modulus |dF|, so every disk map shares them; ``invert`` and
 ``covered_min_distance`` are their entry points for the family codes.
+``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it.
 """
 
 from functools import lru_cache
@@ -77,6 +78,31 @@ def eval_deriv(code, params, num, den, z):
         nc, dc = _rational(num, den)
         n, n1, d, d1 = (horner(c, z) for c in (nc[0], nc[1], dc[0], dc[1]))
         return (n1 * d - n * d1) / d**2
+    raise ValueError(f"unknown family code {code}")
+
+
+def abs_deriv(code, params, num, den, z):
+    """|h'(z)| as a float array; closed forms in x + iy = z for codes 0-4, so no
+    complex exp/log/power is paid where only the modulus is needed."""
+    z = np.asarray(z, dtype=complex)
+    if code == 5:
+        return np.abs(eval_deriv(code, params, num, den, z))
+    x, y = z.real, z.imag
+    if code == 0:
+        return np.ones(z.shape)
+    if code == 4:
+        return 2.0 / ((1.0 + x) ** 2 + y * y)
+    if code == 2:
+        c = params[0]
+        return 1.0 / ((1.0 + c.real * x - c.imag * y) ** 2 + (c.real * y + c.imag * x) ** 2)
+    b = (1.0 - x) ** 2 + y * y  # |1 - z|^2
+    if code == 1:
+        return np.sqrt(((1.0 + x) ** 2 + y * y) / (b * b * b))
+    if code == 3:
+        # |(1-z)^-(p+1)| = exp(Im(p+1) arg(1-z) - Re(p+1) log|1-z|)
+        s, q = params[0] + 1.0, params[1]
+        return (np.exp(s.imag * np.arctan2(-y, 1.0 - x) - 0.5 * s.real * np.log(b))
+                * np.hypot(1.0 + q.real * x - q.imag * y, q.real * y + q.imag * x))
     raise ValueError(f"unknown family code {code}")
 
 
@@ -199,27 +225,28 @@ def polar_grid(nr, nt):
     return 1.0 - (1.0 - k / nr) ** 2, np.exp(1j * theta)
 
 
-def polar_sweep(dF, radii, ring):
-    """Yield (x, |dF(x)| (1 - |x|^2)) for x = radii[k:k+s, None] * ring: blocks
-    of s = max(1, SWEEP_BLOCK // nt) whole rings, in ring-major order."""
+def polar_sweep(abs_dF, radii, ring):
+    """Yield (x, abs_dF(x) (1 - |x|^2)) for x = radii[k:k+s, None] * ring, with
+    abs_dF the modulus |dF|: blocks of s = max(1, SWEEP_BLOCK // nt) whole
+    rings, in ring-major order."""
     s = max(1, SWEEP_BLOCK // ring.size)
     for k in range(0, radii.size, s):
         r = radii[k:k + s, None]
         x = r * ring
-        yield x, np.abs(dF(x)) * (1.0 - r * r)
+        yield x, abs_dF(x) * (1.0 - r * r)
 
 
-def min_distance(F, dF, threshold, center, nr, nt, boundary_eps):
-    """Covering sweep of a disk map on the polar grid.
+def min_distance(F, abs_dF, threshold, center, nr, nt, boundary_eps):
+    """Covering sweep of a disk map F on the polar grid, given |F'| as abs_dF.
 
     Returns (min |F(x)-center| over grid points failing the region inequality
-    |dF(x)|(1-|x|^2) > threshold, witness x, min over the circle
+    |F'(x)|(1-|x|^2) > threshold, witness x, min over the circle
     |x| = 1-boundary_eps, number of grid points in the region complement).
     Ties go to the first grid point in ring-major order.
     """
     radii, ring = polar_grid(nr, nt)
     best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
-    for x, crit in polar_sweep(dF, radii, ring):
+    for x, crit in polar_sweep(abs_dF, radii, ring):
         x = x[crit <= threshold]
         if x.size:
             n_out += x.size
@@ -234,5 +261,5 @@ def min_distance(F, dF, threshold, center, nr, nt, boundary_eps):
 def covered_min_distance(code, params, num, den, threshold, center, nr, nt, boundary_eps):
     """``min_distance`` of the family map with the given code."""
     return min_distance(lambda z: eval_map(code, params, num, den, z),
-                        lambda z: eval_deriv(code, params, num, den, z),
+                        lambda z: abs_deriv(code, params, num, den, z),
                         threshold, center, nr, nt, boundary_eps)

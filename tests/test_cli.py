@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from spirallab.cli import main
-from spirallab.extensions import BallSpace, HomogeneousPolynomial, sample_ball
+from spirallab.cli import build_parser, main
+from spirallab.extensions import (BallSpace, HomogeneousPolynomial, sample_ball, sup_norm_Q,
+                                  sup_norm_Q_bound)
 from spirallab.genext import ExtendedGenerator, flow_ball
 from spirallab.semigroups import Generator
 from spirallab.report import SCHEMA, determinism_hash
@@ -125,6 +126,44 @@ def test_extend_and_determinism(tmp_path):
     # and the hash actually covers the payload
     assert rep1["determinism_hash"] == determinism_hash(
         {k: v for k, v in rep1.items() if k != "determinism_hash"})
+
+
+def test_parser_is_built_once_and_reports_do_not_leak(tmp_path):
+    """main reuses one parser per process; a covering report after an extend
+    hashes the same as before it."""
+    cover = ("covering", "--fn", "half_plane", "--x0", "0.3,0.1", "--alpha", "0.4",
+             "--grid", "60,60")
+    code1, rep1 = run(tmp_path, *cover)
+    code2, rep2 = run(tmp_path, "extend", "--fn", "koebe", "--r", "1", "--mu", "1,0",
+                      "--lambda", "1,0", "--samples", "50", "--seed", "3")
+    code3, rep3 = run(tmp_path, *cover)
+    assert code1 == code2 == code3 == 0
+    assert rep1["determinism_hash"] == rep3["determinism_hash"]
+    assert rep1["inputs"] == rep3["inputs"]
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_extend_reports_exact_sup_norm_of_one_term(tmp_path, r):
+    """sup |c y1^r| over the Euclidean unit sphere of C^2 is |c|, reported
+    exactly; a sum of two terms is still sampled, below the upper bound."""
+    c = complex(0.15, -0.2)
+    argv = ("extend", "--fn", "half_plane", "--r", str(r), "--m", "2", "--mu", "1,0",
+            "--lambda", "1,0", "--samples", "50", "--times", "0.5", "--seed", "5")
+    q = tmp_path / "q.json"
+    one = [{"exps": [r, 0], "coef": [c.real, c.imag]}]
+    q.write_text(json.dumps({"degree": r, "terms": one}))
+    code, rep = run(tmp_path, *argv, "--Q", str(q))
+    assert code == 0
+    assert rep["sup_norm_Q"] == abs(c)
+    two = one + [{"exps": [r - 1, 1], "coef": [0.05, 0.0]}]
+    q.write_text(json.dumps({"degree": r, "terms": two}))
+    code, rep = run(tmp_path, *argv, "--Q", str(q))
+    Q = HomogeneousPolynomial.from_spec({"degree": r, "terms": two})
+    sp = BallSpace(r=r, m=2)
+    assert code == 0
+    assert rep["sup_norm_Q"] == sup_norm_Q(Q, sp, samples=20_000, seed=5)
+    assert rep["sup_norm_Q"] <= sup_norm_Q_bound(Q, sp)
 
 
 def test_gen_extend(tmp_path):

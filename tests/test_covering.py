@@ -13,7 +13,7 @@ from spirallab.covering import (
     verify_covering_bound,
     verify_shifted_covering_bound,
 )
-from spirallab.families import UnivalentMap, disk_automorphism, normalize_at
+from spirallab.families import UnivalentMap, deriv_modulus, disk_automorphism, normalize_at
 from spirallab.semigroups import Generator, koenigs
 
 from conftest import ALL_CODES, random_disk
@@ -197,9 +197,11 @@ def test_generic_map_sweep_matches_per_ring_loop(kind):
     x0 = 0.2 - 0.1j
     spec = OmegaSpec.build(h, x0, 0.5)
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
-        args = (h.eval_array, h.deriv_array, spec.threshold, center, *grid, BOUNDARY_EPS)
-        best, _, bmin, n_out = kernels.min_distance(*args)
-        ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(*args)
+        args = (spec.threshold, center, *grid, BOUNDARY_EPS)
+        best, _, bmin, n_out = kernels.min_distance(
+            h.eval_array, lambda z: deriv_modulus(h, z), *args)
+        ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(
+            h.eval_array, h.deriv_array, *args)
         assert n_out == ref_n_out > 0
         assert abs(best - ref_best) <= 1e-12 * ref_best
         assert abs(bmin - ref_bmin) <= 1e-12 * ref_bmin

@@ -1,13 +1,14 @@
 """Tests for the ball geometry, extension operators, and invariance sweeps."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spirallab import families
+from spirallab import extensions, families
 from spirallab.extensions import (
     MEMBER_RTOL,
     BallSpace,
@@ -423,3 +424,38 @@ def test_invariance_failures_count_every_failing_point(mode, n_samples, times):
     assert not capped["pass"]
     assert len(capped["witnesses"]) == 1
     assert len(full["witnesses"]) == full["failures"]
+
+
+@pytest.mark.parametrize("mode", ["muir", "gamma"])
+@pytest.mark.parametrize("h,mu", [
+    (UnivalentMap.half_plane(), 1.0),
+    (UnivalentMap.mobius_spiral(0.3j), np.exp(0.4j)),
+    (UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j)),
+], ids=["half_plane", "mobius_0.3i", "spiral_koebe_0.5"])
+def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
+    """Membership and R_t read |h'| in real arithmetic; with the modulus of the
+    complex h' in its place the report is the same (spiral_koebe fails here,
+    on stalled Newton solves, so it has witnesses).  A gamma witness is built
+    from R_t, so its z may move in the last bits; everything else, the counts
+    and every membership decision included, is compared as JSON, where NaN
+    witnesses match."""
+    args = (h, mu, 1.0, space(2.0, 1), q_poly(0.25j), [0.5, 2.0])
+    kw = dict(n_samples=2000, mode=mode, seed=17, n_gamma=4, max_witnesses=10**6)
+    reports = [verify_invariance(*args, **kw)]
+    calls = []
+
+    def complex_modulus(h, z):
+        calls.append(np.size(z))
+        return np.abs(h.deriv_array(z))
+
+    monkeypatch.setattr(extensions, "deriv_modulus", complex_modulus)
+    reports.append(verify_invariance(*args, **kw))
+    assert calls
+    z_fast, z_ref = (np.array([complex(*w.pop("z")) for w in rep["witnesses"]])
+                     for rep in reports)
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+    assert np.array_equal(np.isnan(z_fast), np.isnan(z_ref))
+    ok = ~np.isnan(z_ref)
+    assert np.all(np.abs(z_fast[ok] - z_ref[ok]) <= 1e-15 * np.abs(z_ref[ok]))
+    if mode == "muir":
+        assert np.array_equal(z_fast, z_ref, equal_nan=True)
