@@ -123,8 +123,7 @@ def _finish(payload, out, t0, passed):
     if out:
         report.write_report(out, payload)
     else:
-        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        report.dump(payload, sys.stdout)
     return 0 if passed else 1
 
 

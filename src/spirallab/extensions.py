@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .families import BranchedPower, deriv_modulus, newton_invert
 
 INTERIOR_MARGIN = 1e-3
@@ -315,10 +316,8 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
             probes = [conjugated_action(A, Q, t, zs, ws)]
         else:
             z1, w1 = semigroup_action(A, t, zs, ws)
-            rt = covering_radius_Rt(h, A, t, zs)
-            # one direction at a time, so the n_gamma copies are never all held
-            probes = ((z1 + gamma_frac * rt * np.exp(2j * np.pi * k / n_gamma), w1)
-                      for k in range(n_gamma))
+            probes = _gamma_probes(z1, w1, gamma_frac * covering_radius_Rt(h, A, t, zs),
+                                   n_gamma)
         for z, w in probes:
             ok = membership_H_arrays(h, space, z, w)
             bad = np.flatnonzero(~ok)
@@ -335,6 +334,19 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
         "witnesses": witnesses[:max_witnesses],
         "pass": failures == 0,
     }
+
+
+def _gamma_probes(z1, w1, step, n_gamma):
+    """The probes (z1 + step e^(2 pi i k / n_gamma), w1) in blocks of whole
+    directions k, direction-major, each of at most SWEEP_BLOCK points; a
+    sweep larger than that gets one direction a block, so the n_gamma copies
+    are never all held."""
+    per = max(1, kernels.SWEEP_BLOCK // max(1, z1.size))
+    for k0 in range(0, n_gamma, per):
+        ks = range(k0, min(k0 + per, n_gamma))
+        dirs = np.array([[np.exp(2j * np.pi * k / n_gamma)] for k in ks])
+        # w1 itself for one direction: a fresh copy of a large w costs page faults
+        yield (z1 + step * dirs).ravel(), (w1 if len(ks) == 1 else np.tile(w1, (len(ks), 1)))
 
 
 def _ri(z):

@@ -89,8 +89,10 @@ class UnivalentMap:
 
     @classmethod
     def spiral_koebe(cls, theta):
+        # e^(-i theta)-spirallike: its image is the plane minus a spiral slit
         p = 2.0 * np.exp(-1j * theta) * np.cos(theta)
-        return cls("spiral_koebe", params=(p, p - 1.0))
+        return cls("spiral_koebe", params=(p, p - 1.0),
+                   spiral_multiplier=complex(np.exp(-1j * theta)))
 
     @classmethod
     def half_plane(cls):
@@ -158,9 +160,10 @@ class UnivalentMap:
         return invert_map(self, w, guess=guess)
 
     def invert_array(self, w, guess=0j):
-        """Preimages of the points w; NaN where Newton stays above its tolerance."""
+        """Preimages of the points w; NaN where Newton (continued along the
+        spiral path for a map with a spiral multiplier) stays above its tolerance."""
         return kernels.invert(self.code, self.params, self.num or None, self.den or None,
-                              w, guess)
+                              w, guess, self.spiral_multiplier)
 
     # -- serialization ---------------------------------------------------------
 
@@ -271,6 +274,13 @@ class NormalizedMap:
         return (self.h.deriv_array(self._phi(z)) * disk_automorphism_deriv(self.x0, z)
                 / self._scale)
 
+    def invert_array(self, w, guess=0j):
+        """g^-1(w) = phi(h^-1(h(x0) + scale w)) through the base map's own
+        inverse, started at phi(guess); NaN where that inverse fails."""
+        w = np.asarray(w, dtype=complex)
+        x = self.h.invert_array(self._h_x0 + self._scale * w, guess=self._phi(guess))
+        return self._phi(x)
+
 
 def normalize_at(h, x0):
     return NormalizedMap(h, x0)
@@ -350,9 +360,11 @@ class BranchedPower:
 
 
 def newton_invert(h, w, guess=0j):
-    """Damped Newton solve of h(z) = w on arrays for a generic disk map;
-    NaN where |h(z) - w| stays above INVERT_TOL."""
-    z, res = kernels.newton(h.eval_array, h.deriv_array, w, guess)
+    """Damped Newton solve of h(z) = w on arrays for a generic disk map, with
+    the spiral continuation where h has a spiral_multiplier; NaN where
+    |h(z) - w| stays above INVERT_TOL."""
+    z, res = kernels.solve(h.eval_array, h.deriv_array, w, guess,
+                           getattr(h, "spiral_multiplier", None))
     return np.where(res <= INVERT_TOL, z, np.nan + 0j)
 
 

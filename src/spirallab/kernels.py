@@ -11,9 +11,10 @@ Families are addressed by an integer code:
     5  rational      h(z) = N(z)/D(z),            num/den = ascending coeff tuples
 
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
-``newton`` takes the map as callables F and dF on arrays, and ``min_distance``
-takes F and the modulus |dF|, so every disk map shares them; ``invert`` and
-``covered_min_distance`` are their entry points for the family codes.
+``newton``, ``spiral_newton`` and ``solve`` take the map as callables F and dF
+on arrays, and ``min_distance`` takes F and the modulus |dF|, so every disk map
+shares them; ``invert`` and ``covered_min_distance`` are their entry points for
+the family codes.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it.
 """
 
@@ -26,6 +27,9 @@ NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
 DISK_CLAMP = 1.0 - 1e-9
 SWEEP_BLOCK = 4096  # grid points per sweep block: the temporaries stay in L2
+SPIRAL_TAU = 8.0     # spiral_newton starts at e^(-mu SPIRAL_TAU) w
+SPIRAL_STEPS = 12    # its first path resolution, doubled up to SPIRAL_MAX_STEPS
+SPIRAL_MAX_STEPS = 384
 
 
 def horner(c, z):
@@ -177,8 +181,9 @@ def newton(F, dF, w, z0):
     Iterates are clamped to |z| <= DISK_CLAMP since images may be unbounded.
     An entry stops once |F(z) - w| <= NEWTON_TOL or after NEWTON_MAX_ITER
     steps; each step is halved, at most 24 times, until the residual drops.
-    F and dF only see the entries still iterating.  Returns (z, |F(z) - w|)
-    in the shape of w.
+    An entry whose halving bottoms out (step 2^-24 and still no decrease)
+    stalls: it keeps its last iterate and stops at once.  F and dF only see
+    the entries still iterating.  Returns (z, |F(z) - w|) in the shape of w.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     z = _clamp(np.atleast_1d(np.asarray(z0, dtype=complex)) * np.ones_like(w))
@@ -200,20 +205,64 @@ def newton(F, dF, w, z0):
             if not todo.size:
                 break
             lam[todo] *= 0.5
-        z[act], resid[act] = cand, new
-        act = act[np.abs(new) > NEWTON_TOL]
+        down = np.abs(new) < np.abs(ra)
+        moved = act[down]
+        z[moved], resid[moved] = cand[down], new[down]
+        act = moved[np.abs(new[down]) > NEWTON_TOL]
     return z.reshape(w.shape), np.abs(resid).reshape(w.shape)
 
 
-def invert(code, params, num, den, w, guess):
-    """Invert h on arrays: closed form where the family has one, else damped
-    Newton from ``guess``.  Entries left above NEWTON_TOL come back as NaN."""
+def spiral_newton(F, dF, w, mu, d0):
+    """Solve F(z) = w along the spiral e^(-mu tau) w, tau from SPIRAL_TAU down
+    to 0, for a map with F(0) = 0, F'(0) = d0 whose image is mu-spirallike:
+    the spiral then stays in F(D) and runs to F(0), so each warm-started
+    ``newton`` solve starts next to its root.  The path starts at
+    z = e^(-mu SPIRAL_TAU) w / d0; entries left above NEWTON_TOL at tau = 0
+    walk it again with twice the steps, up to SPIRAL_MAX_STEPS.
+    Returns (z, |F(z) - w|) in the shape of w.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    wf = w.ravel()
+    z, res = np.empty_like(wf), np.empty(wf.size)
+    todo, steps = np.arange(wf.size), SPIRAL_STEPS
+    while todo.size and steps <= SPIRAL_MAX_STEPS:
+        wa = wf[todo]
+        za = np.exp(-mu * SPIRAL_TAU) * wa / d0
+        for tau in np.linspace(SPIRAL_TAU, 0.0, steps + 1):
+            za, ra = newton(F, dF, np.exp(-mu * tau) * wa, za)
+        z[todo], res[todo] = za, ra
+        todo, steps = todo[ra > NEWTON_TOL], 2 * steps
+    return z.reshape(w.shape), res.reshape(w.shape)
+
+
+def solve(F, dF, w, guess, mu=None):
+    """``newton`` from ``guess``; given a spiral multiplier mu (F(0) = 0 and
+    F(D) mu-spirallike), the entries it leaves above NEWTON_TOL are solved
+    again by ``spiral_newton``, whose result is kept where its residual is
+    smaller.  Returns (z, |F(z) - w|) in the shape of w."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    z, res = newton(F, dF, w, guess)
+    if mu is not None:
+        zf, rf = z.ravel(), res.ravel()
+        bad = np.flatnonzero(rf > NEWTON_TOL)
+        if bad.size:
+            z2, r2 = spiral_newton(F, dF, w.ravel()[bad], mu, dF(np.zeros(1, complex))[0])
+            up = r2 < rf[bad]
+            zf[bad[up]], rf[bad[up]] = z2[up], r2[up]
+    return z, res
+
+
+def invert(code, params, num, den, w, guess, mu=None):
+    """Invert h on arrays: closed form where the family has one, else
+    ``solve`` from ``guess`` (with the spiral continuation when the map's
+    spiral multiplier mu is given).  Entries left above NEWTON_TOL come back
+    as NaN."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     closed = _closed_invert(code, params, w)
     if closed is not None:
         return closed
-    z, res = newton(lambda z: eval_map(code, params, num, den, z),
-                    lambda z: eval_deriv(code, params, num, den, z), w, guess)
+    z, res = solve(lambda z: eval_map(code, params, num, den, z),
+                   lambda z: eval_deriv(code, params, num, den, z), w, guess, mu)
     return np.where(res > NEWTON_TOL, np.nan + 0j, z)
 
 

@@ -1,10 +1,12 @@
 """JSON report plumbing: canonical serialization, atomic writes, and the
-determinism hash (timing excluded)."""
+determinism hash (timing excluded).  Reports are strict JSON (RFC 8259): a
+non-finite float (a NaN witness coordinate, say) is written as null."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -15,8 +17,26 @@ NON_DETERMINISTIC_KEYS = ("timing_s",)
 PATH_INPUT_KEYS = ("out", "dump_region", "out_csv", "dump_curve", "dump_traj")
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def canonical_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(_finite(payload), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode()
+
+
+def dump(payload: dict, fh):
+    """The report to an open text file, indented, as strict JSON."""
+    json.dump(_finite(payload), fh, sort_keys=True, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
 def determinism_hash(payload: dict) -> str:
@@ -35,8 +55,7 @@ def write_report(path, payload: dict):
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            dump(payload, fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

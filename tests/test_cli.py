@@ -11,7 +11,7 @@ from spirallab.extensions import (BallSpace, HomogeneousPolynomial, sample_ball,
                                   sup_norm_Q_bound)
 from spirallab.genext import ExtendedGenerator, flow_ball
 from spirallab.semigroups import Generator
-from spirallab.report import SCHEMA, determinism_hash
+from spirallab.report import SCHEMA, canonical_bytes, determinism_hash, write_report
 
 
 def run(tmp_path, *argv):
@@ -293,6 +293,28 @@ def test_complex_encoding_is_re_im_pairs(tmp_path):
                     "--x0", "0.2,0.1", "--alpha", "0.4")
     assert code == 0
     assert isinstance(rep["center"], list) and len(rep["center"]) == 2
+
+
+def _strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path):
+    """Non-finite floats (a NaN witness coordinate) are written as null, both
+    in the written report and in the bytes the determinism hash covers."""
+    nan = float("nan")
+    payload = {"witnesses": [{"z": [nan, nan], "w": [[np.float64("inf"), 1.5]]}],
+               "margin": -float("inf"), "n": 3, "inputs": {"seed": "1"}}
+    want = {"witnesses": [{"z": [None, None], "w": [[None, 1.5]]}],
+            "margin": None, "n": 3, "inputs": {"seed": "1"}}
+    path = tmp_path / "r.json"
+    write_report(path, payload)
+    assert _strict_loads(path.read_text()) == want
+    assert _strict_loads(canonical_bytes(payload).decode()) == want
+    assert determinism_hash(payload) == determinism_hash(want)
 
 
 def test_gen_extend_conjugated_generator(tmp_path):

@@ -2,13 +2,14 @@
 
 import itertools
 import json
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spirallab import extensions, families
+from spirallab import extensions, families, kernels
 from spirallab.extensions import (
     MEMBER_RTOL,
     BallSpace,
@@ -288,10 +289,11 @@ def test_membership_of_near_rim_koebe_points():
 
 
 def test_membership_of_a_map_without_invert_array():
-    """A normalized map has no invert_array: membership goes through damped
-    Newton."""
+    """A disk map with only eval_array and deriv_array (here a normalized map
+    stripped of its invert_array): membership goes through damped Newton."""
     sp = space(2.0, 1)
-    g = normalize_at(UnivalentMap.mobius_spiral(0.5), 0.3 + 0.2j)
+    n = normalize_at(UnivalentMap.mobius_spiral(0.5), 0.3 + 0.2j)
+    g = types.SimpleNamespace(eval_array=n.eval_array, deriv_array=n.deriv_array)
     xs, ys = sample_ball(sp, 100, np.random.default_rng(47))
     zs, ws = extend_H_arrays(g, sp, xs, ys)
     assert membership_H_arrays(g, sp, zs, ws).all()
@@ -364,17 +366,18 @@ def test_covering_radius_Rt_identity():
 
 
 def test_covering_radius_Rt_is_nan_where_inversion_fails():
-    """The spiral_koebe points on which Newton from 0 stalls (the strict xfail
-    in test_families) give NaN radii, without raising, and only there."""
-    h = UnivalentMap.spiral_koebe(0.5)
+    """Centers whose contracted point lies outside h(D) have no preimage:
+    they give NaN radii, without raising, and only they do.  h = (z + z^2/5)/2
+    has no closed inverse, and |h| < 0.6 on the disk."""
+    h = UnivalentMap.rational([0, 0.5, 0.1], [1])
     A = SpiralMatrix(mu=np.exp(-0.5j), lam=1.0, r=1.0)
     t = 0.5
-    z0 = np.exp(A.mu * t) * h.eval_array(random_disk(np.random.default_rng(13), 2000, 0.9))
-    rt = covering_radius_Rt(h, A, t, z0)
-    failed = np.isnan(h.invert_array(np.exp(-A.mu * t) * z0, guess=0j))
-    assert failed.any()
-    assert np.array_equal(np.isnan(rt), failed)
-    assert np.all(rt[~failed] > 0)
+    rng = np.random.default_rng(13)
+    inside = h.eval_array(random_disk(rng, 1000, 0.99))
+    outside = rng.uniform(1.0, 5.0, 1000) * np.exp(2j * np.pi * rng.uniform(size=1000))
+    rt = covering_radius_Rt(h, A, t, np.exp(A.mu * t) * np.concatenate([inside, outside]))
+    assert np.all(rt[:1000] > 0)
+    assert np.all(np.isnan(rt[1000:]))
 
 
 # -------------------------------------------------------------- invariance
@@ -412,18 +415,63 @@ def test_invariance_detects_violation():
 ])
 def test_invariance_failures_count_every_failing_point(mode, n_samples, times):
     """failures counts every failed membership, not the capped witness list.
-    spiral_koebe at theta = 0.5 is not mu-spirallike for mu = e^{-0.5i}."""
+    spiral_koebe at theta = 0.5 is e^{-0.5i}-spirallike, not e^{+0.5i}-spirallike,
+    so the sweep with mu = e^{+0.5i} has real failures."""
     h = UnivalentMap.spiral_koebe(0.5)
     sp = space(1.0, 1)
-    capped, full = (verify_invariance(h, np.exp(-0.5j), 1.0, sp,
+    capped, full = (verify_invariance(h, np.exp(0.5j), 1.0, sp,
                                       HomogeneousPolynomial.zero(1, 1), times=times,
                                       n_samples=n_samples, mode=mode, seed=42,
-                                      n_gamma=4, max_witnesses=cap)
+                                      n_gamma=8, max_witnesses=cap)
                     for cap in (1, 10**6))
     assert capped["failures"] == full["failures"] > 20
     assert not capped["pass"]
     assert len(capped["witnesses"]) == 1
     assert len(full["witnesses"]) == full["failures"]
+    assert not any(np.isnan(w["z"]).any() for w in full["witnesses"])
+
+
+@pytest.mark.parametrize("mode", ["muir", "gamma"])
+def test_invariance_of_a_spirallike_map_has_no_failures(mode):
+    """spiral_koebe(0.5) with its own multiplier mu = e^{-0.5i}: every base
+    preimage is found on the spiral path, so nothing fails (Newton from 0
+    alone left 7 base preimages NaN at t = 0.5, which made 28 of 32 gamma
+    failures)."""
+    out = verify_invariance(UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), 1.0,
+                            space(1.0, 1), HomogeneousPolynomial.zero(1, 1),
+                            times=[0.5, 2.0], n_samples=100, mode=mode, seed=42,
+                            n_gamma=4)
+    assert out["pass"] and out["failures"] == 0 and out["witnesses"] == []
+
+
+@pytest.mark.parametrize("h,mu,lam,r,m,n", [
+    (RATIONAL, 1.0, 1.0, 1.0, 2, 30),
+    (UnivalentMap.half_plane(), 1.0, 0.9 + 0.4j, 2.0, 1, 300),
+    (UnivalentMap.spiral_koebe(0.5), np.exp(0.5j), 1.0, 1.0, 1, 300),
+], ids=["rational", "half_plane", "spiral_koebe"])
+def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n,
+                                                             monkeypatch):
+    """Gamma mode probes blocks of whole directions, at most SWEEP_BLOCK points
+    a membership call: the report is the same as with one direction a call."""
+    args = (h, mu, lam, space(r, m), HomogeneousPolynomial.zero(int(r), m),
+            [0.2, 0.7, 1.5, 3.0])
+    kw = dict(n_samples=n, mode="gamma", seed=9, max_witnesses=10**6)
+    calls = []
+    orig = extensions.membership_H_arrays
+
+    def counted(*a, **k):
+        calls.append(len(a[2]))
+        return orig(*a, **k)
+
+    monkeypatch.setattr(extensions, "membership_H_arrays", counted)
+    blocked = verify_invariance(*args, **kw)
+    per = kernels.SWEEP_BLOCK // n  # 136 directions for n = 30, 13 for n = 300
+    assert calls == [min(per, 16 - k) * n for k in range(0, 16, per)] * 4
+    monkeypatch.setattr(kernels, "SWEEP_BLOCK", 1)
+    calls.clear()
+    single = verify_invariance(*args, **kw)
+    assert calls == [n] * 16 * 4
+    assert json.dumps(blocked) == json.dumps(single)
 
 
 @pytest.mark.parametrize("mode", ["muir", "gamma"])
@@ -435,7 +483,8 @@ def test_invariance_failures_count_every_failing_point(mode, n_samples, times):
 def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
     """Membership and R_t read |h'| in real arithmetic; with the modulus of the
     complex h' in its place the report is the same (spiral_koebe fails here,
-    on stalled Newton solves, so it has witnesses).  A gamma witness is built
+    on solves whose residual is stuck above the absolute Newton tolerance at
+    |z| > 450, so it has witnesses).  A gamma witness is built
     from R_t, so its z may move in the last bits; everything else, the counts
     and every membership decision included, is compared as JSON, where NaN
     witnesses match."""

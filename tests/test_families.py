@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from spirallab import kernels
+from spirallab.extensions import BallSpace, sample_ball
 from spirallab.families import (
     BranchedPower,
     PointOutsideDisk,
@@ -17,8 +18,10 @@ from spirallab.families import (
     disk_automorphism,
     distortion_bounds,
     invert_map,
+    newton_invert,
     normalize_at,
 )
+from spirallab.semigroups import spirallike_margin
 
 from conftest import ALL_CODES, RATIONAL, random_disk, standard_families
 
@@ -136,13 +139,118 @@ def test_rational_newton_round_trip_to_the_rim():
     assert abs(h.invert(h.eval(z)) - z) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="damped Newton from guess 0 stalls on ~10% of "
-                   "the points of spiral_koebe(0.5) and returns NaN")
-def test_spiral_koebe_newton_round_trip_from_zero():
-    h = UnivalentMap.spiral_koebe(0.5)
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.3])
+def test_spiral_koebe_newton_round_trip_from_zero(theta):
+    """Damped Newton from 0 alone leaves points of spiral_koebe(theta)
+    unsolved; invert_array solves them on the e^(-i theta) spiral path."""
+    h = UnivalentMap.spiral_koebe(theta)
     zs = random_disk(np.random.default_rng(13), 2000, 0.9)
-    back = h.invert_array(h.eval_array(zs), guess=0j)
+    ws = h.eval_array(zs)
+    _, res = kernels.newton(h.eval_array, h.deriv_array, ws, 0j)
+    assert np.any(res > kernels.NEWTON_TOL)
+    back = h.invert_array(ws, guess=0j)
     assert not np.isnan(back).any()
+    assert np.max(np.abs(back - zs)) <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.3])
+def test_spiral_koebe_multiplier_is_spirallike(theta):
+    """spiral_koebe(theta) carries mu = e^(-i theta), for which
+    Re(mu h / (z h')) >= 0 on the disk grid; the mirror multiplier fails."""
+    h = UnivalentMap.spiral_koebe(theta)
+    assert h.spiral_multiplier == np.exp(-1j * theta)
+    assert spirallike_margin(h, h.spiral_multiplier) > 0
+    assert spirallike_margin(h, np.exp(1j * theta)) < 0
+
+
+def test_spiral_newton_walks_the_spiral():
+    """spiral_newton alone, from z = e^(-8 mu) w / h'(0), solves every point."""
+    h = UnivalentMap.spiral_koebe(0.5)
+    zs = random_disk(np.random.default_rng(14), 500, 0.9).reshape(20, 25)
+    z, res = kernels.spiral_newton(h.eval_array, h.deriv_array, h.eval_array(zs),
+                                   h.spiral_multiplier, 1.0)
+    assert z.shape == res.shape == zs.shape
+    assert np.all(res <= kernels.NEWTON_TOL)
+    assert np.max(np.abs(z - zs)) <= 1e-9
+
+
+def test_newton_stalled_entry_leaves_after_one_bottomed_out_halving():
+    """An entry whose Newton step never lowers the residual leaves after one
+    full halving (25 trial steps, down to 2^-24) and keeps its iterate; the
+    other entry converges on its first step."""
+    calls = []
+
+    def F(z):
+        calls.append(z.size)
+        return z
+
+    def dF(z):  # the wrong sign on the left half: every step there goes uphill
+        return np.where(z.real < 0, -1.0, 1.0) + 0j
+
+    z, res = kernels.newton(F, dF, np.array([-0.3, 0.3]) + 0j, np.array([-0.5, 0.5]))
+    assert calls == [2, 2] + [1] * 24
+    assert z[0] == -0.5 and abs(res[0] - 0.2) < 1e-15
+    assert abs(z[1] - 0.3) < 1e-15 and res[1] <= kernels.NEWTON_TOL
+
+
+def _newton_without_stall_exit(F, dF, w, z0):
+    """kernels.newton before its stall exit: an entry whose halving bottoms
+    out takes its last trial step and goes on iterating."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    z = kernels._clamp(np.atleast_1d(np.asarray(z0, dtype=complex)) * np.ones_like(w))
+    z, wf = z.ravel(), w.ravel()
+    resid = F(z) - wf
+    act = np.flatnonzero(np.abs(resid) > kernels.NEWTON_TOL)
+    for _ in range(kernels.NEWTON_MAX_ITER):
+        if not act.size:
+            break
+        za, ra, wa = z[act], resid[act], wf[act]
+        step = ra / dF(za)
+        lam = np.ones(act.size)
+        cand, new = np.empty_like(za), np.empty_like(za)
+        todo = np.arange(act.size)
+        for _ in range(25):
+            c = kernels._clamp(za[todo] - lam[todo] * step[todo])
+            cand[todo], new[todo] = c, F(c) - wa[todo]
+            todo = todo[(np.abs(new[todo]) >= np.abs(ra[todo])) & (lam[todo] > 2.0**-24)]
+            if not todo.size:
+                break
+            lam[todo] *= 0.5
+        z[act], resid[act] = cand, new
+        act = act[np.abs(new) > kernels.NEWTON_TOL]
+    return z.reshape(w.shape), np.abs(resid).reshape(w.shape)
+
+
+@pytest.mark.parametrize("h,r_max", [
+    (UnivalentMap.spiral_koebe(0.5), 0.9),
+    (RATIONAL, 0.999),
+    (normalize_at(UnivalentMap.koebe(), 0.3 + 0.2j), 0.999),
+], ids=["spiral_koebe", "rational", "normalized_koebe"])
+def test_newton_converged_entries_unchanged_by_the_stall_exit(h, r_max):
+    """The stall exit only stops entries that would not have converged here:
+    the converged entries and their residuals are bit-identical to the loop
+    without it."""
+    ws = h.eval_array(random_disk(np.random.default_rng(3), 5000, r_max))
+    z, res = kernels.newton(h.eval_array, h.deriv_array, ws, 0j)
+    z_ref, res_ref = _newton_without_stall_exit(h.eval_array, h.deriv_array, ws, 0j)
+    ok = res <= kernels.NEWTON_TOL
+    assert np.array_equal(ok, res_ref <= kernels.NEWTON_TOL)
+    assert np.array_equal(z[ok], z_ref[ok]) and np.array_equal(res[ok], res_ref[ok])
+
+
+def test_normalized_map_inverts_through_its_base_map():
+    """normalize_at(koebe, x0) inverts as phi(h^-1(h(x0) + scale w)), by
+    Koebe's closed form: all 100 points round-trip, where damped Newton on
+    the normalized map from 0 leaves 5 of them NaN."""
+    g = normalize_at(UnivalentMap.koebe(), 0.3 + 0.2j)
+    xs, _ = sample_ball(BallSpace(2.0, 1), 100, np.random.default_rng(47))
+    xs = 0.8 * xs
+    ws = g.eval_array(xs)
+    back = g.invert_array(ws)
+    assert not np.isnan(back).any()
+    assert np.max(np.abs(back - xs)) <= 1e-13
+    assert np.count_nonzero(np.isnan(newton_invert(g, ws))) == 5
+    assert abs(invert_map(g, g.eval(0.5 - 0.1j)) - (0.5 - 0.1j)) <= 1e-13
 
 
 # ------------------------------------------------------------ automorphism
