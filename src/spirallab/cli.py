@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -37,28 +38,26 @@ class UsageError(ValueError):
 
 
 def _parse_complex(s):
-    parts = str(s).split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise UsageError(f"cannot parse complex value {s!r} (expected re,im)")
+    vals = _parse_floats(s)
+    if len(vals) > 2:
+        raise UsageError(f"cannot parse complex value {s!r} (expected re,im)")
+    return complex(*vals)
 
 
 def _parse_floats(s):
     try:
-        return [float(v) for v in str(s).split(",")]
+        vals = [float(v) for v in str(s).split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse number list {s!r}")
+        vals = [math.nan]
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"cannot parse finite number list {s!r}")
+    return vals
 
 
 def _parse_grid(s):
     parts = str(s).split(",")
-    if len(parts) != 2:
-        raise UsageError(f"grid must be NR,NT, got {s!r}")
+    if len(parts) != 2 or not all(p.strip().isdigit() and int(p) >= 1 for p in parts):
+        raise UsageError(f"grid must be NR,NT with NR, NT >= 1, got {s!r}")
     return int(parts[0]), int(parts[1])
 
 

@@ -28,8 +28,8 @@ class BallSpace:
     p: float | None = None
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
+        if not 1 <= self.r < np.inf:
+            raise ValueError(f"r must be finite and >= 1, got {self.r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.y_norm not in ("euclidean", "sup", "p_norm"):
@@ -45,9 +45,11 @@ class BallSpace:
             return np.max(np.abs(y), axis=-1)
         return np.sum(np.abs(y) ** self.p, axis=-1) ** (1.0 / self.p)
 
-    def gauge(self, x, y, scale=1.0):
-        """|x|^2 + ||y||^r / scale; scale = |h'(x)| gives the gauge of H^-1(h(x), y)."""
-        return np.abs(x) ** 2 + self.norm(y) ** self.r / scale
+    def fibre(self, y):
+        return self.norm(y) ** self.r  # ||y||^r, the fibre term of the gauge
+
+    def gauge(self, x, y):
+        return np.abs(x) ** 2 + self.fibre(y)
 
 
 class DegreeMismatch(ValueError):
@@ -202,23 +204,21 @@ def conjugated_action(A: SpiralMatrix, Q: HomogeneousPolynomial, t, z, w):
 def membership_H(h, space: BallSpace, z, w, guess=0j):
     """Is (z, w) in the image of the unperturbed extension?  False (not an
     exception) when the first-coordinate inversion fails."""
-    return bool(membership_H_arrays(h, space, np.asarray([z]), np.reshape(w, (1, -1)),
-                                    guess)[0])
+    return bool(membership_H_arrays(h, space, np.asarray([z]), space.fibre(w), guess)[0])
 
 
-def membership_H_arrays(h, space: BallSpace, zs, ws, guess=0j):
+def membership_H_arrays(h, space: BallSpace, zs, fibre, guess=0j):
     """Membership of the points (zs[i], ws[i]) in the image of the unperturbed
-    extension, a boolean array.  The preimage x = h^-1(z), y = w / h'(x)^(1/r)
-    has gauge |x|^2 + ||w||^r / |h'(x)| on every branch of the root.  Maps
-    without invert_array are inverted by damped Newton; failures count as outside."""
+    extension, a boolean array, from fibre = space.fibre(ws): on every branch
+    of the root, x = h^-1(z), y = w / h'(x)^(1/r) has gauge |x|^2 + fibre /
+    |h'(x)|.  Maps without invert_array go through damped Newton; failures are outside."""
     zs = np.asarray(zs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
     invert = getattr(h, "invert_array", None)
     xs = invert(zs, guess=guess) if invert else newton_invert(h, zs, guess)
     ok = ~np.isnan(xs)
     xs = np.where(ok, xs, 0j)
     ok &= np.abs(h.eval_array(xs) - zs) <= MEMBER_RTOL * np.maximum(1.0, np.abs(zs))
-    return ok & (space.gauge(xs, ws, deriv_modulus(h, xs)) < 1.0)
+    return ok & (np.abs(xs) ** 2 + fibre / deriv_modulus(h, xs) < 1.0)
 
 
 def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
@@ -299,31 +299,30 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     mode='muir': push each extended point through the shear-conjugated linear
     action and test membership.  mode='gamma': perturb the contracted first
     coordinate along n_gamma directions at gamma_frac of the covering radius.
-    failures counts every failed membership; witnesses keeps the first
-    max_witnesses of them.
+    Both compute the fibre term ||w||^r once per time.  failures counts
+    every failed membership; witnesses keeps the first max_witnesses of them.
     """
-    if mode not in ("muir", "gamma"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("muir", "gamma") or n_samples < 1:
+        raise ValueError(f"need mode muir or gamma and n_samples >= 1, got {mode!r}, {n_samples}")
     A = SpiralMatrix(complex(mu), complex(lam), space.r)
     rng = np.random.default_rng(seed)
     xs, ys = sample_ball(space, n_samples, rng)
     zs, ws = extend_H_arrays(h, space, xs, ys)
-    failures = 0
-    witnesses = []
-    checked = 0
+    failures, checked, witnesses = 0, 0, []
     for t in times:
         if mode == "muir":
-            probes = [conjugated_action(A, Q, t, zs, ws)]
+            z, w = conjugated_action(A, Q, t, zs, ws)
+            probes = [(z, space.fibre(w))]
         else:
-            z1, w1 = semigroup_action(A, t, zs, ws)
-            probes = _gamma_probes(z1, w1, gamma_frac * covering_radius_Rt(h, A, t, zs),
-                                   n_gamma)
-        for z, w in probes:
-            ok = membership_H_arrays(h, space, z, w)
+            z, w = semigroup_action(A, t, zs, ws)
+            probes = _gamma_probes(z, space.fibre(w),
+                                   gamma_frac * covering_radius_Rt(h, A, t, zs), n_gamma)
+        for z, fibre in probes:
+            ok = membership_H_arrays(h, space, z, fibre)
             bad = np.flatnonzero(~ok)
             checked += ok.size
             failures += bad.size
-            witnesses += [{"t": t, "z": _ri(z[i]), "w": _ri_vec(w[i])}
+            witnesses += [{"t": t, "z": _ri(z[i]), "w": _ri_vec(w[i % len(w)])}
                           for i in bad[:max_witnesses]]
     return {
         "mode": mode,
@@ -336,17 +335,15 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     }
 
 
-def _gamma_probes(z1, w1, step, n_gamma):
-    """The probes (z1 + step e^(2 pi i k / n_gamma), w1) in blocks of whole
-    directions k, direction-major, each of at most SWEEP_BLOCK points; a
-    sweep larger than that gets one direction a block, so the n_gamma copies
-    are never all held."""
+def _gamma_probes(z1, fibre, step, n_gamma):
+    """The probes z1 + step e^(2 pi i k / n_gamma) with their fibre term, in
+    blocks of whole directions k, direction-major, of at most SWEEP_BLOCK
+    points (one direction a block when z1 is larger: never all n_gamma copies)."""
     per = max(1, kernels.SWEEP_BLOCK // max(1, z1.size))
     for k0 in range(0, n_gamma, per):
         ks = range(k0, min(k0 + per, n_gamma))
         dirs = np.array([[np.exp(2j * np.pi * k / n_gamma)] for k in ks])
-        # w1 itself for one direction: a fresh copy of a large w costs page faults
-        yield (z1 + step * dirs).ravel(), (w1 if len(ks) == 1 else np.tile(w1, (len(ks), 1)))
+        yield (z1 + step * dirs).ravel(), np.tile(fibre, len(ks))
 
 
 def _ri(z):

@@ -28,8 +28,8 @@ NEWTON_TOL = 1e-12
 DISK_CLAMP = 1.0 - 1e-9
 SWEEP_BLOCK = 4096  # grid points per sweep block: the temporaries stay in L2
 SPIRAL_TAU = 8.0     # spiral_newton starts at e^(-mu SPIRAL_TAU) w
-SPIRAL_STEPS = 12    # its first path resolution, doubled up to SPIRAL_MAX_STEPS
-SPIRAL_MAX_STEPS = 384
+SPIRAL_STEPS = 12    # its path steps, each of SPIRAL_MAX_STEPS // SPIRAL_STEPS
+SPIRAL_MAX_STEPS = 384  # intervals of tau; a failing entry halves its own step
 
 
 def horner(c, z):
@@ -216,23 +216,25 @@ def spiral_newton(F, dF, w, mu, d0):
     """Solve F(z) = w along the spiral e^(-mu tau) w, tau from SPIRAL_TAU down
     to 0, for a map with F(0) = 0, F'(0) = d0 whose image is mu-spirallike:
     the spiral then stays in F(D) and runs to F(0), so each warm-started
-    ``newton`` solve starts next to its root.  The path starts at
-    z = e^(-mu SPIRAL_TAU) w / d0; entries left above NEWTON_TOL at tau = 0
-    walk it again with twice the steps, up to SPIRAL_MAX_STEPS.
-    Returns (z, |F(z) - w|) in the shape of w.
+    ``newton`` solve starts next to its root.  From e^(-mu SPIRAL_TAU) w / d0
+    the path has SPIRAL_MAX_STEPS nodes; an entry whose solve at its next node
+    stays above NEWTON_TOL halves its step from its last converged node, down
+    to one node, where a failed solve goes on from its iterate as a plain walk
+    does.  Returns (z, |F(z) - w|) in the shape of w.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    wf = w.ravel()
-    z, res = np.empty_like(wf), np.empty(wf.size)
-    todo, steps = np.arange(wf.size), SPIRAL_STEPS
-    while todo.size and steps <= SPIRAL_MAX_STEPS:
-        wa = wf[todo]
-        za = np.exp(-mu * SPIRAL_TAU) * wa / d0
-        for tau in np.linspace(SPIRAL_TAU, 0.0, steps + 1):
-            za, ra = newton(F, dF, np.exp(-mu * tau) * wa, za)
-        z[todo], res[todo] = za, ra
-        todo, steps = todo[ra > NEWTON_TOL], 2 * steps
-    return z.reshape(w.shape), res.reshape(w.shape)
+    wf = np.asarray(w, dtype=complex).ravel()
+    rot = np.exp(-mu * np.linspace(SPIRAL_TAU, 0.0, SPIRAL_MAX_STEPS + 1))
+    z, res = newton(F, dF, rot[0] * wf, rot[0] * wf / d0)
+    node, step = np.zeros(wf.size, dtype=int), np.full(wf.size, SPIRAL_MAX_STEPS // SPIRAL_STEPS)
+    act = np.arange(wf.size)
+    while act.size:
+        nxt = node[act] + step[act]
+        za, ra = newton(F, dF, rot[nxt] * wf[act], z[act])
+        go = (ra <= NEWTON_TOL) | (step[act] == 1)  # a failed one-node step goes on
+        z[act[go]], node[act[go]], res[act] = za[go], nxt[go], ra
+        step[act[~go]] //= 2
+        act = act[node[act] < SPIRAL_MAX_STEPS]
+    return z.reshape(np.shape(w)), res.reshape(np.shape(w))
 
 
 def solve(F, dF, w, guess, mu=None):

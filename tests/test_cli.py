@@ -260,16 +260,46 @@ def test_bad_times_and_counts_exit_2(tmp_path, capsys, argv):
     ("--mu", "1,0", "--lambda", "1,0", "--times=-0.5,1", "--mode", "gamma"),
     ("--mu", "1,0", "--lambda", "1,0", "--Q", "cubic"),
     ("--mu", "1,0", "--lambda", "1,0", "--Q", "cubic", "--mode", "gamma"),
+    ("--mu", "1,0", "--lambda", "1,0", "--times", "nan"),
+    ("--mu", "1,0", "--lambda", "1,0", "--times", "0.5,inf", "--mode", "gamma"),
+    ("--mu", "1,0", "--lambda", "1,0", "--samples", "0"),
+    ("--mu", "1,0", "--lambda", "1,0", "--samples=-5", "--mode", "gamma"),
+    ("--mu", "nan,0", "--lambda", "1,0"),
+    ("--mu", "1,0", "--lambda", "1,0", "--r", "inf"),
+    ("--mu", "1,0", "--lambda", "1,0", "--r", "nan"),
 ], ids=["negative_mu", "imaginary_mu", "negative_lambda", "negative_time_muir",
-        "negative_time_gamma", "Q_degree_muir", "Q_degree_gamma"])
+        "negative_time_gamma", "Q_degree_muir", "Q_degree_gamma", "nan_time", "inf_time",
+        "no_samples", "negative_samples", "nan_mu", "inf_r", "nan_r"])
 def test_extend_rejects_invalid_action(tmp_path, capsys, extra):
-    """Re mu <= 0, Re lambda <= 0, a negative time or a Q whose degree is not r
-    is an input error (exit 2, no report), not a verdict on the points the
-    invalid action moves."""
+    """Re mu <= 0, Re lambda <= 0, a negative or non-finite time, a Q whose
+    degree is not r, a non-finite mu or r or fewer than one sample is an input error
+    (exit 2, no report), not a verdict on the points the invalid action moves
+    or on no points at all."""
     q = tmp_path / "q3.json"
     q.write_text(json.dumps({"degree": 3, "terms": [{"exps": [3], "coef": [0.2, 0]}]}))
     extra = [str(q) if a == "cubic" else a for a in extra]
     code, rep = run(tmp_path, "extend", "--fn", "koebe", "--r", "1", *extra)
+    assert code == 2
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("covering", "--fn", "koebe", "--x0", "0.1,0", "--alpha", "0.5", "--grid", "10,-1"),
+    ("covering", "--fn", "koebe", "--x0", "0.1,0", "--alpha", "0.5", "--grid", "0,10"),
+    ("covering", "--fn", "koebe", "--x0", "0.1,0", "--alpha", "0.5", "--grid", "10"),
+    ("covering", "--fn", "koebe", "--x0", "nan", "--alpha", "0.5"),
+    ("covering", "--fn", "koebe", "--x0", "0.1,0,0", "--alpha", "0.5"),
+    ("covering", "--fn", "half_plane", "--x0", "0.3,0", "--alpha", "0.2", "--beta", "inf"),
+    ("sharp-bound", "--lambda", "nan,1"),
+    ("sharp-bound", "--lambda", "1,inf"),
+], ids=["grid_negative", "grid_zero", "grid_one_number", "x0_nan", "x0_three_numbers",
+        "beta_inf", "lambda_nan", "lambda_inf"])
+def test_non_finite_and_empty_inputs_exit_2(tmp_path, capsys, argv):
+    """A non-finite number or an empty or non-positive grid is an input error
+    (exit 2, no report), not a traceback, a failed check or a pass over no
+    grid."""
+    code, rep = run(tmp_path, *argv)
     assert code == 2
     assert rep is None
     assert capsys.readouterr().err.startswith("error: ")

@@ -285,7 +285,7 @@ def test_membership_of_near_rim_koebe_points():
     xs = rad * np.exp(2j * np.pi * rng.uniform(size=n))
     ys = (0.5 * (1 - rad**2) * rng.uniform(size=n))[:, None] + 0j
     zs, ws = extend_H_arrays(h, sp, xs, ys)
-    assert membership_H_arrays(h, sp, zs, ws).all()
+    assert membership_H_arrays(h, sp, zs, sp.fibre(ws)).all()
 
 
 def test_membership_of_a_map_without_invert_array():
@@ -296,10 +296,10 @@ def test_membership_of_a_map_without_invert_array():
     g = types.SimpleNamespace(eval_array=n.eval_array, deriv_array=n.deriv_array)
     xs, ys = sample_ball(sp, 100, np.random.default_rng(47))
     zs, ws = extend_H_arrays(g, sp, xs, ys)
-    assert membership_H_arrays(g, sp, zs, ws).all()
+    assert membership_H_arrays(g, sp, zs, sp.fibre(ws)).all()
     # the same x with |y| = 1.01 lies outside the ball
     zs, ws = extend_H_arrays(g, sp, xs, 1.01 * ys / np.abs(ys))
-    assert not membership_H_arrays(g, sp, zs, ws).any()
+    assert not membership_H_arrays(g, sp, zs, sp.fibre(ws)).any()
 
 
 def _branch_tracked_membership(h, sp, zs, ws):
@@ -331,7 +331,7 @@ def test_membership_gauge_matches_branch_tracked_definition(h, r, norm, p):
     zs, ws = extend_H_arrays(h, sp, xs, ys)
     ok, gauge = _branch_tracked_membership(h, sp, zs, ws)
     keep = np.abs(gauge - 1.0) > 1e-12
-    assert np.array_equal(membership_H_arrays(h, sp, zs, ws)[keep], (ok & (gauge < 1.0))[keep])
+    assert np.array_equal(membership_H_arrays(h, sp, zs, sp.fibre(ws))[keep], (ok & (gauge < 1.0))[keep])
     near = keep & ok & (np.abs(gauge - 1.0) < 1e-6)
     assert (gauge[near] < 1.0).sum() > 50 and (gauge[near] > 1.0).sum() > 50
 
@@ -347,8 +347,8 @@ def test_rational_membership_does_no_path_continuation(monkeypatch):
         raise AssertionError("continued_log_deriv called")
 
     monkeypatch.setattr(families, "continued_log_deriv", no_continuation)
-    assert membership_H_arrays(RATIONAL, sp, zs, ws).all()
-    assert not membership_H_arrays(RATIONAL, sp, zo, wo).any()
+    assert membership_H_arrays(RATIONAL, sp, zs, sp.fibre(ws)).all()
+    assert not membership_H_arrays(RATIONAL, sp, zo, sp.fibre(wo)).any()
 
 
 def test_covering_radius_Rt_identity():
@@ -444,15 +444,18 @@ def test_invariance_of_a_spirallike_map_has_no_failures(mode):
     assert out["pass"] and out["failures"] == 0 and out["witnesses"] == []
 
 
-@pytest.mark.parametrize("h,mu,lam,r,m,n", [
-    (RATIONAL, 1.0, 1.0, 1.0, 2, 30),
-    (UnivalentMap.half_plane(), 1.0, 0.9 + 0.4j, 2.0, 1, 300),
-    (UnivalentMap.spiral_koebe(0.5), np.exp(0.5j), 1.0, 1.0, 1, 300),
-], ids=["rational", "half_plane", "spiral_koebe"])
-def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n,
+@pytest.mark.parametrize("h,mu,lam,r,m,n,failing", [
+    (RATIONAL, 1.0, 1.0, 1.0, 2, 30, False),
+    (UnivalentMap.half_plane(), 1.0, 0.9 + 0.4j, 2.0, 1, 300, False),
+    (UnivalentMap.spiral_koebe(0.5), np.exp(0.5j), 1.0, 1.0, 1, 300, True),
+    (UnivalentMap.spiral_koebe(0.5), np.exp(0.5j), 1.0, 1.0, 2, 30, True),
+], ids=["rational", "half_plane", "spiral_koebe", "spiral_koebe_m2"])
+def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n, failing,
                                                              monkeypatch):
     """Gamma mode probes blocks of whole directions, at most SWEEP_BLOCK points
-    a membership call: the report is the same as with one direction a call."""
+    a membership call: the report is the same as with one direction a call.
+    spiral_koebe(0.5) with mu = e^{+0.5i} fails, so the witnesses of a tiled
+    block (their w rows, m = 2 included) are compared too."""
     args = (h, mu, lam, space(r, m), HomogeneousPolynomial.zero(int(r), m),
             [0.2, 0.7, 1.5, 3.0])
     kw = dict(n_samples=n, mode="gamma", seed=9, max_witnesses=10**6)
@@ -471,7 +474,51 @@ def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n
     calls.clear()
     single = verify_invariance(*args, **kw)
     assert calls == [n] * 16 * 4
+    assert (blocked["failures"] > 0) == failing
     assert json.dumps(blocked) == json.dumps(single)
+
+
+@pytest.mark.parametrize("mode", ["muir", "gamma"])
+@pytest.mark.parametrize("n", [30, 10_000])
+def test_fibre_term_is_computed_once_per_time(mode, n, monkeypatch):
+    """The fibre term ||w||^r of the membership gauge depends on w alone, the
+    same for every gamma direction: one BallSpace.fibre call per time, on the
+    n rows of w, whether the 16 directions share a membership call (n = 30)
+    or each gets its own (n = 10 000)."""
+    calls = []
+    orig = BallSpace.fibre
+
+    def counted(self, y):
+        calls.append(np.shape(y))
+        return orig(self, y)
+
+    monkeypatch.setattr(BallSpace, "fibre", counted)
+    times = [0.2, 0.7, 1.5]
+    out = verify_invariance(UnivalentMap.half_plane(), 1.0, 0.9 + 0.4j, space(2.0, 2),
+                            q_poly(0.1, m=2), times, n_samples=n, mode=mode, seed=9)
+    assert out["checked"] == n * len(times) * (16 if mode == "gamma" else 1)
+    assert calls == [(n, 2)] * len(times)
+
+
+def test_spiral_continuation_refines_only_from_the_failed_node(monkeypatch):
+    """The muir sweep of spiral_koebe(0.5) with its own multiplier (50 samples,
+    seed 42, the CLI's default times) has entries whose spiral path fails only
+    at its last node: each halves its own step from the node before, so the
+    sweep makes 49 newton calls (142 when such entries walked the whole path
+    again at twice the steps) and passes."""
+    calls = []
+    orig = kernels.newton
+
+    def counted(*a):
+        calls.append(np.size(a[2]))
+        return orig(*a)
+
+    monkeypatch.setattr(kernels, "newton", counted)
+    out = verify_invariance(UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), 1.0,
+                            space(1.0, 1), HomogeneousPolynomial.zero(1, 1),
+                            times=[0.1, 0.5, 1.0, 2.0], n_samples=50, mode="muir", seed=42)
+    assert out["pass"] and out["checked"] == 200
+    assert len(calls) == 49
 
 
 @pytest.mark.parametrize("mode", ["muir", "gamma"])

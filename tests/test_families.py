@@ -174,6 +174,48 @@ def test_spiral_newton_walks_the_spiral():
     assert np.max(np.abs(z - zs)) <= 1e-9
 
 
+def test_spiral_newton_keeps_the_first_path_where_it_converges():
+    """Entries that converge at every node of the SPIRAL_STEPS-step path come
+    out bit for bit as from that plain walk; the 31 others (near the rim)
+    refine their own steps from their last converged node and are solved."""
+    h = UnivalentMap.spiral_koebe(0.5)
+    mu = h.spiral_multiplier
+    ws = h.eval_array(random_disk(np.random.default_rng(3), 3000, 0.99))
+    walked, every = np.exp(-mu * kernels.SPIRAL_TAU) * ws, np.ones(ws.shape, bool)
+    for tau in np.linspace(kernels.SPIRAL_TAU, 0.0, kernels.SPIRAL_STEPS + 1):
+        walked, res = kernels.newton(h.eval_array, h.deriv_array, np.exp(-mu * tau) * ws, walked)
+        every &= res <= kernels.NEWTON_TOL
+    z, res = kernels.spiral_newton(h.eval_array, h.deriv_array, ws, mu, 1.0)
+    assert (~every).sum() == 31
+    assert np.array_equal(z[every], walked[every])
+    assert np.all(res <= kernels.NEWTON_TOL)
+
+
+def test_spiral_newton_goes_on_in_one_node_steps_past_a_failing_node(monkeypatch):
+    """w = -1 lies off the image of the Koebe map, the plane minus
+    (-inf, -1/4], and its path e^(-tau) w leaves the image at tau = log 4: the
+    entry halves its step there down to one node, then walks the 67 nodes left
+    one at a time, each from the last failed iterate, and reports its residual
+    at w itself; w = 1 is solved."""
+    h = UnivalentMap.koebe()
+    w = np.array([-1.0, 1.0]) + 0j
+    taus = []
+    orig = kernels.newton
+
+    def counted(F, dF, target, z0):
+        taus.append(-np.log(np.abs(target[0])))
+        return orig(F, dF, target, z0)
+
+    monkeypatch.setattr(kernels, "newton", counted)
+    z, res = kernels.spiral_newton(h.eval_array, h.deriv_array, w, 1.0, 1.0)
+    nodes = np.linspace(kernels.SPIRAL_TAU, 0.0, kernels.SPIRAL_MAX_STEPS + 1)
+    below = nodes[nodes < np.log(4.0)]
+    assert below.size == 67
+    assert np.allclose(taus[-67:], below, atol=1e-12)
+    assert res[0] == np.abs(h.eval_array(z[:1]) - w[0])[0] > kernels.NEWTON_TOL
+    assert abs(z[1] - (3.0 - np.sqrt(5.0)) / 2.0) < 1e-12 and res[1] <= kernels.NEWTON_TOL
+
+
 def test_newton_stalled_entry_leaves_after_one_bottomed_out_halving():
     """An entry whose Newton step never lowers the residual leaves after one
     full halving (25 trial steps, down to 2^-24) and keeps its iterate; the

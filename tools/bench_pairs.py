@@ -16,7 +16,9 @@ when the working tree has uncommitted edits.  Both sides run their own
 
 - ``--pairs W:S:N`` runs N pairs of ``--trace 0`` runs of workload W at seed S,
   alternating which side runs first, and summarises every end-to-end metric of
-  ``BENCHMARK.json``: each side's quartiles and the pairs the change won.
+  ``BENCHMARK.json``: each side's quartiles and the pairs the change won,
+  plus each side's worst failed share (failed/attempted) and whether every
+  run was correct.
 - ``--traced W:S`` runs one ``--trace 1`` run of each side.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
@@ -186,8 +188,15 @@ def quartiles(xs):
 
 
 def summarize(runs, end_to_end):
-    """Quartiles of each side and the pairs the change won, per metric."""
-    out = {}
+    """Quartiles of each side and the pairs the change won, per metric; and
+    per side, the largest failed share (failed/attempted) of any run and
+    whether every run was correct."""
+    out = {
+        "failed_share_worst": {side: max(r[side]["failed"] / max(1, r[side]["attempted"])
+                                         for r in runs) for side in ("parent", "change")},
+        "all_correct": {side: all(r[side]["correct"] for r in runs)
+                        for side in ("parent", "change")},
+    }
     for m in end_to_end:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
         par = [r["parent"]["metrics"][name]["value"] for r in runs]
