@@ -71,33 +71,27 @@ def _load_json(path):
         raise UsageError(f"malformed JSON in {path}: {e}")
 
 
+def _load_spec(arg, build, what):
+    """build(spec) of the JSON spec at arg; a KeyError or ValueError from build is a
+    usage error."""
+    spec = _load_json(arg)
+    try:
+        return build(spec)
+    except (KeyError, ValueError) as e:
+        raise UsageError(f"bad {what} spec {arg}: {e}")
+
+
 def _load_map(arg):
     if arg in FAMILY_SHORTCUTS:
         return UnivalentMap.from_spec({"family": arg})
-    spec = _load_json(arg)
-    try:
-        return UnivalentMap.from_spec(spec)
-    except (KeyError, ValueError) as e:
-        raise UsageError(f"bad function spec {arg}: {e}")
-
-
-def _load_generator(arg):
-    spec = _load_json(arg)
-    try:
-        return semigroups.Generator.from_spec(spec)
-    except (KeyError, ValueError) as e:
-        raise UsageError(f"bad generator spec {arg}: {e}")
+    return _load_spec(arg, UnivalentMap.from_spec, "function")
 
 
 def _load_poly(arg, m, r):
     """The degree-r polynomial spec at arg, or the zero polynomial of degree int(r)."""
     if arg is None:
         return extensions.HomogeneousPolynomial.zero(int(r), m)
-    spec = _load_json(arg)
-    try:
-        q = extensions.HomogeneousPolynomial.from_spec(spec)
-    except (KeyError, ValueError) as e:
-        raise UsageError(f"bad polynomial spec {arg}: {e}")
+    q = _load_spec(arg, extensions.HomogeneousPolynomial.from_spec, "polynomial")
     if q.m != m:
         raise UsageError(f"polynomial has {q.m} variables, expected m={m}")
     if q.degree != r:
@@ -105,32 +99,19 @@ def _load_poly(arg, m, r):
     return q
 
 
-def _base_report(args, sub):
-    echo = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    return {
-        "schema": report.SCHEMA,
-        "tool_version": __version__,
-        "subcommand": sub,
-        "inputs": {k: str(v) for k, v in sorted(echo.items())},
-    }
-
-
-def _finish(payload, out, t0, passed):
-    payload["pass"] = bool(passed)
-    payload["timing_s"] = time.time() - t0
-    payload["determinism_hash"] = report.determinism_hash(payload)
-    if out:
-        report.write_report(out, payload)
-    else:
-        report.dump(payload, sys.stdout)
-    return 0 if passed else 1
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # -- subcommands ------------------------------------------------------------
+# Each returns (findings, passed): the report keys of its own claim.  main
+# wraps them in the report envelope, times, hashes and writes the report.
 
 
 def cmd_covering(args):
-    t0 = time.time()
     h = _load_map(args.fn)
     grid = _parse_grid(args.grid)
     x0 = _parse_complex(args.x0)
@@ -142,70 +123,49 @@ def cmd_covering(args):
     if args.dump_region:
         spec = covering.OmegaSpec.build(h, x0, args.alpha)
         pts, inside = covering.omega_region_points(h, spec)
-        with open(args.dump_region, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x_re", "x_im", "in_omega"])
-            for p, i in zip(pts, inside):
-                w.writerow([p.real, p.imag, int(i)])
-    payload = _base_report(args, "covering")
-    payload.update(rep.to_dict())
-    return _finish(payload, args.out, t0, rep.passed)
+        _write_csv(args.dump_region, ["x_re", "x_im", "in_omega"],
+                   ([p.real, p.imag, int(i)] for p, i in zip(pts, inside)))
+    return rep.to_dict(), rep.passed
 
 
 def cmd_koenigs(args):
-    t0 = time.time()
-    gen = _load_generator(args.gen)
+    if args.grid < 1:
+        raise UsageError(f"--grid must be >= 1, got {args.grid}")
+    gen = _load_spec(args.gen, semigroups.Generator.from_spec, "generator")
     h = semigroups.koenigs(gen)
-    n = args.grid
-    r = np.linspace(0.1, 0.9, max(n // 8, 2))
+    r = np.linspace(0.1, 0.9, max(args.grid // 8, 2))
     th = 2.0 * np.pi * np.arange(8) / 8
     zs = (r[:, None] * np.exp(1j * th[None, :])).ravel()
     hv = h.eval_array(zs)
-    dv = h.deriv_array(zs)
-    fv = gen.f(zs)
-    resid = float(np.max(np.abs(dv * fv - gen.mu * hv)))
+    resid = float(np.max(np.abs(h.deriv_array(zs) * gen.f(zs) - gen.mu * hv)))
     if args.out_csv:
-        with open(args.out_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["z_re", "z_im", "h_re", "h_im"])
-            for z, v in zip(zs, hv):
-                w.writerow([z.real, z.imag, v.real, v.imag])
-    payload = _base_report(args, "koenigs")
-    payload["linearization_residual"] = resid
-    payload["n_samples"] = int(zs.size)
-    return _finish(payload, args.out, t0, resid <= 1e-8)
+        _write_csv(args.out_csv, ["z_re", "z_im", "h_re", "h_im"],
+                   ([z.real, z.imag, v.real, v.imag] for z, v in zip(zs, hv)))
+    return {"linearization_residual": resid, "n_samples": int(zs.size)}, resid <= 1e-8
 
 
 def cmd_flow(args):
-    t0 = time.time()
-    gen = _load_generator(args.gen)
+    gen = _load_spec(args.gen, semigroups.Generator.from_spec, "generator")
     res = semigroups.flow(gen, _parse_complex(args.z0), args.t)
-    payload = _base_report(args, "flow")
-    payload["endpoint"] = [res.endpoint.real, res.endpoint.imag]
-    payload["steps"] = res.steps
-    payload["local_error_estimate"] = res.local_error_estimate
-    return _finish(payload, args.out, t0, True)
+    return {"endpoint": [res.endpoint.real, res.endpoint.imag], "steps": res.steps,
+            "local_error_estimate": res.local_error_estimate}, True
 
 
 def cmd_spiral_check(args):
-    t0 = time.time()
-    payload = _base_report(args, "spiral-check")
     if args.gen:
-        gen = _load_generator(args.gen)
+        gen = _load_spec(args.gen, semigroups.Generator.from_spec, "generator")
         margin = semigroups.berkson_porta_margin(gen)
-        payload["criterion"] = "berkson_porta"
+        criterion = "berkson_porta"
     else:
         if not args.fn or args.mu is None:
             raise UsageError("spiral-check needs --fn with --mu, or --gen")
         h = _load_map(args.fn)
         margin = semigroups.spirallike_margin(h, _parse_complex(args.mu))
-        payload["criterion"] = "spirallike_margin"
-    payload["margin"] = margin
-    return _finish(payload, args.out, t0, margin >= -1e-9)
+        criterion = "spirallike_margin"
+    return {"criterion": criterion, "margin": margin}, margin >= -1e-9
 
 
 def cmd_extend(args):
-    t0 = time.time()
     h = _load_map(args.fn)
     space = extensions.BallSpace(r=args.r, m=args.m)
     q = _load_poly(args.Q, args.m, args.r)
@@ -215,50 +175,35 @@ def cmd_extend(args):
     rep = extensions.verify_invariance(
         h, mu, lam, space, q, times, n_samples=args.samples,
         mode=args.mode, seed=args.seed)
-    payload = _base_report(args, "extend")
-    payload.update(rep)
     # the bound is exact for at most one term; only a sum of terms is sampled
-    payload["sup_norm_Q"] = (extensions.sup_norm_Q_bound(q, space) if len(q.terms) <= 1
-                             else extensions.sup_norm_Q(q, space, samples=20_000,
-                                                        seed=args.seed))
-    payload["bound"] = 0.25 * lam.real / abs(lam)
-    return _finish(payload, args.out, t0, rep["pass"])
+    sup_q = (extensions.sup_norm_Q_bound(q, space) if len(q.terms) <= 1
+             else extensions.sup_norm_Q(q, space, samples=20_000, seed=args.seed))
+    return {**rep, "sup_norm_Q": sup_q, "bound": 0.25 * lam.real / abs(lam)}, rep["pass"]
 
 
 def cmd_sharp_bound(args):
-    t0 = time.time()
     p = sharp_bound.SharpParams(lam=_parse_complex(args.lam), r=args.r)
-    inf = sharp_bound.infimum_f(p, t_max=args.tmax)
+    inf = sharp_bound.infimum_f(p)
     ineq = sharp_bound.verify_cor_inequality(p)
     t_tail = 50.0 / (p.a * p.r)
     tail = float(sharp_bound.f_sharp(p, t_tail))
     if args.dump_curve:
         ts = np.geomspace(1e-6, t_tail, 2000)
-        vals = sharp_bound.f_sharp(p, ts)
-        with open(args.dump_curve, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "f"])
-            for t, v in zip(ts, vals):
-                w.writerow([t, v])
-    payload = _base_report(args, "sharp-bound")
-    payload["infimum"] = inf
-    payload["limit_zero"] = p.limit_zero
-    payload["inequality_margin"] = ineq
-    payload["f_at_tmax"] = tail
+        _write_csv(args.dump_curve, ["t", "f"], zip(ts, sharp_bound.f_sharp(p, ts)))
     ok = (inf >= p.limit_zero - 1e-9
           and abs(inf - p.limit_zero) <= 1e-3
           and (ineq["min_margin"] > 0 if p.b != 0 else abs(ineq["min_margin"]) < 1e-12)
           and abs(tail - 1.0) <= 1e-6)
-    return _finish(payload, args.out, t0, ok)
+    return {"infimum": inf, "limit_zero": p.limit_zero, "inequality_margin": ineq,
+            "f_at_tmax": tail}, ok
 
 
 def cmd_gen_extend(args):
-    t0 = time.time()
     if args.samples < 1 or args.flows < 0:
         raise UsageError("gen-extend needs --samples >= 1 and --flows >= 0")
     if not 0 <= args.T < np.inf:
         raise UsageError(f"--T must be finite and >= 0, got {args.T}")
-    gen = _load_generator(args.gen)
+    gen = _load_spec(args.gen, semigroups.Generator.from_spec, "generator")
     lam = _parse_complex(args.lam)
     space = extensions.BallSpace(r=args.r, m=args.m)
     q = _load_poly(args.Q, args.m, args.r)
@@ -272,19 +217,13 @@ def cmd_gen_extend(args):
     exits = int(np.sum(flow.exited))
     if args.dump_traj:
         ts = flow.t.tolist()
-        with open(args.dump_traj, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x_re", "x_im"]
-                       + [f"y{k}_{p}" for k in range(space.m) for p in ("re", "im")])
-            w.writerows([ts[k]] + flow.v[k, i].view(float).tolist()
-                        for i, n in enumerate(flow.reached) for k in range(n))
-    payload = _base_report(args, "gen-extend")
-    payload["conjugation_residual"] = resid
-    payload["dh_identity_residual"] = dh_res
-    payload["ball_exits"] = exits
-    payload["flows"] = min(args.flows, len(xs))
-    ok = resid <= 1e-8 and dh_res <= 1e-9 and exits == 0
-    return _finish(payload, args.out, t0, ok)
+        _write_csv(args.dump_traj, ["t", "x_re", "x_im"]
+                   + [f"y{k}_{p}" for k in range(space.m) for p in ("re", "im")],
+                   ([ts[k]] + flow.v[k, i].view(float).tolist()
+                    for i, n in enumerate(flow.reached) for k in range(n)))
+    findings = {"conjugation_residual": resid, "dh_identity_residual": dh_res,
+                "ball_exits": exits, "flows": min(args.flows, len(xs))}
+    return findings, resid <= 1e-8 and dh_res <= 1e-9 and exits == 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -349,7 +288,6 @@ def build_parser():
     b = sub.add_parser("sharp-bound", help="tightness of the perturbation bound")
     b.add_argument("--lambda", dest="lam", required=True)
     b.add_argument("--r", type=int, default=1)
-    b.add_argument("--tmax", type=float)
     b.add_argument("--dump-curve", dest="dump_curve")
     b.add_argument("--out")
     b.set_defaults(func=cmd_sharp_bound)
@@ -386,8 +324,25 @@ def _glue_negative_values(argv):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    t0 = time.time()
     try:
-        return args.func(args)
+        findings, passed = args.func(args)
+        echo = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+        payload = {
+            "schema": report.SCHEMA,
+            "tool_version": __version__,
+            "subcommand": args.cmd,
+            "inputs": {k: str(v) for k, v in sorted(echo.items())},
+            **findings,
+            "pass": bool(passed),
+            "timing_s": time.time() - t0,
+        }
+        payload["determinism_hash"] = report.determinism_hash(payload)
+        if args.out:
+            report.write_report(args.out, payload)
+        else:
+            report.dump(payload, sys.stdout)
+        return 0 if passed else 1
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -83,12 +83,10 @@ def _min_distance(h, threshold, center, grid):
                                 *grid, BOUNDARY_EPS)
 
 
-def verify_covering_bound(h, x0, alpha, grid=(400, 400)):
-    """Check: h(Omega_alpha) covers radius (1-alpha)/4 |h'(x0)|(1-|x0|^2)
-    around h(x0)."""
-    spec = OmegaSpec.build(h, x0, alpha)
-    predicted = (1.0 - alpha) / 4.0 * abs(h.deriv(spec.x0)) * (1.0 - abs(spec.x0) ** 2)
-    center = h.eval(spec.x0)
+def _verdict(h, spec, center, predicted, grid, secondary):
+    """Sweep h of the complement of Omega_alpha against the disk of radius
+    predicted around center; a secondary bound (or None) must not exceed it."""
+    chain_ok = secondary is None or predicted >= secondary - 1e-12
     best, witness, bmin, n_out = _min_distance(h, spec.threshold, center, grid)
     measured = min(best, bmin)
     tol = grid_tolerance(predicted)
@@ -96,12 +94,22 @@ def verify_covering_bound(h, x0, alpha, grid=(400, 400)):
         predicted_radius=predicted,
         measured_radius_lower=measured,
         center=center,
-        passed=measured >= predicted - tol,
+        passed=chain_ok and measured >= predicted - tol,
         grid=tuple(grid),
         min_witness=witness if n_out else complex(np.nan, np.nan),
         tolerance=tol,
+        secondary_radius=secondary,
         complement_points=n_out,
+        reason=None if chain_ok else "radius_chain_violated",
     )
+
+
+def verify_covering_bound(h, x0, alpha, grid=(400, 400)):
+    """Check: h(Omega_alpha) covers radius (1-alpha)/4 |h'(x0)|(1-|x0|^2)
+    around h(x0)."""
+    spec = OmegaSpec.build(h, x0, alpha)
+    predicted = (1.0 - alpha) / 4.0 * abs(h.deriv(spec.x0)) * (1.0 - abs(spec.x0) ** 2)
+    return _verdict(h, spec, h.eval(spec.x0), predicted, grid, None)
 
 
 def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
@@ -120,22 +128,7 @@ def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
     d1 = abs(h.deriv(x1)) * (1.0 - abs(x1) ** 2)
     predicted = (abs(beta) - alpha) / (4.0 * abs(beta)) * d1
     secondary = (abs(beta) - alpha) / 4.0 * abs(h.deriv(x0)) * (1.0 - abs(x0) ** 2)
-    chain_ok = predicted >= secondary - 1e-12
-    best, witness, bmin, n_out = _min_distance(h, spec.threshold, center, grid)
-    measured = min(best, bmin)
-    tol = grid_tolerance(predicted)
-    return CoveringReport(
-        predicted_radius=predicted,
-        measured_radius_lower=measured,
-        center=center,
-        passed=chain_ok and measured >= predicted - tol,
-        grid=tuple(grid),
-        min_witness=witness if n_out else complex(np.nan, np.nan),
-        tolerance=tol,
-        secondary_radius=secondary,
-        complement_points=n_out,
-        reason=None if chain_ok else "radius_chain_violated",
-    )
+    return _verdict(h, spec, center, predicted, grid, secondary)
 
 
 def omega_region_points(h, spec: OmegaSpec, grid=(100, 100)):

@@ -18,6 +18,7 @@ INTERIOR_MARGIN = 1e-3
 # a preimage x of z counts when |h(x) - z| <= MEMBER_RTOL * max(1, |z|): near
 # the rim |h| grows without bound and rounding alone exceeds an absolute 1e-8
 MEMBER_RTOL = 1e-8
+ASCENT_STARTS = 10  # the best sphere samples sup_norm_Q ascends from
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ def sample_ball(space: BallSpace, n, rng, margin=INTERIOR_MARGIN):
 
 
 def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=100_000,
-               seed=0, ascent_steps=50, top=10):
+               seed=0, ascent_steps=50):
     """Estimate of sup_{||y||=1} |Q(y)|: random sphere sweep plus projected
     gradient ascent from the best starts.  An estimate, not a certificate."""
     if not Q.terms:
@@ -259,7 +260,7 @@ def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=100_000,
     best = float(np.max(vals))
     # projected gradient ascent of every start at once, each with its own step;
     # a start whose ascent direction vanishes stays put from then on
-    y = ys[np.argsort(vals)[-top:]]
+    y = ys[np.argsort(vals)[-ASCENT_STARTS:]]
     step = np.full(len(y), 0.1)
     val = np.abs(Q.eval(y))
     for _ in range(ascent_steps):

@@ -15,6 +15,8 @@ from . import ode
 from .extensions import BallSpace, HomogeneousPolynomial, sup_norm_Q, sup_norm_Q_bound
 from .semigroups import Generator
 
+CHECKPOINTS = 50  # recorded states of each ball flow after its start
+
 
 class UnresolvedSingularity(RuntimeError):
     pass
@@ -172,7 +174,7 @@ class BallFlow:
         return self.reached < len(self.t)
 
 
-def flow_ball(g: ExtendedGenerator, x, y, T, tol=1e-10, checkpoints=50):
+def flow_ball(g: ExtendedGenerator, x, y, T):
     """Integrate d(x,y)/dt = -fhat(x,y) over [0, T] from every start (x[i],
     y[i]) at once, as one (n, m+1) state, recording checkpoints from the
     integrator's dense output.
@@ -189,20 +191,20 @@ def flow_ball(g: ExtendedGenerator, x, y, T, tol=1e-10, checkpoints=50):
     def inside(v):
         return space.gauge(v[:, 0], v[:, 1:]) < 1.0
 
-    dt = T / checkpoints
+    dt = T / CHECKPOINTS
     # summed in sequence, the checkpoint times of a running t += dt; t[-1] can
     # differ from T by rounding, so the integration ends at t[-1]
-    t = np.cumsum(np.r_[0.0, np.full(checkpoints, dt)])
-    v = np.full((checkpoints + 1, len(x), space.m + 1), np.nan, dtype=complex)
+    t = np.cumsum(np.r_[0.0, np.full(CHECKPOINTS, dt)])
+    v = np.full((CHECKPOINTS + 1, len(x), space.m + 1), np.nan, dtype=complex)
     v[0, :, 0], v[0, :, 1:] = x, y
     reached = np.ones(len(x), dtype=int)
     live = np.flatnonzero(inside(v[0]))
     s = 0  # the checkpoint the live starts go on from
     while live.size:
         try:
-            v[s:, live], _, _ = ode.integrate(rhs, v[s, live], t[-1] - t[s], tol=tol,
+            v[s:, live], _, _ = ode.integrate(rhs, v[s, live], t[-1] - t[s],
                                               domain=inside, t_eval=t[s:] - t[s])
-            reached[live] = checkpoints + 1
+            reached[live] = CHECKPOINTS + 1
             break
         except ode.LeftDomain as e:
             k = s + len(e.dense)

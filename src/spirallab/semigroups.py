@@ -88,19 +88,19 @@ class Generator:
         }
 
 
-def disk_grid(n_r=40, n_t=64, r_max=1.0 - 1e-3):
-    r = np.linspace(r_max / n_r, r_max, n_r)
-    t = 2.0 * np.pi * np.arange(n_t) / n_t
+def disk_grid():
+    """The margins' sample grid: 40 radii up to 1 - 1e-3 by 64 angles."""
+    r_max = 1.0 - 1e-3
+    r = np.linspace(r_max / 40, r_max, 40)
+    t = 2.0 * np.pi * np.arange(64) / 64
     return (r[:, None] * np.exp(1j * t[None, :])).ravel()
 
 
-def berkson_porta_margin(gen: Generator, grid=None):
-    """min over the grid of Re p(z) for f(z) = (z-tau)(1-conj(tau) z) p(z).
+def berkson_porta_margin(gen: Generator):
+    """min over the disk grid of Re p(z) for f(z) = (z-tau)(1-conj(tau) z) p(z).
 
     f is accepted as a generator when the margin is >= -1e-9."""
-    if grid is None:
-        grid = disk_grid()
-    z = np.asarray(grid, dtype=complex)
+    z = disk_grid()
     denom = (z - gen.tau) * (1.0 - np.conj(gen.tau) * z)
     fz = gen.f(z)
     near = np.abs(denom) < 1e-12
@@ -119,23 +119,23 @@ class FlowResult:
     local_error_estimate: float
 
 
-def flow(gen: Generator, z0, t, tol=1e-10):
+def flow(gen: Generator, z0, t):
     """Endpoint of dz/dt = -f(z) over [0, t] from z0, a point or an array of
     points integrated together (the system is elementwise autonomous)."""
     z0 = np.asarray(z0, dtype=complex)
     if np.any(np.abs(z0) >= 1):
         raise families.PointOutsideDisk(f"|z0| = {np.max(np.abs(z0))} >= 1")
     y, steps, err = ode.integrate(
-        lambda y: -gen.f(y), z0.ravel(), t, tol=tol,
+        lambda y: -gen.f(y), z0.ravel(), t,
         domain=lambda y: np.all(np.abs(y) < 1.0),
     )
     end = complex(y[0]) if z0.ndim == 0 else y.reshape(z0.shape)
     return FlowResult(endpoint=end, steps=steps, local_error_estimate=err)
 
 
-def flow_many(gen: Generator, z0s, t, tol=1e-10):
+def flow_many(gen: Generator, z0s, t):
     """Endpoints of the flow from a whole sample batch at once."""
-    return flow(gen, z0s, t, tol=tol).endpoint
+    return flow(gen, z0s, t).endpoint
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -356,17 +356,15 @@ def schroder_residual(h, gen: Generator, t, samples):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def spirallike_margin(h, mu, grid=None):
-    """min over the grid of Re( mu h(z) / (z h'(z)) ); value Re mu at z = 0.
+def spirallike_margin(h, mu):
+    """min over the disk grid of Re( mu h(z) / (z h'(z)) ); value Re mu at z = 0.
 
     h is accepted as mu-spirallike (interior point case, h(0)=0) when the
     margin is >= -1e-9."""
     mu = complex(mu)
     if abs(h.eval(0j)) > 1e-10:
         raise ValueError("interior-point criterion needs h(0) = 0")
-    if grid is None:
-        grid = disk_grid()
-    z = np.asarray(grid, dtype=complex)
+    z = disk_grid()
     z = z[np.abs(z) > 1e-12]
     vals = mu * h.eval_array(z) / (z * h.deriv_array(z))
     return float(min(np.min(vals.real), mu.real))

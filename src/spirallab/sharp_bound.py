@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+N_GRID = 20000  # points of each t grid: the infimum search, the margin and the root scan
+
 
 @dataclass(frozen=True)
 class SharpParams:
@@ -57,18 +59,17 @@ def f_sharp(p: SharpParams, t):
     return out if out.shape else float(out)
 
 
-def infimum_f(p: SharpParams, t_max=None, n_grid=20000):
+def infimum_f(p: SharpParams):
     """Grid + golden-section estimate of inf f; returns the known t->0 limit
     when the grid minimum sits above it (the infimum is not attained)."""
     if p.b == 0:
         return 1.0
-    if t_max is None:
-        t_max = max(50.0 / (p.a * p.r), 10.0 * 2.0 * np.pi / (abs(p.b) * p.r))
-    t = np.geomspace(1e-7 / abs(p.lam), t_max, n_grid)
+    t_max = max(50.0 / (p.a * p.r), 10.0 * 2.0 * np.pi / (abs(p.b) * p.r))
+    t = np.geomspace(1e-7 / abs(p.lam), t_max, N_GRID)
     vals = f_sharp(p, t)
     i = int(np.argmin(vals))
     lo = t[max(i - 1, 0)]
-    hi = t[min(i + 1, n_grid - 1)]
+    hi = t[min(i + 1, N_GRID - 1)]
     gmin = min(float(vals[i]), _golden_min(lambda x: f_sharp(p, x), lo, hi))
     return gmin if gmin < p.limit_zero else p.limit_zero
 
@@ -91,13 +92,11 @@ def _golden_min(fn, lo, hi, iters=80):
     return float(min(fc, fd))
 
 
-def verify_cor_inequality(p: SharpParams, t_grid=None):
+def verify_cor_inequality(p: SharpParams):
     """Margin report for (1-|e^(-r lam t)|) - |1-e^(-r lam t)| Re(lam)/|lam|.
 
     Positive everywhere for Im lambda != 0; identically zero for real lambda."""
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), 20000)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)
     e = np.exp(-p.lam * p.r * t_grid)
     margin = (1.0 - np.abs(e)) - np.abs(1.0 - e) * p.a / abs(p.lam)
     i = int(np.argmin(margin))
@@ -129,7 +128,7 @@ def _cosine_relation_gap(p: SharpParams, t):
     return abs(np.cos(b * r * t) - up / dn)
 
 
-def critical_points(p: SharpParams, window, n_scan=20000):
+def critical_points(p: SharpParams, window):
     """Interior stationary points of f in the window: roots of the
     transcendental derivative condition, located by scan + bisection.
 
@@ -139,7 +138,7 @@ def critical_points(p: SharpParams, window, n_scan=20000):
     if p.b == 0:
         raise NoRootsInWindow("f is constant for real lambda")
     lo, hi = window
-    t = np.linspace(lo, hi, n_scan)
+    t = np.linspace(lo, hi, N_GRID)
     res = _critical_residual(p, t)
     roots = []
     sign = np.sign(res)

@@ -12,6 +12,7 @@ from spirallab.extensions import (BallSpace, HomogeneousPolynomial, sample_ball,
 from spirallab.genext import ExtendedGenerator, flow_ball
 from spirallab.semigroups import Generator
 from spirallab.report import SCHEMA, canonical_bytes, determinism_hash, write_report
+from spirallab.sharp_bound import SharpParams, f_sharp
 
 
 def run(tmp_path, *argv):
@@ -109,6 +110,73 @@ def test_sharp_bound(tmp_path):
     assert code == 0 and rep["pass"]
     assert abs(rep["infimum"] - 0.5) < 1e-3
     assert abs(rep["limit_zero"] - 0.5) < 1e-12
+
+
+def test_sharp_bound_dump_curve(tmp_path):
+    """--dump-curve writes f on 2000 log-spaced times from 1e-6 to 50/(Re lambda r)."""
+    curve = tmp_path / "f.csv"
+    code, rep = run(tmp_path, "sharp-bound", "--lambda", "1,0.5", "--r", "2",
+                    "--dump-curve", str(curve))
+    assert code == 0 and rep["pass"]
+    with open(curve, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["t", "f"]
+    ts = np.geomspace(1e-6, 50.0 / (1.0 * 2), 2000)
+    want = np.column_stack([ts, f_sharp(SharpParams(lam=1 + 0.5j, r=2), ts)])
+    assert np.array(rows, dtype=float).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("tmax", ["5", "nan", "-1"])
+def test_sharp_bound_refuses_tmax(tmax):
+    """The search window follows from lambda and r: --tmax is no option."""
+    with pytest.raises(SystemExit) as e:
+        main(["sharp-bound", "--lambda", "1,0.5", f"--tmax={tmax}"])
+    assert e.value.code == 2
+
+
+ENVELOPE = {"schema", "tool_version", "subcommand", "inputs", "pass", "timing_s",
+            "determinism_hash"}
+
+
+@pytest.mark.parametrize("argv,findings", [
+    (("covering", "--fn", "koebe", "--x0", "0.2,0.1", "--alpha", "0.5", "--grid", "60,60"),
+     {"predicted_radius", "measured_radius_lower", "center", "grid", "min_witness",
+      "tolerance", "secondary_radius", "complement_points"}),
+    (("koenigs", "--gen", None), {"linearization_residual", "n_samples"}),
+    (("flow", "--gen", None, "--z0", "0.5,0", "--t", "1"),
+     {"endpoint", "steps", "local_error_estimate"}),
+    (("spiral-check", "--gen", None), {"criterion", "margin"}),
+    (("extend", "--fn", "koebe", "--r", "1", "--mu", "1,0", "--lambda", "1,0",
+      "--samples", "50"),
+     {"mode", "n_samples", "times", "checked", "failures", "witnesses", "sup_norm_Q",
+      "bound"}),
+    (("sharp-bound", "--lambda", "1,0.5"),
+     {"infimum", "limit_zero", "inequality_margin", "f_at_tmax"}),
+    (("gen-extend", "--gen", None, "--lambda", "1,0", "--r", "2", "--samples", "10",
+      "--flows", "2", "--T", "1"),
+     {"conjugation_residual", "dh_identity_residual", "ball_exits", "flows"}),
+], ids=["covering", "koenigs", "flow", "spiral-check", "extend", "sharp-bound",
+        "gen-extend"])
+def test_report_envelope_and_stdout(tmp_path, capsys, argv, findings):
+    """Each report is the one envelope around its subcommand's own findings, and
+    the report printed without --out is the report written with it."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(
+        {"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
+         "tau": [0, 0], "mu": [1, 0]}))
+    argv = [str(gen) if a is None else a for a in argv]
+    code, written = run(tmp_path, *argv)
+    assert code == 0
+    assert set(written) == ENVELOPE | findings
+    assert written["subcommand"] == argv[0]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = _strict_loads(capsys.readouterr().out)
+    assert printed["determinism_hash"] == written["determinism_hash"]
+    for rep in (written, printed):
+        rep.pop("timing_s")
+        rep["inputs"].pop("out", None)
+    assert printed == written
 
 
 def test_extend_and_determinism(tmp_path):
@@ -238,11 +306,14 @@ def test_usage_errors_exit_2(tmp_path):
      "--flows", "0"),
     ("gen-extend", "--lambda", "1,0", "--r", "2", "--samples", "5", "--flows=-1"),
     ("gen-extend", "--lambda", "1,0", "--r", "2", "--samples", "0"),
+    ("koenigs", "--grid", "0"),
+    ("koenigs", "--grid=-8"),
 ], ids=["flow_t_nan", "flow_t_inf", "gen_extend_T_nan", "gen_extend_T_nan_no_flows",
-        "gen_extend_negative_flows", "gen_extend_no_samples"])
+        "gen_extend_negative_flows", "gen_extend_no_samples", "koenigs_grid_zero",
+        "koenigs_grid_negative"])
 def test_bad_times_and_counts_exit_2(tmp_path, capsys, argv):
     """A non-finite time or a count out of range is an input error (exit 2, no
-    report), not a pass over an empty or NaN flow."""
+    report), not a pass over an empty or NaN flow or a silently enlarged grid."""
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
                                "tau": [0, 0], "mu": [1, 0]}))
