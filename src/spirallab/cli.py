@@ -129,11 +129,11 @@ def cmd_covering(args):
 
 
 def cmd_koenigs(args):
-    if args.grid < 1:
-        raise UsageError(f"--grid must be >= 1, got {args.grid}")
+    if args.grid < 16 or args.grid % 8:
+        raise UsageError(f"--grid must be a multiple of 8 and >= 16, got {args.grid}")
     gen = _load_spec(args.gen, semigroups.Generator.from_spec, "generator")
     h = semigroups.koenigs(gen)
-    r = np.linspace(0.1, 0.9, max(args.grid // 8, 2))
+    r = np.linspace(0.1, 0.9, args.grid // 8)
     th = 2.0 * np.pi * np.arange(8) / 8
     zs = (r[:, None] * np.exp(1j * th[None, :])).ravel()
     hv = h.eval_array(zs)
@@ -153,6 +153,8 @@ def cmd_flow(args):
 
 def cmd_spiral_check(args):
     if args.gen:
+        if args.fn or args.mu is not None:
+            raise UsageError("spiral-check takes --gen alone, or --fn with --mu")
         gen = _load_spec(args.gen, semigroups.Generator.from_spec, "generator")
         margin = semigroups.berkson_porta_margin(gen)
         criterion = "berkson_porta"
@@ -252,7 +254,8 @@ def build_parser():
 
     k = sub.add_parser("koenigs", help="solve h' f = mu h and dump samples")
     k.add_argument("--gen", required=True, help="generator spec JSON path")
-    k.add_argument("--grid", type=int, default=64)
+    k.add_argument("--grid", type=int, default=64,
+                   help="samples: 8 angles on grid/8 radii (a multiple of 8, >= 16)")
     k.add_argument("--out", help="report JSON path")
     k.add_argument("--out-csv", dest="out_csv", help="CSV of h samples")
     k.set_defaults(func=cmd_koenigs)

@@ -3,7 +3,8 @@ normalization at a point, branch-tracked powers h'(x)^(1/r), Newton
 inversion and the classical distortion lower bounds.
 
 A "disk map" anywhere in this package is any object exposing eval_array and
-deriv_array on ndarrays; most also expose log_deriv_array and invert_array.
+deriv_array on ndarrays; most also expose log_deriv_array and invert_array,
+which returns the preimage of w in the open disk or NaN.
 deriv_modulus gives |h'| of any disk map, in real arithmetic where the map has
 abs_deriv_array (UnivalentMap).
 Their scalar eval/deriv/invert, where present, are thin wrappers of the array
@@ -29,8 +30,6 @@ FAMILY_CODES = {
     "half_plane": 4,
     "rational": 5,
 }
-
-INVERT_TOL = 1e-10
 
 
 class PointOutsideDisk(ValueError):
@@ -106,14 +105,6 @@ class UnivalentMap:
             raise ValueError("zero denominator polynomial")
         return cls("rational", num=num, den=den)
 
-    def declared_spirallike(self, mu):
-        """Sufficient-condition metadata for mobius_spiral; re-verified by the
-        spirallike-margin oracle elsewhere."""
-        mu = complex(mu)
-        if self.family != "mobius_spiral":
-            return None
-        return abs(self.params[0]) < mu.real / abs(mu)
-
     # -- evaluation --------------------------------------------------------
 
     def _k(self, fn, z):
@@ -160,8 +151,8 @@ class UnivalentMap:
         return invert_map(self, w, guess=guess)
 
     def invert_array(self, w, guess=0j):
-        """Preimages of the points w; NaN where Newton (continued along the
-        spiral path for a map with a spiral multiplier) stays above its tolerance."""
+        """Preimages of the points w in the open disk, NaN where there is none
+        (``kernels.invert``)."""
         return kernels.invert(self.code, self.params, self.num or None, self.den or None,
                               w, guess, self.spiral_multiplier)
 
@@ -360,20 +351,18 @@ class BranchedPower:
 
 
 def newton_invert(h, w, guess=0j):
-    """Damped Newton solve of h(z) = w on arrays for a generic disk map, with
-    the spiral continuation where h has a spiral_multiplier; NaN where
-    |h(z) - w| stays above INVERT_TOL."""
-    z, res = kernels.solve(h.eval_array, h.deriv_array, w, guess,
-                           getattr(h, "spiral_multiplier", None))
-    return np.where(res <= INVERT_TOL, z, np.nan + 0j)
+    """Preimages of w in the open disk for a generic disk map, NaN where there
+    is none: ``kernels.preimages`` with the spiral continuation where h has a
+    spiral_multiplier."""
+    return kernels.preimages(h.eval_array, h.deriv_array, w, guess,
+                             getattr(h, "spiral_multiplier", None))
 
 
 def invert_map(h, w, guess=0j):
     """Front door for inverting one point through h.invert_array; raises
-    NoConvergence when the solve fails or w lies outside the image."""
+    NoConvergence when w has no preimage in the disk (the solve fails or w lies
+    outside the image)."""
     z = complex(h.invert_array(np.asarray([w], dtype=complex), guess=guess)[0])
     if np.isnan(z):
-        raise NoConvergence(f"inversion did not converge for w = {w}")
-    if abs(h.eval_array(np.asarray([z]))[0] - w) > INVERT_TOL:
-        raise NoConvergence(f"w = {w} appears to lie outside the image")
+        raise NoConvergence(f"no preimage in the disk for w = {w}")
     return z

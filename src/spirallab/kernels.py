@@ -11,10 +11,11 @@ Families are addressed by an integer code:
     5  rational      h(z) = N(z)/D(z),            num/den = ascending coeff tuples
 
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
-``newton``, ``spiral_newton`` and ``solve`` take the map as callables F and dF
+``newton``, ``spiral_newton`` and ``preimages`` take the map as callables F and dF
 on arrays, and ``min_distance`` takes F and the modulus |dF|, so every disk map
 shares them; ``invert`` and ``covered_min_distance`` are their entry points for
-the family codes.
+the family codes.  Every inverse returns the preimage in the open disk or NaN,
+and ``preimages`` alone decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it.
 """
 
@@ -237,35 +238,36 @@ def spiral_newton(F, dF, w, mu, d0):
     return z.reshape(np.shape(w)), res.reshape(np.shape(w))
 
 
-def solve(F, dF, w, guess, mu=None):
-    """``newton`` from ``guess``; given a spiral multiplier mu (F(0) = 0 and
-    F(D) mu-spirallike), the entries it leaves above NEWTON_TOL are solved
-    again by ``spiral_newton``, whose result is kept where its residual is
-    smaller.  Returns (z, |F(z) - w|) in the shape of w."""
+def preimages(F, dF, w, guess, mu):
+    """Preimages of w in the open disk under F, NaN where there is none: an
+    entry is accepted when |F(z) - w| <= NEWTON_TOL max(1, |w|).  ``newton``
+    from ``guess``; given a spiral multiplier mu (F(0) = 0 and F(D)
+    mu-spirallike, else None) the entries it leaves unaccepted are solved again
+    by ``spiral_newton``, whose result is kept where its residual is smaller."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     z, res = newton(F, dF, w, guess)
+    tol = NEWTON_TOL * np.maximum(1.0, np.abs(w))
     if mu is not None:
         zf, rf = z.ravel(), res.ravel()
-        bad = np.flatnonzero(rf > NEWTON_TOL)
+        bad = np.flatnonzero(rf > tol.ravel())
         if bad.size:
             z2, r2 = spiral_newton(F, dF, w.ravel()[bad], mu, dF(np.zeros(1, complex))[0])
             up = r2 < rf[bad]
             zf[bad[up]], rf[bad[up]] = z2[up], r2[up]
-    return z, res
+    return np.where(res <= tol, z, np.nan + 0j)
 
 
 def invert(code, params, num, den, w, guess, mu=None):
-    """Invert h on arrays: closed form where the family has one, else
-    ``solve`` from ``guess`` (with the spiral continuation when the map's
-    spiral multiplier mu is given).  Entries left above NEWTON_TOL come back
-    as NaN."""
+    """Invert h on arrays: the preimage of w in the open disk, or NaN.  Closed
+    form where the family has one (NaN where it leaves the disk), else
+    ``preimages`` from ``guess`` (with the spiral continuation when the map's
+    spiral multiplier mu is given)."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     closed = _closed_invert(code, params, w)
     if closed is not None:
-        return closed
-    z, res = solve(lambda z: eval_map(code, params, num, den, z),
-                   lambda z: eval_deriv(code, params, num, den, z), w, guess, mu)
-    return np.where(res > NEWTON_TOL, np.nan + 0j, z)
+        return np.where(np.abs(closed) < 1.0, closed, np.nan + 0j)
+    return preimages(lambda z: eval_map(code, params, num, den, z),
+                     lambda z: eval_deriv(code, params, num, den, z), w, guess, mu)
 
 
 def polar_grid(nr, nt):

@@ -308,16 +308,48 @@ def test_usage_errors_exit_2(tmp_path):
     ("gen-extend", "--lambda", "1,0", "--r", "2", "--samples", "0"),
     ("koenigs", "--grid", "0"),
     ("koenigs", "--grid=-8"),
+    ("koenigs", "--grid", "1"),
+    ("koenigs", "--grid", "9"),
+    ("koenigs", "--grid", "15"),
+    ("koenigs", "--grid", "17"),
 ], ids=["flow_t_nan", "flow_t_inf", "gen_extend_T_nan", "gen_extend_T_nan_no_flows",
         "gen_extend_negative_flows", "gen_extend_no_samples", "koenigs_grid_zero",
-        "koenigs_grid_negative"])
+        "koenigs_grid_negative", "koenigs_grid_1", "koenigs_grid_9", "koenigs_grid_15",
+        "koenigs_grid_17"])
 def test_bad_times_and_counts_exit_2(tmp_path, capsys, argv):
     """A non-finite time or a count out of range is an input error (exit 2, no
-    report), not a pass over an empty or NaN flow or a silently enlarged grid."""
+    report), not a pass over an empty or NaN flow or a silently resized grid:
+    koenigs --grid is a sample count, a multiple of 8 that is at least 16."""
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
                                "tau": [0, 0], "mu": [1, 0]}))
     code, rep = run(tmp_path, argv[0], "--gen", str(gen), *argv[1:])
+    assert code == 2
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", [16, 24, 64])
+def test_koenigs_grid_is_the_sample_count(tmp_path, grid):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
+                               "tau": [0, 0], "mu": [1, 0]}))
+    code, rep = run(tmp_path, "koenigs", "--gen", str(gen), "--grid", str(grid))
+    assert code == 0 and rep["n_samples"] == grid
+
+
+@pytest.mark.parametrize("extra", [
+    ("--fn", "koebe", "--mu", "0.05,1"),
+    ("--fn", "koebe"),
+    ("--mu", "1,0"),
+], ids=["fn_and_mu", "fn", "mu"])
+def test_spiral_check_refuses_gen_with_fn_or_mu(tmp_path, capsys, extra):
+    """--gen checks a generator and --fn with --mu a map: given both, neither
+    is silently dropped, the call is an input error (exit 2, no report)."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
+                               "tau": [0, 0], "mu": [1, 0]}))
+    code, rep = run(tmp_path, "spiral-check", "--gen", str(gen), *extra)
     assert code == 2
     assert rep is None
     assert capsys.readouterr().err.startswith("error: ")
@@ -387,6 +419,17 @@ def test_solver_fault_exits_3_undecided(tmp_path, capsys):
     assert code == 3
     assert rep is None
     assert capsys.readouterr().err.startswith("error: undecided: LeftDomain: ")
+
+
+def test_shifted_center_outside_the_image_exits_3_undecided(tmp_path, capsys):
+    """beta h(x0) = -0.06 + 0.22i lies outside half_plane's image Re w > 0, so
+    it has no preimage in the disk: undecided (exit 3), not an input error."""
+    code, rep = run(tmp_path, "covering", "--fn", "half_plane", "--x0", "0.5,0.5",
+                    "--alpha", "0.2", "--beta=-0.5,0.1")
+    assert code == 3
+    assert rep is None
+    assert capsys.readouterr().err.startswith(
+        "error: undecided: NoConvergence: no preimage in the disk for w = ")
 
 
 def test_complex_encoding_is_re_im_pairs(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from spirallab import extensions, families, kernels
 from spirallab.extensions import (
-    MEMBER_RTOL,
     BallSpace,
     DegreeMismatch,
     HomogeneousPolynomial,
@@ -302,13 +301,35 @@ def test_membership_of_a_map_without_invert_array():
     assert not membership_H_arrays(g, sp, zs, sp.fibre(ws)).any()
 
 
+@pytest.mark.parametrize("h", [UnivalentMap.mobius_spiral(0.3j), UnivalentMap.half_plane()],
+                         ids=["mobius", "half_plane"])
+def test_membership_of_a_closed_form_map_does_not_evaluate_h(h, monkeypatch):
+    """invert_array returns the preimage in the disk or NaN, so membership
+    reads its answer without a second forward evaluation of h."""
+    sp = space(2.0, 1)
+    xs, ys = sample_ball(sp, 200, np.random.default_rng(45))
+    zs, ws = extend_H_arrays(h, sp, xs, ys)
+    zo = np.concatenate([zs, -zs])  # -zs: outside the half-plane image
+    fibre = np.concatenate([sp.fibre(ws)] * 2)
+
+    def no_eval(*args):
+        raise AssertionError("kernels.eval_map called")
+
+    monkeypatch.setattr(kernels, "eval_map", no_eval)
+    ok = membership_H_arrays(h, sp, zo, fibre)
+    assert ok[:200].all()
+    if h.family == "half_plane":
+        assert not ok[200:].any()
+
+
 def _branch_tracked_membership(h, sp, zs, ws):
-    """Residual check and gauge of the preimage (x, w / h'(x)^(1/r)), with the
+    """Residual check of its own (relative 1e-8, independent of the inverse's
+    acceptance rule) and gauge of the preimage (x, w / h'(x)^(1/r)), with the
     root taken on the branch continued from the principal value at 0."""
     xs = h.invert_array(zs, guess=0j)
     ok = ~np.isnan(xs)
     xs = np.where(ok, xs, 0j)
-    ok &= np.abs(h.eval_array(xs) - zs) <= MEMBER_RTOL * np.maximum(1.0, np.abs(zs))
+    ok &= np.abs(h.eval_array(xs) - zs) <= 1e-8 * np.maximum(1.0, np.abs(zs))
     return ok, sp.gauge(xs, ws / BranchedPower(h, sp.r).array(xs)[:, None])
 
 
@@ -363,6 +384,17 @@ def test_covering_radius_Rt_identity():
         expect = (1 - np.exp(-2 * 0.7 * t)) / 4.0 * (1 - np.abs(z1) ** 2)
         assert rt.shape == z0.shape
         assert np.max(np.abs(rt - expect)) < 1e-15
+
+
+def test_covering_radius_Rt_is_nan_where_the_closed_inverse_leaves_the_disk():
+    """half_plane with mu = 1 + 2i turns e^(-mu t) z0 into the left half-plane,
+    outside h(D): its closed-form root lies off the disk, so R_t is NaN there
+    rather than a negative radius from 1 - |x1|^2 < 0."""
+    h = UnivalentMap.half_plane()
+    A = SpiralMatrix(mu=1 + 2j, lam=1.0, r=1.0)
+    rt = covering_radius_Rt(h, A, 1.0, np.array([1.0, 2.0, 0.5, 0.3j]))
+    assert np.all(np.isnan(rt[:3]))
+    assert rt[3] > 0
 
 
 def test_covering_radius_Rt_is_nan_where_inversion_fails():
@@ -522,6 +554,17 @@ def test_spiral_continuation_refines_only_from_the_failed_node(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["muir", "gamma"])
+def test_spiral_koebe_invariance_at_large_w(mode):
+    """spiral_koebe(0.5) is e^(-0.5 i)-spirallike, so no moved point leaves
+    H(B); the sweep reaches |w| ~ 450-1100, where Newton ends at residuals of a
+    few 1e-12, which the relative acceptance counts as preimages."""
+    out = verify_invariance(UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), 1.0, space(2.0, 1),
+                            q_poly(0.25j), [0.5, 2.0], n_samples=2000, mode=mode, seed=17,
+                            n_gamma=4)
+    assert out["failures"] == 0 and out["pass"]
+
+
+@pytest.mark.parametrize("mode", ["muir", "gamma"])
 @pytest.mark.parametrize("h,mu", [
     (UnivalentMap.half_plane(), 1.0),
     (UnivalentMap.mobius_spiral(0.3j), np.exp(0.4j)),
@@ -529,9 +572,8 @@ def test_spiral_continuation_refines_only_from_the_failed_node(monkeypatch):
 ], ids=["half_plane", "mobius_0.3i", "spiral_koebe_0.5"])
 def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
     """Membership and R_t read |h'| in real arithmetic; with the modulus of the
-    complex h' in its place the report is the same (spiral_koebe fails here,
-    on solves whose residual is stuck above the absolute Newton tolerance at
-    |z| > 450, so it has witnesses).  A gamma witness is built
+    complex h' in its place the report is the same (spiral_koebe included,
+    whose sweep reaches |z| > 450).  A gamma witness, where any, is built
     from R_t, so its z may move in the last bits; everything else, the counts
     and every membership decision included, is compared as JSON, where NaN
     witnesses match."""

@@ -12,6 +12,7 @@ from spirallab import kernels
 from spirallab.extensions import BallSpace, sample_ball
 from spirallab.families import (
     BranchedPower,
+    NoConvergence,
     PointOutsideDisk,
     UnivalentMap,
     continued_log_deriv,
@@ -137,6 +138,35 @@ def test_rational_newton_round_trip_to_the_rim():
     assert np.max(np.abs(back - zs)) < 1e-9
     z = complex(zs[0])
     assert abs(h.invert(h.eval(z)) - z) < 1e-9
+
+
+@pytest.mark.parametrize("h,w", [
+    (UnivalentMap.identity(), 1.5 + 0j),
+    (UnivalentMap.koebe(), -1.0 + 0j),
+    (UnivalentMap.mobius_spiral(0.5), 3.0 + 0j),
+    (UnivalentMap.half_plane(), -2.0 + 0j),
+], ids=["identity", "koebe", "mobius", "half_plane"])
+def test_closed_inverse_outside_the_image_is_nan(h, w):
+    """A point outside h(D) has no preimage in the disk: the closed form's
+    root off the open disk comes back as NaN, and invert_map raises."""
+    assert np.isnan(h.invert_array(np.array([w]))).all()
+    with pytest.raises(NoConvergence, match="no preimage in the disk"):
+        h.invert(w)
+
+
+def test_newton_preimage_at_large_w_is_accepted_relative_to_w():
+    """Two points of spiral_koebe(0.5)'s image with |w| ~ 460 and 840, whose
+    preimages lie at |x| ~ 0.99 where |h'| ~ 1e5: the solves end at the
+    rounding floor, residuals of a few 1e-12 (~1e-15 relative), and count as
+    preimages, as NEWTON_TOL max(1, |w|) allows; an absolute NEWTON_TOL
+    returned NaN for both."""
+    h = UnivalentMap.spiral_koebe(0.5)
+    ws = np.array([53.70017647957181 + 455.6583335429338j,
+                   -170.84129064697933 - 826.8527098398375j])
+    back = h.invert_array(ws)
+    assert not np.isnan(back).any() and np.all(np.abs(back) < 1.0)
+    res = np.abs(h.eval_array(back) - ws)
+    assert np.all(res > kernels.NEWTON_TOL) and np.all(res <= kernels.NEWTON_TOL * np.abs(ws))
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 1.3])
@@ -498,10 +528,3 @@ def test_spec_round_trip(families):
         zs = random_disk(np.random.default_rng(11), 20)
         assert np.max(np.abs(again.eval_array(zs) - h.eval_array(zs))) < 1e-14
 
-
-def test_declared_spirallike():
-    h = UnivalentMap.mobius_spiral(0.3)
-    assert h.declared_spirallike(1.0)
-    mu = cmath.exp(0.4j)
-    assert UnivalentMap.mobius_spiral(0.9 * mu.real).declared_spirallike(mu)
-    assert not UnivalentMap.mobius_spiral(0.99).declared_spirallike(1.0 + 5.0j)
