@@ -64,12 +64,6 @@ class CoveringReport:
         return out
 
 
-def omega_contains(h, spec: OmegaSpec, x):
-    if abs(x) >= 1.0:
-        raise ValueError("|x| must be < 1")
-    return abs(h.deriv(complex(x))) * (1.0 - abs(x) ** 2) > spec.threshold
-
-
 def grid_tolerance(predicted):
     return 5e-3 * predicted + 1e-6
 

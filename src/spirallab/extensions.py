@@ -90,7 +90,7 @@ class HomogeneousPolynomial:
         y = np.asarray(y, dtype=complex)
         acc = np.zeros(y.shape[:-1], dtype=complex)
         for exps, coef in self.terms:
-            term = np.full(y.shape[:-1], coef, dtype=complex)
+            term = coef
             for k, e in enumerate(exps):
                 if e:
                     term = term * y[..., k] ** e
@@ -273,6 +273,11 @@ def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=100_000,
         y[rows[up]], val[rows[up]] = cand[up], cval[up]
         step[rows] *= np.where(up, 1.2, 0.5)
     return max(best, float(np.max(val)))
+
+
+def q_bound(lam):
+    """The paper's perturbation bound: sup ||Q|| <= Re lam / (4 |lam|)."""
+    return 0.25 * lam.real / abs(lam)
 
 
 def sup_norm_Q_bound(Q: HomogeneousPolynomial, space: BallSpace):

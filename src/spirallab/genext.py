@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .extensions import BallSpace, HomogeneousPolynomial, sup_norm_Q, sup_norm_Q_bound
+from .extensions import BallSpace, HomogeneousPolynomial, q_bound, sup_norm_Q, sup_norm_Q_bound
 from .semigroups import Generator
 
 CHECKPOINTS = 50  # recorded states of each ball flow after its start
@@ -39,9 +39,9 @@ class ExtendedGenerator:
         if self.Q.degree != self.space.r:
             raise ValueError("Q degree must equal the ball exponent r")
         if self.Q.terms:
-            # the sampled estimate never exceeds the rigorous upper bound, so
-            # the sampling is needed only when the upper bound is too large
-            bound = self.space.r * self.lam.real / 4.0
+            # Q_g = -r lam Q for the paper's Q; the sampled estimate never exceeds
+            # the rigorous upper bound, so it is needed only when that is too large
+            bound = self.space.r * abs(self.lam) * q_bound(self.lam)
             if sup_norm_Q_bound(self.Q, self.space) > bound + 1e-12:
                 est = sup_norm_Q(self.Q, self.space, samples=20_000)
                 if est > bound + 1e-12:
@@ -54,6 +54,11 @@ class ExtendedGenerator:
 
     def _quotient(self, x, fx, dfx):
         gen = self.base
+        # a batch with no zero of f and no point near tau needs no scan
+        if np.abs(fx).min(initial=np.inf) >= 1e-12 and (
+                gen.kind != "dilation"
+                or np.abs(x - gen.tau).min(initial=np.inf) >= self.singularity_radius):
+            return (gen.mu - dfx) / fx
         tiny = np.abs(fx) < 1e-12
         near = False
         if gen.kind == "dilation":
@@ -185,8 +190,9 @@ def flow_ball(g: ExtendedGenerator, x, y, T):
     space = g.space
 
     def rhs(v):
-        first, second = extend_generator(g, v[:, 0], v[:, 1:])
-        return -np.concatenate([first[:, None], second], axis=1)
+        out = np.empty_like(v)
+        out[:, 0], out[:, 1:] = extend_generator(g, v[:, 0], v[:, 1:])
+        return np.negative(out, out=out)
 
     def inside(v):
         return space.gauge(v[:, 0], v[:, 1:]) < 1.0

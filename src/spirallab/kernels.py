@@ -35,8 +35,10 @@ SPIRAL_MAX_STEPS = 384  # intervals of tau; a failing entry halves its own step
 
 def horner(c, z):
     """Polynomial with ascending coefficients c at z: polyval's recurrence, minus its set-up."""
-    acc = c[-1] + z * 0
-    for v in c[-2::-1]:
+    if len(c) == 1:
+        return c[0] + z * 0
+    acc = c[-1] * z + c[-2]
+    for v in c[-3::-1]:
         acc = v + acc * z
     return acc
 

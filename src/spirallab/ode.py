@@ -95,7 +95,7 @@ def integrate(rhs, y0, t_end, tol=1e-10, max_steps=1_000_000, domain=None,
     k = np.empty((7, y.size), dtype=complex)
     kr = k.view(float)  # real weights act on real and imaginary parts alike
     if t_end > 0:
-        k[0] = np.ravel(rhs(y))
+        k[0] = rhs(y).ravel()
     while t < t_end:
         if steps >= max_steps:
             raise StepUnderflow(f"not converged after {max_steps} steps")
@@ -108,8 +108,8 @@ def integrate(rhs, y0, t_end, tol=1e-10, max_steps=1_000_000, domain=None,
             raise StepUnderflow("step size underflow")
         for i in range(1, 7):
             yi = y + h * (_A[i, :i] @ kr[:i]).view(complex).reshape(y.shape)
-            k[i] = np.ravel(rhs(yi))
-        err = h * float(np.max(np.abs((_E @ kr).view(complex))))
+            k[i] = rhs(yi).ravel()
+        err = h * float(np.abs((_E @ kr).view(complex)).max())
         steps += 1
         if err <= tol:
             ok = True if domain is None else np.asarray(domain(yi))

@@ -176,7 +176,9 @@ class KoenigsMap:
 
     log h (log(h/z) for dilation type) and log h' are integrals over s in
     [0, 1] along the ray to z, evaluated for all points at once with one
-    graded Gauss-Legendre rule sized by the largest |z| of the call.
+    graded Gauss-Legendre rule sized by the largest |z| of the call.  The
+    last point set's read-only logs are kept, so eval, log h' and h'' at the
+    same points pay for one quadrature.
     """
 
     def __init__(self, gen: Generator):
@@ -187,6 +189,7 @@ class KoenigsMap:
         self.kind = gen.kind
         self._f2 = gen.d2f(np.asarray([0j]))[0]
         self._log_d0 = 0j
+        self._memo = (None, None)
         if gen.kind == "hyperbolic":
             f0 = gen.f(np.asarray([0j]))[0]
             if f0 == 0:
@@ -196,13 +199,19 @@ class KoenigsMap:
     def _logs(self, z):
         """(log h or log(h/z), log h') at the points z, of z's shape."""
         z = _as_points(z)
+        key = (z.shape, z.tobytes())
+        if self._memo[0] == key:
+            return self._memo[1]
         flat = z.ravel()
         s, w = _graded_rule(_panel_count(float(np.max(np.abs(flat), initial=0.0))))
         step = _BLOCK // s.size
         parts = [self._integrate(flat[i:i + step], s, w)
                  for i in range(0, max(flat.size, 1), step)]
         a, b = (np.concatenate(v).reshape(z.shape) for v in zip(*parts))
-        return a, self._log_d0 + b
+        b = self._log_d0 + b
+        a.flags.writeable = b.flags.writeable = False
+        self._memo = (key, (a, b))
+        return a, b
 
     def _integrate(self, z, s, w):
         mu = self.mu

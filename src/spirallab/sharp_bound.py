@@ -160,10 +160,3 @@ def critical_points(p: SharpParams, window):
         raise NoRootsInWindow(f"no critical points in {window}")
     return roots
 
-
-def critical_value(p: SharpParams, t):
-    """Closed-form f value at an interior critical point."""
-    a, b, r = p.a, p.b, p.r
-    e = np.exp(-a * r * t)
-    return a**2 / (a**2 + b**2) + b**2 * (1.0 - e) ** 2 / (
-        (a**2 + b**2) * (1.0 + e) ** 2)

@@ -24,8 +24,8 @@ def result(campaign_s, digits, failed=0, attempted=100, correct=True):
 
 
 def test_summarize_reports_quartiles_wins_failed_share_and_correctness(bench_pairs):
-    end_to_end = [{"name": "campaign_s", "better": "lower"},
-                  {"name": "min_digits", "better": "higher"}]
+    end_to_end = [{"name": "campaign_s", "better": "lower", "bound": 0.2},
+                  {"name": "min_digits", "better": "higher", "bound": 0.1}]
     runs = [{"parent": result(0.40, 9.0, failed=3), "change": result(0.30, 9.0)},
             {"parent": result(0.42, 9.0, failed=5, attempted=50),
              "change": result(0.43, 9.5, correct=False)},
@@ -33,7 +33,32 @@ def test_summarize_reports_quartiles_wins_failed_share_and_correctness(bench_pai
     out = bench_pairs.summarize(runs, end_to_end)
     assert out["campaign_s"] == {"parent_quartiles": pytest.approx([0.405, 0.41, 0.415]),
                                  "change_quartiles": pytest.approx([0.305, 0.31, 0.37]),
-                                 "change_better_in": 2, "pairs": 3}
+                                 "change_better_in": 2, "pairs": 3, "bound": 0.2,
+                                 "worse_by": pytest.approx(-0.10 / 0.41),
+                                 "within_bound": True, "gain_rule_met": False}
     assert out["min_digits"]["change_better_in"] == 1
+    assert out["min_digits"]["worse_by"] == 0.0 and out["min_digits"]["within_bound"]
     assert out["failed_share_worst"] == {"parent": 0.1, "change": 0.005}
     assert out["all_correct"] == {"parent": True, "change": False}
+
+
+def test_summarize_gain_rule_and_bound_verdicts(bench_pairs):
+    """The gain rule needs 9/10 pairs won and a median gain beyond the parent's
+    interquartile range; a metric is out of bound when its median is worse by
+    more than the bound, relative to the parent's."""
+    end_to_end = [{"name": "campaign_s", "better": "lower", "bound": 0.2},
+                  {"name": "min_digits", "better": "higher", "bound": 0.1}]
+    par = [0.40 + 0.001 * k for k in range(10)]
+    runs = [{"parent": result(p, 9.0), "change": result(p - 0.05, 7.0)} for p in par]
+    out = bench_pairs.summarize(runs, end_to_end)
+    assert out["campaign_s"]["change_better_in"] == 10
+    assert out["campaign_s"]["gain_rule_met"] and out["campaign_s"]["within_bound"]
+    assert out["min_digits"]["worse_by"] == pytest.approx(2.0 / 9.0)
+    assert not out["min_digits"]["within_bound"] and not out["min_digits"]["gain_rule_met"]
+    # 8/10 pairs won is not enough, nor is a median gain inside the parent's spread
+    runs[0]["change"] = result(0.50, 9.0)
+    runs[1]["change"] = result(0.50, 9.0)
+    assert not bench_pairs.summarize(runs, end_to_end)["campaign_s"]["gain_rule_met"]
+    small = [{"parent": result(p, 9.0), "change": result(p - 0.001, 9.0)} for p in par]
+    got = bench_pairs.summarize(small, end_to_end)["campaign_s"]
+    assert got["change_better_in"] == 10 and not got["gain_rule_met"]

@@ -44,6 +44,22 @@ def test_koebe_values():
     assert abs(k.eval(z) - z / (1 - z) ** 2) < 1e-14
 
 
+@pytest.mark.parametrize("deg", [0, 1, 4])
+def test_horner_is_the_plain_recurrence_bit_for_bit(deg):
+    """kernels.horner starts from c[-1] z + c[-2], the first step of the
+    recurrence acc = c[k] + acc z from acc = c[-1]: the same floating-point
+    operations, so the same bits."""
+    rng = np.random.default_rng(deg)
+    c = tuple(complex(*rng.normal(size=2)) for _ in range(deg + 1))
+    z = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    acc = c[-1] + z * 0
+    for v in c[-2::-1]:
+        acc = v + acc * z
+    got = kernels.horner(c, z)
+    assert got.shape == z.shape
+    assert got.tobytes() == acc.tobytes()
+
+
 def test_mobius_spiral_values():
     h = UnivalentMap.mobius_spiral(0.3)
     z = 0.25 + 0.1j

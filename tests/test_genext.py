@@ -70,6 +70,20 @@ def test_quotient_removable_singularity():
     assert abs(g.quotient(eps * 0.999) - g.quotient(eps * 1.001)) < 1e-6
 
 
+def test_quotient_branches_bit_for_bit():
+    """Inside singularity_radius of tau the quotient is the series
+    -f''(tau)/(mu + f''(tau)(x - tau)/2), elsewhere (mu - f')/f, in a mixed
+    batch and in one with no point near tau."""
+    base = Generator.from_poly([0, 1, -1, 0.3], kind="dilation", tau=0.0, mu=1.0)
+    g = make(base=base)
+    x = np.array([0.5e-4, 0.9e-4j, 2e-4, 0.3 - 0.1j])
+    f2 = complex(base.d2f(base.tau))
+    series = -f2 / (base.mu + 0.5 * f2 * (x[:2] - base.tau))
+    plain = (base.mu - base.df(x[2:])) / base.f(x[2:])
+    assert g.quotient(x).tobytes() == np.r_[series, plain].tobytes()
+    assert g.quotient(x[2:]).tobytes() == plain.tobytes()
+
+
 def test_bound_enforced():
     """sup|Q| must not exceed r Re(lam)/4."""
     with pytest.raises(ValueError):
@@ -145,6 +159,35 @@ def test_flow_ball_flags_exit_for_reversed_field(monkeypatch):
         gx, "extend_generator",
         lambda gg, x, y: tuple(-np.asarray(v) for v in orig(gg, x, y)))
     assert gx.flow_ball(g, *point(0.6, 0.5), T=10.0).exited[0]
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", ["Q zero", "Q nonzero", "near tau"])
+def test_flow_ball_field_is_minus_extend_generator_bit_for_bit(case, monkeypatch):
+    """The right-hand side flow_ball hands to ode.integrate is -fhat, bit for
+    bit, on either branch of the quotient."""
+    import spirallab.genext as gx
+
+    g = make(q=0.0 if case == "Q zero" else 0.25)
+    x, y = sample_points(g, 12, seed=3)
+    if case == "near tau":
+        eps = g.singularity_radius
+        x[:4] = g.base.tau + eps * np.array([0.0, 0.5, 0.9j, -0.99])
+    fields = []
+
+    def capture(rhs, v0, *args, **kwargs):
+        fields.append(rhs(v0))
+        raise _Captured
+
+    monkeypatch.setattr(gx.ode, "integrate", capture)
+    with pytest.raises(_Captured):
+        gx.flow_ball(g, x, y, T=1.0)
+    first, second = extend_generator(g, x, y)
+    expect = -np.concatenate([first[:, None], second], axis=1)
+    assert fields[0].tobytes() == expect.tobytes()
 
 
 # ------------------------------------------------------------ batched calls

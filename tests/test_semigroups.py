@@ -178,6 +178,35 @@ def test_koenigs_invert_array_round_trip(tau):
     assert abs(h.invert(h.eval(complex(zs[0]))) - zs[0]) < 1e-9
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3], ids=["plain", "conjugated"])
+def test_koenigs_memo_is_bit_identical_and_read_only(tau):
+    """eval, log h' and h'' at one point set pay for one quadrature and give the
+    bits of a fresh map; the kept logs are read-only, and new points (or the
+    same bytes in another shape) are recomputed."""
+    g = Generator.from_poly([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
+                            mu=1 - tau**2)
+    zs = random_disk(np.random.default_rng(40), 30, 0.8)
+    other = random_disk(np.random.default_rng(41), 30, 0.8)
+    methods = ("eval_array", "log_deriv_array", "deriv2_array")
+
+    def values(h, z):
+        return [getattr(h, m)(z).tobytes() for m in methods]
+
+    h = koenigs(g)
+    inner = h.h0 if tau else h
+    quadratures = []
+    integrate = inner._integrate
+    inner._integrate = lambda *a: quadratures.append(1) or integrate(*a)
+    first = values(h, zs)
+    assert first == values(koenigs(g), zs) == values(h, zs)
+    assert len(quadratures) == 1
+    assert all(not v.flags.writeable for v in inner._memo[1])
+    assert values(h, other) == values(koenigs(g), other)
+    assert len(quadratures) == 2
+    assert h.eval_array(zs.reshape(5, 6)).tobytes() == first[0]
+    assert len(quadratures) == 3
+
+
 # ------------------------------------------------------------------ margins
 
 def test_spirallike_margin_koebe():

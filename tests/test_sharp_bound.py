@@ -7,7 +7,6 @@ from spirallab.sharp_bound import (
     NoRootsInWindow,
     SharpParams,
     critical_points,
-    critical_value,
     f_sharp,
     infimum_f,
     verify_cor_inequality,
@@ -79,7 +78,10 @@ def test_critical_points_are_stationary():
     for t in roots:
         d = (f_sharp(p, t + eps) - f_sharp(p, t - eps)) / (2 * eps)
         assert abs(d) < 1e-4, (t, d)
-        assert abs(critical_value(p, t) - f_sharp(p, t)) < 1e-9
+        # closed form of f at an interior critical point
+        e = np.exp(-p.a * p.r * t)
+        crit = (p.a**2 + p.b**2 * (1.0 - e) ** 2 / (1.0 + e) ** 2) / (p.a**2 + p.b**2)
+        assert abs(crit - f_sharp(p, t)) < 1e-9
 
 
 def test_critical_points_real_lambda_raises():

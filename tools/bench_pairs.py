@@ -16,9 +16,10 @@ when the working tree has uncommitted edits.  Both sides run their own
 
 - ``--pairs W:S:N`` runs N pairs of ``--trace 0`` runs of workload W at seed S,
   alternating which side runs first, and summarises every end-to-end metric of
-  ``BENCHMARK.json``: each side's quartiles and the pairs the change won,
-  plus each side's worst failed share (failed/attempted) and whether every
-  run was correct.
+  ``BENCHMARK.json``: each side's quartiles, the pairs the change won, and
+  the verdict on the metric (its bound, the relative ``worse_by`` of the
+  medians, ``within_bound``, ``gain_rule_met``), plus each side's worst failed
+  share (failed/attempted) and whether every run was correct.
 - ``--traced W:S`` runs one ``--trace 1`` run of each side.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
@@ -188,9 +189,13 @@ def quartiles(xs):
 
 
 def summarize(runs, end_to_end):
-    """Quartiles of each side and the pairs the change won, per metric; and
-    per side, the largest failed share (failed/attempted) of any run and
-    whether every run was correct."""
+    """Quartiles of each side and the pairs the change won, per metric, with
+    the verdict on it: its bound, worse_by (how much worse the change's median
+    is than the parent's, relative to it, positive when worse), within_bound,
+    and gain_rule_met (the change won at least 9/10 of the pairs and its median
+    is better by more than the parent's interquartile range); and per side, the
+    largest failed share (failed/attempted) of any run and whether every run
+    was correct."""
     out = {
         "failed_share_worst": {side: max(r[side]["failed"] / max(1, r[side]["attempted"])
                                          for r in runs) for side in ("parent", "change")},
@@ -201,11 +206,18 @@ def summarize(runs, end_to_end):
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
         par = [r["parent"]["metrics"][name]["value"] for r in runs]
         chg = [r["change"]["metrics"][name]["value"] for r in runs]
+        pq, cq = quartiles(par), quartiles(chg)
+        worse = sign * (cq[1] - pq[1])
+        won = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
         out[name] = {
-            "parent_quartiles": quartiles(par),
-            "change_quartiles": quartiles(chg),
-            "change_better_in": sum(sign * (c - p) < 0 for p, c in zip(par, chg)),
+            "parent_quartiles": pq,
+            "change_quartiles": cq,
+            "change_better_in": won,
             "pairs": len(runs),
+            "bound": m["bound"],
+            "worse_by": worse / abs(pq[1]) if pq[1] else None,
+            "within_bound": worse <= m["bound"] * abs(pq[1]),
+            "gain_rule_met": 10 * won >= 9 * len(runs) and -worse > pq[2] - pq[0],
         }
     return out
 
