@@ -4,7 +4,9 @@ inversion and the classical distortion lower bounds.
 
 A "disk map" anywhere in this package is any object exposing eval_array and
 deriv_array on ndarrays; most also expose log_deriv_array and invert_array,
-which returns the preimage of w in the open disk or NaN.
+which returns the preimage of w in the open disk or NaN.  Callers do not write
+into the arrays these methods return: a map may hand out a shared, read-only
+array (KoenigsMap.log_deriv_array does).
 deriv_modulus gives |h'| of any disk map, in real arithmetic where the map has
 abs_deriv_array (UnivalentMap).
 Their scalar eval/deriv/invert, where present, are thin wrappers of the array

@@ -54,20 +54,17 @@ class ExtendedGenerator:
 
     def _quotient(self, x, fx, dfx):
         gen = self.base
-        # a batch with no zero of f and no point near tau needs no scan
-        if np.abs(fx).min(initial=np.inf) >= 1e-12 and (
-                gen.kind != "dilation"
-                or np.abs(x - gen.tau).min(initial=np.inf) >= self.singularity_radius):
-            return (gen.mu - dfx) / fx
-        tiny = np.abs(fx) < 1e-12
-        near = False
-        if gen.kind == "dilation":
+        # np.fmin skips NaN, as the masks do; most batches need neither mask
+        near = None
+        if gen.kind == "dilation" and np.fmin.reduce(
+                np.abs(x - gen.tau), None, initial=np.inf) < self.singularity_radius:
             near = np.abs(x - gen.tau) < self.singularity_radius
-            tiny &= ~near
-        if np.any(tiny):
-            raise UnresolvedSingularity(
-                f"f vanishes at {x[tiny].ravel()[0]} away from the Denjoy-Wolff point")
-        if not np.any(near):
+        if np.fmin.reduce(np.abs(fx), None, initial=np.inf) < 1e-12:
+            tiny = (np.abs(fx) < 1e-12) & (True if near is None else ~near)
+            if np.any(tiny):
+                raise UnresolvedSingularity(
+                    f"f vanishes at {x[tiny].ravel()[0]} away from the Denjoy-Wolff point")
+        if near is None:
             return (gen.mu - dfx) / fx
         f2 = complex(gen.d2f(gen.tau))
         return np.where(near, -f2 / (gen.mu + 0.5 * f2 * (x - gen.tau)),

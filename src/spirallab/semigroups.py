@@ -178,7 +178,8 @@ class KoenigsMap:
     [0, 1] along the ray to z, evaluated for all points at once with one
     graded Gauss-Legendre rule sized by the largest |z| of the call.  The
     last point set's read-only logs are kept, so eval, log h' and h'' at the
-    same points pay for one quadrature.
+    same points pay for one quadrature; log_deriv_array returns that shared,
+    read-only array itself.
     """
 
     def __init__(self, gen: Generator):
@@ -200,8 +201,9 @@ class KoenigsMap:
         """(log h or log(h/z), log h') at the points z, of z's shape."""
         z = _as_points(z)
         key = (z.shape, z.tobytes())
-        if self._memo[0] == key:
-            return self._memo[1]
+        last, logs = self._memo
+        if last == key:
+            return logs
         flat = z.ravel()
         s, w = _graded_rule(_panel_count(float(np.max(np.abs(flat), initial=0.0))))
         step = _BLOCK // s.size

@@ -35,7 +35,8 @@ def test_summarize_reports_quartiles_wins_failed_share_and_correctness(bench_pai
                                  "change_quartiles": pytest.approx([0.305, 0.31, 0.37]),
                                  "change_better_in": 2, "pairs": 3, "bound": 0.2,
                                  "worse_by": pytest.approx(-0.10 / 0.41),
-                                 "within_bound": True, "gain_rule_met": False}
+                                 "within_bound": True, "unresolved": False,
+                                 "gain_rule_met": False}
     assert out["min_digits"]["change_better_in"] == 1
     assert out["min_digits"]["worse_by"] == 0.0 and out["min_digits"]["within_bound"]
     assert out["failed_share_worst"] == {"parent": 0.1, "change": 0.005}
@@ -62,3 +63,33 @@ def test_summarize_gain_rule_and_bound_verdicts(bench_pairs):
     small = [{"parent": result(p, 9.0), "change": result(p - 0.001, 9.0)} for p in par]
     got = bench_pairs.summarize(small, end_to_end)["campaign_s"]
     assert got["change_better_in"] == 10 and not got["gain_rule_met"]
+
+
+def test_summarize_unresolved_spread_failed_share_and_zero_median(bench_pairs):
+    """A metric whose runs spread wider than its bound allows is unresolved
+    unless every change run beats every parent run; a gain does not count when
+    the change fails a larger share of operations; at a parent median of 0 no
+    worsening is within bound."""
+    end_to_end = [{"name": "campaign_s", "better": "lower", "bound": 0.2},
+                  {"name": "min_digits", "better": "higher", "bound": 0.1}]
+    par = [0.40, 0.20, 0.60, 0.30, 0.50]
+    wide = [{"parent": result(p, 9.0), "change": result(p - 0.01, 9.0)} for p in par]
+    got = bench_pairs.summarize(wide, end_to_end)["campaign_s"]
+    assert got["within_bound"] and got["unresolved"]
+    apart = [{"parent": result(p, 9.0), "change": result(p - 0.5, 9.0)} for p in par]
+    assert not bench_pairs.summarize(apart, end_to_end)["campaign_s"]["unresolved"]
+
+    runs = [{"parent": result(0.40 + 0.001 * k, 9.0), "change": result(0.30, 9.0)}
+            for k in range(10)]
+    assert bench_pairs.summarize(runs, end_to_end)["campaign_s"]["gain_rule_met"]
+    runs[3]["change"] = result(0.30, 9.0, failed=1)
+    got = bench_pairs.summarize(runs, end_to_end)
+    assert got["failed_share_worst"]["change"] > got["failed_share_worst"]["parent"]
+    assert not got["campaign_s"]["gain_rule_met"]
+
+    zero = [{"parent": result(0.4, 0.0), "change": result(0.4, d)} for d in (0.0, -1.0, 0.0)]
+    got = bench_pairs.summarize(zero, end_to_end)["min_digits"]
+    assert got["worse_by"] is None and got["within_bound"]
+    zero[0]["change"] = zero[2]["change"] = result(0.4, -1.0)
+    got = bench_pairs.summarize(zero, end_to_end)["min_digits"]
+    assert got["worse_by"] is None and not got["within_bound"]

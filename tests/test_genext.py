@@ -12,6 +12,7 @@ from spirallab.extensions import (
 )
 from spirallab.genext import (
     ExtendedGenerator,
+    UnresolvedSingularity,
     conjugation_residual,
     dh_tilde_identity_residual,
     extend_generator,
@@ -73,7 +74,7 @@ def test_quotient_removable_singularity():
 def test_quotient_branches_bit_for_bit():
     """Inside singularity_radius of tau the quotient is the series
     -f''(tau)/(mu + f''(tau)(x - tau)/2), elsewhere (mu - f')/f, in a mixed
-    batch and in one with no point near tau."""
+    batch, in one with no point near tau and in one holding a NaN."""
     base = Generator.from_poly([0, 1, -1, 0.3], kind="dilation", tau=0.0, mu=1.0)
     g = make(base=base)
     x = np.array([0.5e-4, 0.9e-4j, 2e-4, 0.3 - 0.1j])
@@ -82,6 +83,18 @@ def test_quotient_branches_bit_for_bit():
     plain = (base.mu - base.df(x[2:])) / base.f(x[2:])
     assert g.quotient(x).tobytes() == np.r_[series, plain].tobytes()
     assert g.quotient(x[2:]).tobytes() == plain.tobytes()
+    # a NaN in the batch does not hide the points near tau
+    with np.errstate(invalid="ignore"):
+        got = g.quotient(np.r_[x, np.nan])
+    assert got[:4].tobytes() == np.r_[series, plain].tobytes() and np.isnan(got[4])
+
+
+def test_quotient_raises_at_a_zero_of_f_away_from_tau():
+    """f = z - z^2 vanishes at 1, with or without a point near tau in the batch."""
+    g = make()
+    for x in ([1.0], [1e-5, 1.0], [np.nan, 1.0]):
+        with pytest.raises(UnresolvedSingularity, match="f vanishes at"):
+            g.quotient(np.array(x, dtype=complex))
 
 
 def test_bound_enforced():

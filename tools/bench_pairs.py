@@ -18,8 +18,9 @@ when the working tree has uncommitted edits.  Both sides run their own
   alternating which side runs first, and summarises every end-to-end metric of
   ``BENCHMARK.json``: each side's quartiles, the pairs the change won, and
   the verdict on the metric (its bound, the relative ``worse_by`` of the
-  medians, ``within_bound``, ``gain_rule_met``), plus each side's worst failed
-  share (failed/attempted) and whether every run was correct.
+  medians, ``within_bound``, ``unresolved`` when the runs spread wider than
+  the bound, ``gain_rule_met``), plus each side's worst failed share
+  (failed/attempted) and whether every run was correct.
 - ``--traced W:S`` runs one ``--trace 1`` run of each side.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
@@ -190,18 +191,22 @@ def quartiles(xs):
 
 def summarize(runs, end_to_end):
     """Quartiles of each side and the pairs the change won, per metric, with
-    the verdict on it: its bound, worse_by (how much worse the change's median
-    is than the parent's, relative to it, positive when worse), within_bound,
-    and gain_rule_met (the change won at least 9/10 of the pairs and its median
-    is better by more than the parent's interquartile range); and per side, the
-    largest failed share (failed/attempted) of any run and whether every run
-    was correct."""
+    the verdict on it: its bound; worse_by, how much worse the change's median
+    is than the parent's, relative to it (positive when worse; None at a parent
+    median of 0, where within_bound admits no worsening at all); within_bound;
+    unresolved, when either side's interquartile range is wider than the bound
+    allows, unless every change run beats every parent run; and gain_rule_met,
+    when the change won at least 9/10 of the pairs, its median is better by
+    more than the parent's interquartile range, and its worst failed share is
+    no larger than the parent's.  Per side, the largest failed share
+    (failed/attempted) of any run and whether every run was correct."""
     out = {
         "failed_share_worst": {side: max(r[side]["failed"] / max(1, r[side]["attempted"])
                                          for r in runs) for side in ("parent", "change")},
         "all_correct": {side: all(r[side]["correct"] for r in runs)
                         for side in ("parent", "change")},
     }
+    fails_more = out["failed_share_worst"]["change"] > out["failed_share_worst"]["parent"]
     for m in end_to_end:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
         par = [r["parent"]["metrics"][name]["value"] for r in runs]
@@ -209,6 +214,8 @@ def summarize(runs, end_to_end):
         pq, cq = quartiles(par), quartiles(chg)
         worse = sign * (cq[1] - pq[1])
         won = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
+        allowed = m["bound"] * abs(pq[1])
+        separated = max(sign * c for c in chg) < min(sign * p for p in par)
         out[name] = {
             "parent_quartiles": pq,
             "change_quartiles": cq,
@@ -216,8 +223,10 @@ def summarize(runs, end_to_end):
             "pairs": len(runs),
             "bound": m["bound"],
             "worse_by": worse / abs(pq[1]) if pq[1] else None,
-            "within_bound": worse <= m["bound"] * abs(pq[1]),
-            "gain_rule_met": 10 * won >= 9 * len(runs) and -worse > pq[2] - pq[0],
+            "within_bound": worse <= allowed,
+            "unresolved": max(pq[2] - pq[0], cq[2] - cq[0]) > allowed and not separated,
+            "gain_rule_met": (not fails_more and 10 * won >= 9 * len(runs)
+                              and -worse > pq[2] - pq[0]),
         }
     return out
 
