@@ -5,7 +5,7 @@ gen-extend.  Complex values on the command line are "re,im" pairs (a bare
 real is accepted); complex values in JSON are [re, im] arrays.  Exit codes:
 0 pass, 1 verified failure, 2 usage/input error, 3 undecided (a solver gave up:
 no Newton convergence, a lost branch, a step underflow, a trajectory forced out
-of its domain, no roots in the search window or an unresolved singularity).
+of its domain or an unresolved singularity).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .families import BranchTrackingError, NoConvergence, UnivalentMap
 from .ode import LeftDomain, StepUnderflow
 
 UNDECIDED = (NoConvergence, BranchTrackingError, StepUnderflow, LeftDomain,
-             sharp_bound.NoRootsInWindow, genext.UnresolvedSingularity)
+             genext.UnresolvedSingularity)
 
 FAMILY_SHORTCUTS = ("identity", "koebe", "half_plane")
 COMPLEX_OPTIONS = ("--x0", "--beta", "--z0", "--mu", "--lambda")
@@ -72,12 +72,14 @@ def _load_json(path):
 
 
 def _load_spec(arg, build, what):
-    """build(spec) of the JSON spec at arg; a KeyError or ValueError from build is a
-    usage error."""
+    """build(spec) of the JSON object at arg; any other JSON value, or a KeyError,
+    ValueError, TypeError or IndexError from build, is a usage error."""
     spec = _load_json(arg)
+    if not isinstance(spec, dict):
+        raise UsageError(f"bad {what} spec {arg}: expected a JSON object")
     try:
         return build(spec)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError, IndexError) as e:
         raise UsageError(f"bad {what} spec {arg}: {e}")
 
 

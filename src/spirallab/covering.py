@@ -5,12 +5,11 @@ covering radii."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import kernels
-from .families import UnivalentMap, deriv_modulus, disk_automorphism, invert_map
+from .families import UnivalentMap, disk_automorphism, invert_map
 
 BOUNDARY_EPS = 1e-3
 
@@ -73,7 +72,7 @@ def _min_distance(h, threshold, center, grid):
         return kernels.covered_min_distance(
             h.code, h.params, h.num or None, h.den or None,
             threshold, center, *grid, BOUNDARY_EPS)
-    return kernels.min_distance(h.eval_array, partial(deriv_modulus, h), threshold, center,
+    return kernels.min_distance(h.eval_array, h.abs_deriv_array, threshold, center,
                                 *grid, BOUNDARY_EPS)
 
 
@@ -128,6 +127,6 @@ def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
 def omega_region_points(h, spec: OmegaSpec, grid=(100, 100)):
     """(x, in_omega) samples on the covering sweep's polar grid, for plotting
     and CSV dumps."""
-    blocks = kernels.polar_sweep(partial(deriv_modulus, h), *kernels.polar_grid(*grid))
+    blocks = kernels.polar_sweep(h.abs_deriv_array, *kernels.polar_grid(*grid))
     x, crit = (np.concatenate(v, axis=None) for v in zip(*blocks))
     return x, crit > spec.threshold

@@ -2,17 +2,17 @@
 normalization at a point, branch-tracked powers h'(x)^(1/r), Newton
 inversion and the classical distortion lower bounds.
 
-A "disk map" anywhere in this package is any object exposing eval_array and
-deriv_array on ndarrays; most also expose log_deriv_array and invert_array,
-which returns the preimage of w in the open disk or NaN.  Callers do not write
-into the arrays these methods return: a map may hand out a shared, read-only
-array (KoenigsMap.log_deriv_array does).
-deriv_modulus gives |h'| of any disk map, in real arithmetic where the map has
-abs_deriv_array (UnivalentMap).
-Their scalar eval/deriv/invert, where present, are thin wrappers of the array
-methods, so each formula exists once.  UnivalentMap covers the closed-form
-families and NormalizedMap the normalization of a disk map at a point;
-numerically-defined maps (e.g. Koenigs functions) implement the same surface.
+A "disk map" anywhere in this package is an instance of a class decorated
+with disk_map.  The class defines eval_array and deriv_array on ndarrays and
+may define deriv2_array, log_deriv_array, invert_array (the preimages of w in
+the open disk, NaN where there are none), abs_deriv_array and
+spiral_multiplier; disk_map writes the rest, so every disk map has all of
+them, plus invert and the scalar twin of each array method, which refuses a
+point outside the disk.  Callers do not write into the arrays these methods
+return: a map may hand out a shared, read-only array (KoenigsMap.log_deriv_array
+does).  UnivalentMap covers the closed-form families, NormalizedMap the
+normalization of a disk map at a point, and semigroups.KoenigsMap the Koenigs
+functions of generators.
 """
 
 from __future__ import annotations
@@ -55,6 +55,46 @@ def _require_in_disk(z):
         raise PointOutsideDisk(f"|z| = {abs(z)} >= 1")
 
 
+def _scalar_twin(name):
+    def twin(self, z):
+        _require_in_disk(z)
+        return complex(getattr(self, f"{name}_array")(np.asarray([z], dtype=complex))[0])
+
+    twin.__name__ = name
+    return twin
+
+
+def _invert(self, w, guess=0j):
+    return invert_map(self, w, guess=guess)
+
+
+def _newton_invert_array(self, w, guess=0j):
+    return newton_invert(self, w, guess=guess)
+
+
+def _abs_deriv_array(self, z):
+    return np.abs(self.deriv_array(z))
+
+
+def disk_map(cls):
+    """The one writer of the members disk maps share, on cls itself (not a base
+    class: verdictbench/tracing.py wraps them in each class's own __dict__):
+    the scalar twin of each of eval_array, deriv_array, deriv2_array and
+    log_deriv_array that cls defines, invert, and where cls defines none,
+    invert_array (damped Newton), abs_deriv_array and spiral_multiplier."""
+    own = vars(cls)
+    for name in ("eval", "deriv", "deriv2", "log_deriv"):
+        if f"{name}_array" in own:
+            setattr(cls, name, _scalar_twin(name))
+    cls.invert = _invert
+    for name, value in (("invert_array", _newton_invert_array),
+                        ("abs_deriv_array", _abs_deriv_array), ("spiral_multiplier", None)):
+        if name not in own:
+            setattr(cls, name, value)
+    return cls
+
+
+@disk_map
 @dataclass(frozen=True)
 class UnivalentMap:
     """A univalent map of the unit disk from one of the built-in families."""
@@ -113,18 +153,6 @@ class UnivalentMap:
         return fn(self.code, self.params, self.num or None, self.den or None,
                   np.atleast_1d(np.asarray(z, dtype=complex)))
 
-    def eval(self, z):
-        _require_in_disk(z)
-        return complex(self._k(kernels.eval_map, z)[0])
-
-    def deriv(self, z):
-        _require_in_disk(z)
-        return complex(self._k(kernels.eval_deriv, z)[0])
-
-    def deriv2(self, z):
-        _require_in_disk(z)
-        return complex(self._k(kernels.eval_deriv2, z)[0])
-
     def eval_array(self, z):
         return self._k(kernels.eval_map, z)
 
@@ -142,15 +170,6 @@ class UnivalentMap:
         if self.family == "rational":
             return continued_log_deriv(self, np.atleast_1d(np.asarray(z, dtype=complex)))
         return self._k(kernels.log_deriv, z)
-
-    def log_deriv(self, z):
-        return complex(self.log_deriv_array(np.asarray([z]))[0])
-
-    # -- inversion -----------------------------------------------------------
-
-    def invert(self, w, guess=0j):
-        """Solve h(z) = w inside the disk (closed form or damped Newton)."""
-        return invert_map(self, w, guess=guess)
 
     def invert_array(self, w, guess=0j):
         """Preimages of the points w in the open disk, NaN where there is none
@@ -196,15 +215,11 @@ class UnivalentMap:
 
 
 def _c(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
-
-
-def deriv_modulus(h, z):
-    """|h'(z)| on arrays: h.abs_deriv_array where the map has it, else |h.deriv_array|."""
-    abs_deriv = getattr(h, "abs_deriv_array", None)
-    return abs_deriv(z) if abs_deriv else np.abs(h.deriv_array(z))
+    """A spec's complex value: a real number or a list [re, im] of two."""
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v, 0.0]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise ValueError(f"expected a real number or [re, im], got {v!r}")
+    return complex(*parts)
 
 
 def disk_automorphism(x0, z):
@@ -231,6 +246,7 @@ def distortion_bounds(z):
     return (1.0 - rho) / (1.0 + rho) ** 3, rho / (1.0 + rho) ** 2
 
 
+@disk_map
 class NormalizedMap:
     """g(z) = (h(phi(z)) - h(x0)) / (h'(x0) (|x0|^2 - 1)) with g(0)=0, g'(0)=1,
     phi the disk automorphism based at x0."""
@@ -249,14 +265,6 @@ class NormalizedMap:
 
     def _phi(self, z):
         return disk_automorphism(self.x0, z)
-
-    def eval(self, z):
-        _require_in_disk(z)
-        return complex(self.eval_array(np.asarray([z]))[0])
-
-    def deriv(self, z):
-        _require_in_disk(z)
-        return complex(self.deriv_array(np.asarray([z]))[0])
 
     def eval_array(self, z):
         z = np.asarray(z, dtype=complex)
@@ -356,8 +364,7 @@ def newton_invert(h, w, guess=0j):
     """Preimages of w in the open disk for a generic disk map, NaN where there
     is none: ``kernels.preimages`` with the spiral continuation where h has a
     spiral_multiplier."""
-    return kernels.preimages(h.eval_array, h.deriv_array, w, guess,
-                             getattr(h, "spiral_multiplier", None))
+    return kernels.preimages(h.eval_array, h.deriv_array, w, guess, h.spiral_multiplier)
 
 
 def invert_map(h, w, guess=0j):

@@ -167,6 +167,7 @@ def _as_points(z):
     return np.atleast_1d(np.asarray(z, dtype=complex))
 
 
+@families.disk_map
 class KoenigsMap:
     """Univalent solution of h'(z) f(z) = mu h(z), built by radial quadrature.
 
@@ -256,25 +257,8 @@ class KoenigsMap:
         out[near] = -self._f2 / self.mu
         return out
 
-    def eval(self, z):
-        return complex(self.eval_array(z)[0])
 
-    def deriv(self, z):
-        return complex(self.deriv_array(z)[0])
-
-    def deriv2(self, z):
-        return complex(self.deriv2_array(z)[0])
-
-    def log_deriv(self, z):
-        return complex(self.log_deriv_array(z)[0])
-
-    def invert_array(self, w, guess=0j):
-        return families.newton_invert(self, w, guess=guess)
-
-    def invert(self, w, guess=0j):
-        return families.invert_map(self, w, guess=guess)
-
-
+@families.disk_map
 class _ConjugatedMap:
     """h0 composed with the disk automorphism based at tau (dilation tau != 0)."""
 
@@ -306,24 +290,6 @@ class _ConjugatedMap:
         z = _as_points(z)
         return (self.h0.log_deriv_array(self._phi(z)) + self._log_c
                 - 2.0 * np.log(1.0 - np.conj(self.tau) * z))
-
-    def eval(self, z):
-        return complex(self.eval_array(z)[0])
-
-    def deriv(self, z):
-        return complex(self.deriv_array(z)[0])
-
-    def deriv2(self, z):
-        return complex(self.deriv2_array(z)[0])
-
-    def log_deriv(self, z):
-        return complex(self.log_deriv_array(z)[0])
-
-    def invert_array(self, w, guess=0j):
-        return families.newton_invert(self, w, guess=guess)
-
-    def invert(self, w, guess=0j):
-        return families.invert_map(self, w, guess=guess)
 
 
 def koenigs(gen: Generator):
@@ -371,8 +337,10 @@ def spirallike_margin(h, mu):
     """min over the disk grid of Re( mu h(z) / (z h'(z)) ); value Re mu at z = 0.
 
     h is accepted as mu-spirallike (interior point case, h(0)=0) when the
-    margin is >= -1e-9."""
+    margin is >= -1e-9; Re mu <= 0, where the margin decides nothing, is refused."""
     mu = complex(mu)
+    if mu.real <= 0:
+        raise ValueError(f"spiral multiplier needs Re mu > 0, got {mu}")
     if abs(h.eval(0j)) > 1e-10:
         raise ValueError("interior-point criterion needs h(0) = 0")
     z = disk_grid()

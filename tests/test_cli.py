@@ -329,6 +329,40 @@ def test_bad_times_and_counts_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mu", ["0", "-1,0", "0,1"])
+def test_spiral_check_refuses_re_mu_not_positive(tmp_path, capsys, mu):
+    """The margin is at most Re mu, so koebe with mu = 0 passed with margin
+    -0.0: a multiplier with Re mu <= 0 is an input error (exit 2, no report)."""
+    code, rep = run(tmp_path, "spiral-check", "--fn", "koebe", f"--mu={mu}")
+    assert code == 2
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: spiral multiplier needs Re mu > 0")
+
+
+@pytest.mark.parametrize("cmd,option,spec", [
+    ("covering", "--fn", {"family": "mobius_spiral", "c": "0.3"}),
+    ("covering", "--fn", {"family": "mobius_spiral", "c": [0.3]}),
+    ("covering", "--fn", {"family": "mobius_spiral", "c": None}),
+    ("covering", "--fn", [1, 2]),
+    ("koenigs", "--gen", {"poly": 5}),
+    ("koenigs", "--gen", {"poly": [[0, 0], [1, 0], [-1, 0]], "tau": "x"}),
+    ("extend", "--Q", {"degree": 2, "terms": [{"exps": 2, "coef": [1, 0]}]}),
+], ids=["c_string", "c_one_number", "c_null", "not_an_object", "poly_number",
+        "tau_string", "exps_number"])
+def test_malformed_specs_exit_2(tmp_path, capsys, cmd, option, spec):
+    """A spec of the wrong JSON shape is an input error (exit 2, no report),
+    not a traceback that exits 1 as a checked failure would."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    args = {"covering": ("--x0", "0,0", "--alpha", "0.5"),
+            "koenigs": (),
+            "extend": ("--fn", "koebe", "--r", "2", "--mu", "1,0", "--lambda", "1,0")}[cmd]
+    code, rep = run(tmp_path, cmd, option, str(path), *args)
+    assert code == 2
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: bad ")
+
+
 @pytest.mark.parametrize("grid", [16, 24, 64])
 def test_koenigs_grid_is_the_sample_count(tmp_path, grid):
     gen = tmp_path / "gen.json"

@@ -12,7 +12,7 @@ from spirallab.covering import (
     verify_covering_bound,
     verify_shifted_covering_bound,
 )
-from spirallab.families import UnivalentMap, deriv_modulus, disk_automorphism, normalize_at
+from spirallab.families import UnivalentMap, disk_automorphism, disk_map, normalize_at
 from spirallab.semigroups import Generator, koenigs
 
 from conftest import ALL_CODES, random_disk
@@ -20,7 +20,7 @@ from conftest import ALL_CODES, random_disk
 
 def in_omega(h, spec, x):
     """Membership of the points x in Omega_alpha, from the |h'| the sweep reads."""
-    return deriv_modulus(h, x) * (1.0 - np.abs(x) ** 2) > spec.threshold
+    return h.abs_deriv_array(x) * (1.0 - np.abs(x) ** 2) > spec.threshold
 
 
 def test_omega_identity_is_annulus_complement():
@@ -100,13 +100,11 @@ def test_transformed_region_equivalence():
     h = UnivalentMap.koebe()
     x0 = 0.3 + 0.2j
 
+    @disk_map
     class Composed:
         def deriv_array(self, z):
             dphi = (abs(x0) ** 2 - 1.0) / (1.0 - np.conj(x0) * z) ** 2
             return h.deriv_array(disk_automorphism(x0, z)) * dphi
-
-        def deriv(self, z):
-            return complex(self.deriv_array(np.asarray([z], dtype=complex))[0])
 
     g = Composed()
     spec_h = OmegaSpec.build(h, x0, 0.45)
@@ -201,7 +199,7 @@ def test_generic_map_sweep_matches_per_ring_loop(kind):
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
         args = (spec.threshold, center, *grid, BOUNDARY_EPS)
         best, _, bmin, n_out = kernels.min_distance(
-            h.eval_array, lambda z: deriv_modulus(h, z), *args)
+            h.eval_array, h.abs_deriv_array, *args)
         ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(
             h.eval_array, h.deriv_array, *args)
         assert n_out == ref_n_out > 0

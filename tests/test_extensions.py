@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import types
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from spirallab.extensions import (
     sup_norm_Q,
     verify_invariance,
 )
-from spirallab.families import BranchedPower, UnivalentMap, normalize_at
+from spirallab.families import BranchedPower, UnivalentMap, disk_map, normalize_at
 
 from conftest import ALL_CODES, RATIONAL, random_disk
 
@@ -288,11 +287,18 @@ def test_membership_of_near_rim_koebe_points():
 
 
 def test_membership_of_a_map_without_invert_array():
-    """A disk map with only eval_array and deriv_array (here a normalized map
-    stripped of its invert_array): membership goes through damped Newton."""
+    """A disk map that defines only eval_array and deriv_array (here a
+    normalized map stripped of its invert_array): membership goes through the
+    damped Newton invert_array that disk_map gives it."""
     sp = space(2.0, 1)
     n = normalize_at(UnivalentMap.mobius_spiral(0.5), 0.3 + 0.2j)
-    g = types.SimpleNamespace(eval_array=n.eval_array, deriv_array=n.deriv_array)
+
+    @disk_map
+    class Stripped:
+        eval_array = staticmethod(n.eval_array)
+        deriv_array = staticmethod(n.deriv_array)
+
+    g = Stripped()
     xs, ys = sample_ball(sp, 100, np.random.default_rng(47))
     zs, ws = extend_H_arrays(g, sp, xs, ys)
     assert membership_H_arrays(g, sp, zs, sp.fibre(ws)).all()
@@ -586,7 +592,7 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
         calls.append(np.size(z))
         return np.abs(h.deriv_array(z))
 
-    monkeypatch.setattr(extensions, "deriv_modulus", complex_modulus)
+    monkeypatch.setattr(type(h), "abs_deriv_array", complex_modulus)
     reports.append(verify_invariance(*args, **kw))
     assert calls
     z_fast, z_ref = (np.array([complex(*w.pop("z")) for w in rep["witnesses"]])

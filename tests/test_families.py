@@ -22,7 +22,7 @@ from spirallab.families import (
     newton_invert,
     normalize_at,
 )
-from spirallab.semigroups import spirallike_margin
+from spirallab.semigroups import Generator, koenigs, spirallike_margin
 
 from conftest import ALL_CODES, RATIONAL, random_disk, standard_families
 
@@ -120,6 +120,44 @@ def test_array_paths_match_scalar(families):
         for i, z in enumerate(zs):
             assert abs(ev[i] - h.eval(z)) < 1e-13
             assert abs(dv[i] - h.deriv(z)) < 1e-13
+
+
+# ---------------------------------------------------------------- protocol
+
+PROTOCOL = ("eval", "deriv", "eval_array", "deriv_array", "abs_deriv_array", "invert",
+            "invert_array", "spiral_multiplier")
+TWINS = ("eval", "deriv", "deriv2", "log_deriv")
+
+
+def _protocol_maps():
+    koenigs_gen = Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
+    shifted_gen = Generator.from_poly([-0.3, 1.09, -0.3], kind="dilation", tau=0.3,
+                                      mu=0.91)
+    return {"univalent": UnivalentMap.mobius_spiral(0.3j),
+            "normalized": normalize_at(UnivalentMap.koebe(), 0.3 + 0.2j),
+            "koenigs": koenigs(koenigs_gen),
+            "conjugated": koenigs(shifted_gen)}
+
+
+@pytest.mark.parametrize("name", ["univalent", "normalized", "koenigs", "conjugated"])
+def test_every_disk_map_has_the_whole_protocol(name):
+    """disk_map writes every protocol member onto the map's own class, where
+    the benchmark tracer wraps it; each scalar twin gives the bits of its array
+    method at one point and refuses a point outside the disk."""
+    h = _protocol_maps()[name]
+    own = vars(type(h))
+    assert [m for m in PROTOCOL if m not in own] == []
+    z = 0.4 - 0.3j
+    twins = [m for m in TWINS if f"{m}_array" in own]
+    assert twins[:2] == ["eval", "deriv"]
+    for m in twins:
+        value = getattr(h, m)(z)
+        assert type(value) is complex
+        array = getattr(h, f"{m}_array")(np.array([z]))
+        assert np.array([value]).tobytes() == array.tobytes()
+        with pytest.raises(PointOutsideDisk):
+            getattr(h, m)(1.2)
+    assert h.invert(h.eval(z)) == invert_map(h, h.eval(z))
 
 
 # --------------------------------------------------------------- inversion
