@@ -62,9 +62,17 @@ def _parse_grid(s):
 
 
 def _load_json(path):
+    """The JSON value at path.  Python's json reads NaN and Infinity, and an
+    overflowing number such as 1e999 as inf; each is a usage error."""
+    def finite(s):
+        v = float(s)
+        if not math.isfinite(v):
+            raise UsageError(f"non-finite number {s} in {path}")
+        return v
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
     except json.JSONDecodeError as e:

@@ -72,8 +72,10 @@ def _min_distance(h, threshold, center, grid):
         return kernels.covered_min_distance(
             h.code, h.params, h.num or None, h.den or None,
             threshold, center, *grid, BOUNDARY_EPS)
-    return kernels.min_distance(h.eval_array, h.abs_deriv_array, threshold, center,
-                                *grid, BOUNDARY_EPS)
+    radii, ring = kernels.polar_grid(*grid)
+    return kernels.min_distance(h.eval_array,
+                                kernels.criterion_blocks(h.abs_deriv_array, radii, ring),
+                                threshold, center, ring, BOUNDARY_EPS)
 
 
 def _verdict(h, spec, center, predicted, grid, secondary):
@@ -127,6 +129,6 @@ def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
 def omega_region_points(h, spec: OmegaSpec, grid=(100, 100)):
     """(x, in_omega) samples on the covering sweep's polar grid, for plotting
     and CSV dumps."""
-    blocks = kernels.polar_sweep(h.abs_deriv_array, *kernels.polar_grid(*grid))
+    blocks = kernels.criterion_blocks(h.abs_deriv_array, *kernels.polar_grid(*grid))
     x, crit = (np.concatenate(v, axis=None) for v in zip(*blocks))
     return x, crit > spec.threshold

@@ -12,10 +12,11 @@ Families are addressed by an integer code:
 
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
 ``newton``, ``spiral_newton`` and ``preimages`` take the map as callables F and dF
-on arrays, and ``min_distance`` takes F and the modulus |dF|, so every disk map
-shares them; ``invert`` and ``covered_min_distance`` are their entry points for
-the family codes.  Every inverse returns the preimage in the open disk or NaN,
-and ``preimages`` alone decides which Newton solves count.
+on arrays, and ``min_distance`` takes F and the blocks of its covering
+criterion |F'(x)|(1-|x|^2) (``criterion_blocks`` of the modulus |dF|), so every
+disk map shares them; ``invert`` and ``covered_min_distance`` are their entry
+points for the family codes.  Every inverse returns the preimage in the open
+disk or NaN, and ``preimages`` alone decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it.
 """
 
@@ -280,28 +281,35 @@ def polar_grid(nr, nt):
     return 1.0 - (1.0 - k / nr) ** 2, np.exp(1j * theta)
 
 
-def polar_sweep(abs_dF, radii, ring):
-    """Yield (x, abs_dF(x) (1 - |x|^2)) for x = radii[k:k+s, None] * ring, with
-    abs_dF the modulus |dF|: blocks of s = max(1, SWEEP_BLOCK // nt) whole
-    rings, in ring-major order."""
+def ring_blocks(radii, ring):
+    """Yield (rows, r, x) for x = r * ring, r = radii[rows, None]: blocks of
+    max(1, SWEEP_BLOCK // nt) whole rings, in ring-major order."""
     s = max(1, SWEEP_BLOCK // ring.size)
     for k in range(0, radii.size, s):
-        r = radii[k:k + s, None]
-        x = r * ring
-        yield x, abs_dF(x) * (1.0 - r * r)
+        rows = slice(k, k + s)
+        r = radii[rows, None]
+        yield rows, r, r * ring
 
 
-def min_distance(F, abs_dF, threshold, center, nr, nt, boundary_eps):
-    """Covering sweep of a disk map F on the polar grid, given |F'| as abs_dF.
+def criterion_blocks(abs_dF, radii, ring, out=None):
+    """Yield (x, abs_dF(x) (1 - |x|^2)) over ``ring_blocks``, with abs_dF the
+    modulus |dF|; given an (nr, nt) array out, each block's criterion is
+    written to its rows of out and yielded from there."""
+    for rows, r, x in ring_blocks(radii, ring):
+        yield x, np.multiply(abs_dF(x), 1.0 - r * r, out=None if out is None else out[rows])
+
+
+def min_distance(F, blocks, threshold, center, ring, boundary_eps):
+    """Covering sweep of a disk map F on a polar grid, given as blocks
+    (x, |F'(x)|(1-|x|^2)) in ring-major order (``criterion_blocks``).
 
     Returns (min |F(x)-center| over grid points failing the region inequality
     |F'(x)|(1-|x|^2) > threshold, witness x, min over the circle
     |x| = 1-boundary_eps, number of grid points in the region complement).
     Ties go to the first grid point in ring-major order.
     """
-    radii, ring = polar_grid(nr, nt)
     best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
-    for x, crit in polar_sweep(abs_dF, radii, ring):
+    for x, crit in blocks:
         x = x[crit <= threshold]
         if x.size:
             n_out += x.size
@@ -313,8 +321,30 @@ def min_distance(F, abs_dF, threshold, center, nr, nt, boundary_eps):
     return best, witness, bmin, n_out
 
 
+MEMO_MAX_POINTS = 2**18  # largest criterion grid covered_min_distance keeps
+_memo = None  # (key, read-only criterion grid) of the last family map swept
+
+
 def covered_min_distance(code, params, num, den, threshold, center, nr, nt, boundary_eps):
-    """``min_distance`` of the family map with the given code."""
-    return min_distance(lambda z: eval_map(code, params, num, den, z),
-                        lambda z: abs_deriv(code, params, num, den, z),
-                        threshold, center, nr, nt, boundary_eps)
+    """``min_distance`` of the family map with the given code.  The criterion
+    grid of the last map and grid swept, if it has at most MEMO_MAX_POINTS
+    points, is kept (one entry, stored once its sweep completes), so the next
+    sweep of that map and grid evaluates no |h'| and only selects against its
+    threshold; larger grids stream in blocks."""
+    global _memo
+    radii, ring = polar_grid(nr, nt)
+    key = (code, params, num, den, nr, nt)
+    if _memo is not None and _memo[0] == key:
+        crit, out = _memo[1], None
+        blocks = ((x, crit[rows]) for rows, _, x in ring_blocks(radii, ring))
+    else:
+        _memo = None
+        out = np.empty((nr, nt)) if nr * nt <= MEMO_MAX_POINTS else None
+        blocks = criterion_blocks(lambda z: abs_deriv(code, params, num, den, z),
+                                  radii, ring, out)
+    result = min_distance(lambda z: eval_map(code, params, num, den, z), blocks,
+                          threshold, center, ring, boundary_eps)
+    if out is not None:
+        out.flags.writeable = False
+        _memo = (key, out)
+    return result

@@ -363,6 +363,28 @@ def test_malformed_specs_exit_2(tmp_path, capsys, cmd, option, spec):
     assert capsys.readouterr().err.startswith("error: bad ")
 
 
+@pytest.mark.parametrize("cmd,option,spec", [
+    ("covering", "--fn", '{"family": "mobius_spiral", "c": NaN}'),
+    ("covering", "--fn", '{"family": "spiral_koebe", "theta": NaN}'),
+    ("covering", "--fn", '{"family": "spiral_koebe", "theta": -Infinity}'),
+    ("covering", "--fn", '{"family": "mobius_spiral", "c": [1e999, 0]}'),
+    ("koenigs", "--gen", '{"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",'
+                         ' "tau": [0, 0], "mu": [NaN, 0]}'),
+], ids=["mobius_c_nan", "spiral_theta_nan", "spiral_theta_minus_inf", "mobius_c_overflow",
+        "generator_mu_nan"])
+def test_non_finite_spec_numbers_exit_2(tmp_path, capsys, cmd, option, spec):
+    """Python's json reads NaN and Infinity (and 1e999 as inf): in a spec they
+    are an input error (exit 2, no report), not a verdict that checked and
+    failed with null radii."""
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    args = ("--x0", "0,0", "--alpha", "0.5") if cmd == "covering" else ()
+    code, rep = run(tmp_path, cmd, option, str(path), *args)
+    assert code == 2
+    assert rep is None
+    assert capsys.readouterr().err.startswith("error: non-finite number ")
+
+
 @pytest.mark.parametrize("grid", [16, 24, 64])
 def test_koenigs_grid_is_the_sample_count(tmp_path, grid):
     gen = tmp_path / "gen.json"

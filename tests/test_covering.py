@@ -1,5 +1,7 @@
 """Tests for the covering-radius machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -196,12 +198,109 @@ def test_generic_map_sweep_matches_per_ring_loop(kind):
         grid = (120, 64)
     x0 = 0.2 - 0.1j
     spec = OmegaSpec.build(h, x0, 0.5)
+    radii, ring = kernels.polar_grid(*grid)
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
-        args = (spec.threshold, center, *grid, BOUNDARY_EPS)
         best, _, bmin, n_out = kernels.min_distance(
-            h.eval_array, h.abs_deriv_array, *args)
+            h.eval_array, kernels.criterion_blocks(h.abs_deriv_array, radii, ring),
+            spec.threshold, center, ring, BOUNDARY_EPS)
         ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(
-            h.eval_array, h.deriv_array, *args)
+            h.eval_array, h.deriv_array, spec.threshold, center, *grid, BOUNDARY_EPS)
         assert n_out == ref_n_out > 0
         assert abs(best - ref_best) <= 1e-12 * ref_best
         assert abs(bmin - ref_bmin) <= 1e-12 * ref_bmin
+
+
+# ---------------------------------------------------------- criterion memo
+
+def _family(h):
+    return h.code, h.params, h.num or None, h.den or None
+
+
+def _sweep(h, x0, alpha, shift, grid):
+    """(memoized sweep, per-ring reference) about shift * h(x0)."""
+    spec = OmegaSpec.build(h, x0, alpha)
+    args = (spec.threshold, shift * h.eval(x0), *grid, BOUNDARY_EPS)
+    fam = _family(h)
+    ref = _per_ring_min_distance(lambda z: kernels.eval_map(*fam, z),
+                                 lambda z: kernels.eval_deriv(*fam, z), *args)
+    return kernels.covered_min_distance(*fam, *args), ref
+
+
+@pytest.fixture
+def no_memo(monkeypatch):
+    monkeypatch.setattr(kernels, "_memo", None)
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_memo_sequence_matches_per_ring_loop(h, no_memo):
+    """Maps A, B, A, A on each of two grids, each sweep with its own threshold
+    and centre: misses and hits alike return the per-ring result bit for bit."""
+    other = ALL_CODES[(ALL_CODES.index(h) + 1) % len(ALL_CODES)]
+    steps = [(h, 0.3 + 0.1j, 0.5, 1.0), (other, -0.2j, 0.4, 0.5),
+             (h, -0.4 + 0.2j, 0.7, 0.5), (h, 0.1, 0.3, 1.0)]
+    for grid in [(400, 400), (401, 7)]:
+        for g, x0, alpha, shift in steps:
+            got, ref = _sweep(g, x0, alpha, shift, grid)
+            assert ref[3] > 0
+            assert got == ref
+            assert kernels._memo[0] == (*_family(g), *grid)
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_memo_hit_evaluates_no_abs_deriv(h, no_memo, monkeypatch):
+    _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
+
+    def refuse(*args):
+        raise AssertionError("abs_deriv called on a memo hit")
+
+    monkeypatch.setattr(kernels, "abs_deriv", refuse)
+    got, ref = _sweep(h, -0.2 + 0.3j, 0.6, 0.5, (400, 400))
+    assert got == ref
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_sweep_that_raises_leaves_no_memo_entry(h, no_memo, monkeypatch):
+    """A sweep cut short by an exception stores no half-filled grid, and the
+    next sweep of that map is a correct miss."""
+    other = ALL_CODES[(ALL_CODES.index(h) + 1) % len(ALL_CODES)]
+    _sweep(other, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
+    real, calls = kernels.abs_deriv, []
+
+    def fail_midway(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise FloatingPointError("midway")
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "abs_deriv", fail_midway)
+    with pytest.raises(FloatingPointError):
+        _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
+    assert kernels._memo is None
+    monkeypatch.setattr(kernels, "abs_deriv", real)
+    got, ref = _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
+    assert got == ref
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_stored_criterion_is_read_only(h, no_memo):
+    _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
+    _, crit = kernels._memo
+    radii, ring = kernels.polar_grid(400, 400)
+    blocks = kernels.criterion_blocks(lambda z: kernels.abs_deriv(*_family(h), z), radii, ring)
+    assert np.array_equal(crit, np.concatenate([c for _, c in blocks]))
+    assert not crit.flags.writeable
+    with pytest.raises(ValueError):
+        crit[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_grid_above_the_cap_stores_nothing(h, no_memo):
+    """Grids of at most MEMO_MAX_POINTS points, the default 400 x 400 among them,
+    are kept; a larger grid streams and leaves the memo empty."""
+    n = math.isqrt(kernels.MEMO_MAX_POINTS)
+    assert 400 * 400 <= n * n == kernels.MEMO_MAX_POINTS
+    _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (n, n))
+    assert kernels._memo is not None
+    got, ref = _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (n + 1, n))
+    assert got == ref
+    assert kernels._memo is None
