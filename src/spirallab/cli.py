@@ -132,7 +132,7 @@ def cmd_covering(args):
         rep = covering.verify_covering_bound(h, x0, args.alpha, grid=grid)
     if args.dump_region:
         spec = covering.OmegaSpec.build(h, x0, args.alpha)
-        pts, inside = covering.omega_region_points(h, spec)
+        pts, inside = covering.omega_region_points(h, spec, grid)
         _write_csv(args.dump_region, ["x_re", "x_im", "in_omega"],
                    ([p.real, p.imag, int(i)] for p, i in zip(pts, inside)))
     return rep.to_dict(), rep.passed

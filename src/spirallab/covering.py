@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .families import UnivalentMap, disk_automorphism, invert_map
+from .families import UnivalentMap, invert_map
 
 BOUNDARY_EPS = 1e-3
 
@@ -126,9 +126,9 @@ def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
     return _verdict(h, spec, center, predicted, grid, secondary)
 
 
-def omega_region_points(h, spec: OmegaSpec, grid=(100, 100)):
-    """(x, in_omega) samples on the covering sweep's polar grid, for plotting
-    and CSV dumps."""
+def omega_region_points(h, spec: OmegaSpec, grid):
+    """(x, in_omega) samples on the covering sweep's polar grid of grid = (nr, nt)
+    points, for plotting and CSV dumps."""
     blocks = kernels.criterion_blocks(h.abs_deriv_array, *kernels.polar_grid(*grid))
     x, crit = (np.concatenate(v, axis=None) for v in zip(*blocks))
     return x, crit > spec.threshold

@@ -1,6 +1,7 @@
-"""Disk primitives: built-in univalent families, disk automorphisms,
-normalization at a point, branch-tracked powers h'(x)^(1/r), Newton
-inversion and the classical distortion lower bounds.
+"""Disk primitives: built-in univalent families, disk automorphisms, a disk
+map composed with one (normalization at a point, and the Koenigs maps of
+generators with an interior Denjoy-Wolff point away from 0), branch-tracked
+powers h'(x)^(1/r) and Newton inversion.
 
 A "disk map" anywhere in this package is an instance of a class decorated
 with disk_map.  The class defines eval_array and deriv_array on ndarrays and
@@ -10,9 +11,9 @@ spiral_multiplier; disk_map writes the rest, so every disk map has all of
 them, plus invert and the scalar twin of each array method, which refuses a
 point outside the disk.  Callers do not write into the arrays these methods
 return: a map may hand out a shared, read-only array (KoenigsMap.log_deriv_array
-does).  UnivalentMap covers the closed-form families, NormalizedMap the
-normalization of a disk map at a point, and semigroups.KoenigsMap the Koenigs
-functions of generators.
+does).  UnivalentMap covers the closed-form families, ComposedMap a disk map
+composed with a disk automorphism and renormalized, and semigroups.KoenigsMap
+the Koenigs functions of generators.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import kernels
 
@@ -55,6 +57,10 @@ def _require_in_disk(z):
         raise PointOutsideDisk(f"|z| = {abs(z)} >= 1")
 
 
+def _as_points(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex))
+
+
 def _scalar_twin(name):
     def twin(self, z):
         _require_in_disk(z)
@@ -76,21 +82,27 @@ def _abs_deriv_array(self, z):
     return np.abs(self.deriv_array(z))
 
 
+def _continued_log_deriv_array(self, z):
+    return continued_log_deriv(self, z)
+
+
 def disk_map(cls):
     """The one writer of the members disk maps share, on cls itself (not a base
     class: verdictbench/tracing.py wraps them in each class's own __dict__):
-    the scalar twin of each of eval_array, deriv_array, deriv2_array and
-    log_deriv_array that cls defines, invert, and where cls defines none,
-    invert_array (damped Newton), abs_deriv_array and spiral_multiplier."""
+    where cls defines none, log_deriv_array (continued_log_deriv),
+    invert_array (damped Newton), abs_deriv_array and spiral_multiplier; then
+    invert and the scalar twin of each of eval_array, deriv_array,
+    deriv2_array and log_deriv_array."""
     own = vars(cls)
+    for name, value in (("log_deriv_array", _continued_log_deriv_array),
+                        ("invert_array", _newton_invert_array),
+                        ("abs_deriv_array", _abs_deriv_array), ("spiral_multiplier", None)):
+        if name not in own:
+            setattr(cls, name, value)
     for name in ("eval", "deriv", "deriv2", "log_deriv"):
         if f"{name}_array" in own:
             setattr(cls, name, _scalar_twin(name))
     cls.invert = _invert
-    for name, value in (("invert_array", _newton_invert_array),
-                        ("abs_deriv_array", _abs_deriv_array), ("spiral_multiplier", None)):
-        if name not in own:
-            setattr(cls, name, value)
     return cls
 
 
@@ -145,13 +157,18 @@ class UnivalentMap:
         den = tuple(complex(c) for c in den)
         if not any(den):
             raise ValueError("zero denominator polynomial")
+        # a pole on the circle is allowed; 1e-6 absorbs the root finder's error
+        # on a double root there (a few 1e-8), the highest order a univalent
+        # map's pole on the circle can have
+        roots = P.polyroots(den)
+        if np.any(np.abs(roots) < 1.0 - 1e-6):
+            raise ValueError(f"denominator has a root inside the disk, a pole: {roots}")
         return cls("rational", num=num, den=den)
 
     # -- evaluation --------------------------------------------------------
 
     def _k(self, fn, z):
-        return fn(self.code, self.params, self.num or None, self.den or None,
-                  np.atleast_1d(np.asarray(z, dtype=complex)))
+        return fn(self.code, self.params, self.num or None, self.den or None, _as_points(z))
 
     def eval_array(self, z):
         return self._k(kernels.eval_map, z)
@@ -168,7 +185,7 @@ class UnivalentMap:
     def log_deriv_array(self, z):
         """Continuous log of h' anchored at 0 with the principal value there."""
         if self.family == "rational":
-            return continued_log_deriv(self, np.atleast_1d(np.asarray(z, dtype=complex)))
+            return continued_log_deriv(self, _as_points(z))
         return self._k(kernels.log_deriv, z)
 
     def invert_array(self, w, guess=0j):
@@ -239,76 +256,94 @@ def disk_automorphism_deriv(x0, z, k=1):
     return d / (1.0 - c * z) ** (k + 1)
 
 
-def distortion_bounds(z):
-    """Lower bounds ((1-|z|)/(1+|z|)^3, |z|/(1+|z|)^2) valid for |g'| and |g|
-    of any normalized univalent g."""
-    rho = np.abs(z)
-    return (1.0 - rho) / (1.0 + rho) ** 3, rho / (1.0 + rho) ** 2
-
-
 @disk_map
-class NormalizedMap:
-    """g(z) = (h(phi(z)) - h(x0)) / (h'(x0) (|x0|^2 - 1)) with g(0)=0, g'(0)=1,
-    phi the disk automorphism based at x0."""
+class ComposedMap:
+    """g(z) = (h0(phi(z)) - shift) / scale for a disk map h0 and phi the disk
+    automorphism based at a.  normalize_at builds it with g(0) = 0 and
+    g'(0) = 1; semigroups.koenigs builds it with shift 0 and scale 1, the
+    Koenigs function h0 o phi of a generator whose Denjoy-Wolff point a is
+    not 0 (Elin-Shoikhet, Linearization Models for Complex Dynamical Systems,
+    2010)."""
 
-    def __init__(self, h, x0):
-        _require_in_disk(x0)
-        self.h = h
-        self.x0 = complex(x0)
-        self._h_x0 = h.eval(self.x0)
-        d = h.deriv(self.x0)
-        if d == 0:
-            raise DerivativeVanishes(f"h'({x0}) = 0")
-        self._scale = d * (abs(self.x0) ** 2 - 1.0)
-        if abs(self.eval(0j)) > 1e-10 or abs(self.deriv(0j) - 1.0) > 1e-10:
-            raise AssertionError("normalization failed")
+    def __init__(self, h0, a, shift=0j, scale=1.0):
+        _require_in_disk(a)
+        self.h0 = h0
+        self.a = complex(a)
+        self.shift = complex(shift)
+        self.scale = complex(scale)
+        # log g'(0) - log h0'(a), the constant that puts log g' at its principal
+        # value at 0; -log h0'(a) for a normalized map
+        self._log_c = np.log(self.deriv(0j)) - h0.log_deriv(self.a)
 
     def _phi(self, z):
-        return disk_automorphism(self.x0, z)
+        return disk_automorphism(self.a, z)
+
+    def _rescaled(self, v):
+        # v / 1 would still turn some -0.0 into +0.0
+        return v if self.scale == 1 else v / self.scale
 
     def eval_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (self.h.eval_array(self._phi(z)) - self._h_x0) / self._scale
+        return self._rescaled(self.h0.eval_array(self._phi(_as_points(z))) - self.shift)
 
     def deriv_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (self.h.deriv_array(self._phi(z)) * disk_automorphism_deriv(self.x0, z)
-                / self._scale)
+        z = _as_points(z)
+        return self._rescaled(self.h0.deriv_array(self._phi(z))
+                              * disk_automorphism_deriv(self.a, z))
+
+    def deriv2_array(self, z):
+        z = _as_points(z)
+        w = self._phi(z)
+        return self._rescaled(self.h0.deriv2_array(w) * disk_automorphism_deriv(self.a, z) ** 2
+                              + self.h0.deriv_array(w) * disk_automorphism_deriv(self.a, z, 2))
+
+    def log_deriv_array(self, z):
+        # log h0'(phi(z)) - 2 log(1 - conj(a) z) + const; Re(1 - conj(a) z) > 0
+        # on the disk, so the principal log of that factor is continuous there
+        z = _as_points(z)
+        return (self.h0.log_deriv_array(self._phi(z))
+                - 2.0 * np.log(1.0 - np.conj(self.a) * z) + self._log_c)
 
     def invert_array(self, w, guess=0j):
-        """g^-1(w) = phi(h^-1(h(x0) + scale w)) through the base map's own
-        inverse, started at phi(guess); NaN where that inverse fails."""
+        """g^-1(w) = phi(h0^-1(shift + scale w)) through the base map's own
+        inverse, started at phi(guess); NaN where that inverse finds none."""
         w = np.asarray(w, dtype=complex)
-        x = self.h.invert_array(self._h_x0 + self._scale * w, guess=self._phi(guess))
-        return self._phi(x)
+        x = self.h0.invert_array(self.shift + self.scale * w, guess=self._phi(guess))
+        with np.errstate(invalid="ignore"):  # a NaN preimage stays NaN
+            return self._phi(x)
 
 
 def normalize_at(h, x0):
-    return NormalizedMap(h, x0)
+    """h normalized at x0: g(z) = (h(phi(z)) - h(x0)) / (h'(x0) (|x0|^2 - 1)),
+    phi the disk automorphism based at x0, so g(0) = 0 and g'(0) = 1."""
+    x0 = complex(x0)
+    d = h.deriv(x0)
+    if d == 0:
+        raise DerivativeVanishes(f"h'({x0}) = 0")
+    return ComposedMap(h, x0, h.eval(x0), d * (abs(x0) ** 2 - 1.0))
 
 
 _PATH_BLOCK = 1 << 18  # path nodes per h'-evaluation, bounds the temporaries
+_PATH_STEPS, _PATH_MAX_STEPS = 64, 65536  # steps per segment: first, most
 
 
-def continued_log_deriv(h, x, anchor=0j, steps=64, max_steps=65536):
-    """log h'(x) continued from the principal value at the anchor, for one
-    point or an ndarray of points.
+def continued_log_deriv(h, x):
+    """log h'(x) continued along the segment from 0, where it takes its
+    principal value, for one point or an ndarray of points.
 
-    Path: radial leg from the anchor out/in to radius |x| along the anchor's
-    ray, then a rotational arc to x (a single radial segment when anchor=0).
-    Each point's steps double until every per-step log increment on its path
-    is well inside the principal strip.
+    Each point's steps double until every per-step log increment on its
+    segment is well inside the principal strip.
     """
     x = np.asarray(x, dtype=complex)
     flat = x.ravel()
     out = np.empty_like(flat)
-    anchor = complex(anchor)
     todo = np.arange(flat.size)
-    while todo.size and steps <= max_steps:
+    steps = _PATH_STEPS
+    while todo.size and steps <= _PATH_MAX_STEPS:
         left = []
         rows = max(1, _PATH_BLOCK // steps)
+        t = np.linspace(0.0, 1.0, steps + 1)
         for idx in np.split(todo, np.arange(rows, todo.size, rows)):
-            d = h.deriv_array(_branch_path(anchor, flat[idx], steps))
+            d = h.deriv_array(t * flat[idx, None])
             if np.any(d == 0):
                 raise DerivativeVanishes("h' vanishes on the continuation path")
             inc = np.log(d[:, 1:] / d[:, :-1])
@@ -322,28 +357,13 @@ def continued_log_deriv(h, x, anchor=0j, steps=64, max_steps=65536):
     return out.reshape(x.shape) if x.ndim else complex(out[0])
 
 
-def _branch_path(anchor, x, steps):
-    """Continuation paths from the anchor, one row of nodes per point of x."""
-    t = np.linspace(0.0, 1.0, steps + 1)
-    x = x[:, None]
-    if anchor == 0:
-        return t * x
-    r1, a0, a1 = np.abs(x), np.angle(anchor), np.angle(x)
-    mid = r1 * np.exp(1j * a0)
-    leg1 = anchor + t * (mid - anchor)
-    da = (a1 - a0 + np.pi) % (2 * np.pi) - np.pi
-    leg2 = r1 * np.exp(1j * (a0 + t * da))
-    return np.concatenate([leg1, leg2[:, 1:]], axis=1)
-
-
 @dataclass(frozen=True)
 class BranchedPower:
-    """Branch-consistent h'(x)^(1/r) for real r >= 1, from log h' continued
-    from its principal value at the anchor."""
+    """Branch-consistent h'(x)^(1/r) for real r >= 1, from the map's log h',
+    continued from its principal value at 0."""
 
     map: object
     r: float
-    anchor: complex = 0j
 
     def __post_init__(self):
         if self.r < 1:
@@ -353,11 +373,7 @@ class BranchedPower:
         return complex(self.array(np.asarray([x], dtype=complex))[0])
 
     def array(self, x):
-        if self.anchor == 0 and hasattr(self.map, "log_deriv_array"):
-            logs = self.map.log_deriv_array(x)
-        else:
-            logs = continued_log_deriv(self.map, x, anchor=self.anchor)
-        return np.exp(logs / self.r)
+        return np.exp(self.map.log_deriv_array(x) / self.r)
 
 
 def newton_invert(h, w, guess=0j):

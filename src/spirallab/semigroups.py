@@ -11,7 +11,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import families, kernels, ode
-from .families import _c, disk_automorphism_deriv as _dphi
+from .families import _as_points, _c, disk_automorphism_deriv as _dphi
+# verdictbench/tracing.py wraps the methods of the Koenigs maps under this name
+from .families import ComposedMap as _ConjugatedMap  # noqa: F401
 
 
 class InvalidGenerator(ValueError):
@@ -163,17 +165,14 @@ def _panel_count(rho):
     return max(4, int(np.ceil(np.log2(1.0 / (1.0 - rho)))) + 1)
 
 
-def _as_points(z):
-    return np.atleast_1d(np.asarray(z, dtype=complex))
-
-
 @families.disk_map
 class KoenigsMap:
     """Univalent solution of h'(z) f(z) = mu h(z), built by radial quadrature.
 
     Normalization: h(0)=0, h'(0)=1 for dilation type with tau = 0;
     h(0)=1 for hyperbolic type.  Dilation with tau != 0 is handled by
-    conjugating the generator back to the origin first.
+    koenigs(), which conjugates the generator back to the origin and composes
+    its Koenigs map with the disk automorphism based at tau.
 
     log h (log(h/z) for dilation type) and log h' are integrals over s in
     [0, 1] along the ray to z, evaluated for all points at once with one
@@ -258,40 +257,6 @@ class KoenigsMap:
         return out
 
 
-@families.disk_map
-class _ConjugatedMap:
-    """h0 composed with the disk automorphism based at tau (dilation tau != 0)."""
-
-    def __init__(self, h0, tau):
-        self.h0 = h0
-        self.tau = complex(tau)
-        # log(|tau|^2 - 1) of the negative constant in phi'
-        self._log_c = np.log(complex(abs(self.tau) ** 2 - 1.0))
-
-    def _phi(self, z):
-        return families.disk_automorphism(self.tau, z)
-
-    def eval_array(self, z):
-        return self.h0.eval_array(self._phi(_as_points(z)))
-
-    def deriv_array(self, z):
-        z = _as_points(z)
-        return self.h0.deriv_array(self._phi(z)) * _dphi(self.tau, z)
-
-    def deriv2_array(self, z):
-        z = _as_points(z)
-        w = self._phi(z)
-        return (self.h0.deriv2_array(w) * _dphi(self.tau, z) ** 2
-                + self.h0.deriv_array(w) * _dphi(self.tau, z, 2))
-
-    def log_deriv_array(self, z):
-        # log h0'(phi(z)) + log phi'(z); Re(1 - conj(tau) z) > 0 on the disk,
-        # so the principal log of that factor is continuous there
-        z = _as_points(z)
-        return (self.h0.log_deriv_array(self._phi(z)) + self._log_c
-                - 2.0 * np.log(1.0 - np.conj(self.tau) * z))
-
-
 def koenigs(gen: Generator):
     """Solve h' f = mu h for the generator's Koenigs function."""
     margin = berkson_porta_margin(gen)
@@ -319,7 +284,7 @@ def koenigs(gen: Generator):
 
         g = Generator(f=func, df=dfunc, d2f=d2func,
                       kind="dilation", tau=0j, mu=gen.mu)
-        return _ConjugatedMap(KoenigsMap(g), tau)
+        return families.ComposedMap(KoenigsMap(g), tau)
     return KoenigsMap(gen)
 
 

@@ -37,25 +37,13 @@ class SharpParams:
 
 
 def f_sharp(p: SharpParams, t):
-    """f(t) for t > 0; switches to a series quotient below 1e-6/|lambda| to
-    dodge the 0/0 cancellation at the origin."""
+    """f(t) for t > 0, as (expm1(-a r t) / |expm1(-lambda r t)|)^2: both
+    differences from 1 keep their relative accuracy as t -> 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("t must be > 0")
     rt = p.r * t
-    out = np.empty(t.shape)
-    tiny = t < 1e-6 / abs(p.lam)
-    big = ~tiny
-    e = np.exp(-p.lam * rt[big])
-    num = 1.0 - np.abs(e)
-    den = np.abs(1.0 - e)
-    out[big] = (num / den) ** 2
-    if tiny.any():
-        x = rt[tiny]
-        # 1 - e^{-a x} = a x (1 - a x / 2 + ...);  |1 - e^{-lam x}| likewise
-        num_s = p.a * x * (1.0 - p.a * x / 2.0)
-        den_s = abs(p.lam) * x * np.abs(1.0 - p.lam * x / 2.0)
-        out[tiny] = (num_s / den_s) ** 2
+    out = (np.expm1(-p.a * rt) / np.abs(np.expm1(-p.lam * rt))) ** 2
     return out if out.shape else float(out)
 
 
@@ -93,12 +81,13 @@ def _golden_min(fn, lo, hi, iters=80):
 
 
 def verify_cor_inequality(p: SharpParams):
-    """Margin report for (1-|e^(-r lam t)|) - |1-e^(-r lam t)| Re(lam)/|lam|.
+    """Margin report for (1-|e^(-r lam t)|) - |1-e^(-r lam t)| Re(lam)/|lam|,
+    computed with expm1 like f_sharp.
 
     Positive everywhere for Im lambda != 0; identically zero for real lambda."""
     t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)
-    e = np.exp(-p.lam * p.r * t_grid)
-    margin = (1.0 - np.abs(e)) - np.abs(1.0 - e) * p.a / abs(p.lam)
+    rt = p.r * t_grid
+    margin = -np.expm1(-p.a * rt) - np.abs(np.expm1(-p.lam * rt)) * p.a / abs(p.lam)
     i = int(np.argmin(margin))
     return {
         "min_margin": float(margin[i]),

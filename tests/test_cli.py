@@ -62,13 +62,35 @@ def test_covering_shifted_radius_chain_violated(tmp_path, fn, x0, alpha, beta):
 
 
 def test_covering_region_csv(tmp_path):
+    """--dump-region writes the grid the verdict swept: one row per point of
+    --grid, and its rows outside Omega_alpha are the report's
+    complement_points."""
     csv_path = tmp_path / "region.csv"
     code, rep = run(tmp_path, "covering", "--fn", "koebe", "--x0", "0,0",
-                    "--alpha", "0.5", "--dump-region", str(csv_path))
+                    "--alpha", "0.5", "--grid", "40,40", "--dump-region", str(csv_path))
     assert code == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "x_re,x_im,in_omega"
-    assert len(lines) > 100
+    with open(csv_path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["x_re", "x_im", "in_omega"]
+    assert len(rows) == 1600
+    assert rep["complement_points"] > 0
+    assert sum(row[2] == "0" for row in rows) == rep["complement_points"]
+
+
+@pytest.mark.parametrize("den,code", [([0, 1], 2), ([1, -2], 2), ([1, -1], 0)],
+                         ids=["pole_at_0", "pole_at_half", "pole_on_circle"])
+def test_covering_refuses_a_rational_map_with_a_pole_in_the_disk(tmp_path, capsys, den, code):
+    """z / den(z) with a root of den inside the disk is not a disk map: a usage
+    error, not a verdict.  A pole on the circle, as in z / (1 - z), is allowed."""
+    spec = tmp_path / "rational.json"
+    spec.write_text(json.dumps({"family": "rational", "num": [0, 1], "den": den}))
+    got, rep = run(tmp_path, "covering", "--fn", str(spec), "--x0", "0.3,0", "--alpha", "0.5")
+    assert got == code
+    if code == 2:
+        assert rep is None
+        assert "root inside the disk" in capsys.readouterr().err
+    else:
+        assert rep["pass"]
 
 
 def test_koenigs(tmp_path):
@@ -110,6 +132,17 @@ def test_sharp_bound(tmp_path):
     assert code == 0 and rep["pass"]
     assert abs(rep["infimum"] - 0.5) < 1e-3
     assert abs(rep["limit_zero"] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("lam", ["1e-3,1", "1e-6,1"])
+def test_sharp_bound_passes_for_a_small_real_part(tmp_path, lam):
+    """At Re lambda = 1e-3 and 1e-6 the strict margin is ~4e-17 and ~4e-20,
+    below the rounding of 1 - |e| and |1 - e|; from expm1 it stays positive and
+    the true bound passes."""
+    code, rep = run(tmp_path, "sharp-bound", f"--lambda={lam}")
+    assert code == 0 and rep["pass"]
+    assert rep["inequality_margin"]["min_margin"] > 0
+    assert rep["infimum"] == rep["limit_zero"]
 
 
 def test_sharp_bound_dump_curve(tmp_path):

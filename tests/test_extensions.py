@@ -289,7 +289,8 @@ def test_membership_of_near_rim_koebe_points():
 def test_membership_of_a_map_without_invert_array():
     """A disk map that defines only eval_array and deriv_array (here a
     normalized map stripped of its invert_array): membership goes through the
-    damped Newton invert_array that disk_map gives it."""
+    damped Newton invert_array that disk_map gives it, and its log_deriv_array
+    is continued_log_deriv, bit for bit."""
     sp = space(2.0, 1)
     n = normalize_at(UnivalentMap.mobius_spiral(0.5), 0.3 + 0.2j)
 
@@ -300,6 +301,7 @@ def test_membership_of_a_map_without_invert_array():
 
     g = Stripped()
     xs, ys = sample_ball(sp, 100, np.random.default_rng(47))
+    assert g.log_deriv_array(xs).tobytes() == families.continued_log_deriv(g, xs).tobytes()
     zs, ws = extend_H_arrays(g, sp, xs, ys)
     assert membership_H_arrays(g, sp, zs, sp.fibre(ws)).all()
     # the same x with |y| = 1.01 lies outside the ball

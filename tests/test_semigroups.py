@@ -284,6 +284,21 @@ def test_conjugated_log_deriv_is_continuous():
     assert np.max(steps) < 0.2
 
 
+def test_conjugated_koenigs_map_inverts_through_its_base_map():
+    """The tau = 0.3 Koenigs map h0 o phi inverts as phi(h0^-1(w)): 2,000
+    points round-trip, and w off its image, the half-plane Re w > -1/2, comes
+    back NaN."""
+    h = koenigs(gen_conj_logistic())
+    calls = []
+    base = h.h0.invert_array
+    h.h0.invert_array = lambda w, guess: calls.append(w.size) or base(w, guess=guess)
+    zs = random_disk(np.random.default_rng(43), 2000, 0.9)
+    back = h.invert_array(h.eval_array(zs))
+    assert calls == [2000]
+    assert np.max(np.abs(back - zs)) <= 1e-11
+    assert np.isnan(h.invert_array(np.array([-1.0, -2.0 + 1j]))).all()
+
+
 def test_pulled_back_generator_derivatives_are_exact():
     """The tau != 0 pullback's f' and f'' (chain rule) match Cauchy integrals
     on a circle, by the trapezoid rule, to 1e-11."""

@@ -34,7 +34,7 @@ def test_f_value_at_full_turn():
 
 
 def test_f_small_t_series_continuity():
-    """The series branch and the direct branch agree across the switch."""
+    """f is continuous at small t and close to its t -> 0 limit there."""
     p = SharpParams(lam=1 + 2j, r=1.0)
     t = 1e-6 / abs(p.lam)
     lo = f_sharp(p, t * 0.99)
@@ -55,6 +55,18 @@ def test_limit_zero_is_infimum():
             ts = np.geomspace(1e-6, 30.0, 500)
             assert np.all(f_sharp(p, ts) > p.limit_zero - 1e-9)
             assert np.all(f_sharp(p, ts[ts > 1e-2]) > p.limit_zero)
+
+
+def test_f_stays_above_its_limit_down_to_tiny_t():
+    """f >= limit_zero to rounding (45 ulps) for t from 1e-9 up: expm1 gives
+    both differences from 1 without cancellation, so the grid infimum does not
+    fall below the limit either."""
+    ts = np.geomspace(1e-9, 1.0, 2000)
+    for lam in (1 + 1j, 2 - 3j, 0.5 + 5j, 1e-3 + 1j):
+        for r in (1, 2, 3):
+            p = SharpParams(lam=lam, r=r)
+            assert np.all(f_sharp(p, ts) >= p.limit_zero * (1.0 - 1e-14)), (lam, r)
+            assert infimum_f(p) == p.limit_zero, (lam, r)
 
 
 def test_infimum_real_lambda():
