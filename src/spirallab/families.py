@@ -266,7 +266,6 @@ class ComposedMap:
     2010)."""
 
     def __init__(self, h0, a, shift=0j, scale=1.0):
-        _require_in_disk(a)
         self.h0 = h0
         self.a = complex(a)
         self.shift = complex(shift)
