@@ -282,20 +282,21 @@ def polar_grid(nr, nt):
 
 
 def ring_blocks(radii, ring):
-    """Yield (rows, r, x) for x = r * ring, r = radii[rows, None]: blocks of
-    max(1, SWEEP_BLOCK // nt) whole rings, in ring-major order."""
+    """Yield (rows, r) for r = radii[rows, None]: blocks of
+    max(1, SWEEP_BLOCK // nt) whole rings, in ring-major order, whose grid
+    points are x = r * ring."""
     s = max(1, SWEEP_BLOCK // ring.size)
     for k in range(0, radii.size, s):
         rows = slice(k, k + s)
-        r = radii[rows, None]
-        yield rows, r, r * ring
+        yield rows, radii[rows, None]
 
 
 def criterion_blocks(abs_dF, radii, ring, out=None):
     """Yield (x, abs_dF(x) (1 - |x|^2)) over ``ring_blocks``, with abs_dF the
     modulus |dF|; given an (nr, nt) array out, each block's criterion is
     written to its rows of out and yielded from there."""
-    for rows, r, x in ring_blocks(radii, ring):
+    for rows, r in ring_blocks(radii, ring):
+        x = r * ring
         yield x, np.multiply(abs_dF(x), 1.0 - r * r, out=None if out is None else out[rows])
 
 
@@ -321,30 +322,63 @@ def min_distance(F, blocks, threshold, center, ring, boundary_eps):
     return best, witness, bmin, n_out
 
 
-MEMO_MAX_POINTS = 2**18  # largest criterion grid covered_min_distance keeps
-_memo = None  # (key, read-only criterion grid) of the last family map swept
+MEMO_MAX_POINTS = 2**18  # largest grid covered_min_distance keeps
+_memo = None  # (key, read-only criterion, image, filled) of the last family map swept
+
+
+def _memo_min_distance(F, memo, radii, ring, threshold, center, boundary_eps):
+    """``min_distance`` from a memo entry (key, criterion, image, filled): each
+    block of whole rings with complement points evaluates F only on those not
+    yet filled, stores their values in the image and marks them filled once F
+    returns, and takes |F(x) - center| from the image."""
+    _, crit, image, filled = memo
+    best, found, n_out = np.inf, None, 0
+    for rows, r in ring_blocks(radii, ring):
+        out = crit[rows] <= threshold
+        if not out.any():
+            continue
+        img, got = image[rows], filled[rows]
+        new = out & ~got
+        if new.any():
+            img[new] = F((r * ring)[new])
+            got[new] = True
+        d = np.abs(img[out] - center)
+        n_out += d.size
+        i = int(np.argmin(d))
+        if d[i] < best:
+            best, found = float(d[i]), (r, out, i)
+    witness = complex(np.nan, np.nan)
+    if found is not None:
+        r, out, i = found
+        witness = complex((r * ring)[out][i])
+    bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
+    return best, witness, bmin, n_out
 
 
 def covered_min_distance(code, params, num, den, threshold, center, nr, nt, boundary_eps):
-    """``min_distance`` of the family map with the given code.  The criterion
-    grid of the last map and grid swept, if it has at most MEMO_MAX_POINTS
-    points, is kept (one entry, stored once its sweep completes), so the next
-    sweep of that map and grid evaluates no |h'| and only selects against its
-    threshold; larger grids stream in blocks."""
+    """``min_distance`` of the family map with the given code.  For the last map
+    and grid swept, if the grid has at most MEMO_MAX_POINTS points, a one-entry
+    memo keeps the criterion grid (stored once its sweep completes) and the
+    map's image on that grid (complex, 16 bytes a point, with a bool grid of
+    the points filled: 2.56 MB and 0.16 MB next to the criterion's 1.28 MB at
+    400 x 400).  A miss fills only the criterion.  A hit evaluates no |h'|,
+    skips the blocks with no point at or below its threshold and evaluates h
+    only on the complement points no earlier hit filled; larger grids stream
+    in blocks."""
     global _memo
     radii, ring = polar_grid(nr, nt)
     key = (code, params, num, den, nr, nt)
+
+    def F(z):
+        return eval_map(code, params, num, den, z)
+
     if _memo is not None and _memo[0] == key:
-        crit, out = _memo[1], None
-        blocks = ((x, crit[rows]) for rows, _, x in ring_blocks(radii, ring))
-    else:
-        _memo = None
-        out = np.empty((nr, nt)) if nr * nt <= MEMO_MAX_POINTS else None
-        blocks = criterion_blocks(lambda z: abs_deriv(code, params, num, den, z),
-                                  radii, ring, out)
-    result = min_distance(lambda z: eval_map(code, params, num, den, z), blocks,
-                          threshold, center, ring, boundary_eps)
+        return _memo_min_distance(F, _memo, radii, ring, threshold, center, boundary_eps)
+    _memo = None
+    out = np.empty((nr, nt)) if nr * nt <= MEMO_MAX_POINTS else None
+    blocks = criterion_blocks(lambda z: abs_deriv(code, params, num, den, z), radii, ring, out)
+    result = min_distance(F, blocks, threshold, center, ring, boundary_eps)
     if out is not None:
         out.flags.writeable = False
-        _memo = (key, out)
+        _memo = (key, out, np.empty((nr, nt), complex), np.zeros((nr, nt), bool))
     return result

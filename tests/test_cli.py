@@ -145,6 +145,16 @@ def test_sharp_bound_passes_for_a_small_real_part(tmp_path, lam):
     assert rep["infimum"] == rep["limit_zero"]
 
 
+@pytest.mark.parametrize("lam", ["1,1e-6", "2,1e-5"])
+def test_sharp_bound_passes_for_a_nearly_real_lambda(tmp_path, lam):
+    """At Im lambda = 1e-6 and 1e-5 the strict margin is ~4e-26 and ~8e-24, the
+    O((Im lambda)^2) difference of two O(1e-4) terms, far below their rounding;
+    in closed form it stays positive and the true bound passes."""
+    code, rep = run(tmp_path, "sharp-bound", f"--lambda={lam}")
+    assert code == 0 and rep["pass"]
+    assert rep["inequality_margin"]["min_margin"] > 0
+
+
 def test_sharp_bound_dump_curve(tmp_path):
     """--dump-curve writes f on 2000 log-spaced times from 1e-6 to 50/(Re lambda r)."""
     curve = tmp_path / "f.csv"

@@ -216,13 +216,17 @@ def _family(h):
     return h.code, h.params, h.num or None, h.den or None
 
 
+# the reference sweep reads these, so a test may patch kernels.eval_map
+EVAL_MAP, EVAL_DERIV = kernels.eval_map, kernels.eval_deriv
+
+
 def _sweep(h, x0, alpha, shift, grid):
     """(memoized sweep, per-ring reference) about shift * h(x0)."""
     spec = OmegaSpec.build(h, x0, alpha)
-    args = (spec.threshold, shift * h.eval(x0), *grid, BOUNDARY_EPS)
     fam = _family(h)
-    ref = _per_ring_min_distance(lambda z: kernels.eval_map(*fam, z),
-                                 lambda z: kernels.eval_deriv(*fam, z), *args)
+    args = (spec.threshold, shift * complex(EVAL_MAP(*fam, x0)), *grid, BOUNDARY_EPS)
+    ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z),
+                                 lambda z: EVAL_DERIV(*fam, z), *args)
     return kernels.covered_min_distance(*fam, *args), ref
 
 
@@ -284,7 +288,7 @@ def test_sweep_that_raises_leaves_no_memo_entry(h, no_memo, monkeypatch):
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_stored_criterion_is_read_only(h, no_memo):
     _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
-    _, crit = kernels._memo
+    _, crit, _, _ = kernels._memo
     radii, ring = kernels.polar_grid(400, 400)
     blocks = kernels.criterion_blocks(lambda z: kernels.abs_deriv(*_family(h), z), radii, ring)
     assert np.array_equal(crit, np.concatenate([c for _, c in blocks]))
@@ -304,3 +308,106 @@ def test_grid_above_the_cap_stores_nothing(h, no_memo):
     got, ref = _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (n + 1, n))
     assert got == ref
     assert kernels._memo is None
+
+
+# ------------------------------------------------------------- image memo
+
+X0 = 0.3 + 0.1j
+
+
+def _grid_evals(monkeypatch, grid, refuse=False, fail_at=None):
+    """Patch kernels.eval_map to record the size of each call off the rim
+    circle |x| = 1 - BOUNDARY_EPS, which every sweep evaluates; with refuse such
+    a call raises AssertionError, and with fail_at the fail_at-th one raises
+    FloatingPointError before it evaluates."""
+    rim = (1.0 - BOUNDARY_EPS) * kernels.polar_grid(*grid)[1]
+    sizes = []
+
+    def counted(code, params, num, den, z):
+        if not (np.shape(z) == rim.shape and np.array_equal(z, rim)):
+            if refuse:
+                raise AssertionError("eval_map called on the grid")
+            sizes.append(np.size(z))
+            if len(sizes) == fail_at:
+                raise FloatingPointError("midway")
+        return EVAL_MAP(code, params, num, den, z)
+
+    monkeypatch.setattr(kernels, "eval_map", counted)
+    return sizes
+
+
+def _image_is_the_map(h, grid):
+    """Every filled entry of the memo's image is h on its grid point, bit for
+    bit.  h is evaluated one ring at a time: numpy runs a product of
+    temporaries in place from 2**14 complex entries on, which can move the last
+    bit of spiral_koebe's values."""
+    _, _, image, filled = kernels._memo
+    radii, ring = kernels.polar_grid(*grid)
+    ref = np.stack([EVAL_MAP(*_family(h), r * ring) for r in radii])
+    assert np.array_equal(image[filled], ref[filled])
+
+
+@pytest.mark.parametrize("grid", [(400, 400), (401, 7)], ids=["400x400", "401x7"])
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_image_memo_follows_a_complement_that_grows_shrinks_and_grows(h, grid, no_memo):
+    """One map at alpha up, down and up again: the complement grows, shrinks
+    inside the filled part and grows past it, and every sweep returns the
+    per-ring result bit for bit."""
+    sizes = []
+    for alpha, shift in [(0.3, 1.0), (0.6, 0.5), (0.4, 1.0), (0.8, 0.5)]:
+        got, ref = _sweep(h, X0, alpha, shift, grid)
+        assert got == ref
+        sizes.append(ref[3])
+    assert 0 < sizes[0] < sizes[2] < sizes[1] < sizes[3]
+    _image_is_the_map(h, grid)
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_hit_inside_the_filled_part_evaluates_no_h(h, no_memo, monkeypatch):
+    _sweep(h, X0, 0.3, 1.0, (400, 400))
+    _sweep(h, X0, 0.8, 1.0, (400, 400))
+    _grid_evals(monkeypatch, (400, 400), refuse=True)
+    got, ref = _sweep(h, X0, 0.5, 0.5, (400, 400))
+    assert got == ref
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_hit_evaluates_h_only_on_new_points(h, no_memo, monkeypatch):
+    """The first hit evaluates its whole complement, a hit with a larger
+    complement only the points the smaller one did not hold."""
+    _sweep(h, X0, 0.3, 1.0, (400, 400))
+    sizes = _grid_evals(monkeypatch, (400, 400))
+    got, ref = _sweep(h, X0, 0.5, 1.0, (400, 400))
+    assert got == ref
+    assert sum(sizes) == ref[3]
+    sizes.clear()
+    got, ref_big = _sweep(h, X0, 0.8, 0.5, (400, 400))
+    assert got == ref_big
+    assert 0 < sum(sizes) == ref_big[3] - ref[3]
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_hit_that_raises_leaves_a_sound_memo(h, no_memo, monkeypatch):
+    """A hit cut short by an exception marks only the points it evaluated, so
+    the memo stays and the next sweep of that map is still bit-identical."""
+    _sweep(h, X0, 0.3, 1.0, (400, 400))
+    _sweep(h, X0, 0.5, 1.0, (400, 400))
+    _grid_evals(monkeypatch, (400, 400), fail_at=2)
+    with pytest.raises(FloatingPointError):
+        _sweep(h, X0, 0.8, 1.0, (400, 400))
+    assert kernels._memo[0] == (*_family(h), 400, 400)
+    _image_is_the_map(h, (400, 400))
+    monkeypatch.setattr(kernels, "eval_map", EVAL_MAP)
+    got, ref = _sweep(h, X0, 0.8, 0.5, (400, 400))
+    assert got == ref
+    _image_is_the_map(h, (400, 400))
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_miss_evaluates_h_on_no_more_than_its_complement(h, no_memo, monkeypatch):
+    sizes = _grid_evals(monkeypatch, (400, 400))
+    got, ref = _sweep(h, X0, 0.5, 1.0, (400, 400))
+    assert got == ref
+    assert 0 < sum(sizes) <= ref[3]
+    _, _, _, filled = kernels._memo
+    assert not filled.any()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from spirallab.sharp_bound import (
+    N_GRID,
     NoRootsInWindow,
     SharpParams,
+    cor_margin,
     critical_points,
     f_sharp,
     infimum_f,
@@ -80,6 +82,34 @@ def test_inequality_margin():
     assert out["min_margin"] > 0 and out["strict"]
     out0 = verify_cor_inequality(SharpParams(lam=3.0, r=1.0))
     assert abs(out0["min_margin"]) < 1e-12 and not out0["strict"]
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("lam", [0.5 + 5j, 1 + 1j, 1e-3 + 1j, 1 + 1e-3j, 1 + 1e-6j,
+                                 2 + 1e-5j, 1 - 2j], ids=str)
+def test_cor_margin_matches_mpmath(lam, r):
+    """The closed-form margin against the margin's definition in 50-digit
+    arithmetic, on 60 points of the verifier's t grid, on both sides of the
+    series cut s|lambda| = 1."""
+    mpmath = pytest.importorskip("mpmath")
+    p = SharpParams(lam=lam, r=r)
+    t = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)[np.linspace(0, N_GRID - 1, 60).astype(int)]
+    got = cor_margin(p, t)
+    with mpmath.workdps(50):
+        lm = mpmath.mpc(lam)
+        for ti, gi in zip(t, got):
+            e = mpmath.exp(-lm * r * mpmath.mpf(ti))
+            want = (1 - abs(e)) - abs(1 - e) * lm.real / abs(lm)
+            assert gi > 0
+            assert abs(gi - want) <= 1e-12 * want, (ti, gi, want)
+
+
+@pytest.mark.parametrize("lam", [3.0, 1e-3, 1.0 + 0j])
+@pytest.mark.parametrize("r", [1, 2])
+def test_cor_margin_is_zero_for_real_lambda(lam, r):
+    p = SharpParams(lam=lam, r=r)
+    assert np.all(cor_margin(p, np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)) == 0.0)
+    assert abs(verify_cor_inequality(p)["min_margin"]) < 1e-12
 
 
 def test_critical_points_are_stationary():
