@@ -4,9 +4,12 @@ the strict inequality margin, and critical points of f."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import horner
 
 N_GRID = 20000  # points of each t grid: the infimum search, the margin and the root scan
 
@@ -80,34 +83,29 @@ def _golden_min(fn, lo, hi, iters=80):
     return float(min(fc, fd))
 
 
-def _gap_series(a, b, s):
-    """2 sinh(as/2) - 2a sin(bs/2)/b as its Taylor series
-    a s sum_k (x^k - y^k)/(2k+1)!, x = (as/2)^2, y = -(bs/2)^2, to k = 7: for
-    s|lambda| < 1 it is truncated below 1e-17 relative, where the difference
-    itself loses about 24 eps/(s|lambda|)^2."""
-    x, y = (0.5 * a * s) ** 2, -((0.5 * b * s) ** 2)
-    total, xk, yk, fact = 0.0, 1.0, 1.0, 1.0
-    for k in range(1, 8):
-        xk, yk, fact = xk * x, yk * y, fact * (2 * k) * (2 * k + 1)
-        total = total + (xk - yk) / fact
-    return a * s * total
-
-
 def cor_margin(p: SharpParams, t):
     """(1-|e^(-r lam t)|) - |1-e^(-r lam t)| Re(lam)/|lam| on an array of t > 0.
-    Its two terms agree to O(b^2) as b -> 0, so it is computed in the closed
-    form b^2 u (g - ac)(g + ac) / (|lam| (|lam|(1-u) + a|1-e^(-lam s)|)) with
-    s = rt, u = e^(-as), g = 2 sinh(as/2) and c = 2 sin(bs/2)/b = s sinc(bs/2pi)
-    (c = s for real lambda), and g - ac from its series where s|lam| < 1.
-    The product is ordered so that no factor underflows before the result."""
+    With lam = a + ib, s = rt, g = 2 sinh(as/2), n = sin(bs/2) and
+    c = 2n/b (c = s for real lambda), 1-|e^(-lam s)| = e^(-as/2) g and
+    |1-e^(-lam s)| = e^(-as/2) hypot(g, 2n), so the margin is
+    b^2 e^(-as/2) (g - ac)(g + ac) / (|lam| (|lam| g + a hypot(g, 2n))): its two
+    terms, which agree to O(b^2) as b -> 0, never cancel.  Where s|lam| < 1,
+    g - ac, whose difference would lose about 48 eps/(s|lam|)^2 relative, is
+    the series as sum_k ((a/2)^2k - (-(b/2)^2)^k) s^2k/(2k+1)!, k = 1..7,
+    truncated below 1e-17 relative; the product is ordered so that no factor
+    underflows before the result."""
     a, b, mod = p.a, p.b, abs(p.lam)
     s = p.r * np.atleast_1d(np.asarray(t, dtype=float))
-    g, ac = 2.0 * np.sinh(0.5 * a * s), a * s * np.sinc(b * s / (2.0 * np.pi))
+    w = 0.5 * a * s
+    g, n = 2.0 * np.sinh(w), np.sin(0.5 * b * s)
+    ac = 2.0 * w if b == 0 else (2.0 * a / b) * n
     gap = g - ac
-    near = s * mod < 1.0
-    gap[near] = _gap_series(a, b, s[near])
-    den = -mod * np.expm1(-a * s) + a * np.abs(np.expm1(-p.lam * s))
-    return (b / mod) * b * np.exp(-a * s) * gap * ((g + ac) / den)
+    near = s < 1.0 / mod
+    sn = s[near]
+    sq = sn * sn
+    gap[near] = a * sn * sq * horner([((0.25 * a * a) ** k - (-0.25 * b * b) ** k)
+                                      / math.factorial(2 * k + 1) for k in range(1, 8)], sq)
+    return (b / mod) * b * np.exp(-w) * gap * ((g + ac) / (mod * g + a * np.hypot(g, 2.0 * n)))
 
 
 def verify_cor_inequality(p: SharpParams):
