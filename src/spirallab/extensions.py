@@ -207,27 +207,21 @@ def membership_H(h, space: BallSpace, z, w, guess=0j):
 
 def membership_H_arrays(h, space: BallSpace, zs, fibre, guess=0j):
     """Membership of the points (zs[i], ws[i]) in the image of the unperturbed
-    extension, a boolean array, from fibre = space.fibre(ws): on every branch
-    of the root, x = h^-1(z), y = w / h'(x)^(1/r) has gauge |x|^2 + fibre /
-    |h'(x)|.  Points without a preimage in the disk (NaN from h.invert_array)
-    are outside."""
-    xs = h.invert_array(np.asarray(zs, dtype=complex), guess=guess)
-    ok = ~np.isnan(xs)
-    xs = np.where(ok, xs, 0j)
-    return ok & (np.abs(xs) ** 2 + fibre / h.abs_deriv_array(xs) < 1.0)
+    extension, a boolean array, from fibre = space.fibre(ws): H maps the ball
+    onto fibre < delta(z), delta = h.conformal_radius_array, since on every
+    branch of the root x = h^-1(z), y = w / h'(x)^(1/r) has gauge |x|^2 +
+    fibre / |h'(x)|.  Points without a preimage in the disk (delta NaN) are
+    outside."""
+    return fibre < h.conformal_radius_array(np.asarray(zs, dtype=complex), guess=guess)
 
 
 def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
     """(1 - |e^(-lambda t)|^r)/4 * |h'(x1)| (1 - |x1|^2) at each center z0 of
     an array, x1 the preimage of the contracted center e^(-mu t) z0, the first
-    coordinate of e^(-At)(z0, 0); NaN where h.invert_array finds no preimage."""
+    coordinate of e^(-At)(z0, 0); NaN where it has no preimage."""
     z1, _ = semigroup_action(A, t, z0, 0j)
-    x1 = h.invert_array(z1, guess=guess)
-    ok = ~np.isnan(x1)
-    x1 = np.where(ok, x1, 0j)
-    rt = (1.0 - np.abs(np.exp(-A.lam * t)) ** A.r) / 4.0 \
-        * h.abs_deriv_array(x1) * (1.0 - np.abs(x1) ** 2)
-    return np.where(ok, rt, np.nan)
+    return (1.0 - np.abs(np.exp(-A.lam * t)) ** A.r) / 4.0 \
+        * h.conformal_radius_array(z1, guess=guess)
 
 
 def sample_ball(space: BallSpace, n, rng, margin=INTERIOR_MARGIN):

@@ -6,10 +6,11 @@ powers h'(x)^(1/r) and Newton inversion.
 A "disk map" anywhere in this package is an instance of a class decorated
 with disk_map.  The class defines eval_array and deriv_array on ndarrays and
 may define deriv2_array, log_deriv_array, invert_array (the preimages of w in
-the open disk, NaN where there are none), abs_deriv_array and
-spiral_multiplier; disk_map writes the rest, so every disk map has all of
-them, plus invert and the scalar twin of each array method, which refuses a
-point outside the disk.  Callers do not write into the arrays these methods
+the open disk, NaN where there are none), abs_deriv_array,
+conformal_radius_array (|h'(x)|(1 - |x|^2) at x = h^-1(w), NaN where w has no
+preimage) and spiral_multiplier; disk_map writes the rest, so every disk map
+has all of them, plus invert and the scalar twin of each array method, which
+refuses a point outside the disk.  Callers do not write into the arrays these methods
 return: a map may hand out a shared, read-only array (KoenigsMap.log_deriv_array
 does).  UnivalentMap covers the closed-form families, ComposedMap a disk map
 composed with a disk automorphism and renormalized, and semigroups.KoenigsMap
@@ -82,6 +83,13 @@ def _abs_deriv_array(self, z):
     return np.abs(self.deriv_array(z))
 
 
+def _conformal_radius_array(self, w, guess=0j):
+    x = self.invert_array(w, guess=guess)
+    ok = ~np.isnan(x)
+    x = np.where(ok, x, 0j)
+    return np.where(ok, self.abs_deriv_array(x) * (1.0 - np.abs(x) ** 2), np.nan)
+
+
 def _continued_log_deriv_array(self, z):
     return continued_log_deriv(self, z)
 
@@ -90,13 +98,16 @@ def disk_map(cls):
     """The one writer of the members disk maps share, on cls itself (not a base
     class: verdictbench/tracing.py wraps them in each class's own __dict__):
     where cls defines none, log_deriv_array (continued_log_deriv),
-    invert_array (damped Newton), abs_deriv_array and spiral_multiplier; then
+    invert_array (damped Newton), abs_deriv_array, conformal_radius_array (from
+    invert_array and abs_deriv_array) and spiral_multiplier; then
     invert and the scalar twin of each of eval_array, deriv_array,
     deriv2_array and log_deriv_array."""
     own = vars(cls)
     for name, value in (("log_deriv_array", _continued_log_deriv_array),
                         ("invert_array", _newton_invert_array),
-                        ("abs_deriv_array", _abs_deriv_array), ("spiral_multiplier", None)):
+                        ("abs_deriv_array", _abs_deriv_array),
+                        ("conformal_radius_array", _conformal_radius_array),
+                        ("spiral_multiplier", None)):
         if name not in own:
             setattr(cls, name, value)
     for name in ("eval", "deriv", "deriv2", "log_deriv"):
@@ -193,6 +204,13 @@ class UnivalentMap:
         (``kernels.invert``)."""
         return kernels.invert(self.code, self.params, self.num or None, self.den or None,
                               w, guess, self.spiral_multiplier)
+
+    def conformal_radius_array(self, w, guess=0j):
+        """|h'(x)|(1 - |x|^2) at the preimages x of the points w, NaN where
+        there is none: ``kernels.conformal_radius`` from w alone for the
+        families with a closed-form inverse, else from invert_array."""
+        d = kernels.conformal_radius(self.code, self.params, w)
+        return _conformal_radius_array(self, w, guess) if d is None else d
 
     # -- serialization ---------------------------------------------------------
 

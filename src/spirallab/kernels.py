@@ -17,7 +17,9 @@ criterion |F'(x)|(1-|x|^2) (``criterion_blocks`` of the modulus |dF|), so every
 disk map shares them; ``invert`` and ``covered_min_distance`` are their entry
 points for the family codes.  Every inverse returns the preimage in the open
 disk or NaN, and ``preimages`` alone decides which Newton solves count.
-``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it.
+``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
+and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
+from w alone, for the families with a closed-form inverse.
 """
 
 from functools import lru_cache
@@ -59,8 +61,9 @@ def eval_map(code, params, num, den, z):
     if code == 2:
         return z / (1.0 + params[0] * z)
     if code == 3:
-        p = params[0]
-        return z * np.exp(-p * np.log1p(-z))
+        # ufunc calls, not operators: numpy would run an operator on a large
+        # temporary in place, which rounds the complex product differently
+        return np.multiply(z, np.exp(np.multiply(-params[0], np.log1p(-z))))
     if code == 4:
         return (1.0 - z) / (1.0 + z)
     if code == 5:
@@ -162,13 +165,46 @@ def _closed_invert(code, params, w):
     if code == 0:
         return w.copy()
     if code == 1:
-        # rationalized root of w z^2 - (2w+1) z + w = 0; stable as w -> 0
-        return 2.0 * w / (2.0 * w + 1.0 + np.sqrt(4.0 * w + 1.0))
-    if code == 2:
-        return w / (1.0 - params[0] * w)
-    if code == 4:
-        return (1.0 - w) / (1.0 + w)
+        # rationalized root of w z^2 - (2w+1) z + w = 0; stable as w -> 0.  The
+        # root is on the circle where Re s = 0, exactly on the slit w <= -1/4
+        s = np.sqrt(4.0 * w + 1.0)
+        return np.where(s.real > 0.0, 2.0 * w / (2.0 * w + 1.0 + s), np.nan + 0j)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the pole's image goes to NaN
+        if code == 2:
+            return w / (1.0 - params[0] * w)
+        if code == 4:
+            # the root is on the circle where Re w = 0
+            return np.where(w.real > 0.0, (1.0 - w) / (1.0 + w), np.nan + 0j)
     return None
+
+
+def conformal_radius(code, params, w):
+    """|h'(x)|(1 - |x|^2) at the preimage x of w in the open disk, in real
+    arithmetic from w alone, NaN where the value is <= 0, which is where the
+    closed-form inverse leaves the disk; None for a family without a closed
+    form.  identity: 1 - |w|^2; koebe: |s| Re s with s = sqrt(1 + 4w);
+    mobius: |1 - cw|^2 - |w|^2; half_plane: 2 Re w."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    u, v = w.real, w.imag
+    if code == 0:
+        d = 1.0 - (u * u + v * v)
+    elif code == 1:
+        # |s| Re s = sqrt(|q| (|q| + Re q) / 2) for q = 1 + 4w; left of the
+        # imaginary axis |q| + Re q = (Im q)^2 / (|q| - Re q), which does not cancel
+        qr, qi = 1.0 + 4.0 * u, 4.0 * v
+        m = np.hypot(qr, qi)
+        t = m + qr
+        left = qr < 0.0
+        t[left] = qi[left] ** 2 / (m[left] - qr[left])
+        d = np.sqrt(0.5 * m * t)
+    elif code == 2:
+        c = params[0]
+        d = (1.0 - c.real * u + c.imag * v) ** 2 + (c.real * v + c.imag * u) ** 2 - (u * u + v * v)
+    elif code == 4:
+        d = 2.0 * u
+    else:
+        return None
+    return np.where(d > 0.0, d, np.nan)
 
 
 def _clamp(z):

@@ -309,21 +309,23 @@ def test_membership_of_a_map_without_invert_array():
     assert not membership_H_arrays(g, sp, zs, sp.fibre(ws)).any()
 
 
-@pytest.mark.parametrize("h", [UnivalentMap.mobius_spiral(0.3j), UnivalentMap.half_plane()],
-                         ids=["mobius", "half_plane"])
+@pytest.mark.parametrize("h", [UnivalentMap.identity(), UnivalentMap.koebe(),
+                               UnivalentMap.mobius_spiral(0.3j), UnivalentMap.half_plane()],
+                         ids=["identity", "koebe", "mobius", "half_plane"])
 def test_membership_of_a_closed_form_map_does_not_evaluate_h(h, monkeypatch):
-    """invert_array returns the preimage in the disk or NaN, so membership
-    reads its answer without a second forward evaluation of h."""
+    """A family with a closed-form inverse has its conformal radius in closed
+    form too, so membership neither inverts h nor evaluates it."""
     sp = space(2.0, 1)
     xs, ys = sample_ball(sp, 200, np.random.default_rng(45))
     zs, ws = extend_H_arrays(h, sp, xs, ys)
     zo = np.concatenate([zs, -zs])  # -zs: outside the half-plane image
     fibre = np.concatenate([sp.fibre(ws)] * 2)
 
-    def no_eval(*args):
-        raise AssertionError("kernels.eval_map called")
+    def forbidden(*args):
+        raise AssertionError("kernels.eval_map or kernels.invert called")
 
-    monkeypatch.setattr(kernels, "eval_map", no_eval)
+    monkeypatch.setattr(kernels, "eval_map", forbidden)
+    monkeypatch.setattr(kernels, "invert", forbidden)
     ok = membership_H_arrays(h, sp, zo, fibre)
     assert ok[:200].all()
     if h.family == "half_plane":
@@ -579,12 +581,14 @@ def test_spiral_koebe_invariance_at_large_w(mode):
     (UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j)),
 ], ids=["half_plane", "mobius_0.3i", "spiral_koebe_0.5"])
 def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
-    """Membership and R_t read |h'| in real arithmetic; with the modulus of the
-    complex h' in its place the report is the same (spiral_koebe included,
-    whose sweep reaches |z| > 450).  A gamma witness, where any, is built
-    from R_t, so its z may move in the last bits; everything else, the counts
-    and every membership decision included, is compared as JSON, where NaN
-    witnesses match."""
+    """Membership and R_t read the conformal radius in real arithmetic: in
+    closed form from z for half_plane and mobius, from |h'| at the preimage
+    for spiral_koebe.  With disk_map's default, the preimage and the modulus
+    of the complex h', in its place the report is the same (spiral_koebe
+    included, whose sweep reaches |z| > 450).  A gamma witness, where any, is
+    built from R_t, so its z may move in the last bits; everything else, the
+    counts and every membership decision included, is compared as JSON, where
+    NaN witnesses match."""
     args = (h, mu, 1.0, space(2.0, 1), q_poly(0.25j), [0.5, 2.0])
     kw = dict(n_samples=2000, mode=mode, seed=17, n_gamma=4, max_witnesses=10**6)
     reports = [verify_invariance(*args, **kw)]
@@ -595,6 +599,9 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
         return np.abs(h.deriv_array(z))
 
     monkeypatch.setattr(type(h), "abs_deriv_array", complex_modulus)
+    if h.family in ("half_plane", "mobius_spiral"):
+        monkeypatch.setattr(type(h), "conformal_radius_array",
+                            families._conformal_radius_array)
     reports.append(verify_invariance(*args, **kw))
     assert calls
     z_fast, z_ref = (np.array([complex(*w.pop("z")) for w in rep["witnesses"]])

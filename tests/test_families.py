@@ -1,6 +1,7 @@
 """Unit and property tests for the univalent map families."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spirallab.families import (
     NoConvergence,
     PointOutsideDisk,
     UnivalentMap,
+    _conformal_radius_array,
     continued_log_deriv,
     disk_automorphism,
     invert_map,
@@ -124,7 +126,7 @@ def test_array_paths_match_scalar(families):
 # ---------------------------------------------------------------- protocol
 
 PROTOCOL = ("eval", "deriv", "eval_array", "deriv_array", "abs_deriv_array", "invert",
-            "invert_array", "spiral_multiplier")
+            "invert_array", "conformal_radius_array", "spiral_multiplier")
 TWINS = ("eval", "deriv", "deriv2", "log_deriv")
 
 
@@ -197,13 +199,68 @@ def test_rational_newton_round_trip_to_the_rim():
     (UnivalentMap.koebe(), -1.0 + 0j),
     (UnivalentMap.mobius_spiral(0.5), 3.0 + 0j),
     (UnivalentMap.half_plane(), -2.0 + 0j),
-], ids=["identity", "koebe", "mobius", "half_plane"])
+    (UnivalentMap.half_plane(), -1.0 + 0j),
+    (UnivalentMap.mobius_spiral(0.3j), 1 / 0.3j),
+    (UnivalentMap.mobius_spiral(-0.5), -2.0 + 0j),
+], ids=["identity", "koebe", "mobius", "half_plane", "half_plane_pole", "mobius_pole",
+        "mobius_-0.5_pole"])
 def test_closed_inverse_outside_the_image_is_nan(h, w):
     """A point outside h(D) has no preimage in the disk: the closed form's
-    root off the open disk comes back as NaN, and invert_map raises."""
-    assert np.isnan(h.invert_array(np.array([w]))).all()
-    with pytest.raises(NoConvergence, match="no preimage in the disk"):
-        h.invert(w)
+    root off the open disk comes back as NaN, and invert_map raises; at the
+    image of the pole the division by zero does not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(h.invert_array(np.array([w]))).all()
+        with pytest.raises(NoConvergence, match="no preimage in the disk"):
+            h.invert(w)
+
+
+CLOSED_CODES = [h for h in ALL_CODES if h.code in (0, 1, 2, 4)]
+
+
+def _with_both_zeros(real):
+    """The real points with imaginary part +0.0 and again with -0.0."""
+    w = real + 0j
+    return np.concatenate([w, np.conj(w)])
+
+
+@pytest.mark.parametrize("h", CLOSED_CODES + [UnivalentMap.mobius_spiral(-0.7 + 0.2j)],
+                         ids=lambda h: f"{h.family}{h.params}")
+def test_closed_form_conformal_radius_matches_the_default(h):
+    """kernels.conformal_radius, from w alone, agrees with disk_map's default
+    |h'(x)|(1 - |x|^2) at x = h^-1(w) out to |x| = 0.995, within 16 eps /
+    (1 - |x|^2): the default's own cancellation in 1 - |x|^2 (at most 6 of
+    these units is seen)."""
+    rng = np.random.default_rng(22)
+    rim = (1.0 - 10.0 ** rng.uniform(-2.3, -0.5, 2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    xs = np.concatenate([random_disk(rng, 2000, 0.995), rim])
+    xs = xs[np.abs(xs) <= 0.995]
+    ws = h.eval_array(xs)
+    closed = h.conformal_radius_array(ws)
+    assert closed.dtype == float
+    default = _conformal_radius_array(h, ws)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(closed / default - 1.0) <= 16 * eps / (1.0 - np.abs(xs) ** 2))
+
+
+@pytest.mark.parametrize("h,ws", [
+    (UnivalentMap.identity(), [1.0, 1.5j, -3.0 + 4.0j]),
+    (UnivalentMap.koebe(), _with_both_zeros(np.concatenate([[-0.25, -1.0],
+                                                             -np.geomspace(0.25, 1e8, 500)]))),
+    (UnivalentMap.mobius_spiral(0.3j), [1 / 0.3j, 1 / 0.3j + 1.0]),
+    (UnivalentMap.mobius_spiral(0.5), [2.0, 3.0]),
+    (UnivalentMap.half_plane(), np.concatenate([[-1.0, -2.0 + 1.0j, 0.0],
+                                                1j * np.geomspace(1e-8, 1e8, 500)])),
+], ids=["identity", "koebe_slit", "mobius_pole", "mobius_real", "half_plane"])
+def test_conformal_radius_off_the_image_is_nan(h, ws):
+    """Points off h(D), on the Koebe slit (either sign of zero), the image of
+    the pole (w = -1, w = 1/c) and the half-plane's boundary line: the closed
+    form and disk_map's default are both NaN, and neither warns."""
+    ws = np.asarray(ws, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(h.conformal_radius_array(ws)).all()
+        assert np.isnan(_conformal_radius_array(h, ws)).all()
 
 
 def test_newton_preimage_at_large_w_is_accepted_relative_to_w():
@@ -556,6 +613,21 @@ def test_rational_kernels_match_polyval_bit_for_bit(num, den):
     assert np.array_equal(kernels.eval_deriv(5, (), num, den, zs), u / d**2)
     assert np.array_equal(kernels.eval_deriv2(5, (), num, den, zs),
                           ((n2 * d - n * d2) * d - 2.0 * d1 * u) / d**3)
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_kernels_do_not_depend_on_the_batch_size(h):
+    """h, h', h'' and |h'| of 160,000 points in one call equal those of 4,000
+    point chunks bit for bit: numpy would run an operator on a temporary of
+    256 KiB or more in place, and an in-place complex product can round
+    differently."""
+    zs = random_disk(np.random.default_rng(23), 160_000, 0.99)
+    for fn in (kernels.eval_map, kernels.eval_deriv, kernels.eval_deriv2, kernels.abs_deriv):
+        def at(z):
+            return fn(h.code, h.params, h.num or None, h.den or None, z)
+
+        chunks = np.concatenate([at(z) for z in np.split(zs, 40)])
+        assert at(zs).tobytes() == chunks.tobytes(), fn.__name__
 
 
 # --------------------------------------------------------------- ser/deser
