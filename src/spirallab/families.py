@@ -208,7 +208,7 @@ class UnivalentMap:
     def conformal_radius_array(self, w, guess=0j):
         """|h'(x)|(1 - |x|^2) at the preimages x of the points w, NaN where
         there is none: ``kernels.conformal_radius`` from w alone for the
-        families with a closed-form inverse, else from invert_array."""
+        Mobius and half-plane maps, else from invert_array."""
         d = kernels.conformal_radius(self.code, self.params, w)
         return _conformal_radius_array(self, w, guess) if d is None else d
 

@@ -19,7 +19,7 @@ points for the family codes.  Every inverse returns the preimage in the open
 disk or NaN, and ``preimages`` alone decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
 and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
-from w alone, for the families with a closed-form inverse.
+from w alone, for the Mobius and half-plane maps.
 """
 
 from functools import lru_cache
@@ -181,23 +181,11 @@ def _closed_invert(code, params, w):
 def conformal_radius(code, params, w):
     """|h'(x)|(1 - |x|^2) at the preimage x of w in the open disk, in real
     arithmetic from w alone, NaN where the value is <= 0, which is where the
-    closed-form inverse leaves the disk; None for a family without a closed
-    form.  identity: 1 - |w|^2; koebe: |s| Re s with s = sqrt(1 + 4w);
-    mobius: |1 - cw|^2 - |w|^2; half_plane: 2 Re w."""
+    closed-form inverse leaves the disk; None for a family without this
+    closed form.  mobius: |1 - cw|^2 - |w|^2; half_plane: 2 Re w."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     u, v = w.real, w.imag
-    if code == 0:
-        d = 1.0 - (u * u + v * v)
-    elif code == 1:
-        # |s| Re s = sqrt(|q| (|q| + Re q) / 2) for q = 1 + 4w; left of the
-        # imaginary axis |q| + Re q = (Im q)^2 / (|q| - Re q), which does not cancel
-        qr, qi = 1.0 + 4.0 * u, 4.0 * v
-        m = np.hypot(qr, qi)
-        t = m + qr
-        left = qr < 0.0
-        t[left] = qi[left] ** 2 / (m[left] - qr[left])
-        d = np.sqrt(0.5 * m * t)
-    elif code == 2:
+    if code == 2:
         c = params[0]
         d = (1.0 - c.real * u + c.imag * v) ** 2 + (c.real * v + c.imag * u) ** 2 - (u * u + v * v)
     elif code == 4:
