@@ -5,7 +5,8 @@ gen-extend.  Complex values on the command line are "re,im" pairs (a bare
 real is accepted); complex values in JSON are [re, im] arrays.  Exit codes:
 0 pass, 1 verified failure, 2 usage/input error, 3 undecided (a solver gave up:
 no Newton convergence, a lost branch, a step underflow, a trajectory forced out
-of its domain or an unresolved singularity).
+of its domain, an unresolved singularity or a sharp-bound margin below the
+smallest double).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .families import BranchTrackingError, NoConvergence, UnivalentMap
 from .ode import LeftDomain, StepUnderflow
 
 UNDECIDED = (NoConvergence, BranchTrackingError, StepUnderflow, LeftDomain,
-             genext.UnresolvedSingularity)
+             genext.UnresolvedSingularity, sharp_bound.MarginUnderflow)
 
 FAMILY_SHORTCUTS = ("identity", "koebe", "half_plane")
 COMPLEX_OPTIONS = ("--x0", "--beta", "--z0", "--mu", "--lambda")

@@ -72,10 +72,8 @@ def _min_distance(h, threshold, center, grid):
         return kernels.covered_min_distance(
             h.code, h.params, h.num or None, h.den or None,
             threshold, center, *grid, BOUNDARY_EPS)
-    radii, ring = kernels.polar_grid(*grid)
-    return kernels.min_distance(h.eval_array,
-                                kernels.criterion_blocks(h.abs_deriv_array, radii, ring),
-                                threshold, center, ring, BOUNDARY_EPS)
+    return kernels.min_distance(h.eval_array, h.abs_deriv_array, None,
+                                threshold, center, *grid, BOUNDARY_EPS)
 
 
 def _verdict(h, spec, center, predicted, grid, secondary):
@@ -129,6 +127,8 @@ def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
 def omega_region_points(h, spec: OmegaSpec, grid):
     """(x, in_omega) samples on the covering sweep's polar grid of grid = (nr, nt)
     points, for plotting and CSV dumps."""
-    blocks = kernels.criterion_blocks(h.abs_deriv_array, *kernels.polar_grid(*grid))
-    x, crit = (np.concatenate(v, axis=None) for v in zip(*blocks))
-    return x, crit > spec.threshold
+    radii, ring = kernels.polar_grid(*grid)
+    x = radii[:, None] * ring
+    crit = np.concatenate([h.abs_deriv_array(x[rows]) * (1.0 - r * r)
+                           for rows, r in kernels.ring_blocks(radii, ring)], axis=None)
+    return x.ravel(), crit > spec.threshold

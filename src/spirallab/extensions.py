@@ -127,13 +127,6 @@ class HomogeneousPolynomial:
             m = int(spec.get("m", 1))
         return cls.build(deg, m, terms)
 
-    def to_spec(self):
-        return {
-            "degree": self.degree,
-            "terms": [{"exps": list(e), "coef": [c.real, c.imag]}
-                      for e, c in self.terms],
-        }
-
 
 @dataclass(frozen=True)
 class SpiralMatrix:

@@ -231,23 +231,6 @@ class UnivalentMap:
             return cls.rational([_c(v) for v in spec["num"]], [_c(v) for v in spec["den"]])
         raise ValueError(f"unknown family in spec: {fam!r}")
 
-    def to_spec(self):
-        if self.family == "mobius_spiral":
-            c = self.params[0]
-            return {"family": self.family, "c": [c.real, c.imag]}
-        if self.family == "spiral_koebe":
-            p = self.params[0]
-            # p = 2 exp(-i theta) cos(theta) = 1 + exp(-2 i theta)
-            theta = -np.angle(p - 1.0) / 2.0
-            return {"family": self.family, "theta": float(theta)}
-        if self.family == "rational":
-            return {
-                "family": self.family,
-                "num": [[c.real, c.imag] for c in self.num],
-                "den": [[c.real, c.imag] for c in self.den],
-            }
-        return {"family": self.family}
-
 
 def _c(v):
     """A spec's complex value: a real number or a list [re, im] of two."""

@@ -12,9 +12,9 @@ Families are addressed by an integer code:
 
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
 ``newton``, ``spiral_newton`` and ``preimages`` take the map as callables F and dF
-on arrays, and ``min_distance`` takes F and the blocks of its covering
-criterion |F'(x)|(1-|x|^2) (``criterion_blocks`` of the modulus |dF|), so every
-disk map shares them; ``invert`` and ``covered_min_distance`` are their entry
+on arrays, and ``min_distance``, the one covering sweep, takes F and the
+modulus |F'| and keeps a one-entry memo of the last keyed map, so every disk
+map shares them; ``invert`` and ``covered_min_distance`` are their entry
 points for the family codes.  Every inverse returns the preimage in the open
 disk or NaN, and ``preimages`` alone decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
@@ -315,53 +315,52 @@ def ring_blocks(radii, ring):
         yield rows, radii[rows, None]
 
 
-def criterion_blocks(abs_dF, radii, ring, out=None):
-    """Yield (x, abs_dF(x) (1 - |x|^2)) over ``ring_blocks``, with abs_dF the
-    modulus |dF|; given an (nr, nt) array out, each block's criterion is
-    written to its rows of out and yielded from there."""
-    for rows, r in ring_blocks(radii, ring):
-        x = r * ring
-        yield x, np.multiply(abs_dF(x), 1.0 - r * r, out=None if out is None else out[rows])
+MEMO_MAX_POINTS = 2**18  # largest grid min_distance keeps
+_memo = None  # (key, read-only criterion, image, filled) of the last family map swept
 
 
-def min_distance(F, blocks, threshold, center, ring, boundary_eps):
-    """Covering sweep of a disk map F on a polar grid, given as blocks
-    (x, |F'(x)|(1-|x|^2)) in ring-major order (``criterion_blocks``).
+def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
+    """Covering sweep of a disk map F, with abs_dF the modulus |F'|, on the
+    (nr, nt) ``polar_grid``, one pass over its ``ring_blocks``.
 
     Returns (min |F(x)-center| over grid points failing the region inequality
     |F'(x)|(1-|x|^2) > threshold, witness x, min over the circle
     |x| = 1-boundary_eps, number of grid points in the region complement).
     Ties go to the first grid point in ring-major order.
+
+    A map given a key (None: kept nowhere, and the memo is left alone) on a
+    grid of at most MEMO_MAX_POINTS points is kept in a one-entry memo, keyed
+    by (*key, nr, nt): its read-only criterion grid, its image F(x) on the grid
+    and a bool grid of the points filled.  A miss writes each block's
+    criterion into the grid it keeps and stores the memo once it completes; a
+    hit reads the criterion.  Other sweeps stream through block-sized scratch
+    arrays.  Then every block with a complement point evaluates F only on the
+    complement points not yet filled, marks them once F returns, and takes
+    |F(x) - center| from the image.
     """
-    best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
-    for x, crit in blocks:
-        x = x[crit <= threshold]
-        if x.size:
-            n_out += x.size
-            d = np.abs(F(x) - center)
-            i = int(np.argmin(d))
-            if d[i] < best:
-                best, witness = float(d[i]), complex(x[i])
-    bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
-    return best, witness, bmin, n_out
-
-
-MEMO_MAX_POINTS = 2**18  # largest grid covered_min_distance keeps
-_memo = None  # (key, read-only criterion, image, filled) of the last family map swept
-
-
-def _memo_min_distance(F, memo, radii, ring, threshold, center, boundary_eps):
-    """``min_distance`` from a memo entry (key, criterion, image, filled): each
-    block of whole rings with complement points evaluates F only on those not
-    yet filled, stores their values in the image and marks them filled once F
-    returns, and takes |F(x) - center| from the image."""
-    _, crit, image, filled = memo
+    global _memo
+    radii, ring = polar_grid(nr, nt)
+    keep = key is not None and nr * nt <= MEMO_MAX_POINTS
+    key = None if key is None else (*key, nr, nt)
+    hit = keep and _memo is not None and _memo[0] == key
+    if hit:
+        _, crit, image, filled = _memo
+    else:
+        if key is not None:
+            _memo = None
+        shape = (nr if keep else min(nr, max(1, SWEEP_BLOCK // nt)), nt)
+        crit, image, filled = np.empty(shape), np.empty(shape, complex), np.zeros(shape, bool)
     best, found, n_out = np.inf, None, 0
     for rows, r in ring_blocks(radii, ring):
-        out = crit[rows] <= threshold
+        if not keep:
+            rows = slice(0, r.size)
+            filled[rows] = False
+        c, img, got = crit[rows], image[rows], filled[rows]
+        if not hit:
+            np.multiply(abs_dF(r * ring), 1.0 - r * r, out=c)
+        out = c <= threshold
         if not out.any():
             continue
-        img, got = image[rows], filled[rows]
         new = out & ~got
         if new.any():
             img[new] = F((r * ring)[new])
@@ -371,6 +370,9 @@ def _memo_min_distance(F, memo, radii, ring, threshold, center, boundary_eps):
         i = int(np.argmin(d))
         if d[i] < best:
             best, found = float(d[i]), (r, out, i)
+    if keep and not hit:
+        crit.flags.writeable = False
+        _memo = (key, crit, image, filled)
     witness = complex(np.nan, np.nan)
     if found is not None:
         r, out, i = found
@@ -380,29 +382,8 @@ def _memo_min_distance(F, memo, radii, ring, threshold, center, boundary_eps):
 
 
 def covered_min_distance(code, params, num, den, threshold, center, nr, nt, boundary_eps):
-    """``min_distance`` of the family map with the given code.  For the last map
-    and grid swept, if the grid has at most MEMO_MAX_POINTS points, a one-entry
-    memo keeps the criterion grid (stored once its sweep completes) and the
-    map's image on that grid (complex, 16 bytes a point, with a bool grid of
-    the points filled: 2.56 MB and 0.16 MB next to the criterion's 1.28 MB at
-    400 x 400).  A miss fills only the criterion.  A hit evaluates no |h'|,
-    skips the blocks with no point at or below its threshold and evaluates h
-    only on the complement points no earlier hit filled; larger grids stream
-    in blocks."""
-    global _memo
-    radii, ring = polar_grid(nr, nt)
-    key = (code, params, num, den, nr, nt)
-
-    def F(z):
-        return eval_map(code, params, num, den, z)
-
-    if _memo is not None and _memo[0] == key:
-        return _memo_min_distance(F, _memo, radii, ring, threshold, center, boundary_eps)
-    _memo = None
-    out = np.empty((nr, nt)) if nr * nt <= MEMO_MAX_POINTS else None
-    blocks = criterion_blocks(lambda z: abs_deriv(code, params, num, den, z), radii, ring, out)
-    result = min_distance(F, blocks, threshold, center, ring, boundary_eps)
-    if out is not None:
-        out.flags.writeable = False
-        _memo = (key, out, np.empty((nr, nt), complex), np.zeros((nr, nt), bool))
-    return result
+    """``min_distance`` of the family map with the given code, keyed by its code
+    and parameters."""
+    return min_distance(lambda z: eval_map(code, params, num, den, z),
+                        lambda z: abs_deriv(code, params, num, den, z),
+                        (code, params, num, den), threshold, center, nr, nt, boundary_eps)

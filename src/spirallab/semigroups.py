@@ -34,7 +34,6 @@ class Generator:
     kind: str
     tau: complex
     mu: complex
-    poly: tuple | None = None
 
     def __post_init__(self):
         self.tau = complex(self.tau)
@@ -70,7 +69,7 @@ class Generator:
         if mu is None:
             mu = P.polyval(complex(tau), d1)
         f, df, d2f = (partial(kernels.horner, tuple(map(complex, c))) for c in (coeffs, d1, d2))
-        return cls(f=f, df=df, d2f=d2f, kind=kind, tau=tau, mu=mu, poly=tuple(coeffs))
+        return cls(f=f, df=df, d2f=d2f, kind=kind, tau=tau, mu=mu)
 
     @classmethod
     def from_spec(cls, spec):
@@ -78,16 +77,6 @@ class Generator:
         tau = _c(spec.get("tau", 0))
         mu = _c(spec["mu"]) if "mu" in spec else None
         return cls.from_poly(coeffs, spec.get("kind", "dilation"), tau, mu)
-
-    def to_spec(self):
-        if self.poly is None:
-            raise ValueError("only polynomial generators serialize")
-        return {
-            "poly": [[c.real, c.imag] for c in self.poly],
-            "kind": self.kind,
-            "tau": [self.tau.real, self.tau.imag],
-            "mu": [self.mu.real, self.mu.imag],
-        }
 
 
 def disk_grid():

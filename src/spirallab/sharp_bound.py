@@ -14,6 +14,10 @@ from .kernels import horner
 N_GRID = 20000  # points of each t grid: the infimum search, the margin and the root scan
 
 
+class MarginUnderflow(RuntimeError):
+    """A nonreal lambda's strict margin is below the smallest double."""
+
+
 @dataclass(frozen=True)
 class SharpParams:
     lam: complex
@@ -111,10 +115,14 @@ def cor_margin(p: SharpParams, t):
 def verify_cor_inequality(p: SharpParams):
     """Margin report for ``cor_margin`` on a t grid.
 
-    Positive everywhere for Im lambda != 0; identically zero for real lambda."""
+    Positive everywhere for Im lambda != 0; identically zero for real lambda.
+    A nonreal lambda whose minimum reads 0.0 raises MarginUnderflow: its sign
+    is not decided in double precision."""
     t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)
     margin = cor_margin(p, t_grid)
     i = int(np.argmin(margin))
+    if p.b != 0 and margin[i] == 0.0:
+        raise MarginUnderflow(f"the margin underflows to 0.0 at t = {float(t_grid[i])!r}")
     return {
         "min_margin": float(margin[i]),
         "argmin_t": float(t_grid[i]),

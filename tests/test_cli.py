@@ -155,6 +155,18 @@ def test_sharp_bound_passes_for_a_nearly_real_lambda(tmp_path, lam):
     assert rep["inequality_margin"]["min_margin"] > 0
 
 
+def test_sharp_bound_margin_below_the_smallest_double_is_undecided(tmp_path, capsys):
+    """At Im lambda = 1e-300 the true margin, ~4e-614, reads 0.0: undecided
+    (exit 3), not failed; at 1e-150 it is ~4.2e-314, a subnormal, and passes."""
+    code, rep = run(tmp_path, "sharp-bound", "--lambda=1,1e-300")
+    assert code == 3 and rep is None
+    assert capsys.readouterr().err.startswith(
+        "error: undecided: MarginUnderflow: the margin underflows to 0.0 at t = ")
+    code, rep = run(tmp_path, "sharp-bound", "--lambda=1,1e-150")
+    assert code == 0 and rep["pass"]
+    assert 0 < rep["inequality_margin"]["min_margin"] < 1e-300
+
+
 def test_sharp_bound_dump_curve(tmp_path):
     """--dump-curve writes f on 2000 log-spaced times from 1e-6 to 50/(Re lambda r)."""
     curve = tmp_path / "f.csv"

@@ -1,6 +1,7 @@
 """Tests for the covering-radius machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,9 +189,9 @@ def test_omega_region_points_match_per_ring_loop(h, grid):
 
 @pytest.mark.parametrize("kind", ["normalized", "koenigs"])
 def test_generic_map_sweep_matches_per_ring_loop(kind):
-    """Maps outside the family codes go through ``kernels.min_distance``.  A
-    KoenigsMap sizes its quadrature by the largest |z| of each call, so the
-    block size may move its last digits: agreement to 1e-12 relative."""
+    """Maps outside the family codes go through ``kernels.min_distance`` with no
+    key.  A KoenigsMap sizes its quadrature by the largest |z| of each call, so
+    the block size may move its last digits: agreement to 1e-12 relative."""
     if kind == "normalized":
         h, grid = normalize_at(UnivalentMap.koebe(), 0.3 + 0.2j), (400, 400)
     else:
@@ -198,16 +199,31 @@ def test_generic_map_sweep_matches_per_ring_loop(kind):
         grid = (120, 64)
     x0 = 0.2 - 0.1j
     spec = OmegaSpec.build(h, x0, 0.5)
-    radii, ring = kernels.polar_grid(*grid)
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
         best, _, bmin, n_out = kernels.min_distance(
-            h.eval_array, kernels.criterion_blocks(h.abs_deriv_array, radii, ring),
-            spec.threshold, center, ring, BOUNDARY_EPS)
+            h.eval_array, h.abs_deriv_array, None, spec.threshold, center, *grid,
+            BOUNDARY_EPS)
         ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(
             h.eval_array, h.deriv_array, spec.threshold, center, *grid, BOUNDARY_EPS)
         assert n_out == ref_n_out > 0
         assert abs(best - ref_best) <= 1e-12 * ref_best
         assert abs(bmin - ref_bmin) <= 1e-12 * ref_bmin
+
+
+def test_generic_map_sweep_leaves_the_memo_alone(no_memo):
+    """A sweep with no key neither reads nor replaces nor fills the family memo."""
+    h = UnivalentMap.koebe()
+    spec = OmegaSpec.build(h, 0.3 + 0.1j, 0.5)
+    kernels.covered_min_distance(*_family(h), spec.threshold, h.eval(0.3 + 0.1j),
+                                 400, 400, BOUNDARY_EPS)
+    memo = kernels._memo
+    before = [a.copy() for a in memo[1:]]
+    g = normalize_at(h, 0.3 + 0.2j)
+    got = kernels.min_distance(g.eval_array, g.abs_deriv_array, None, spec.threshold, 0j,
+                               400, 400, BOUNDARY_EPS)
+    assert got[3] > 0
+    assert kernels._memo is memo
+    assert all(np.array_equal(a, b) for a, b in zip(memo[1:], before))
 
 
 # ---------------------------------------------------------- criterion memo
@@ -290,8 +306,8 @@ def test_stored_criterion_is_read_only(h, no_memo):
     _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
     _, crit, _, _ = kernels._memo
     radii, ring = kernels.polar_grid(400, 400)
-    blocks = kernels.criterion_blocks(lambda z: kernels.abs_deriv(*_family(h), z), radii, ring)
-    assert np.array_equal(crit, np.concatenate([c for _, c in blocks]))
+    ref = np.stack([kernels.abs_deriv(*_family(h), r * ring) * (1.0 - r * r) for r in radii])
+    assert np.array_equal(crit, ref)
     assert not crit.flags.writeable
     with pytest.raises(ValueError):
         crit[0, 0] = 0.0
@@ -308,6 +324,22 @@ def test_grid_above_the_cap_stores_nothing(h, no_memo):
     got, ref = _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (n + 1, n))
     assert got == ref
     assert kernels._memo is None
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_grid_above_the_cap_streams_in_block_sized_memory(h, no_memo):
+    """A sweep above the cap holds block-sized scratch arrays only: its
+    tracemalloc peak stays within sixteen complex blocks (1 MiB), far below the
+    25 bytes a point that a kept grid holds."""
+    n = math.isqrt(kernels.MEMO_MAX_POINTS)
+    tracemalloc.start()
+    try:
+        got, ref = _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (n + 1, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ref
+    assert peak <= 16 * 16 * kernels.SWEEP_BLOCK  # a kept grid would hold 6.6 MB
 
 
 # ------------------------------------------------------------- image memo
@@ -373,13 +405,13 @@ def test_hit_inside_the_filled_part_evaluates_no_h(h, no_memo, monkeypatch):
 
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_hit_evaluates_h_only_on_new_points(h, no_memo, monkeypatch):
-    """The first hit evaluates its whole complement, a hit with a larger
-    complement only the points the smaller one did not hold."""
-    _sweep(h, X0, 0.3, 1.0, (400, 400))
+    """After the miss filled its complement, each hit with a larger complement
+    evaluates h only on the points the smaller ones did not hold."""
+    _, ref_miss = _sweep(h, X0, 0.3, 1.0, (400, 400))
     sizes = _grid_evals(monkeypatch, (400, 400))
     got, ref = _sweep(h, X0, 0.5, 1.0, (400, 400))
     assert got == ref
-    assert sum(sizes) == ref[3]
+    assert 0 < sum(sizes) == ref[3] - ref_miss[3]
     sizes.clear()
     got, ref_big = _sweep(h, X0, 0.8, 0.5, (400, 400))
     assert got == ref_big
@@ -405,9 +437,12 @@ def test_hit_that_raises_leaves_a_sound_memo(h, no_memo, monkeypatch):
 
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_miss_evaluates_h_on_no_more_than_its_complement(h, no_memo, monkeypatch):
+    """A miss evaluates h once on each complement point and fills exactly its
+    complement of the image memo."""
     sizes = _grid_evals(monkeypatch, (400, 400))
     got, ref = _sweep(h, X0, 0.5, 1.0, (400, 400))
     assert got == ref
-    assert 0 < sum(sizes) <= ref[3]
+    assert 0 < sum(sizes) == ref[3]
     _, _, _, filled = kernels._memo
-    assert not filled.any()
+    assert np.count_nonzero(filled) == ref[3]
+    _image_is_the_map(h, (400, 400))

@@ -151,11 +151,13 @@ def test_sup_norm_batched_ascent_matches_per_start_loop():
             assert abs(got - ref) <= 1e-15 * ref, (Q, steps)
 
 
-def test_poly_spec_round_trip():
+def test_poly_spec_literal():
     Q = HomogeneousPolynomial.build(2, 2, {(1, 1): 0.5 + 0.25j})
-    again = HomogeneousPolynomial.from_spec(Q.to_spec())
+    spec = {"degree": 2, "terms": [{"exps": [1, 1], "coef": [0.5, 0.25]}]}
+    again = HomogeneousPolynomial.from_spec(spec)
+    assert (again.degree, again.m, again.terms) == (Q.degree, Q.m, Q.terms)
     y = np.array([0.3 + 0.1j, -0.2j])
-    assert abs(again.eval(y) - Q.eval(y)) < 1e-15
+    assert again.eval(y) == Q.eval(y)
 
 
 # --------------------------------------------------------------- operators

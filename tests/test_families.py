@@ -642,9 +642,20 @@ def test_kernels_do_not_depend_on_the_batch_size(h):
 
 # --------------------------------------------------------------- ser/deser
 
-def test_spec_round_trip(families):
-    for h in families.values():
-        again = UnivalentMap.from_spec(h.to_spec())
-        zs = random_disk(np.random.default_rng(11), 20)
-        assert np.max(np.abs(again.eval_array(zs) - h.eval_array(zs))) < 1e-14
+@pytest.mark.parametrize("spec, want", [
+    ({"family": "identity"}, UnivalentMap.identity()),
+    ({"family": "koebe"}, UnivalentMap.koebe()),
+    ({"family": "mobius_spiral", "c": [0, 0.3]}, UnivalentMap.mobius_spiral(0.3j)),
+    ({"family": "mobius_spiral", "c": 0.3}, UnivalentMap.mobius_spiral(0.3)),
+    ({"family": "spiral_koebe", "theta": 0.5}, UnivalentMap.spiral_koebe(0.5)),
+    ({"family": "half_plane"}, UnivalentMap.half_plane()),
+    ({"family": "rational", "num": [0, 1, [0.1, 0]], "den": [1, -1]}, RATIONAL),
+], ids=["identity", "koebe", "mobius_0.3i", "mobius_0.3", "spiral_koebe", "half_plane",
+        "rational"])
+def test_spec_literal_builds_its_family(spec, want):
+    h = UnivalentMap.from_spec(spec)
+    assert (h.family, h.code, h.params, h.num, h.den) == (
+        want.family, want.code, want.params, want.num, want.den)
+    zs = random_disk(np.random.default_rng(11), 20)
+    assert np.array_equal(h.eval_array(zs), want.eval_array(zs))
 

@@ -219,12 +219,16 @@ def test_spirallike_margin_negative_for_wrong_mu():
     assert spirallike_margin(UnivalentMap.koebe(), 0.05 + 1.0j) < 0
 
 
-def test_generator_spec_round_trip():
-    g = gen_logistic()
-    again = Generator.from_spec(g.to_spec())
+@pytest.mark.parametrize("spec, want", [
+    ({"poly": [0, 1, -1], "kind": "dilation", "tau": 0, "mu": 1}, gen_logistic()),
+    ({"poly": [[-1, 0], 0, [1, 0]], "kind": "hyperbolic", "tau": [1, 0]}, gen_hyperbolic()),
+], ids=["logistic", "hyperbolic"])
+def test_generator_spec_literal(spec, want):
+    """A literal spec builds the generator from_poly does; a missing mu is f'(tau)."""
+    g = Generator.from_spec(spec)
     zs = random_disk(np.random.default_rng(39), 10)
-    assert np.max(np.abs(again.f(zs) - g.f(zs))) < 1e-14
-    assert again.kind == g.kind and again.mu == g.mu
+    assert np.array_equal(g.f(zs), want.f(zs))
+    assert (g.kind, g.tau, g.mu) == (want.kind, want.tau, want.mu)
 
 
 # ------------------------------------------------- graded quadrature accuracy
