@@ -27,7 +27,7 @@ from .families import BranchTrackingError, NoConvergence, UnivalentMap
 from .ode import LeftDomain, StepUnderflow
 
 UNDECIDED = (NoConvergence, BranchTrackingError, StepUnderflow, LeftDomain,
-             genext.UnresolvedSingularity, sharp_bound.MarginUnderflow)
+             semigroups.UnresolvedSingularity, sharp_bound.MarginUnderflow)
 
 FAMILY_SHORTCUTS = ("identity", "koebe", "half_plane")
 COMPLEX_OPTIONS = ("--x0", "--beta", "--z0", "--mu", "--lambda")
@@ -235,7 +235,8 @@ def cmd_gen_extend(args):
                    ([ts[k]] + flow.v[k, i].view(float).tolist()
                     for i, n in enumerate(flow.reached) for k in range(n)))
     findings = {"conjugation_residual": resid, "dh_identity_residual": dh_res,
-                "ball_exits": exits, "flows": min(args.flows, len(xs))}
+                "ball_exits": exits, "flows": min(args.flows, len(xs)),
+                "ode_steps": flow.steps}
     return findings, resid <= 1e-8 and dh_res <= 1e-9 and exits == 0
 
 

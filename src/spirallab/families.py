@@ -1,7 +1,6 @@
 """Disk primitives: built-in univalent families, disk automorphisms, a disk
-map composed with one (normalization at a point, and the Koenigs maps of
-generators with an interior Denjoy-Wolff point away from 0), branch-tracked
-powers h'(x)^(1/r) and Newton inversion.
+map normalized at a point by composing it with one, branch-tracked powers
+h'(x)^(1/r) and Newton inversion.
 
 A "disk map" anywhere in this package is an instance of a class decorated
 with disk_map.  The class defines eval_array and deriv_array on ndarrays and
@@ -260,41 +259,33 @@ def disk_automorphism_deriv(x0, z, k=1):
 @disk_map
 class ComposedMap:
     """g(z) = (h0(phi(z)) - shift) / scale for a disk map h0 and phi the disk
-    automorphism based at a.  normalize_at builds it with g(0) = 0 and
-    g'(0) = 1; semigroups.koenigs builds it with shift 0 and scale 1, the
-    Koenigs function h0 o phi of a generator whose Denjoy-Wolff point a is
-    not 0 (Elin-Shoikhet, Linearization Models for Complex Dynamical Systems,
-    2010)."""
+    automorphism based at a; normalize_at builds it with g(0) = 0 and
+    g'(0) = 1."""
 
-    def __init__(self, h0, a, shift=0j, scale=1.0):
+    def __init__(self, h0, a, shift, scale):
         self.h0 = h0
         self.a = complex(a)
         self.shift = complex(shift)
         self.scale = complex(scale)
         # log g'(0) - log h0'(a), the constant that puts log g' at its principal
-        # value at 0; -log h0'(a) for a normalized map
+        # value at 0
         self._log_c = np.log(self.deriv(0j)) - h0.log_deriv(self.a)
 
     def _phi(self, z):
         return disk_automorphism(self.a, z)
 
-    def _rescaled(self, v):
-        # v / 1 would still turn some -0.0 into +0.0
-        return v if self.scale == 1 else v / self.scale
-
     def eval_array(self, z):
-        return self._rescaled(self.h0.eval_array(self._phi(_as_points(z))) - self.shift)
+        return (self.h0.eval_array(self._phi(_as_points(z))) - self.shift) / self.scale
 
     def deriv_array(self, z):
         z = _as_points(z)
-        return self._rescaled(self.h0.deriv_array(self._phi(z))
-                              * disk_automorphism_deriv(self.a, z))
+        return self.h0.deriv_array(self._phi(z)) * disk_automorphism_deriv(self.a, z) / self.scale
 
     def deriv2_array(self, z):
         z = _as_points(z)
         w = self._phi(z)
-        return self._rescaled(self.h0.deriv2_array(w) * disk_automorphism_deriv(self.a, z) ** 2
-                              + self.h0.deriv_array(w) * disk_automorphism_deriv(self.a, z, 2))
+        return (self.h0.deriv2_array(w) * disk_automorphism_deriv(self.a, z) ** 2
+                + self.h0.deriv_array(w) * disk_automorphism_deriv(self.a, z, 2)) / self.scale
 
     def log_deriv_array(self, z):
         # log h0'(phi(z)) - 2 log(1 - conj(a) z) + const; Re(1 - conj(a) z) > 0

@@ -18,17 +18,12 @@ from .semigroups import Generator
 CHECKPOINTS = 50  # recorded states of each ball flow after its start
 
 
-class UnresolvedSingularity(RuntimeError):
-    pass
-
-
 @dataclass
 class ExtendedGenerator:
     base: Generator
     lam: complex
     space: BallSpace
     Q: HomogeneousPolynomial
-    singularity_radius: float = 1e-4
 
     def __post_init__(self):
         self.lam = complex(self.lam)
@@ -47,29 +42,6 @@ class ExtendedGenerator:
                 if est > bound + 1e-12:
                     raise ValueError(f"sup|Q| estimate {est} exceeds bound {bound}")
 
-    # (mu - f'(x)) / f(x), removable at the interior Denjoy-Wolff point
-    def quotient(self, x):
-        x = np.asarray(x, dtype=complex)
-        return self._quotient(x, self.base.f(x), self.base.df(x))[()]
-
-    def _quotient(self, x, fx, dfx):
-        gen = self.base
-        # np.fmin skips NaN, as the masks do; most batches need neither mask
-        near = None
-        if gen.kind == "dilation" and np.fmin.reduce(
-                np.abs(x - gen.tau), None, initial=np.inf) < self.singularity_radius:
-            near = np.abs(x - gen.tau) < self.singularity_radius
-        if np.fmin.reduce(np.abs(fx), None, initial=np.inf) < 1e-12:
-            tiny = (np.abs(fx) < 1e-12) & (True if near is None else ~near)
-            if np.any(tiny):
-                raise UnresolvedSingularity(
-                    f"f vanishes at {x[tiny].ravel()[0]} away from the Denjoy-Wolff point")
-        if near is None:
-            return (gen.mu - dfx) / fx
-        f2 = complex(gen.d2f(gen.tau))
-        return np.where(near, -f2 / (gen.mu + 0.5 * f2 * (x - gen.tau)),
-                        (gen.mu - dfx) / np.where(near, 1.0, fx))
-
 
 def _jet(h, x):
     """h(x), a continuous log h'(x) and h''(x), each shaped like x."""
@@ -79,14 +51,15 @@ def _jet(h, x):
 
 def extend_generator(g: ExtendedGenerator, x, y):
     """Vector field value ( f(x)+Q(y), (1/r)(f'(x)+r lam - quotient Q(y)) y )
-    at the points (x, y), as first (n,) and second (n, m)."""
+    at the points (x, y), as first (n,) and second (n, m), for the base
+    generator's quotient (mu - f')/f."""
     r = g.space.r
     fx, dfx = g.base.f(x), g.base.df(x)
     if not g.Q.terms:
         return fx, ((dfx + r * g.lam) / r)[..., None] * y
     qv = g.Q.eval(y)
     first = fx + qv
-    second = ((dfx + r * g.lam - g._quotient(x, fx, dfx) * qv) / r)[..., None] * y
+    second = ((dfx + r * g.lam - g.base.quotient(x) * qv) / r)[..., None] * y
     return first, second
 
 
@@ -165,11 +138,13 @@ def conjugation_residual(g: ExtendedGenerator, h, x, y):
 class BallFlow:
     """Checkpoint times t (k+1,) and states v (k+1, n, m+1), v[..., 0] = x, of
     n ball flows; start i recorded its first reached[i] checkpoints, and the
-    rows after them are NaN."""
+    rows after them are NaN.  steps counts the integrator's steps, rejected
+    ones included, summed over its restarts."""
 
     t: np.ndarray
     v: np.ndarray
     reached: np.ndarray
+    steps: int
 
     @property
     def exited(self):
@@ -202,16 +177,18 @@ def flow_ball(g: ExtendedGenerator, x, y, T):
     v[0, :, 0], v[0, :, 1:] = x, y
     reached = np.ones(len(x), dtype=int)
     live = np.flatnonzero(inside(v[0]))
-    s = 0  # the checkpoint the live starts go on from
+    s = steps = 0  # s: the checkpoint the live starts go on from
     while live.size:
         try:
-            v[s:, live], _, _ = ode.integrate(rhs, v[s, live], t[-1] - t[s],
+            v[s:, live], n, _ = ode.integrate(rhs, v[s, live], t[-1] - t[s],
                                               domain=inside, t_eval=t[s:] - t[s])
             reached[live] = CHECKPOINTS + 1
+            steps += n
             break
         except ode.LeftDomain as e:
             k = s + len(e.dense)
             v[s:k, live] = e.dense
             reached[live] = k
             live, s = live[~e.mask], k - 1
-    return BallFlow(t=t, v=v, reached=reached)
+            steps += e.steps
+    return BallFlow(t=t, v=v, reached=reached, steps=steps)

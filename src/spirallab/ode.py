@@ -116,12 +116,13 @@ class LeftDomain(RuntimeError):
     mask is the domain predicate's negated value at the last rejected state:
     for a predicate returning one flag per row, the rows that left.  dense,
     when integrate was given t_eval, holds the states at the times of t_eval
-    passed before the failure."""
+    passed before the failure.  steps counts the steps taken until then."""
 
-    def __init__(self, msg, mask=True, dense=None):
+    def __init__(self, msg, mask=True, dense=None, steps=0):
         super().__init__(msg)
         self.mask = mask
         self.dense = dense
+        self.steps = steps
 
 
 def _point(y, h, kr, i):
@@ -188,7 +189,7 @@ def integrate(rhs, y0, t_end, tol=1e-11, max_steps=1_000_000, domain=None,
         if h < 1e-15 * max(1.0, t_end):
             if left is not None:
                 raise LeftDomain("trajectory forced against the domain boundary", left,
-                                 None if dense is None else dense[:done])
+                                 None if dense is None else dense[:done], steps)
             raise StepUnderflow("step size underflow")
         for i in range(1, 12):
             k[i] = rhs(_point(y, h, kr, i)).ravel()

@@ -5,14 +5,14 @@ margins."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import families, kernels, ode
-from .families import _as_points, _c, disk_automorphism_deriv as _dphi
-# verdictbench/tracing.py wraps the methods of the Koenigs maps under this name
+from .families import _as_points, _c
+# verdictbench/tracing.py wraps the methods of families.ComposedMap under this name
 from .families import ComposedMap as _ConjugatedMap  # noqa: F401
 
 
@@ -20,31 +20,43 @@ class InvalidGenerator(ValueError):
     pass
 
 
+class UnresolvedSingularity(RuntimeError):
+    pass
+
+
+def _divided(c, tau):
+    """Coefficients of the polynomial c divided by z - tau, remainder dropped."""
+    return tuple(map(complex, P.polydiv(c, [-tau, 1.0])[0]))
+
+
 @dataclass
 class Generator:
-    """Infinitesimal generator f on the disk.
+    """Polynomial infinitesimal generator f on the disk, from its ascending
+    coefficients.
 
-    kind is 'dilation' (Denjoy-Wolff point tau inside, mu = f'(tau)) or
-    'hyperbolic' (tau on the boundary, mu the angular derivative, real > 0).
+    kind is 'dilation' (Denjoy-Wolff point tau inside) or 'hyperbolic' (tau
+    on the boundary, mu real > 0); either way f(tau) = 0 and mu = f'(tau),
+    the angular derivative at a boundary tau.  The zero at tau is divided out
+    once, by synthetic division: g = f/(z - tau), u = (mu - f')/(z - tau) and
+    v = (mu - g)/(z - tau) are polynomials, since g(tau) = f'(tau) = mu.
     """
 
-    f: object  # f, f' and f'' accept ndarrays
-    df: object
-    d2f: object
+    coeffs: tuple
     kind: str
     tau: complex
-    mu: complex
+    mu: complex | None = None
 
     def __post_init__(self):
+        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        d1 = P.polyder(c)
+        self.coeffs, self._df = tuple(map(complex, c)), tuple(map(complex, d1))
         self.tau = complex(self.tau)
-        self.mu = complex(self.mu)
+        self.mu = complex(self.df(self.tau) if self.mu is None else self.mu)
         if self.kind not in ("dilation", "hyperbolic"):
             raise InvalidGenerator(f"unknown kind {self.kind!r}")
         if self.kind == "dilation":
             if abs(self.tau) >= 1:
                 raise InvalidGenerator("dilation type needs |tau| < 1")
-            if abs(self.f(self.tau)) > 1e-10:
-                raise InvalidGenerator("f(tau) != 0")
             if self.mu.real <= 0:
                 raise InvalidGenerator("dilation type needs Re mu > 0")
         else:
@@ -52,24 +64,42 @@ class Generator:
                 raise InvalidGenerator("hyperbolic type needs |tau| = 1")
             if not (self.mu.imag == 0 and self.mu.real > 0):
                 raise InvalidGenerator("hyperbolic type needs real mu > 0")
-            self._check_angular_derivative()
+        if abs(self.f(self.tau)) > 1e-10:
+            raise InvalidGenerator("f(tau) != 0")
+        if abs(self.mu - self.df(self.tau)) > 1e-10 * max(1.0, abs(self.mu)):
+            raise InvalidGenerator(f"mu = {self.mu} is not f'(tau) = {self.df(self.tau)}")
+        self._g = _divided(c, self.tau)
+        self._u = _divided(P.polysub([self.mu], d1), self.tau)
+        self._v = _divided(P.polysub([self.mu], self._g), self.tau)
 
-    def _check_angular_derivative(self):
-        r = 1.0 - 1e-4
-        dq = self.f(r * self.tau) / (r * self.tau - self.tau)
-        if abs(dq - self.mu) > 0.05 * abs(self.mu):
-            raise InvalidGenerator(
-                f"angular derivative mismatch: quotient {dq} vs mu {self.mu}")
+    def f(self, z):
+        return kernels.horner(self.coeffs, z)
+
+    def df(self, z):
+        return kernels.horner(self._df, z)
+
+    def g(self, z):
+        return kernels.horner(self._g, z)
+
+    def u(self, z):
+        return kernels.horner(self._u, z)
+
+    def v(self, z):
+        return kernels.horner(self._v, z)
+
+    def quotient(self, z):
+        """(mu - f')/f = u/g, which is -f''(tau)/mu at tau; raises
+        UnresolvedSingularity where g vanishes, a zero of f away from tau."""
+        gz = self.g(z)
+        # np.fmin skips NaN points
+        if np.fmin.reduce(np.abs(gz), None, initial=np.inf) < 1e-12:
+            at = np.asarray(z)[np.abs(gz) < 1e-12].ravel()[0]
+            raise UnresolvedSingularity(f"f vanishes at {at} away from the Denjoy-Wolff point")
+        return self.u(z) / gz
 
     @classmethod
     def from_poly(cls, coeffs, kind, tau, mu=None):
-        coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        d1 = P.polyder(coeffs)
-        d2 = P.polyder(coeffs, 2)
-        if mu is None:
-            mu = P.polyval(complex(tau), d1)
-        f, df, d2f = (partial(kernels.horner, tuple(map(complex, c))) for c in (coeffs, d1, d2))
-        return cls(f=f, df=df, d2f=d2f, kind=kind, tau=tau, mu=mu)
+        return cls(coeffs, kind, tau, mu)
 
     @classmethod
     def from_spec(cls, spec):
@@ -92,15 +122,7 @@ def berkson_porta_margin(gen: Generator):
 
     f is accepted as a generator when the margin is >= -1e-9."""
     z = disk_grid()
-    denom = (z - gen.tau) * (1.0 - np.conj(gen.tau) * z)
-    fz = gen.f(z)
-    near = np.abs(denom) < 1e-12
-    p = np.empty_like(z)
-    p[~near] = fz[~near] / denom[~near]
-    if near.any():
-        # removable point: p(tau) = f'(tau) / (1 - |tau|^2)
-        p[near] = gen.df(gen.tau) / (1.0 - abs(gen.tau) ** 2)
-    return float(np.min(p.real))
+    return float(np.min((gen.g(z) / (1.0 - np.conj(gen.tau) * z)).real))
 
 
 @dataclass
@@ -146,9 +168,9 @@ def _graded_rule(n_panels):
 
 
 def _panel_count(rho):
-    """Panels needed for points with |z| <= rho: the last panel is no wider than
-    1 - rho, so every panel is at most as wide as its gap to the singularity of
-    the integrand near s = 1/|z|."""
+    """Panels needed for rays to points with |z| <= rho: the last panel is no
+    wider than 1 - rho, so every panel is at most as wide as its distance to
+    the circle, beyond which the integrands have their poles."""
     if not rho < 1.0:
         raise families.PointOutsideDisk(f"|z| = {rho} >= 1")
     return max(4, int(np.ceil(np.log2(1.0 / (1.0 - rho)))) + 1)
@@ -156,78 +178,84 @@ def _panel_count(rho):
 
 @families.disk_map
 class KoenigsMap:
-    """Univalent solution of h'(z) f(z) = mu h(z), built by radial quadrature.
+    """Univalent solution of h'(z) f(z) = mu h(z), built by quadrature along
+    paths for the generator's divided polynomials g, u and v.
 
-    Normalization: h(0)=0, h'(0)=1 for dilation type with tau = 0;
-    h(0)=1 for hyperbolic type.  Dilation with tau != 0 is handled by
-    koenigs(), which conjugates the generator back to the origin and composes
-    its Koenigs map with the disk automorphism based at tau.
+    Dilation type: h(tau) = 0, with h'(0) = 1 for tau = 0, else h'(tau) =
+    1/(|tau|^2 - 1), the derivative of h0 o phi for h0 normalized at 0 and phi
+    the disk automorphism swapping tau and 0 (Elin-Shoikhet, Linearization
+    Models for Complex Dynamical Systems, 2010).  log(h/(z - tau)) and log h'
+    are log h'(tau) plus the integrals of v/g and u/g along the hyperbolic
+    geodesic from tau to z, w = phi(s zeta) for zeta = phi(z) and s in [0, 1].
+    Hyperbolic type: h(0) = 1, and log h and log h' integrate mu/f and u/g
+    along the ray w = s z.  h'' = h' (mu - f')/f, the generator's quotient.
 
-    log h (log(h/z) for dilation type) and log h' are integrals over s in
-    [0, 1] along the ray to z, evaluated for all points at once with one
-    graded Gauss-Legendre rule sized by the largest |z| of the call.  The
+    Either path is a ray from 0 to zeta (zeta = z for the ray) in a variable
+    in which the integrands' poles stay beyond the circle, so every point of
+    a call is integrated at once with one graded Gauss-Legendre rule sized by
+    the largest |zeta|, whose panels are no wider than their distance to the
+    circle: its node count grows as log 1/(1 - |zeta|) for every tau.  The
     last point set's read-only logs are kept, so eval, log h' and h'' at the
     same points pay for one quadrature; log_deriv_array returns that shared,
     read-only array itself.
     """
 
     def __init__(self, gen: Generator):
-        if gen.kind == "dilation" and gen.tau != 0:
-            raise ValueError("use koenigs(); tau != 0 needs conjugation")
         self.gen = gen
         self.mu = gen.mu
         self.kind = gen.kind
-        self._f2 = gen.d2f(np.asarray([0j]))[0]
-        self._log_d0 = 0j
         self._memo = (None, None)
         if gen.kind == "hyperbolic":
             f0 = gen.f(np.asarray([0j]))[0]
             if f0 == 0:
                 raise InvalidGenerator("hyperbolic generator with f(0) = 0")
             self._log_d0 = np.log(self.mu / f0)
+        else:
+            t2 = abs(gen.tau) ** 2
+            self._log_d0 = np.log(complex(1.0 / (t2 - 1.0))) if t2 else 0j
+        # the geodesic from 0 is the ray, phi being -z there
+        self._ray = gen.kind == "hyperbolic" or gen.tau == 0
 
     def _logs(self, z):
-        """(log h or log(h/z), log h') at the points z, of z's shape."""
+        """(log h or log(h/(z - tau)), log h') at the points z, of z's shape."""
         z = _as_points(z)
         key = (z.shape, z.tobytes())
         last, logs = self._memo
         if last == key:
             return logs
         flat = z.ravel()
-        s, w = _graded_rule(_panel_count(float(np.max(np.abs(flat), initial=0.0))))
+        zeta = flat if self._ray else families.disk_automorphism(self.gen.tau, flat)
+        s, w = _graded_rule(_panel_count(float(np.max(np.abs(zeta), initial=0.0))))
         step = _BLOCK // s.size
-        parts = [self._integrate(flat[i:i + step], s, w)
+        parts = [self._integrate(flat[i:i + step], zeta[i:i + step], s, w)
                  for i in range(0, max(flat.size, 1), step)]
         a, b = (np.concatenate(v).reshape(z.shape) for v in zip(*parts))
+        if self.kind == "dilation":
+            a = self._log_d0 + a
         b = self._log_d0 + b
         a.flags.writeable = b.flags.writeable = False
         self._memo = (key, (a, b))
         return a, b
 
-    def _integrate(self, z, s, w):
-        mu = self.mu
-        ws = s[:, None] * z
-        fw = self.gen.f(ws)
-        dfw = self.gen.df(ws)
-        # dilation type: both integrands are removable at ws = 0
-        removable = (np.abs(ws) < 1e-12 if self.kind == "dilation"
-                     else np.zeros(ws.shape, bool))
-        if np.any((fw == 0) & ~removable):
+    def _integrate(self, z, zeta, s, w):
+        gen = self.gen
+        ws, dw = s[:, None] * zeta, z
+        if not self._ray:
+            # ws = phi(s zeta) = (tau - s zeta)/q, dws/ds = phi'(s zeta) zeta
+            q = 1.0 - np.conj(gen.tau) * ws
+            ws, dw = (gen.tau - ws) / q, (abs(gen.tau) ** 2 - 1.0) * zeta / q**2
+        gw = gen.g(ws)
+        if np.any(gw == 0):
             raise InvalidGenerator("f vanishes inside the disk away from tau")
-        fw = np.where(removable, 1.0, fw)
-        log_d = z * (mu - dfw) / fw
+        log_d = dw * gen.u(ws) / gw
         if self.kind == "hyperbolic":
-            return w @ (mu * z / fw), w @ log_d
-        log_h = (mu * ws - fw) / (s[:, None] * fw)
-        # the limits at ws = 0 are -z f''(0)/(2 mu) and -z f''(0)/mu
-        z0 = np.broadcast_to(z, ws.shape)[removable]
-        log_h[removable] = -z0 * self._f2 / (2.0 * mu)
-        log_d[removable] = -z0 * self._f2 / mu
-        return w @ log_h, w @ log_d
+            return w @ (self.mu * z / gen.f(ws)), w @ log_d
+        return w @ (dw * gen.v(ws) / gw), w @ log_d
 
     def eval_array(self, z):
         a, _ = self._logs(z)
-        return _as_points(z) * np.exp(a) if self.kind == "dilation" else np.exp(a)
+        z = _as_points(z)
+        return (z - self.gen.tau) * np.exp(a) if self.kind == "dilation" else np.exp(a)
 
     def log_deriv_array(self, z):
         return self._logs(z)[1]
@@ -236,14 +264,8 @@ class KoenigsMap:
         return np.exp(self._logs(z)[1])
 
     def deriv2_array(self, z):
-        # h'' = h' (mu - f')/f; for dilation type h''(0) = -f''(0)/mu
         z = _as_points(z)
-        near = (np.abs(z) < 1e-9 if self.kind == "dilation"
-                else np.zeros(z.shape, bool))
-        out = self.deriv_array(z) * (self.mu - self.gen.df(z)) \
-            / np.where(near, 1.0, self.gen.f(z))
-        out[near] = -self._f2 / self.mu
-        return out
+        return self.deriv_array(z) * self.gen.quotient(z)
 
 
 def koenigs(gen: Generator):
@@ -251,29 +273,6 @@ def koenigs(gen: Generator):
     margin = berkson_porta_margin(gen)
     if margin < -1e-9:
         raise InvalidGenerator(f"Berkson-Porta margin {margin} < 0")
-    if gen.kind == "dilation" and gen.tau != 0:
-        tau = gen.tau
-
-        # pull the vector field back to g(w) = phi'(phi(w)) f(phi(w)), a
-        # generator fixing the origin, and differentiate by the chain rule
-        def func(w):
-            u = families.disk_automorphism(tau, w)
-            return _dphi(tau, u) * gen.f(u)
-
-        def dfunc(w):
-            u = families.disk_automorphism(tau, w)
-            return (_dphi(tau, u, 2) * gen.f(u) + _dphi(tau, u) * gen.df(u)) * _dphi(tau, w)
-
-        def d2func(w):
-            u = families.disk_automorphism(tau, w)
-            f0, f1, f2 = gen.f(u), gen.df(u), gen.d2f(u)
-            a1, a2, a3 = (_dphi(tau, u, k) for k in (1, 2, 3))
-            return ((a3 * f0 + 2.0 * a2 * f1 + a1 * f2) * _dphi(tau, w) ** 2
-                    + (a2 * f0 + a1 * f1) * _dphi(tau, w, 2))
-
-        g = Generator(f=func, df=dfunc, d2f=d2func,
-                      kind="dilation", tau=0j, mu=gen.mu)
-        return families.ComposedMap(KoenigsMap(g), tau)
     return KoenigsMap(gen)
 
 

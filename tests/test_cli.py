@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ ENVELOPE = {"schema", "tool_version", "subcommand", "inputs", "pass", "timing_s"
      {"infimum", "limit_zero", "inequality_margin", "f_at_tmax"}),
     (("gen-extend", "--gen", None, "--lambda", "1,0", "--r", "2", "--samples", "10",
       "--flows", "2", "--T", "1"),
-     {"conjugation_residual", "dh_identity_residual", "ball_exits", "flows"}),
+     {"conjugation_residual", "dh_identity_residual", "ball_exits", "flows", "ode_steps"}),
 ], ids=["covering", "koenigs", "flow", "spiral-check", "extend", "sharp-bound",
         "gen-extend"])
 def test_report_envelope_and_stdout(tmp_path, capsys, argv, findings):
@@ -572,14 +573,16 @@ def test_reports_are_strict_json(tmp_path):
     assert determinism_hash(payload) == determinism_hash(want)
 
 
+CONJ_LOGISTIC = {"poly": [[0.3 * -1 / 1.3, 0], [-0.7 * -1 / 1.3, 0], [1 / 1.3, 0]],
+                 "kind": "dilation", "tau": [0.3, 0], "mu": [1, 0]}
+
+
 def test_gen_extend_conjugated_generator(tmp_path):
     """Denjoy-Wolff point tau = 0.3: the conjugated logistic generator
-    f(z) = -(0.3 - z)(1 + z)/1.3 with Q at the bound r Re lambda / 4."""
-    k = -1.0 / 1.3
+    f(z) = -(0.3 - z)(1 + z)/1.3 with Q at the bound r Re lambda / 4, a pass
+    with no ball exit whose flows took steps."""
     gen = tmp_path / "gen.json"
-    gen.write_text(json.dumps(
-        {"poly": [[0.3 * k, 0], [-0.7 * k, 0], [-k, 0]], "kind": "dilation",
-         "tau": [0.3, 0], "mu": [1, 0]}))
+    gen.write_text(json.dumps(CONJ_LOGISTIC))
     q = tmp_path / "q.json"
     q.write_text(json.dumps(
         {"degree": 2, "terms": [{"exps": [2], "coef": [0.5, 0]}]}))
@@ -588,7 +591,57 @@ def test_gen_extend_conjugated_generator(tmp_path):
                     "--samples", "40", "--flows", "3", "--T", "2")
     assert code == 0 and rep["pass"]
     assert rep["conjugation_residual"] <= 1e-8
-    assert rep["ball_exits"] == 0
+    assert rep["ball_exits"] == 0 and rep["ode_steps"] > 0
+
+
+def test_koenigs_conjugated_logistic_csv_matches_closed_form(tmp_path):
+    """tau = 0.3: the dumped h is (tau - z)/((1 - tau)(1 + z)) to 1e-12 relative."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(CONJ_LOGISTIC))
+    out_csv = tmp_path / "h.csv"
+    code, rep = run(tmp_path, "koenigs", "--gen", str(gen), "--out-csv", str(out_csv))
+    assert code == 0 and rep["pass"]
+    rows = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+    z, h = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    exact = (0.3 - z) / (0.7 * (1 + z))
+    assert len(rows) == rep["n_samples"]
+    assert np.max(np.abs(h - exact) / np.abs(exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.9995, 1 - 1e-9])
+def test_koenigs_tau_near_the_circle_csv_matches_closed_form(tmp_path, tau):
+    """f = (z - tau)(1 - tau z) linearizes via (tau - z)/(1 - tau z).  Rounding
+    its coefficients moves mu = 1 - tau^2 by about an ulp of 1, so h is good
+    to a small multiple of eps/(1 - tau^2), and no better, as tau nears the
+    circle."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"poly": [[-tau, 0], [1 + tau**2, 0], [-tau, 0]],
+                               "kind": "dilation", "tau": [tau, 0]}))
+    out_csv = tmp_path / "h.csv"
+    code, rep = run(tmp_path, "koenigs", "--gen", str(gen), "--out-csv", str(out_csv))
+    assert code == 0 and rep["pass"]
+    rows = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+    z, h = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    exact = (tau - z) / (1 - tau * z)
+    assert np.max(np.abs(h - exact) / np.abs(exact)) <= 20 * np.finfo(float).eps / (1 - tau**2)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**CONJ_LOGISTIC, "mu": [1.01, 0]}, "error: bad generator spec .*: mu = "),
+    ({"poly": [[-1, 0], [0, 0], [1.1, 0]], "kind": "hyperbolic", "tau": [1, 0]},
+     r"error: bad generator spec .*: f\(tau\) != 0"),
+], ids=["mu_not_f_prime", "hyperbolic_f_tau_nonzero"])
+@pytest.mark.parametrize("cmd", ["koenigs", "gen-extend"])
+def test_generator_spec_off_its_fixed_point_exits_2(tmp_path, capsys, spec, message, cmd):
+    """A mu other than f'(tau), or an f that does not vanish at tau, is an
+    input error: exit 2 and one error line, no report and no traceback."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(spec))
+    extra = ("--lambda", "1,0", "--r", "1") if cmd == "gen-extend" else ()
+    code, rep = run(tmp_path, cmd, "--gen", str(gen), *extra)
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert re.match(message, err) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

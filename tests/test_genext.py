@@ -12,14 +12,13 @@ from spirallab.extensions import (
 )
 from spirallab.genext import (
     ExtendedGenerator,
-    UnresolvedSingularity,
     conjugation_residual,
     dh_tilde_identity_residual,
     extend_generator,
     flow_ball,
     h_tilde,
 )
-from spirallab.semigroups import Generator, koenigs
+from spirallab.semigroups import Generator, UnresolvedSingularity, koenigs
 
 
 def gen_logistic():
@@ -61,40 +60,37 @@ def test_extend_generator_linear_base():
 
 
 def test_quotient_removable_singularity():
-    """(mu - f')/f at the fixed point equals -f''(tau)/mu, by l'Hopital."""
-    g = make()
+    """(mu - f')/f at the fixed point is exactly -f''(tau)/mu, by l'Hopital."""
     # f = z - z^2: f'' = -2, mu = 1, so the limit is 2
-    assert abs(g.quotient(0.0) - 2.0) < 1e-12
-    assert abs(g.quotient(1e-5) - 2.0) < 1e-3
-    # smooth across the switch radius
-    eps = g.singularity_radius
-    assert abs(g.quotient(eps * 0.999) - g.quotient(eps * 1.001)) < 1e-6
+    base = gen_logistic()
+    assert base.quotient(0.0) == 2.0
+    assert abs(base.quotient(1e-5) - 2.0) < 1e-4
+    # tau != 0: f = (z - tau)(1 - tau z), f'' = -2 tau, mu = 1 - tau^2
+    tau = 0.3
+    base = Generator.from_poly([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
+                               mu=1 - tau**2)
+    assert abs(base.quotient(tau) - 2 * tau / (1 - tau**2)) <= 1e-15
 
 
-def test_quotient_branches_bit_for_bit():
-    """Inside singularity_radius of tau the quotient is the series
-    -f''(tau)/(mu + f''(tau)(x - tau)/2), elsewhere (mu - f')/f, in a mixed
-    batch, in one with no point near tau and in one holding a NaN."""
+def test_quotient_matches_closed_form_near_tau():
+    """f = z - z^2 + 0.3 z^3: (mu - f')/f = (2 - 0.9 x)/(1 - x + 0.3 x^2)
+    within 4 ulp at |x - tau| from 1e-2 down to 1e-12, in every direction."""
     base = Generator.from_poly([0, 1, -1, 0.3], kind="dilation", tau=0.0, mu=1.0)
-    g = make(base=base)
-    x = np.array([0.5e-4, 0.9e-4j, 2e-4, 0.3 - 0.1j])
-    f2 = complex(base.d2f(base.tau))
-    series = -f2 / (base.mu + 0.5 * f2 * (x[:2] - base.tau))
-    plain = (base.mu - base.df(x[2:])) / base.f(x[2:])
-    assert g.quotient(x).tobytes() == np.r_[series, plain].tobytes()
-    assert g.quotient(x[2:]).tobytes() == plain.tobytes()
-    # a NaN in the batch does not hide the points near tau
-    with np.errstate(invalid="ignore"):
-        got = g.quotient(np.r_[x, np.nan])
-    assert got[:4].tobytes() == np.r_[series, plain].tobytes() and np.isnan(got[4])
+    r = 10.0 ** -np.arange(2, 13)
+    x = (r[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+    exact = (2 - 0.9 * x) / (1 - x + 0.3 * x**2)
+    assert np.max(np.abs(base.quotient(x) - exact) / np.abs(exact)) <= 4 * np.finfo(float).eps
 
 
 def test_quotient_raises_at_a_zero_of_f_away_from_tau():
-    """f = z - z^2 vanishes at 1, with or without a point near tau in the batch."""
+    """f = z - z^2 vanishes at 1, with or without a point near tau, or a NaN,
+    in the batch, and so does the field of its extension."""
     g = make()
     for x in ([1.0], [1e-5, 1.0], [np.nan, 1.0]):
         with pytest.raises(UnresolvedSingularity, match="f vanishes at"):
-            g.quotient(np.array(x, dtype=complex))
+            g.base.quotient(np.array(x, dtype=complex))
+    with pytest.raises(UnresolvedSingularity, match="f vanishes at"):
+        extend_generator(g, *point(1.0, 0.1))
 
 
 def test_bound_enforced():
@@ -181,14 +177,13 @@ class _Captured(Exception):
 @pytest.mark.parametrize("case", ["Q zero", "Q nonzero", "near tau"])
 def test_flow_ball_field_is_minus_extend_generator_bit_for_bit(case, monkeypatch):
     """The right-hand side flow_ball hands to ode.integrate is -fhat, bit for
-    bit, on either branch of the quotient."""
+    bit, also with points at and near tau."""
     import spirallab.genext as gx
 
     g = make(q=0.0 if case == "Q zero" else 0.25)
     x, y = sample_points(g, 12, seed=3)
     if case == "near tau":
-        eps = g.singularity_radius
-        x[:4] = g.base.tau + eps * np.array([0.0, 0.5, 0.9j, -0.99])
+        x[:4] = g.base.tau + 1e-4 * np.array([0.0, 0.5, 0.9j, -0.99])
     fields = []
 
     def capture(rhs, v0, *args, **kwargs):
@@ -236,12 +231,25 @@ def test_flow_ball_batch_flags_only_the_exterior_start():
 
 def test_flow_ball_batch_redoes_segment_after_an_exit(monkeypatch):
     """A trajectory that leaves mid-flow stops at its last checkpoint; the
-    others go on as if integrated alone."""
+    others go on as if integrated alone.  steps sums the integrator's steps
+    over the call that left and the restart."""
     import spirallab.genext as gx
 
     g = make(q=0.0)
     alone = gx.flow_ball(g, *point(-0.4, 0.3), T=3.0)
     orig = gx.extend_generator
+    integrate, counted = gx.ode.integrate, []
+
+    def counting(*args, **kwargs):
+        try:
+            out = integrate(*args, **kwargs)
+        except gx.ode.LeftDomain as e:
+            counted.append(e.steps)
+            raise
+        counted.append(out[1])
+        return out
+
+    monkeypatch.setattr(gx.ode, "integrate", counting)
 
     def reversed_where_re_x_positive(gg, x, y):
         first, second = orig(gg, x, y)
@@ -255,6 +263,7 @@ def test_flow_ball_batch_redoes_segment_after_an_exit(monkeypatch):
     assert 1 < batch.reached[0] < batch.reached[1]
     assert np.all(np.isnan(batch.v[batch.reached[0]:, 0]))
     _same_trajectory(batch, 1, alone)
+    assert len(counted) == 2 and min(counted) > 0 and batch.steps == sum(counted)
 
 
 def test_batched_residuals_match_per_point_calls():
