@@ -98,15 +98,11 @@ class Generator:
         return self.u(z) / gz
 
     @classmethod
-    def from_poly(cls, coeffs, kind, tau, mu=None):
-        return cls(coeffs, kind, tau, mu)
-
-    @classmethod
     def from_spec(cls, spec):
         coeffs = [_c(v) for v in spec["poly"]]
         tau = _c(spec.get("tau", 0))
         mu = _c(spec["mu"]) if "mu" in spec else None
-        return cls.from_poly(coeffs, spec.get("kind", "dilation"), tau, mu)
+        return cls(coeffs, spec.get("kind", "dilation"), tau, mu)
 
 
 def disk_grid():

@@ -1,6 +1,6 @@
 """Scalar tightness analysis for the perturbation bound: the ratio function
-f(t) = ((1-|e^(-r lambda t)|)/|1 - e^(-r lambda t)|)^2, its infimum over t > 0,
-the strict inequality margin, and critical points of f."""
+f(t) = ((1-|e^(-r lambda t)|)/|1 - e^(-r lambda t)|)^2, its infimum over t > 0
+as read from the strict inequality margin, and critical points of f."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .kernels import horner
 
-N_GRID = 20000  # points of each t grid: the infimum search, the margin and the root scan
+N_GRID = 20000  # points of each t grid: the margin and the root scan
 
 
 class MarginUnderflow(RuntimeError):
@@ -54,37 +54,13 @@ def f_sharp(p: SharpParams, t):
     return out if out.shape else float(out)
 
 
-def infimum_f(p: SharpParams):
-    """Grid + golden-section estimate of inf f; returns the known t->0 limit
-    when the grid minimum sits above it (the infimum is not attained)."""
-    if p.b == 0:
-        return 1.0
-    t_max = max(50.0 / (p.a * p.r), 10.0 * 2.0 * np.pi / (abs(p.b) * p.r))
-    t = np.geomspace(1e-7 / abs(p.lam), t_max, N_GRID)
-    vals = f_sharp(p, t)
-    i = int(np.argmin(vals))
-    lo = t[max(i - 1, 0)]
-    hi = t[min(i + 1, N_GRID - 1)]
-    gmin = min(float(vals[i]), _golden_min(lambda x: f_sharp(p, x), lo, hi))
-    return gmin if gmin < p.limit_zero else p.limit_zero
-
-
-def _golden_min(fn, lo, hi, iters=80):
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return float(min(fc, fd))
+def infimum_f(p: SharpParams, ineq):
+    """inf f from the margin report of ``verify_cor_inequality``: the t -> 0
+    limit when the margin is >= 0 on its grid (f >= limit there), else f at
+    the margin's argmin, where f is below the limit: a witness."""
+    if ineq["min_margin"] >= 0:
+        return p.limit_zero
+    return f_sharp(p, ineq["argmin_t"])
 
 
 def cor_margin(p: SharpParams, t):

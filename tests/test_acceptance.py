@@ -119,10 +119,10 @@ def test_03_distortion_oracle():
 def test_04_koenigs_checkpoints():
     zs = np.sqrt(np.random.default_rng(7).uniform(0, 0.9**2, 400)) * np.exp(
         2j * np.pi * np.random.default_rng(8).uniform(size=400))
-    g1 = Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
+    g1 = Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
     h1 = koenigs(g1)
     r1 = float(np.max(np.abs(h1.eval_array(zs) - zs / (1 - zs))))
-    g2 = Generator.from_poly([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0)
+    g2 = Generator([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0)
     h2 = koenigs(g2)
     r2 = float(np.max(np.abs(h2.eval_array(zs) - (1 - zs) / (1 + zs))))
     sch = max(schroder_residual(h, g, t, zs[:100])
@@ -139,8 +139,9 @@ def test_05_sharp_bound():
     for lam in (1 + 1j, 2 - 3j, 0.5 + 5j):
         for r in (1.0, 2.0, 3.0):
             p = SharpParams(lam=lam, r=r)
-            worst = max(worst, abs(infimum_f(p) - p.limit_zero))
-            assert verify_cor_inequality(p)["min_margin"] > 0, (lam, r)
+            ineq = verify_cor_inequality(p)
+            worst = max(worst, abs(infimum_f(p, ineq) - p.limit_zero))
+            assert ineq["min_margin"] > 0, (lam, r)
             t_tail = max(50.0 / (p.a * r), 20 * np.pi / (abs(p.b) * r))
             assert abs(f_sharp(p, t_tail) - 1.0) <= 1e-6, (lam, r)
     dt = time.perf_counter() - t0
@@ -187,9 +188,9 @@ def test_07_gamma_disk():
 
 def test_08_generator_extension():
     bases = (
-        Generator.from_poly([0, 1], kind="dilation", tau=0.0, mu=1.0),
-        Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0),
-        Generator.from_poly([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0),
+        Generator([0, 1], kind="dilation", tau=0.0, mu=1.0),
+        Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0),
+        Generator([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0),
     )
     worst_conj = 0.0
     worst_dh = 0.0

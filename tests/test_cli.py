@@ -146,14 +146,17 @@ def test_sharp_bound_passes_for_a_small_real_part(tmp_path, lam):
     assert rep["infimum"] == rep["limit_zero"]
 
 
-@pytest.mark.parametrize("lam", ["1,1e-6", "2,1e-5"])
+@pytest.mark.parametrize("lam", ["1,1e-6", "2,1e-5", "0.8,-0.4", "0.8,0.4", "1,0.5",
+                                 "1,-0.5", "1,0.001", "1,0.001 --r=2", "1,0.001 --r=3"])
 def test_sharp_bound_passes_for_a_nearly_real_lambda(tmp_path, lam):
     """At Im lambda = 1e-6 and 1e-5 the strict margin is ~4e-26 and ~8e-24, the
     O((Im lambda)^2) difference of two O(1e-4) terms, far below their rounding;
-    in closed form it stays positive and the true bound passes."""
-    code, rep = run(tmp_path, "sharp-bound", f"--lambda={lam}")
+    in closed form it stays positive and the true bound passes.  The infimum
+    reported is the limit itself, never a value rounded a few ulp below it."""
+    code, rep = run(tmp_path, "sharp-bound", *f"--lambda={lam}".split())
     assert code == 0 and rep["pass"]
     assert rep["inequality_margin"]["min_margin"] > 0
+    assert rep["infimum"] == rep["limit_zero"]
 
 
 def test_sharp_bound_margin_below_the_smallest_double_is_undecided(tmp_path, capsys):
@@ -337,7 +340,7 @@ def test_gen_extend_dump_traj(tmp_path, flows):
         assert np.allclose(ts, 1.5 / 50 * np.arange(b - a), rtol=0, atol=1e-14)
     space = BallSpace(r=2, m=2)
     g = ExtendedGenerator(
-        base=Generator.from_poly([0, 1, -1], kind="dilation", tau=0, mu=1), lam=1.0,
+        base=Generator([0, 1, -1], kind="dilation", tau=0, mu=1), lam=1.0,
         space=space, Q=HomogeneousPolynomial.build(2, 2, {(2, 0): 0.25}))
     xs, ys = sample_ball(space, 5, np.random.default_rng(4))
     flow = flow_ball(g, xs[:flows], ys[:flows], 1.5)

@@ -195,7 +195,7 @@ def test_generic_map_sweep_matches_per_ring_loop(kind):
     if kind == "normalized":
         h, grid = normalize_at(UnivalentMap.koebe(), 0.3 + 0.2j), (400, 400)
     else:
-        h = koenigs(Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0))
+        h = koenigs(Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0))
         grid = (120, 64)
     x0 = 0.2 - 0.1j
     spec = OmegaSpec.build(h, x0, 0.5)

@@ -131,9 +131,9 @@ TWINS = ("eval", "deriv", "deriv2", "log_deriv")
 
 
 def _protocol_maps():
-    koenigs_gen = Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
-    shifted_gen = Generator.from_poly([-0.3, 1.09, -0.3], kind="dilation", tau=0.3,
-                                      mu=0.91)
+    koenigs_gen = Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
+    shifted_gen = Generator([-0.3, 1.09, -0.3], kind="dilation", tau=0.3,
+                            mu=0.91)
     return {"univalent": UnivalentMap.mobius_spiral(0.3j),
             "normalized": normalize_at(UnivalentMap.koebe(), 0.3 + 0.2j),
             "koenigs": koenigs(koenigs_gen),

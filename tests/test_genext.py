@@ -22,11 +22,11 @@ from spirallab.semigroups import Generator, UnresolvedSingularity, koenigs
 
 
 def gen_logistic():
-    return Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
+    return Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
 
 
 def gen_hyperbolic():
-    return Generator.from_poly([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0)
+    return Generator([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0)
 
 
 def make(base=None, lam=1.0, r=2, m=1, q=0.25):
@@ -52,7 +52,7 @@ def point(x, *y):
 def test_extend_generator_linear_base():
     """f = mu z extends to (mu x + Q(y), (lam + mu/r) y) since f' is constant
     and the quotient vanishes."""
-    base = Generator.from_poly([0, 1], kind="dilation", tau=0.0, mu=1.0)
+    base = Generator([0, 1], kind="dilation", tau=0.0, mu=1.0)
     g = make(base=base, lam=1.0, r=2, q=0.25)
     first, second = extend_generator(g, *point(0.3, 0.4))
     assert abs(first[0] - (0.3 + 0.25 * 0.16)) < 1e-12
@@ -67,15 +67,15 @@ def test_quotient_removable_singularity():
     assert abs(base.quotient(1e-5) - 2.0) < 1e-4
     # tau != 0: f = (z - tau)(1 - tau z), f'' = -2 tau, mu = 1 - tau^2
     tau = 0.3
-    base = Generator.from_poly([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
-                               mu=1 - tau**2)
+    base = Generator([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
+                     mu=1 - tau**2)
     assert abs(base.quotient(tau) - 2 * tau / (1 - tau**2)) <= 1e-15
 
 
 def test_quotient_matches_closed_form_near_tau():
     """f = z - z^2 + 0.3 z^3: (mu - f')/f = (2 - 0.9 x)/(1 - x + 0.3 x^2)
     within 4 ulp at |x - tau| from 1e-2 down to 1e-12, in every direction."""
-    base = Generator.from_poly([0, 1, -1, 0.3], kind="dilation", tau=0.0, mu=1.0)
+    base = Generator([0, 1, -1, 0.3], kind="dilation", tau=0.0, mu=1.0)
     r = 10.0 ** -np.arange(2, 13)
     x = (r[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
     exact = (2 - 0.9 * x) / (1 - x + 0.3 * x**2)

@@ -11,7 +11,7 @@ from spirallab.semigroups import Generator
 
 
 def logistic():
-    return Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
+    return Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
 
 
 def logistic_flow(z0, t):

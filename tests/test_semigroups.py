@@ -19,17 +19,17 @@ from conftest import random_disk
 
 
 def gen_linear(mu=1.0):
-    return Generator.from_poly([0, mu], kind="dilation", tau=0.0, mu=mu)
+    return Generator([0, mu], kind="dilation", tau=0.0, mu=mu)
 
 
 def gen_logistic():
     # f(z) = z(1-z) = z - z^2
-    return Generator.from_poly([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
+    return Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0)
 
 
 def gen_hyperbolic():
     # f(z) = z^2 - 1, Denjoy-Wolff point 1, angular derivative mu = 2
-    return Generator.from_poly([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0)
+    return Generator([-1, 0, 1], kind="hyperbolic", tau=1.0, mu=2.0)
 
 
 # ------------------------------------------------------------------- flows
@@ -81,12 +81,12 @@ def test_semigroup_law():
 
 def test_generator_validation_rejects_nonvanishing():
     with pytest.raises(InvalidGenerator):
-        Generator.from_poly([1, 1], kind="dilation", tau=0.0, mu=1.0)
+        Generator([1, 1], kind="dilation", tau=0.0, mu=1.0)
 
 
 def test_generator_validation_rejects_bad_mu():
     with pytest.raises(InvalidGenerator):
-        Generator.from_poly([0, -1], kind="dilation", tau=0.0, mu=-1.0)
+        Generator([0, -1], kind="dilation", tau=0.0, mu=-1.0)
 
 
 def test_berkson_porta_margin_sign():
@@ -146,8 +146,8 @@ def test_koenigs_shifted_denjoy_wolff():
     tau = 0.3
     # f(z) = (z - tau)(1 - tau z) vanishes at tau, f'(tau) = 1 - tau^2
     mu = 1 - tau**2
-    g = Generator.from_poly([-tau, 1 + tau**2, -tau], kind="dilation",
-                            tau=tau, mu=mu)
+    g = Generator([-tau, 1 + tau**2, -tau], kind="dilation",
+                  tau=tau, mu=mu)
     h = koenigs(g)
     zs = random_disk(np.random.default_rng(37), 30, 0.7)
     assert schroder_residual(h, g, 0.5, zs) < 1e-6
@@ -166,8 +166,8 @@ def test_koenigs_inverse():
 def test_koenigs_invert_array_round_trip(tau):
     """Batched damped Newton on a Koenigs map, plain (tau = 0) and conjugated."""
     tau = complex(tau)
-    g = Generator.from_poly([-tau, 1 + abs(tau) ** 2, -np.conj(tau)], kind="dilation",
-                            tau=tau, mu=1 - abs(tau) ** 2)
+    g = Generator([-tau, 1 + abs(tau) ** 2, -np.conj(tau)], kind="dilation",
+                  tau=tau, mu=1 - abs(tau) ** 2)
     h = koenigs(g)
     zs = random_disk(np.random.default_rng(39), 200, 0.8)
     back = h.invert_array(h.eval_array(zs), guess=0j)
@@ -180,8 +180,8 @@ def test_koenigs_memo_is_bit_identical_and_read_only(tau):
     """eval, log h' and h'' at one point set pay for one quadrature and give the
     bits of a fresh map; the kept logs are read-only, and new points (or the
     same bytes in another shape) are recomputed."""
-    g = Generator.from_poly([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
-                            mu=1 - tau**2)
+    g = Generator([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
+                  mu=1 - tau**2)
     zs = random_disk(np.random.default_rng(40), 30, 0.8)
     other = random_disk(np.random.default_rng(41), 30, 0.8)
     methods = ("eval_array", "log_deriv_array", "deriv2_array")
@@ -220,7 +220,7 @@ def test_spirallike_margin_negative_for_wrong_mu():
     ({"poly": [[-1, 0], 0, [1, 0]], "kind": "hyperbolic", "tau": [1, 0]}, gen_hyperbolic()),
 ], ids=["logistic", "hyperbolic"])
 def test_generator_spec_literal(spec, want):
-    """A literal spec builds the generator from_poly does; a missing mu is f'(tau)."""
+    """A literal spec builds the generator the constructor does; a missing mu is f'(tau)."""
     g = Generator.from_spec(spec)
     zs = random_disk(np.random.default_rng(39), 10)
     assert np.array_equal(g.f(zs), want.f(zs))
@@ -232,8 +232,8 @@ def test_generator_spec_literal(spec, want):
 def gen_conj_logistic(tau=0.3):
     # f(z) = -(tau - z)(1 + z)/(1 + tau), mu = 1, h = (tau - z)/((1 - tau)(1 + z))
     k = -1.0 / (1.0 + tau)
-    return Generator.from_poly([k * tau, k * (tau - 1.0), -k], kind="dilation",
-                               tau=tau, mu=1.0)
+    return Generator([k * tau, k * (tau - 1.0), -k], kind="dilation",
+                     tau=tau, mu=1.0)
 
 
 CLOSED_FORMS = {
@@ -270,8 +270,8 @@ def test_koenigs_tau_near_the_circle():
     automorphism (tau - z)/(1 - tau z), to 1e-12 relative for |z| <= 0.999,
     though g vanishes at 1/tau, 0.05 beyond the circle."""
     tau = 0.95
-    h = koenigs(Generator.from_poly([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
-                                    mu=1 - tau**2))
+    h = koenigs(Generator([-tau, 1 + tau**2, -tau], kind="dilation", tau=tau,
+                          mu=1 - tau**2))
     zs = np.concatenate([random_disk(np.random.default_rng(44), 300, 0.999),
                          0.999 * np.exp(2j * np.pi * np.arange(16) / 16)])
     exact = (tau - zs) / (1 - tau * zs)

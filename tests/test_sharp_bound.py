@@ -50,7 +50,7 @@ def test_limit_zero_is_infimum():
     for lam in (1 + 1j, 2 - 3j, 0.5 + 5j):
         for r in (1.0, 2.0, 3.0):
             p = SharpParams(lam=lam, r=r)
-            inf = infimum_f(p)
+            inf = infimum_f(p, verify_cor_inequality(p))
             assert abs(inf - p.limit_zero) < 1e-3, (lam, r)
             # not attained: values stay above the limit (up to rounding for
             # tiny t, where f - limit is O(t^2) and drowns in float noise)
@@ -61,18 +61,28 @@ def test_limit_zero_is_infimum():
 
 def test_f_stays_above_its_limit_down_to_tiny_t():
     """f >= limit_zero to rounding (45 ulps) for t from 1e-9 up: expm1 gives
-    both differences from 1 without cancellation, so the grid infimum does not
-    fall below the limit either."""
+    both differences from 1 without cancellation; the margin verdict is >= 0,
+    so the reported infimum is the limit itself."""
     ts = np.geomspace(1e-9, 1.0, 2000)
     for lam in (1 + 1j, 2 - 3j, 0.5 + 5j, 1e-3 + 1j):
         for r in (1, 2, 3):
             p = SharpParams(lam=lam, r=r)
             assert np.all(f_sharp(p, ts) >= p.limit_zero * (1.0 - 1e-14)), (lam, r)
-            assert infimum_f(p) == p.limit_zero, (lam, r)
+            assert infimum_f(p, verify_cor_inequality(p)) == p.limit_zero, (lam, r)
 
 
 def test_infimum_real_lambda():
-    assert infimum_f(SharpParams(lam=2.0, r=1.0)) == 1.0
+    p = SharpParams(lam=2.0, r=1.0)
+    assert infimum_f(p, verify_cor_inequality(p)) == 1.0
+
+
+def test_infimum_with_a_negative_margin_is_f_at_its_argmin():
+    """Where the margin is negative, f is below its limit at the same t, so the
+    infimum reported is f there: a witness, not the limit."""
+    p = SharpParams(lam=1 + 1j, r=2)
+    ineq = {"min_margin": -1e-3, "argmin_t": 0.7, "strict": True}
+    assert infimum_f(p, ineq) == f_sharp(p, 0.7)
+    assert infimum_f(p, {**ineq, "min_margin": 0.0}) == p.limit_zero
 
 
 def test_inequality_margin():
