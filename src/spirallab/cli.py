@@ -136,7 +136,7 @@ def cmd_covering(args):
         pts, inside = covering.omega_region_points(h, spec, grid)
         _write_csv(args.dump_region, ["x_re", "x_im", "in_omega"],
                    ([p.real, p.imag, int(i)] for p, i in zip(pts, inside)))
-    return rep.to_dict(), rep.passed
+    return rep, rep["pass"]
 
 
 def cmd_koenigs(args):

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .families import UnivalentMap, invert_map
+from .families import NoConvergence, UnivalentMap
+from .families import invert_map  # noqa: F401  verdictbench/tracing.py wraps this name
 
 BOUNDARY_EPS = 1e-3
 
@@ -33,36 +34,6 @@ class OmegaSpec:
         return cls(x0=x0, alpha=float(alpha), threshold=float(thr))
 
 
-@dataclass
-class CoveringReport:
-    predicted_radius: float
-    measured_radius_lower: float
-    center: complex
-    passed: bool
-    grid: tuple
-    min_witness: complex
-    tolerance: float
-    secondary_radius: float | None = None
-    complement_points: int = 0
-    reason: str | None = None
-
-    def to_dict(self):
-        out = {
-            "predicted_radius": self.predicted_radius,
-            "measured_radius_lower": self.measured_radius_lower,
-            "center": [self.center.real, self.center.imag],
-            "pass": self.passed,
-            "grid": list(self.grid),
-            "min_witness": [self.min_witness.real, self.min_witness.imag],
-            "tolerance": self.tolerance,
-            "secondary_radius": self.secondary_radius,
-            "complement_points": self.complement_points,
-        }
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
-
 def grid_tolerance(predicted):
     return 5e-3 * predicted + 1e-6
 
@@ -76,33 +47,48 @@ def _min_distance(h, threshold, center, grid):
                                 threshold, center, *grid, BOUNDARY_EPS)
 
 
-def _verdict(h, spec, center, predicted, grid, secondary):
-    """Sweep h of the complement of Omega_alpha against the disk of radius
-    predicted around center; a secondary bound (or None) must not exceed it."""
+def _verdict(h, x0, alpha, beta, grid):
+    """The one covering check, as its report dict: h(Omega_alpha) covers radius
+    (|beta| - alpha)/(4|beta|) delta(x1) around beta h(x0) = h(x1), delta(x) =
+    |h'(x)|(1 - |x|^2), on a polar-grid sweep; beta = 1 is the plain check (x1
+    = x0, no solve), else (|beta| - alpha)/4 delta(x0) must not exceed it."""
+    spec = OmegaSpec.build(h, x0, alpha)
+    x0 = spec.x0
+    d0 = abs(h.deriv(x0)) * (1.0 - abs(x0) ** 2)
+    center = h.eval(x0)
+    if beta == 1:
+        d1, secondary = d0, None
+    else:
+        center = beta * center
+        d1 = float(h.conformal_radius_array([center], guess=x0)[0])
+        if np.isnan(d1):
+            raise NoConvergence(f"no preimage in the disk for w = {center}")
+        secondary = (abs(beta) - alpha) / 4.0 * d0
+    predicted = (abs(beta) - alpha) / (4.0 * abs(beta)) * d1
     chain_ok = secondary is None or predicted >= secondary - 1e-12
     best, witness, bmin, n_out = _min_distance(h, spec.threshold, center, grid)
     measured = min(best, bmin)
     tol = grid_tolerance(predicted)
-    return CoveringReport(
-        predicted_radius=predicted,
-        measured_radius_lower=measured,
-        center=center,
-        passed=chain_ok and measured >= predicted - tol,
-        grid=tuple(grid),
-        min_witness=witness if n_out else complex(np.nan, np.nan),
-        tolerance=tol,
-        secondary_radius=secondary,
-        complement_points=n_out,
-        reason=None if chain_ok else "radius_chain_violated",
-    )
+    rep = {
+        "predicted_radius": predicted,
+        "measured_radius_lower": measured,
+        "center": [center.real, center.imag],
+        "pass": bool(chain_ok and measured >= predicted - tol),
+        "grid": list(grid),
+        "min_witness": [witness.real, witness.imag],
+        "tolerance": tol,
+        "secondary_radius": secondary,
+        "complement_points": n_out,
+    }
+    if not chain_ok:
+        rep["reason"] = "radius_chain_violated"
+    return rep
 
 
 def verify_covering_bound(h, x0, alpha, grid=(400, 400)):
     """Check: h(Omega_alpha) covers radius (1-alpha)/4 |h'(x0)|(1-|x0|^2)
-    around h(x0)."""
-    spec = OmegaSpec.build(h, x0, alpha)
-    predicted = (1.0 - alpha) / 4.0 * abs(h.deriv(spec.x0)) * (1.0 - abs(spec.x0) ** 2)
-    return _verdict(h, spec, h.eval(spec.x0), predicted, grid, None)
+    around h(x0): the shifted check at beta = 1, where x1 = x0."""
+    return _verdict(h, x0, alpha, 1.0, grid)
 
 
 def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
@@ -110,18 +96,12 @@ def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
     secondary lower bound it dominates.  When the predicted radius falls below
     the secondary bound the chain of bounds is not proved for this map (a
     complex beta, or a map that is not starlike): the sweep still runs and the
-    report fails with reason "radius_chain_violated"."""
+    report fails with reason "radius_chain_violated".  A centre with no
+    preimage in the disk raises NoConvergence."""
     beta = complex(beta)
     if not 0.0 < alpha < abs(beta) < 1.0:
         raise ValueError("need 0 < alpha < |beta| < 1")
-    spec = OmegaSpec.build(h, x0, alpha)
-    x0 = spec.x0
-    center = beta * h.eval(x0)
-    x1 = invert_map(h, center, guess=x0)
-    d1 = abs(h.deriv(x1)) * (1.0 - abs(x1) ** 2)
-    predicted = (abs(beta) - alpha) / (4.0 * abs(beta)) * d1
-    secondary = (abs(beta) - alpha) / 4.0 * abs(h.deriv(x0)) * (1.0 - abs(x0) ** 2)
-    return _verdict(h, spec, center, predicted, grid, secondary)
+    return _verdict(h, x0, alpha, beta, grid)
 
 
 def omega_region_points(h, spec: OmegaSpec, grid):

@@ -180,78 +180,72 @@ class KoenigsMap:
     Dilation type: h(tau) = 0, with h'(0) = 1 for tau = 0, else h'(tau) =
     1/(|tau|^2 - 1), the derivative of h0 o phi for h0 normalized at 0 and phi
     the disk automorphism swapping tau and 0 (Elin-Shoikhet, Linearization
-    Models for Complex Dynamical Systems, 2010).  log(h/(z - tau)) and log h'
-    are log h'(tau) plus the integrals of v/g and u/g along the hyperbolic
-    geodesic from tau to z, w = phi(s zeta) for zeta = phi(z) and s in [0, 1].
-    Hyperbolic type: h(0) = 1, and log h and log h' integrate mu/f and u/g
-    along the ray w = s z.  h'' = h' (mu - f')/f, the generator's quotient.
+    Models for Complex Dynamical Systems, 2010).  Hyperbolic type: h(0) = 1.
+    Either way mu/f = 1/(z - tau) + v/g, so h = (z - tau) exp(c_a + int v/g)
+    and log h' = c_b + int u/g, both integrals along the hyperbolic geodesic
+    from a base point b to z, w = phi_b(s zeta) for zeta = phi_b(z) and s in
+    [0, 1]: the ray w = s z when b = 0.  Dilation: b = tau and c_a = c_b =
+    log h'(tau).  Hyperbolic: b = 0, c_a = log(-1/tau), so that h(0) = 1, and
+    c_b = log(mu/f(0)).  h'' = h' (mu - f')/f, the generator's quotient.
 
-    Either path is a ray from 0 to zeta (zeta = z for the ray) in a variable
-    in which the integrands' poles stay beyond the circle, so every point of
-    a call is integrated at once with one graded Gauss-Legendre rule sized by
-    the largest |zeta|, whose panels are no wider than their distance to the
-    circle: its node count grows as log 1/(1 - |zeta|) for every tau.  The
-    last point set's read-only logs are kept, so eval, log h' and h'' at the
-    same points pay for one quadrature; log_deriv_array returns that shared,
-    read-only array itself.
+    The path is a ray from 0 to zeta in a variable in which the integrands'
+    poles stay beyond the circle, so every point of a call is integrated at
+    once with one graded Gauss-Legendre rule sized by the largest |zeta|, whose
+    panels are no wider than their distance to the circle: its node count
+    grows as log 1/(1 - |zeta|) for every tau.  The last point set's read-only
+    logs are kept, so eval, log h' and h'' at the same points pay for one
+    quadrature; log_deriv_array returns that shared, read-only array itself.
     """
 
     def __init__(self, gen: Generator):
         self.gen = gen
         self.mu = gen.mu
-        self.kind = gen.kind
         self._memo = (None, None)
         if gen.kind == "hyperbolic":
             f0 = gen.f(np.asarray([0j]))[0]
             if f0 == 0:
                 raise InvalidGenerator("hyperbolic generator with f(0) = 0")
-            self._log_d0 = np.log(self.mu / f0)
+            self._base = 0j
+            self._log_c = (np.log(-1.0 / gen.tau), np.log(self.mu / f0))
         else:
             t2 = abs(gen.tau) ** 2
-            self._log_d0 = np.log(complex(1.0 / (t2 - 1.0))) if t2 else 0j
-        # the geodesic from 0 is the ray, phi being -z there
-        self._ray = gen.kind == "hyperbolic" or gen.tau == 0
+            self._base = gen.tau
+            self._log_c = (np.log(complex(1.0 / (t2 - 1.0))) if t2 else 0j,) * 2
 
     def _logs(self, z):
-        """(log h or log(h/(z - tau)), log h') at the points z, of z's shape."""
+        """(log(h/(z - tau)), log h') at the points z, of z's shape."""
         z = _as_points(z)
         key = (z.shape, z.tobytes())
         last, logs = self._memo
         if last == key:
             return logs
-        flat = z.ravel()
-        zeta = flat if self._ray else families.disk_automorphism(self.gen.tau, flat)
+        flat, base = z.ravel(), self._base
+        # the geodesic from 0 is the ray, phi being -z there
+        zeta = flat if base == 0 else families.disk_automorphism(base, flat)
         s, w = _graded_rule(_panel_count(float(np.max(np.abs(zeta), initial=0.0))))
         step = _BLOCK // s.size
         parts = [self._integrate(flat[i:i + step], zeta[i:i + step], s, w)
                  for i in range(0, max(flat.size, 1), step)]
-        a, b = (np.concatenate(v).reshape(z.shape) for v in zip(*parts))
-        if self.kind == "dilation":
-            a = self._log_d0 + a
-        b = self._log_d0 + b
+        a, b = (c + np.concatenate(v).reshape(z.shape) for c, v in zip(self._log_c, zip(*parts)))
         a.flags.writeable = b.flags.writeable = False
         self._memo = (key, (a, b))
         return a, b
 
     def _integrate(self, z, zeta, s, w):
-        gen = self.gen
+        gen, b = self.gen, self._base
         ws, dw = s[:, None] * zeta, z
-        if not self._ray:
-            # ws = phi(s zeta) = (tau - s zeta)/q, dws/ds = phi'(s zeta) zeta
-            q = 1.0 - np.conj(gen.tau) * ws
-            ws, dw = (gen.tau - ws) / q, (abs(gen.tau) ** 2 - 1.0) * zeta / q**2
+        if b != 0:
+            # ws = phi(s zeta) = (b - s zeta)/q, dws/ds = phi'(s zeta) zeta
+            q = 1.0 - np.conj(b) * ws
+            ws, dw = (b - ws) / q, (abs(b) ** 2 - 1.0) * zeta / q**2
         gw = gen.g(ws)
         if np.any(gw == 0):
             raise InvalidGenerator("f vanishes inside the disk away from tau")
-        log_d = dw * gen.u(ws) / gw
-        if self.kind == "hyperbolic":
-            return w @ (self.mu * z / gen.f(ws)), w @ log_d
-        return w @ (dw * gen.v(ws) / gw), w @ log_d
+        return w @ (dw * gen.v(ws) / gw), w @ (dw * gen.u(ws) / gw)
 
     def eval_array(self, z):
         a, _ = self._logs(z)
-        z = _as_points(z)
-        return (z - self.gen.tau) * np.exp(a) if self.kind == "dilation" else np.exp(a)
+        return (_as_points(z) - self.gen.tau) * np.exp(a)
 
     def log_deriv_array(self, z):
         return self._logs(z)[1]

@@ -15,7 +15,7 @@ N_GRID = 20000  # points of each t grid: the margin and the root scan
 
 
 class MarginUnderflow(RuntimeError):
-    """A nonreal lambda's strict margin is below the smallest double."""
+    """The margin's sign is not decided in double precision."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,15 @@ def verify_cor_inequality(p: SharpParams):
     """Margin report for ``cor_margin`` on a t grid.
 
     Positive everywhere for Im lambda != 0; identically zero for real lambda.
-    A nonreal lambda whose minimum reads 0.0 raises MarginUnderflow: its sign
-    is not decided in double precision."""
-    t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)
-    margin = cor_margin(p, t_grid)
+    MarginUnderflow is raised where the sign is not decided in double
+    precision: a nonreal lambda whose minimum reads 0.0, or a t grid or margin
+    that is not finite (50/(r Re lambda) or sinh overflows; a non-finite t
+    makes the margin non-finite)."""
+    with np.errstate(all="ignore"):
+        t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)
+        margin = cor_margin(p, t_grid)
+    if not np.isfinite(margin).all():
+        raise MarginUnderflow(f"the margin or its t grid is not finite for lambda = {p.lam!r}")
     i = int(np.argmin(margin))
     if p.b != 0 and margin[i] == 0.0:
         raise MarginUnderflow(f"the margin underflows to 0.0 at t = {float(t_grid[i])!r}")

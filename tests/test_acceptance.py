@@ -61,11 +61,11 @@ def test_01_covering_sweep():
         for x0 in X0S:
             for alpha in np.arange(0.1, 0.95, 0.1):
                 rep = verify_covering_bound(h, x0, float(alpha), grid=(400, 400))
-                slack = rep.measured_radius_lower - (
-                    rep.predicted_radius - rep.tolerance)
+                slack = rep["measured_radius_lower"] - (
+                    rep["predicted_radius"] - rep["tolerance"])
                 worst = min(worst, slack)
                 n += 1
-                assert rep.passed, (name, x0, alpha, rep)
+                assert rep["pass"], (name, x0, alpha, rep)
     dt = time.perf_counter() - t0
     report(1, "covering-bound sweep", worst >= 0 and dt < 60.0,
            f"{n} cases, worst slack {worst:+.2e}, {dt:.1f}s (< 60s)")
@@ -82,11 +82,11 @@ def test_02_shifted_covering_sweep():
                 beta = np.exp(-t)
                 alpha = 0.5 * abs(beta)
                 rep = verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400))
-                worst = min(worst, rep.measured_radius_lower
-                            - (rep.predicted_radius - rep.tolerance))
-                chain = min(chain, rep.predicted_radius - rep.secondary_radius)
+                worst = min(worst, rep["measured_radius_lower"]
+                            - (rep["predicted_radius"] - rep["tolerance"]))
+                chain = min(chain, rep["predicted_radius"] - rep["secondary_radius"])
                 n += 1
-                assert rep.passed, (name, x0, t, rep)
+                assert rep["pass"], (name, x0, t, rep)
     dt = time.perf_counter() - t0
     report(2, "shifted-center covering sweep",
            worst >= 0 and chain >= -1e-12,

@@ -171,6 +171,18 @@ def test_sharp_bound_margin_below_the_smallest_double_is_undecided(tmp_path, cap
     assert 0 < rep["inequality_margin"]["min_margin"] < 1e-300
 
 
+@pytest.mark.parametrize("lam", ["1e300,1", "1e-320,1"])
+def test_sharp_bound_margin_that_is_not_finite_is_undecided(tmp_path, capsys, lam):
+    """At Re lambda = 1e300 sinh overflows on the t grid, and at 1e-320 the
+    grid's end 50/Re lambda is inf: the margin is NaN, so the verdict is
+    undecided (exit 3, no report), not failed, and no RuntimeWarning escapes
+    (the suite turns warnings into errors)."""
+    code, rep = run(tmp_path, "sharp-bound", f"--lambda={lam}")
+    assert code == 3 and rep is None
+    assert capsys.readouterr().err.startswith(
+        "error: undecided: MarginUnderflow: the margin or its t grid is not finite")
+
+
 def test_sharp_bound_dump_curve(tmp_path):
     """--dump-curve writes f on 2000 log-spaced times from 1e-6 to 50/(Re lambda r)."""
     curve = tmp_path / "f.csv"

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spirallab import kernels
+from spirallab import covering, kernels
 from spirallab.covering import (
     BOUNDARY_EPS,
     OmegaSpec,
@@ -18,7 +18,7 @@ from spirallab.covering import (
 from spirallab.families import UnivalentMap, disk_automorphism, disk_map, normalize_at
 from spirallab.semigroups import Generator, koenigs
 
-from conftest import ALL_CODES, random_disk
+from conftest import ALL_CODES, RATIONAL, random_disk
 
 
 def in_omega(h, spec, x):
@@ -46,38 +46,38 @@ def test_threshold_value():
 def test_covering_bound_identity_exact():
     """id covers the full omega image; predicted (1-alpha)/4 is far inside."""
     rep = verify_covering_bound(UnivalentMap.identity(), 0.0, 0.19)
-    assert rep.passed
-    assert abs(rep.predicted_radius - 0.2025) < 1e-14
+    assert rep["pass"]
+    assert abs(rep["predicted_radius"] - 0.2025) < 1e-14
     # the actual covered radius is sqrt(1 - alpha) = 0.9
-    assert abs(rep.measured_radius_lower - 0.9) < 5e-3
+    assert abs(rep["measured_radius_lower"] - 0.9) < 5e-3
 
 
 def test_covering_bound_koebe():
     rep = verify_covering_bound(UnivalentMap.koebe(), 0.0, 0.5)
-    assert rep.passed
-    assert abs(rep.predicted_radius - 0.125) < 1e-14
-    assert rep.measured_radius_lower >= 0.125 - rep.tolerance
+    assert rep["pass"]
+    assert abs(rep["predicted_radius"] - 0.125) < 1e-14
+    assert rep["measured_radius_lower"] >= 0.125 - rep["tolerance"]
 
 
 def test_covering_bound_off_center():
     for x0 in (0.3, 0.5j, -0.6):
         rep = verify_covering_bound(UnivalentMap.koebe(), x0, 0.4)
-        assert rep.passed, (x0, rep)
+        assert rep["pass"], (x0, rep)
 
 
 def test_shifted_bound_identity():
     rep = verify_shifted_covering_bound(UnivalentMap.identity(), 0.0, 0.3, 0.5)
-    assert rep.passed
-    assert abs(rep.predicted_radius - 0.1) < 1e-14
-    assert abs(rep.secondary_radius - 0.05) < 1e-14
-    assert rep.predicted_radius >= rep.secondary_radius - 1e-12
+    assert rep["pass"]
+    assert abs(rep["predicted_radius"] - 0.1) < 1e-14
+    assert abs(rep["secondary_radius"] - 0.05) < 1e-14
+    assert rep["predicted_radius"] >= rep["secondary_radius"] - 1e-12
 
 
 def test_shifted_bound_complex_beta():
     beta = 0.5 * np.exp(0.7j)
     rep = verify_shifted_covering_bound(UnivalentMap.koebe(), 0.2, 0.2, beta)
-    assert rep.passed
-    assert rep.predicted_radius >= rep.secondary_radius - 1e-12
+    assert rep["pass"]
+    assert rep["predicted_radius"] >= rep["secondary_radius"] - 1e-12
 
 
 def test_shifted_bound_rejects_bad_params():
@@ -88,10 +88,47 @@ def test_shifted_bound_rejects_bad_params():
         verify_shifted_covering_bound(h, 0.0, 0.3, 1.2)  # |beta| >= 1
 
 
+# shifted verdicts of the covering-sweep benchmark at seed 1: a koebe and a
+# mobius centre, whose radius is closed-form, and a Newton-solved rational one
+SHIFTED_CASES = [
+    (UnivalentMap.koebe(), -0.13518358847973216 - 0.42921486158536315j,
+     0.23530671388685853, 0.5700515287594897),
+    (UnivalentMap.mobius_spiral(0.3j), 0.08966590392600256 + 0.2333667192920466j,
+     0.73826478521144, 0.9155439906810993),
+    (RATIONAL, -0.06520162635843661 - 0.07582049802141122j,
+     0.16744667844096756, 0.6166927994825898),
+    (UnivalentMap.koebe(), 0.2, 0.2, 0.5 * np.exp(0.7j)),
+]
+
+
+@pytest.mark.parametrize("h, x0, alpha, beta", SHIFTED_CASES,
+                         ids=["koebe", "mobius", "rational", "koebe-complex-beta"])
+def test_shifted_radius_is_the_conformal_radius_at_the_centre(h, x0, alpha, beta):
+    """The shifted check reads delta(x1) = |h'(x1)|(1 - |x1|^2) at the preimage
+    x1 of beta h(x0) from h.conformal_radius_array, bit for bit."""
+    rep = verify_shifted_covering_bound(h, x0, alpha, beta, grid=(60, 60))
+    centre = beta * h.eval(x0)
+    d1 = h.conformal_radius_array([centre], guess=x0)[0]
+    assert rep["predicted_radius"] == (abs(beta) - alpha) / (4.0 * abs(beta)) * d1
+    assert rep["center"] == [centre.real, centre.imag]
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_plain_check_is_the_shifted_body_at_beta_one(h):
+    """The plain check is the one covering body at beta = 1: centre h(x0),
+    radius (1 - alpha)/4 delta(x0) with no solve, and no secondary bound."""
+    x0, alpha = 0.3 + 0.1j, 0.5
+    rep = verify_covering_bound(h, x0, alpha, grid=(60, 60))
+    assert rep == covering._verdict(h, x0, alpha, 1.0, (60, 60))
+    assert rep["predicted_radius"] == (1.0 - alpha) / 4.0 * (abs(h.deriv(x0)) * (1.0 - abs(x0) ** 2))
+    assert rep["center"] == [h.eval(x0).real, h.eval(x0).imag]
+    assert rep["secondary_radius"] is None and "reason" not in rep
+
+
 def test_measured_radius_monotone_in_alpha():
     """Bigger alpha shrinks the region, so the covered radius shrinks."""
     h = UnivalentMap.koebe()
-    vals = [verify_covering_bound(h, 0.0, a).measured_radius_lower
+    vals = [verify_covering_bound(h, 0.0, a)["measured_radius_lower"]
             for a in (0.2, 0.4, 0.6, 0.8)]
     for lo, hi in zip(vals[1:], vals[:-1]):
         assert lo <= hi + 1e-9

@@ -278,6 +278,21 @@ def test_koenigs_tau_near_the_circle():
     assert np.max(np.abs(h.eval_array(zs) - exact) / np.abs(exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.7, np.pi / 2, 2.5, -1.2])
+def test_koenigs_hyperbolic_rotated(theta):
+    """f = conj(e) z^2 - e with tau = e = e^(i theta), mu = 2, the hyperbolic
+    half-plane generator rotated, linearizes via h = (1 - conj(e) z)/(1 +
+    conj(e) z), h(0) = 1: h and h' to 4e-15 relative (18 ulp) for |z| <= 0.95."""
+    e = np.exp(1j * theta)
+    h = koenigs(Generator([-e, 0, np.conj(e)], kind="hyperbolic", tau=e, mu=2.0))
+    zs = np.concatenate([random_disk(np.random.default_rng(45), 300, 0.95),
+                         0.95 * np.exp(2j * np.pi * np.arange(16) / 16)])
+    w = np.conj(e) * zs
+    exact, dexact = (1 - w) / (1 + w), -2 * np.conj(e) / (1 + w) ** 2
+    assert np.max(np.abs(h.eval_array(zs) - exact) / np.abs(exact)) <= 4e-15
+    assert np.max(np.abs(h.deriv_array(zs) - dexact) / np.abs(dexact)) <= 4e-15
+
+
 def test_koenigs_second_derivative_closed_form():
     z = random_disk(np.random.default_rng(41), 100, 0.99)
     h = koenigs(gen_logistic())
