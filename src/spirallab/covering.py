@@ -17,10 +17,13 @@ BOUNDARY_EPS = 1e-3
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Region {x : alpha |h'(x0)| (1-|x0|^2) < |h'(x)| (1-|x|^2)}."""
+    """Region {x : alpha delta0 < |h'(x)| (1-|x|^2)}, delta0 = |h'(x0)| (1-|x0|^2)
+    the conformal radius at x0, read from the map's real-arithmetic
+    abs_deriv_array, as the sweep reads |h'(x)|."""
 
     x0: complex
     alpha: float
+    delta0: float
     threshold: float
 
     @classmethod
@@ -30,8 +33,8 @@ class OmegaSpec:
             raise ValueError("alpha must lie in (0, 1)")
         if abs(x0) >= 1.0:
             raise ValueError("|x0| must be < 1")
-        thr = alpha * abs(h.deriv(x0)) * (1.0 - abs(x0) ** 2)
-        return cls(x0=x0, alpha=float(alpha), threshold=float(thr))
+        d0 = float(h.abs_deriv_array(np.asarray([x0]))[0]) * (1.0 - abs(x0) ** 2)
+        return cls(x0=x0, alpha=float(alpha), delta0=d0, threshold=float(alpha * d0))
 
 
 def grid_tolerance(predicted):
@@ -53,8 +56,7 @@ def _verdict(h, x0, alpha, beta, grid):
     |h'(x)|(1 - |x|^2), on a polar-grid sweep; beta = 1 is the plain check (x1
     = x0, no solve), else (|beta| - alpha)/4 delta(x0) must not exceed it."""
     spec = OmegaSpec.build(h, x0, alpha)
-    x0 = spec.x0
-    d0 = abs(h.deriv(x0)) * (1.0 - abs(x0) ** 2)
+    x0, d0 = spec.x0, spec.delta0
     center = h.eval(x0)
     if beta == 1:
         d1, secondary = d0, None

@@ -284,54 +284,65 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
                       max_witnesses=20):
     """Invariance sweep over random interior points and the given times.
 
-    mode='muir': push each extended point through the shear-conjugated linear
-    action and test membership.  mode='gamma': perturb the contracted first
-    coordinate along n_gamma directions at gamma_frac of the covering radius.
-    Both compute the fibre term ||w||^r once per time.  failures counts
+    mode='muir': push each extended point H(x, y) through the shear-conjugated
+    linear action and test membership.  mode='gamma': perturb the contracted
+    first coordinate along n_gamma directions at gamma_frac of the covering
+    radius.  Both move h(x), h'(x) Q(y) and |h'(x)| ||y||^r, read once, by
+    scalars: Q(c w) = c^r Q(w), and |h'^(1/r)|^r = |h'| on every branch, so
+    no branch of h'^(1/r) is taken but for the w of a reported witness.  Every
+    membership solve starts at the sample's own preimage x.  failures counts
     every failed membership; witnesses keeps the first max_witnesses of them.
     """
-    if mode not in ("muir", "gamma") or n_samples < 1:
-        raise ValueError(f"need mode muir or gamma and n_samples >= 1, got {mode!r}, {n_samples}")
+    if mode not in ("muir", "gamma") or n_samples < 1 or min(times, default=0.0) < 0:
+        raise ValueError(f"need mode muir or gamma, n_samples >= 1 and times >= 0, "
+                         f"got {mode!r}, {n_samples}, {list(times)}")
+    if mode == "muir" and Q.terms and Q.degree != space.r:
+        raise DegreeMismatch(f"Q degree {Q.degree} != space r {space.r}")
     A = SpiralMatrix(complex(mu), complex(lam), space.r)
     rng = np.random.default_rng(seed)
     xs, ys = sample_ball(space, n_samples, rng)
-    zs, ws = extend_H_arrays(h, space, xs, ys)
-    failures, checked, witnesses = 0, 0, []
+    hx, fibre0 = h.eval_array(xs), h.abs_deriv_array(xs) * space.fibre(ys)
+    hq = h.deriv_array(xs) * Q.eval(ys) if mode == "muir" else None
+    failures, checked, bad_rows = 0, 0, []
     for t in times:
+        e_mu = np.exp(-A.mu * t)
+        fibre = np.abs(np.exp(-A.fiber_rate * t)) ** A.r * fibre0
         if mode == "muir":
-            z, w = conjugated_action(A, Q, t, zs, ws)
-            probes = [(z, space.fibre(w))]
+            probes = [(e_mu * hx + (e_mu - np.exp(-A.fiber_rate * A.r * t)) * hq, fibre, xs)]
         else:
-            z, w = semigroup_action(A, t, zs, ws)
-            probes = _gamma_probes(z, space.fibre(w),
-                                   gamma_frac * covering_radius_Rt(h, A, t, zs), n_gamma)
-        for z, fibre in probes:
-            ok = membership_H_arrays(h, space, z, fibre)
+            step = gamma_frac * covering_radius_Rt(h, A, t, hx, guess=xs)
+            probes = _gamma_probes(e_mu * hx, fibre, xs, step, n_gamma)
+        for z, fib, guess in probes:
+            ok = membership_H_arrays(h, space, z, fib, guess)
             bad = np.flatnonzero(~ok)
             checked += ok.size
             failures += bad.size
-            witnesses += [{"t": t, "z": _ri(z[i]), "w": _ri_vec(w[i % len(w)])}
-                          for i in bad[:max_witnesses]]
+            bad_rows += [(t, z[i], i % n_samples) for i in bad[:max_witnesses - len(bad_rows)]]
+    rows = [i for _, _, i in bad_rows]
+    ws = extend_H_arrays(h, space, xs[rows], ys[rows])[1] if rows else ()
+    witnesses = [{"t": t, "z": _ri(z), "w": _ri_vec(np.exp(-A.fiber_rate * t) * w)}
+                 for (t, z, _), w in zip(bad_rows, ws)]
     return {
         "mode": mode,
         "n_samples": int(n_samples),
         "times": list(map(float, times)),
         "checked": int(checked),
         "failures": failures,
-        "witnesses": witnesses[:max_witnesses],
+        "witnesses": witnesses,
         "pass": failures == 0,
     }
 
 
-def _gamma_probes(z1, fibre, step, n_gamma):
-    """The probes z1 + step e^(2 pi i k / n_gamma) with their fibre term, in
-    blocks of whole directions k, direction-major, of at most SWEEP_BLOCK
-    points (one direction a block when z1 is larger: never all n_gamma copies)."""
+def _gamma_probes(z1, fibre, xs, step, n_gamma):
+    """The probes z1 + step e^(2 pi i k / n_gamma) with their fibre term and
+    the preimage x of their sample, in blocks of whole directions k,
+    direction-major, of at most SWEEP_BLOCK points (one direction a block when
+    z1 is larger: never all n_gamma copies)."""
     per = max(1, kernels.SWEEP_BLOCK // max(1, z1.size))
     for k0 in range(0, n_gamma, per):
         ks = range(k0, min(k0 + per, n_gamma))
         dirs = np.array([[np.exp(2j * np.pi * k / n_gamma)] for k in ks])
-        yield (z1 + step * dirs).ravel(), np.tile(fibre, len(ks))
+        yield (z1 + step * dirs).ravel(), np.tile(fibre, len(ks)), np.tile(xs, len(ks))
 
 
 def _ri(z):

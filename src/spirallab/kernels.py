@@ -268,17 +268,23 @@ def spiral_newton(F, dF, w, mu, d0):
 def preimages(F, dF, w, guess, mu):
     """Preimages of w in the open disk under F, NaN where there is none: an
     entry is accepted when |F(z) - w| <= NEWTON_TOL max(1, |w|).  ``newton``
-    from ``guess``; given a spiral multiplier mu (F(0) = 0 and F(D)
-    mu-spirallike, else None) the entries it leaves unaccepted are solved again
-    by ``spiral_newton``, whose result is kept where its residual is smaller."""
+    from ``guess`` (broadcast to w); the entries a non-zero guess leaves
+    unaccepted are solved again from 0, so a warm start loses no entry that
+    the start at 0 accepts.  Given a spiral multiplier mu (F(0) = 0 and F(D) mu-spirallike,
+    else None) the entries still unaccepted are solved again by
+    ``spiral_newton``.  Each retry's result is kept where its residual is
+    smaller."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     z, res = newton(F, dF, w, guess)
     tol = NEWTON_TOL * np.maximum(1.0, np.abs(w))
+    zf, rf, wf = z.ravel(), res.ravel(), w.ravel()
+    retries = [(np.broadcast_to(guess, w.shape).ravel() != 0, lambda v: newton(F, dF, v, 0j))]
     if mu is not None:
-        zf, rf = z.ravel(), res.ravel()
-        bad = np.flatnonzero(rf > tol.ravel())
+        retries.append((True, lambda v: spiral_newton(F, dF, v, mu, dF(np.zeros(1, complex))[0])))
+    for rows, retry in retries:
+        bad = np.flatnonzero((rf > tol.ravel()) & rows)
         if bad.size:
-            z2, r2 = spiral_newton(F, dF, w.ravel()[bad], mu, dF(np.zeros(1, complex))[0])
+            z2, r2 = retry(wf[bad])
             up = r2 < rf[bad]
             zf[bad[up]], rf[bad[up]] = z2[up], r2[up]
     return np.where(res <= tol, z, np.nan + 0j)

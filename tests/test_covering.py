@@ -114,13 +114,21 @@ def test_shifted_radius_is_the_conformal_radius_at_the_centre(h, x0, alpha, beta
 
 
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
-def test_plain_check_is_the_shifted_body_at_beta_one(h):
+def test_plain_check_is_the_shifted_body_at_beta_one(h, monkeypatch):
     """The plain check is the one covering body at beta = 1: centre h(x0),
-    radius (1 - alpha)/4 delta(x0) with no solve, and no secondary bound."""
+    radius (1 - alpha)/4 delta(x0) with no solve, and no secondary bound.
+    delta(x0) is read once, from the real-arithmetic |h'| the sweep reads
+    (abs_deriv_array), and the complex h'(x0) is not evaluated."""
+
+    def refuse(self, z):
+        raise AssertionError("complex h'(x0) evaluated")
+
+    monkeypatch.setattr(UnivalentMap, "deriv", refuse)
     x0, alpha = 0.3 + 0.1j, 0.5
     rep = verify_covering_bound(h, x0, alpha, grid=(60, 60))
     assert rep == covering._verdict(h, x0, alpha, 1.0, (60, 60))
-    assert rep["predicted_radius"] == (1.0 - alpha) / 4.0 * (abs(h.deriv(x0)) * (1.0 - abs(x0) ** 2))
+    d0 = h.abs_deriv_array([x0])[0] * (1.0 - abs(x0) ** 2)
+    assert rep["predicted_radius"] == (1.0 - alpha) / 4.0 * d0
     assert rep["center"] == [h.eval(x0).real, h.eval(x0).imag]
     assert rep["secondary_radius"] is None and "reason" not in rep
 
@@ -305,14 +313,19 @@ def test_memo_sequence_matches_per_ring_loop(h, no_memo):
 
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_memo_hit_evaluates_no_abs_deriv(h, no_memo, monkeypatch):
+    """A memo hit reads the criterion grid: the one abs_deriv call left is
+    OmegaSpec's |h'(x0)| at its one point."""
     _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
+    real, calls = kernels.abs_deriv, []
 
-    def refuse(*args):
-        raise AssertionError("abs_deriv called on a memo hit")
+    def counted(*args):
+        calls.append(np.size(args[4]))
+        return real(*args)
 
-    monkeypatch.setattr(kernels, "abs_deriv", refuse)
+    monkeypatch.setattr(kernels, "abs_deriv", counted)
     got, ref = _sweep(h, -0.2 + 0.3j, 0.6, 0.5, (400, 400))
     assert got == ref
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)

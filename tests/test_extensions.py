@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spirallab import extensions, families, kernels
+from spirallab.cli import main
 from spirallab.extensions import (
     BallSpace,
     DegreeMismatch,
@@ -258,10 +259,14 @@ def test_conjugated_matches_shear_conjugation(mu, lam, r, m):
 
 
 def test_conjugated_action_rejects_degree_mismatch():
-    """The closed form needs Q(c w) = c^r Q(w): a Q of another degree is refused."""
+    """The closed form needs Q(c w) = c^r Q(w): a Q of another degree is
+    refused, by the action and by the muir sweep that moves h'(x) Q(y)."""
     A = SpiralMatrix(mu=1.0, lam=0.5, r=2.0)
     with pytest.raises(DegreeMismatch):
         conjugated_action(A, q_poly(0.25, r=3), 0.5, 0.1, np.array([0.1]))
+    with pytest.raises(DegreeMismatch):
+        verify_invariance(UnivalentMap.koebe(), 1.0, 0.5, space(2.0, 1), q_poly(0.25, r=3), [0.5],
+                          n_samples=10)
 
 
 # ------------------------------------------------------------- membership
@@ -524,10 +529,11 @@ def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n
 @pytest.mark.parametrize("mode", ["muir", "gamma"])
 @pytest.mark.parametrize("n", [30, 10_000])
 def test_fibre_term_is_computed_once_per_time(mode, n, monkeypatch):
-    """The fibre term ||w||^r of the membership gauge depends on w alone, the
-    same for every gamma direction: one BallSpace.fibre call per time, on the
-    n rows of w, whether the 16 directions share a membership call (n = 30)
-    or each gets its own (n = 10 000)."""
+    """The fibre term ||w||^r = |h'(x)| ||y||^r of the membership gauge is read
+    once a sweep and scaled by |e^(-(lambda + mu/r) t)|^r at each time, the same
+    for every gamma direction: one BallSpace.fibre call a sweep, on the n rows
+    of y, whether the 16 directions share a membership call (n = 30) or each
+    gets its own (n = 10 000)."""
     calls = []
     orig = BallSpace.fibre
 
@@ -540,15 +546,23 @@ def test_fibre_term_is_computed_once_per_time(mode, n, monkeypatch):
     out = verify_invariance(UnivalentMap.half_plane(), 1.0, 0.9 + 0.4j, space(2.0, 2),
                             q_poly(0.1, m=2), times, n_samples=n, mode=mode, seed=9)
     assert out["checked"] == n * len(times) * (16 if mode == "gamma" else 1)
-    assert calls == [(n, 2)] * len(times)
+    assert calls == [(n, 2)]
 
 
 def test_spiral_continuation_refines_only_from_the_failed_node(monkeypatch):
-    """The muir sweep of spiral_koebe(0.5) with its own multiplier (50 samples,
-    seed 42, the CLI's default times) has entries whose spiral path fails only
-    at its last node: each halves its own step from the node before, so the
-    sweep makes 49 newton calls (142 when such entries walked the whole path
-    again at twice the steps) and passes."""
+    """The 200 moved points of the muir sweep of spiral_koebe(0.5) with its own
+    multiplier (50 samples, seed 42, the CLI's default times), inverted from 0
+    one time at a time, have entries whose spiral path fails only at its last
+    node: each halves its own step from the node before, so the solves make
+    49 newton calls (142 when such entries walked the whole path again at
+    twice the steps) and find every preimage.  The sweep itself, whose solves
+    start at each sample's preimage, passes."""
+    h, mu, times = UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), [0.1, 0.5, 1.0, 2.0]
+    sp, Q = space(1.0, 1), HomogeneousPolynomial.zero(1, 1)
+    out = verify_invariance(h, mu, 1.0, sp, Q, times=times, n_samples=50, mode="muir", seed=42)
+    assert out["pass"] and out["checked"] == 200
+    A = SpiralMatrix(mu, 1.0, 1.0)
+    zs, ws = extend_H_arrays(h, sp, *sample_ball(sp, 50, np.random.default_rng(42)))
     calls = []
     orig = kernels.newton
 
@@ -557,10 +571,8 @@ def test_spiral_continuation_refines_only_from_the_failed_node(monkeypatch):
         return orig(*a)
 
     monkeypatch.setattr(kernels, "newton", counted)
-    out = verify_invariance(UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), 1.0,
-                            space(1.0, 1), HomogeneousPolynomial.zero(1, 1),
-                            times=[0.1, 0.5, 1.0, 2.0], n_samples=50, mode="muir", seed=42)
-    assert out["pass"] and out["checked"] == 200
+    xs = [h.invert_array(conjugated_action(A, Q, t, zs, ws)[0], guess=0j) for t in times]
+    assert not np.isnan(xs).any()
     assert len(calls) == 49
 
 
@@ -613,3 +625,106 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
     assert np.all(np.abs(z_fast[ok] - z_ref[ok]) <= 1e-15 * np.abs(z_ref[ok]))
     if mode == "muir":
         assert np.array_equal(z_fast, z_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_sweep_moves_the_named_actions_of_the_extension(h, r, m, monkeypatch):
+    """The sweep moves h(x), h'(x) Q(y) and |h'(x)| ||y||^r by scalars, taking
+    no branch of h'^(1/r); the first coordinate it tests (muir) and the fibre
+    term (both modes) are conjugated_action / semigroup_action of
+    extend_H_arrays to 1e-13 relative, with and without Q."""
+    rng = np.random.default_rng(47)
+    exps = [e for e in itertools.product(range(r + 1), repeat=m) if sum(e) == r]
+    sp, times, n = space(float(r), m), [0.3, 1.7], 40
+    mu, lam = 1 + 0.5j, 0.7 - 0.2j
+    A = SpiralMatrix(mu, lam, float(r))
+    calls = []
+    orig = extensions.membership_H_arrays
+
+    def recorded(h, space, z, fibre, guess):
+        calls.append((z, fibre))
+        return orig(h, space, z, fibre, guess)
+
+    monkeypatch.setattr(extensions, "membership_H_arrays", recorded)
+    zs, ws = extend_H_arrays(h, sp, *sample_ball(sp, n, np.random.default_rng(5)))
+    for Q in (HomogeneousPolynomial.zero(r, m),
+              HomogeneousPolynomial.build(r, m, {e: complex(*rng.normal(size=2)) * 0.1
+                                                 for e in exps})):
+        for mode, action in (("muir", lambda t: conjugated_action(A, Q, t, zs, ws)),
+                             ("gamma", lambda t: semigroup_action(A, t, zs, ws))):
+            calls.clear()
+            verify_invariance(h, mu, lam, sp, Q, times, n_samples=n, mode=mode, seed=5, n_gamma=4)
+            assert len(calls) == len(times)
+            for t, (z, fibre) in zip(times, calls):
+                z_ref, w_ref = action(t)
+                f_ref = np.tile(sp.fibre(w_ref), fibre.size // n)
+                assert np.all(np.abs(fibre - f_ref) <= 1e-13 * f_ref)
+                if mode == "muir":
+                    scale = np.abs(z_ref - np.exp(-mu * t) * zs) + np.abs(np.exp(-mu * t) * zs)
+                    assert np.all(np.abs(z - z_ref) <= 1e-13 * scale)
+
+
+# (r, m, Q, lambda, mu) of test_extend_outcomes_are_pinned
+PINNED_CASES = {
+    "r2m1": ("2", "1", {"degree": 2, "terms": [{"exps": [2], "coef": 0.75}]}, "1,0", "1,0"),
+    "r1m2": ("1", "2", {"degree": 1, "terms": [{"exps": [1, 0], "coef": [0, 0.9]}]}, "1,0.5",
+             "1,0"),
+    "r2m2": ("2", "2", None, "1,-0.5", "0.6,-0.8"),
+}
+PINNED_MAPS = {"koebe": "koebe", "half_plane": "half_plane", "identity": "identity",
+               "mobius": {"family": "mobius_spiral", "c": [0, 0.3]},
+               "rational": {"family": "rational", "num": [0, 1, 0.1], "den": [1, -1]},
+               "spiral_koebe": {"family": "spiral_koebe", "theta": 1.0}}
+# (exit code, checked, failures) in the order of PINNED_CASES, muir then gamma
+PINNED = {
+    "koebe": [(1, 1200, 13), (1, 1200, 4), (1, 1200, 22),
+              (0, 19200, 0), (0, 19200, 0), (1, 19200, 369)],
+    "half_plane": [(1, 1200, 48), (1, 1200, 31), (1, 1200, 378),
+                   (0, 19200, 0), (0, 19200, 0), (1, 19200, 6084)],
+    "identity": [(0, 1200, 0)] * 3 + [(0, 19200, 0)] * 3,
+    "mobius": [(0, 1200, 0)] * 3 + [(0, 19200, 0)] * 3,
+    "rational": [(0, 1200, 0), (0, 1200, 0), (1, 1200, 67),
+                 (0, 19200, 0), (0, 19200, 0), (1, 19200, 1067)],
+    "spiral_koebe": [(1, 1200, 7), (1, 1200, 13), (0, 1200, 0),
+                     (1, 19200, 141), (1, 19200, 204), (0, 19200, 0)],
+}
+
+
+@pytest.mark.parametrize("fn", list(PINNED_MAPS))
+def test_extend_outcomes_are_pinned(fn, tmp_path):
+    """36 extend runs (six maps, both modes, three (r, m, Q, lambda, mu), 300
+    samples, the CLI's default times and seed) keep the exit code, checked and
+    failures of the sweep that moved w = h'(x)^(1/r) y along its continued
+    branch and solved every membership from 0."""
+    spec = PINNED_MAPS[fn]
+    if isinstance(spec, dict):
+        (tmp_path / "map.json").write_text(json.dumps(spec))
+        spec = str(tmp_path / "map.json")
+    got = []
+    for mode in ("muir", "gamma"):
+        for r, m, q, lam, mu in PINNED_CASES.values():
+            argv = ["extend", "--fn", spec, "--r", r, "--m", m, "--mu", mu, f"--lambda={lam}",
+                    "--samples", "300", "--mode", mode, "--out", str(tmp_path / "rep.json")]
+            if q is not None:
+                (tmp_path / "q.json").write_text(json.dumps(q))
+                argv += ["--Q", str(tmp_path / "q.json")]
+            code = main(argv)
+            rep = json.loads((tmp_path / "rep.json").read_text())
+            got.append((code, rep["checked"], rep["failures"]))
+    assert got == PINNED[fn]
+
+
+@pytest.mark.parametrize("mode", ["muir", "gamma"])
+def test_rational_sweep_takes_no_branch(mode, monkeypatch):
+    """A passing sweep of the rational map continues no log h' along a path:
+    its verdict reads h' and |h'| only."""
+
+    def refuse(*a):
+        raise AssertionError("continued_log_deriv called")
+
+    monkeypatch.setattr(families, "continued_log_deriv", refuse)
+    out = verify_invariance(RATIONAL, 1.0, 1.0, space(2.0, 1), q_poly(0.75), [0.1, 0.5, 1.0, 2.0],
+                            n_samples=300, mode=mode, seed=0)
+    assert out["pass"] and out["witnesses"] == []

@@ -277,6 +277,36 @@ def test_newton_preimage_at_large_w_is_accepted_relative_to_w():
     assert np.all(res > kernels.NEWTON_TOL) and np.all(res <= kernels.NEWTON_TOL * np.abs(ws))
 
 
+@pytest.mark.parametrize("h", [UnivalentMap.spiral_koebe(0.5), RATIONAL,
+                               koenigs(Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0))],
+                         ids=["spiral_koebe", "rational", "koenigs"])
+def test_warm_start_loses_no_preimage(h):
+    """invert_array from the bad start g = -x for w = h(x) finds every preimage
+    the start at 0 finds, to the acceptance tolerance."""
+    xs = random_disk(np.random.default_rng(29), 500, 0.99)
+    ws = h.eval_array(xs)
+    cold = h.invert_array(ws, guess=0j)
+    warm = h.invert_array(ws, guess=-xs)
+    assert not np.isnan(cold).any() and not np.isnan(warm).any()
+    tol = kernels.NEWTON_TOL * np.maximum(1.0, np.abs(ws))
+    assert np.all(np.abs(h.eval_array(warm) - ws) <= tol)
+    assert np.max(np.abs(warm - cold)) <= 1e-9
+
+
+def test_preimages_solve_a_lost_warm_start_again_from_zero():
+    """Newton from 0.9 heads for the root 0.5 + sqrt(w) of (z - 0.5)^2 = w,
+    outside the disk, and stalls on the clamp circle; preimages solves those
+    entries again from 0, which finds the root 0.5 - sqrt(w) = x in the
+    disk, bit for bit as the start at 0 alone does."""
+    xs = np.array([-0.3, -0.5j, -0.2 - 0.4j])
+    F, dF = (lambda z: (z - 0.5) ** 2), (lambda z: 2.0 * (z - 0.5))
+    cold = kernels.preimages(F, dF, F(xs), 0j, None)
+    _, res = kernels.newton(F, dF, F(xs), 0.9)
+    assert np.all(res > 0.1)
+    assert np.max(np.abs(cold - xs)) < 1e-12
+    assert np.array_equal(kernels.preimages(F, dF, F(xs), np.full(3, 0.9 + 0j), None), cold)
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0, 1.3])
 def test_spiral_koebe_newton_round_trip_from_zero(theta):
     """Damped Newton from 0 alone leaves points of spiral_koebe(theta)
