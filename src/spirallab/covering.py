@@ -54,7 +54,8 @@ def _verdict(h, x0, alpha, beta, grid):
     """The one covering check, as its report dict: h(Omega_alpha) covers radius
     (|beta| - alpha)/(4|beta|) delta(x1) around beta h(x0) = h(x1), delta(x) =
     |h'(x)|(1 - |x|^2), on a polar-grid sweep; beta = 1 is the plain check (x1
-    = x0, no solve), else (|beta| - alpha)/4 delta(x0) must not exceed it."""
+    = x0, no solve), else (|beta| - alpha)/4 delta(x0) must not exceed it.  An
+    x1 outside Omega_alpha measures radius 0.0."""
     spec = OmegaSpec.build(h, x0, alpha)
     x0, d0 = spec.x0, spec.delta0
     center = h.eval(x0)
@@ -69,7 +70,8 @@ def _verdict(h, x0, alpha, beta, grid):
     predicted = (abs(beta) - alpha) / (4.0 * abs(beta)) * d1
     chain_ok = secondary is None or predicted >= secondary - 1e-12
     best, witness, bmin, n_out = _min_distance(h, spec.threshold, center, grid)
-    measured = min(best, bmin)
+    # x1 in K: the centre is outside h(Omega_alpha), which the edge sweep cannot see
+    measured = 0.0 if d1 <= spec.threshold else min(best, bmin)
     tol = grid_tolerance(predicted)
     rep = {
         "predicted_radius": predicted,
@@ -110,7 +112,5 @@ def omega_region_points(h, spec: OmegaSpec, grid):
     """(x, in_omega) samples on the covering sweep's polar grid of grid = (nr, nt)
     points, for plotting and CSV dumps."""
     radii, ring = kernels.polar_grid(*grid)
-    x = radii[:, None] * ring
-    crit = np.concatenate([h.abs_deriv_array(x[rows]) * (1.0 - r * r)
-                           for rows, r in kernels.ring_blocks(radii, ring)], axis=None)
-    return x.ravel(), crit > spec.threshold
+    crit = kernels.criterion(h.abs_deriv_array, radii, ring)
+    return (radii[:, None] * ring).ravel(), crit.ravel() > spec.threshold

@@ -13,9 +13,10 @@ Families are addressed by an integer code:
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
 ``newton``, ``spiral_newton`` and ``preimages`` take the map as callables F and dF
 on arrays, and ``min_distance``, the one covering sweep, takes F and the
-modulus |F'| and keeps a one-entry memo of the last keyed map, so every disk
-map shares them; ``invert`` and ``covered_min_distance`` are their entry
-points for the family codes.  Every inverse returns the preimage in the open
+modulus |F'|, evaluates F only on the edge of the region complement and the
+rim (minimum modulus principle) and keeps the last keyed map's criterion grid
+in a one-entry memo, so every disk map shares them; ``invert`` and
+``covered_min_distance`` are their entry points for the family codes.  Every inverse returns the preimage in the open
 disk or NaN, and ``preimages`` alone decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
 and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
@@ -209,8 +210,9 @@ def newton(F, dF, w, z0):
     Iterates are clamped to |z| <= DISK_CLAMP since images may be unbounded.
     An entry stops once |F(z) - w| <= NEWTON_TOL or after NEWTON_MAX_ITER
     steps; each step is halved, at most 24 times, until the residual drops.
-    An entry whose halving bottoms out (step 2^-24 and still no decrease)
-    stalls: it keeps its last iterate and stops at once.  F and dF only see
+    An entry whose halving bottoms out (step 2^-24 and still no decrease), or
+    whose step is not finite (dF = 0 there), stalls: it keeps its last
+    iterate and stops at once.  F and dF only see
     the entries still iterating.  Returns (z, |F(z) - w|) in the shape of w.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
@@ -222,16 +224,15 @@ def newton(F, dF, w, z0):
         if not act.size:
             break
         za, ra, wa = z[act], resid[act], wf[act]
-        step = ra / dF(za)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ra / dF(za)
         lam = np.ones(act.size)
-        cand, new = np.empty_like(za), np.empty_like(za)
-        todo = np.arange(act.size)
-        for _ in range(25):
+        cand, new = np.empty_like(za), np.full_like(za, np.inf)
+        todo = np.flatnonzero(np.isfinite(step))
+        while todo.size:
             c = _clamp(za[todo] - lam[todo] * step[todo])
             cand[todo], new[todo] = c, F(c) - wa[todo]
             todo = todo[(np.abs(new[todo]) >= np.abs(ra[todo])) & (lam[todo] > 2.0**-24)]
-            if not todo.size:
-                break
             lam[todo] *= 0.5
         down = np.abs(new) < np.abs(ra)
         moved = act[down]
@@ -311,78 +312,72 @@ def polar_grid(nr, nt):
     return 1.0 - (1.0 - k / nr) ** 2, np.exp(1j * theta)
 
 
-def ring_blocks(radii, ring):
-    """Yield (rows, r) for r = radii[rows, None]: blocks of
-    max(1, SWEEP_BLOCK // nt) whole rings, in ring-major order, whose grid
-    points are x = r * ring."""
-    s = max(1, SWEEP_BLOCK // ring.size)
+def criterion(abs_dF, radii, ring):
+    """The region criterion |F'(x)|(1-|x|^2) on the grid x = radii[:, None] *
+    ring, of shape (radii.size, ring.size), built in blocks of
+    max(1, SWEEP_BLOCK // nt) whole rings."""
+    crit, s = np.empty((radii.size, ring.size)), max(1, SWEEP_BLOCK // ring.size)
     for k in range(0, radii.size, s):
-        rows = slice(k, k + s)
-        yield rows, radii[rows, None]
+        r = radii[k:k + s, None]
+        np.multiply(abs_dF(r * ring), 1.0 - r * r, out=crit[k:k + s])
+    return crit
 
 
-MEMO_MAX_POINTS = 2**18  # largest grid min_distance keeps
-_memo = None  # (key, read-only criterion, image, filled) of the last family map swept
+MEMO_MAX_POINTS = 2**18  # largest grid min_distance sweeps whole, and keeps
+_memo = None  # (key, read-only criterion) of the last family map swept
 
 
 def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
     """Covering sweep of a disk map F, with abs_dF the modulus |F'|, on the
-    (nr, nt) ``polar_grid``, one pass over its ``ring_blocks``.
+    (nr, nt) ``polar_grid``.
 
-    Returns (min |F(x)-center| over grid points failing the region inequality
-    |F'(x)|(1-|x|^2) > threshold, witness x, min over the circle
-    |x| = 1-boundary_eps, number of grid points in the region complement).
-    Ties go to the first grid point in ring-major order.
+    Returns (min |F(x)-center| over the edge of the grid's region complement
+    K = {|F'(x)|(1-|x|^2) <= threshold}, witness x, min over the circle
+    |x| = 1-boundary_eps, number of grid points in K).  Ties go to the first
+    grid point in ring-major order.  An edge point is a point of K with a
+    neighbour outside K along its ring or its ray, or a point of K on the
+    outermost ring.  F is univalent, so when the centre has no preimage in K,
+    |F - center| has its minimum over K on K's boundary (minimum modulus
+    principle): F is evaluated on the edge and the rim circle only.
 
-    A map given a key (None: kept nowhere, and the memo is left alone) on a
-    grid of at most MEMO_MAX_POINTS points is kept in a one-entry memo, keyed
-    by (*key, nr, nt): its read-only criterion grid, its image F(x) on the grid
-    and a bool grid of the points filled.  A miss writes each block's
-    criterion into the grid it keeps and stores the memo once it completes; a
-    hit reads the criterion.  Other sweeps stream through block-sized scratch
-    arrays.  Then every block with a complement point evaluates F only on the
-    complement points not yet filled, marks them once F returns, and takes
-    |F(x) - center| from the image.
+    A grid of at most MEMO_MAX_POINTS points is swept whole, with one F call.
+    If the map has a key (None: kept nowhere, and the memo is left alone) its
+    read-only criterion grid is kept in a one-entry memo, keyed by
+    (*key, nr, nt), which a later sweep of the same map and grid reads.  A
+    larger grid streams in blocks of whole rings, each reading one more ring
+    on either side for its edge.
     """
     global _memo
     radii, ring = polar_grid(nr, nt)
-    keep = key is not None and nr * nt <= MEMO_MAX_POINTS
-    key = None if key is None else (*key, nr, nt)
-    hit = keep and _memo is not None and _memo[0] == key
+    whole, key = nr * nt <= MEMO_MAX_POINTS, None if key is None else (*key, nr, nt)
+    hit = _memo is not None and _memo[0] == key
+    if key is not None and not hit:
+        _memo = None
     if hit:
-        _, crit, image, filled = _memo
-    else:
+        crit = _memo[1]
+    elif whole:
+        crit = criterion(abs_dF, radii, ring)
         if key is not None:
-            _memo = None
-        shape = (nr if keep else min(nr, max(1, SWEEP_BLOCK // nt)), nt)
-        crit, image, filled = np.empty(shape), np.empty(shape, complex), np.zeros(shape, bool)
-    best, found, n_out = np.inf, None, 0
-    for rows, r in ring_blocks(radii, ring):
-        if not keep:
-            rows = slice(0, r.size)
-            filled[rows] = False
-        c, img, got = crit[rows], image[rows], filled[rows]
-        if not hit:
-            np.multiply(abs_dF(r * ring), 1.0 - r * r, out=c)
-        out = c <= threshold
-        if not out.any():
-            continue
-        new = out & ~got
-        if new.any():
-            img[new] = F((r * ring)[new])
-            got[new] = True
-        d = np.abs(img[out] - center)
-        n_out += d.size
-        i = int(np.argmin(d))
-        if d[i] < best:
-            best, found = float(d[i]), (r, out, i)
-    if keep and not hit:
-        crit.flags.writeable = False
-        _memo = (key, crit, image, filled)
-    witness = complex(np.nan, np.nan)
-    if found is not None:
-        r, out, i = found
-        witness = complex((r * ring)[out][i])
+            crit.flags.writeable = False
+            _memo = (key, crit)
+    step = nr if whole else max(1, SWEEP_BLOCK // nt)
+    best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
+    for a in range(0, nr, step):
+        b = min(a + step, nr)
+        lo, hi = max(a - 1, 0), min(b + 1, nr)
+        c = crit if whole else criterion(abs_dF, radii[lo:hi], ring)
+        # rings a-1 .. b; below ring 0 counts as in K, beyond the outermost as outside
+        out = np.concatenate([np.ones((int(lo == a), nt), bool), c <= threshold,
+                              np.zeros((int(hi == b), nt), bool)])
+        own = out[1:-1]
+        n_out += int(np.count_nonzero(own))
+        i, j = np.nonzero(own & ~(out[:-2] & out[2:] & np.roll(own, 1, 1) & np.roll(own, -1, 1)))
+        if i.size:
+            x = radii[a + i] * ring[j]
+            d = np.abs(F(x) - center)
+            k = int(np.argmin(d))
+            if d[k] < best:
+                best, witness = float(d[k]), complex(x[k])
     bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
     return best, witness, bmin, n_out
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spirallab import covering, kernels
 from spirallab.covering import (
@@ -43,13 +45,23 @@ def test_threshold_value():
     assert abs(spec.threshold - expect) < 1e-14
 
 
+def assert_within_grid_overshoot(rep, exact):
+    """For the identity about 0, whose region complement is |x| >= exact: the
+    sweep's edge is the first ring at or beyond exact, so the measured radius
+    lies between exact (to rounding) and exact plus that ring's spacing
+    r_k - r_(k-1) = (2 sqrt(1 - r_k) + 1/nr)/nr."""
+    nr = rep["grid"][0]
+    overshoot = (2.0 * np.sqrt(1.0 - exact) + 1.0 / nr) / nr
+    assert exact - 1e-15 <= rep["measured_radius_lower"] <= exact + overshoot
+
+
 def test_covering_bound_identity_exact():
     """id covers the full omega image; predicted (1-alpha)/4 is far inside."""
     rep = verify_covering_bound(UnivalentMap.identity(), 0.0, 0.19)
     assert rep["pass"]
     assert abs(rep["predicted_radius"] - 0.2025) < 1e-14
     # the actual covered radius is sqrt(1 - alpha) = 0.9
-    assert abs(rep["measured_radius_lower"] - 0.9) < 5e-3
+    assert_within_grid_overshoot(rep, 0.9)
 
 
 def test_covering_bound_koebe():
@@ -71,6 +83,8 @@ def test_shifted_bound_identity():
     assert abs(rep["predicted_radius"] - 0.1) < 1e-14
     assert abs(rep["secondary_radius"] - 0.05) < 1e-14
     assert rep["predicted_radius"] >= rep["secondary_radius"] - 1e-12
+    # centre 0: the actual covered radius is sqrt(1 - alpha)
+    assert_within_grid_overshoot(rep, np.sqrt(0.7))
 
 
 def test_shifted_bound_complex_beta():
@@ -296,18 +310,39 @@ def no_memo(monkeypatch):
     monkeypatch.setattr(kernels, "_memo", None)
 
 
+def _centre_in_complement(h, x0, alpha, shift):
+    """Whether the centre shift * h(x0) has its preimage outside Omega_alpha,
+    where the edge sweep's minimum may exceed the all-complement one."""
+    spec = OmegaSpec.build(h, x0, alpha)
+    centre = shift * complex(EVAL_MAP(*_family(h), x0))
+    return h.conformal_radius_array([centre], guess=x0)[0] <= spec.threshold
+
+
+def _assert_edge_result(got, ref, centre_in_complement):
+    """The edge sweep against the per-ring sweep of the whole complement: bit
+    for bit, but for a centre with its preimage in the complement, whose edge
+    minimum (and its witness) may only be larger."""
+    if centre_in_complement:
+        assert got[0] >= ref[0] and got[2:] == ref[2:]
+    else:
+        assert got == ref
+
+
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_memo_sequence_matches_per_ring_loop(h, no_memo):
     """Maps A, B, A, A on each of two grids, each sweep with its own threshold
-    and centre: misses and hits alike return the per-ring result bit for bit."""
+    and centre: misses and hits alike return the per-ring result bit for bit,
+    apart from the minimum about a centre whose preimage is in the complement
+    (the half-plane map's shifted steps)."""
     other = ALL_CODES[(ALL_CODES.index(h) + 1) % len(ALL_CODES)]
     steps = [(h, 0.3 + 0.1j, 0.5, 1.0), (other, -0.2j, 0.4, 0.5),
              (h, -0.4 + 0.2j, 0.7, 0.5), (h, 0.1, 0.3, 1.0)]
     for grid in [(400, 400), (401, 7)]:
         for g, x0, alpha, shift in steps:
+            inside = _centre_in_complement(g, x0, alpha, shift)
             got, ref = _sweep(g, x0, alpha, shift, grid)
             assert ref[3] > 0
-            assert got == ref
+            _assert_edge_result(got, ref, inside)
             assert kernels._memo[0] == (*_family(g), *grid)
 
 
@@ -316,6 +351,7 @@ def test_memo_hit_evaluates_no_abs_deriv(h, no_memo, monkeypatch):
     """A memo hit reads the criterion grid: the one abs_deriv call left is
     OmegaSpec's |h'(x0)| at its one point."""
     _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
+    inside = _centre_in_complement(h, -0.2 + 0.3j, 0.6, 0.5)
     real, calls = kernels.abs_deriv, []
 
     def counted(*args):
@@ -324,7 +360,7 @@ def test_memo_hit_evaluates_no_abs_deriv(h, no_memo, monkeypatch):
 
     monkeypatch.setattr(kernels, "abs_deriv", counted)
     got, ref = _sweep(h, -0.2 + 0.3j, 0.6, 0.5, (400, 400))
-    assert got == ref
+    _assert_edge_result(got, ref, inside)
     assert calls == [1]
 
 
@@ -354,7 +390,7 @@ def test_sweep_that_raises_leaves_no_memo_entry(h, no_memo, monkeypatch):
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_stored_criterion_is_read_only(h, no_memo):
     _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
-    _, crit, _, _ = kernels._memo
+    _, crit = kernels._memo
     radii, ring = kernels.polar_grid(400, 400)
     ref = np.stack([kernels.abs_deriv(*_family(h), r * ring) * (1.0 - r * r) for r in radii])
     assert np.array_equal(crit, ref)
@@ -392,107 +428,151 @@ def test_grid_above_the_cap_streams_in_block_sized_memory(h, no_memo):
     assert peak <= 16 * 16 * kernels.SWEEP_BLOCK  # a kept grid would hold 6.6 MB
 
 
-# ------------------------------------------------------------- image memo
+# ------------------------------------------------------------------ edge
 
 X0 = 0.3 + 0.1j
 
 
-def _grid_evals(monkeypatch, grid, refuse=False, fail_at=None):
-    """Patch kernels.eval_map to record the size of each call off the rim
-    circle |x| = 1 - BOUNDARY_EPS, which every sweep evaluates; with refuse such
-    a call raises AssertionError, and with fail_at the fail_at-th one raises
-    FloatingPointError before it evaluates."""
+def _edge_points(h, threshold, grid):
+    """Reference edge of the grid's region complement, point by point in
+    ring-major order: complement points with a neighbour outside the
+    complement along the ring or the ray, or on the outermost ring."""
+    radii, ring = kernels.polar_grid(*grid)
+    out = np.stack([kernels.abs_deriv(*_family(h), r * ring) * (1.0 - r * r) <= threshold
+                    for r in radii])
+    nr, nt = out.shape
+    edge = []
+    for k in range(nr):
+        for j in range(nt):
+            if out[k, j] and (k == nr - 1 or not out[k + 1, j] or (k > 0 and not out[k - 1, j])
+                              or not out[k, j - 1] or not out[k, (j + 1) % nt]):
+                edge.append(radii[k] * ring[j])
+    return np.array(edge)
+
+
+def _grid_evals(monkeypatch, grid, fail_at=None):
+    """Patch kernels.eval_map to record each call's points off the rim circle
+    |x| = 1 - BOUNDARY_EPS, which every sweep evaluates; with fail_at the
+    fail_at-th such call raises FloatingPointError before it evaluates."""
     rim = (1.0 - BOUNDARY_EPS) * kernels.polar_grid(*grid)[1]
-    sizes = []
+    calls = []
 
     def counted(code, params, num, den, z):
         if not (np.shape(z) == rim.shape and np.array_equal(z, rim)):
-            if refuse:
-                raise AssertionError("eval_map called on the grid")
-            sizes.append(np.size(z))
-            if len(sizes) == fail_at:
+            calls.append(np.array(z))
+            if len(calls) == fail_at:
                 raise FloatingPointError("midway")
         return EVAL_MAP(code, params, num, den, z)
 
     monkeypatch.setattr(kernels, "eval_map", counted)
-    return sizes
-
-
-def _image_is_the_map(h, grid):
-    """Every filled entry of the memo's image is h on its grid point, bit for
-    bit.  h is evaluated one ring at a time: numpy runs a product of
-    temporaries in place from 2**14 complex entries on, which can move the last
-    bit of spiral_koebe's values."""
-    _, _, image, filled = kernels._memo
-    radii, ring = kernels.polar_grid(*grid)
-    ref = np.stack([EVAL_MAP(*_family(h), r * ring) for r in radii])
-    assert np.array_equal(image[filled], ref[filled])
+    return calls
 
 
 @pytest.mark.parametrize("grid", [(400, 400), (401, 7)], ids=["400x400", "401x7"])
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_image_memo_follows_a_complement_that_grows_shrinks_and_grows(h, grid, no_memo):
     """One map at alpha up, down and up again: the complement grows, shrinks
-    inside the filled part and grows past it, and every sweep returns the
-    per-ring result bit for bit."""
+    and grows past its first size, and every hit on the kept criterion
+    returns the per-ring result, bit for bit about a centre in h(Omega_alpha)."""
     sizes = []
     for alpha, shift in [(0.3, 1.0), (0.6, 0.5), (0.4, 1.0), (0.8, 0.5)]:
+        inside = _centre_in_complement(h, X0, alpha, shift)
         got, ref = _sweep(h, X0, alpha, shift, grid)
-        assert got == ref
+        _assert_edge_result(got, ref, inside)
         sizes.append(ref[3])
     assert 0 < sizes[0] < sizes[2] < sizes[1] < sizes[3]
-    _image_is_the_map(h, grid)
-
-
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
-def test_hit_inside_the_filled_part_evaluates_no_h(h, no_memo, monkeypatch):
-    _sweep(h, X0, 0.3, 1.0, (400, 400))
-    _sweep(h, X0, 0.8, 1.0, (400, 400))
-    _grid_evals(monkeypatch, (400, 400), refuse=True)
-    got, ref = _sweep(h, X0, 0.5, 0.5, (400, 400))
-    assert got == ref
-
-
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
-def test_hit_evaluates_h_only_on_new_points(h, no_memo, monkeypatch):
-    """After the miss filled its complement, each hit with a larger complement
-    evaluates h only on the points the smaller ones did not hold."""
-    _, ref_miss = _sweep(h, X0, 0.3, 1.0, (400, 400))
-    sizes = _grid_evals(monkeypatch, (400, 400))
-    got, ref = _sweep(h, X0, 0.5, 1.0, (400, 400))
-    assert got == ref
-    assert 0 < sum(sizes) == ref[3] - ref_miss[3]
-    sizes.clear()
-    got, ref_big = _sweep(h, X0, 0.8, 0.5, (400, 400))
-    assert got == ref_big
-    assert 0 < sum(sizes) == ref_big[3] - ref[3]
-
-
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
-def test_hit_that_raises_leaves_a_sound_memo(h, no_memo, monkeypatch):
-    """A hit cut short by an exception marks only the points it evaluated, so
-    the memo stays and the next sweep of that map is still bit-identical."""
-    _sweep(h, X0, 0.3, 1.0, (400, 400))
-    _sweep(h, X0, 0.5, 1.0, (400, 400))
-    _grid_evals(monkeypatch, (400, 400), fail_at=2)
-    with pytest.raises(FloatingPointError):
-        _sweep(h, X0, 0.8, 1.0, (400, 400))
-    assert kernels._memo[0] == (*_family(h), 400, 400)
-    _image_is_the_map(h, (400, 400))
-    monkeypatch.setattr(kernels, "eval_map", EVAL_MAP)
-    got, ref = _sweep(h, X0, 0.8, 0.5, (400, 400))
-    assert got == ref
-    _image_is_the_map(h, (400, 400))
+    assert kernels._memo[0] == (*_family(h), *grid)
 
 
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
 def test_miss_evaluates_h_on_no_more_than_its_complement(h, no_memo, monkeypatch):
-    """A miss evaluates h once on each complement point and fills exactly its
-    complement of the image memo."""
-    sizes = _grid_evals(monkeypatch, (400, 400))
+    """A miss evaluates h in one call, on the edge of its complement: every
+    edge point once, in ring-major order, and no other complement point."""
+    spec = OmegaSpec.build(h, X0, 0.5)
+    calls = _grid_evals(monkeypatch, (400, 400))
     got, ref = _sweep(h, X0, 0.5, 1.0, (400, 400))
     assert got == ref
-    assert 0 < sum(sizes) == ref[3]
-    _, _, _, filled = kernels._memo
-    assert np.count_nonzero(filled) == ref[3]
-    _image_is_the_map(h, (400, 400))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], _edge_points(h, spec.threshold, (400, 400)))
+    assert 0 < calls[0].size < ref[3]
+
+
+@pytest.mark.parametrize("mode", ["hit", "streamed", "no key"])
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_sweep_evaluates_h_only_on_the_edge_and_the_rim(h, mode, no_memo, monkeypatch):
+    """A memo hit, a grid above the cap streamed in blocks of three rings and
+    a sweep with no key each evaluate F on the edge of the complement, every
+    edge point once in ring-major order, and on the rim circle last; the
+    result is the per-ring one about h(x0), which lies in h(Omega_alpha)."""
+    grid = (90, 64)
+    fam = _family(h)
+    spec = OmegaSpec.build(h, X0, 0.5)
+    centre = complex(EVAL_MAP(*fam, X0))
+    key = None if mode == "no key" else fam
+    if mode == "hit":
+        kernels.covered_min_distance(*fam, 0.5 * spec.threshold, 0j, *grid, BOUNDARY_EPS)
+    if mode == "streamed":
+        monkeypatch.setattr(kernels, "MEMO_MAX_POINTS", grid[0] * grid[1] - 1)
+        monkeypatch.setattr(kernels, "SWEEP_BLOCK", 3 * grid[1])
+    seen = []
+
+    def F(z):
+        seen.append(np.array(z))
+        return EVAL_MAP(*fam, z)
+
+    got = kernels.min_distance(F, lambda z: kernels.abs_deriv(*fam, z), key,
+                               spec.threshold, centre, *grid, BOUNDARY_EPS)
+    ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: EVAL_DERIV(*fam, z),
+                                 spec.threshold, centre, *grid, BOUNDARY_EPS)
+    assert got == ref
+    assert np.array_equal(np.concatenate(seen[:-1]), _edge_points(h, spec.threshold, grid))
+    assert np.array_equal(seen[-1], (1.0 - BOUNDARY_EPS) * kernels.polar_grid(*grid)[1])
+    assert len(seen) == 2 or mode == "streamed"
+    assert (kernels._memo is not None) == (mode == "hit")
+
+
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_hit_that_raises_leaves_a_sound_memo(h, no_memo, monkeypatch):
+    """A hit cut short by an exception in F keeps the memo's criterion, so the
+    next sweep of that map is still bit-identical."""
+    _sweep(h, X0, 0.3, 1.0, (400, 400))
+    _grid_evals(monkeypatch, (400, 400), fail_at=1)
+    with pytest.raises(FloatingPointError):
+        _sweep(h, X0, 0.5, 1.0, (400, 400))
+    assert kernels._memo[0] == (*_family(h), 400, 400)
+    monkeypatch.setattr(kernels, "eval_map", EVAL_MAP)
+    got, ref = _sweep(h, X0, 0.5, 1.0, (400, 400))
+    assert got == ref
+
+
+def test_centre_outside_omega_measures_zero():
+    """A shifted centre whose preimage x1 lies outside Omega_alpha is not in
+    h(Omega_alpha): the measured radius is 0.0, and the report fails on the
+    radius chain, since delta(x1) <= alpha delta(x0) < |beta| delta(x0)."""
+    h, x0, alpha, beta = UnivalentMap.half_plane(), 0.2, 0.3, 0.5 * np.exp(1.3j)
+    assert _centre_in_complement(h, x0, alpha, beta)
+    rep = verify_shifted_covering_bound(h, x0, alpha, beta)
+    assert rep["measured_radius_lower"] == 0.0
+    assert not rep["pass"] and rep["reason"] == "radius_chain_violated"
+    assert rep["complement_points"] > 0
+
+
+disk = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
+
+
+@given(code=st.integers(0, len(ALL_CODES) - 1), x0=disk, c=disk,
+       alpha=st.floats(0.05, 0.95))
+@settings(max_examples=60, deadline=None)
+def test_edge_sweep_is_at_least_the_complement_sweep(code, x0, alpha, c):
+    """About any centre h(c), inside h(Omega_alpha) or not, the edge minimum is
+    at least the per-ring minimum over the whole complement, and the rim
+    minimum and the complement count are the per-ring ones."""
+    h = ALL_CODES[code]
+    fam = _family(h)
+    spec = OmegaSpec.build(h, x0, alpha)
+    args = (spec.threshold, complex(EVAL_MAP(*fam, c)), 48, 40, BOUNDARY_EPS)
+    got = kernels.covered_min_distance(*fam, *args)
+    ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: EVAL_DERIV(*fam, z),
+                                 *args)
+    assert got[0] >= ref[0]
+    assert got[2:] == ref[2:]

@@ -403,6 +403,23 @@ def test_newton_stalled_entry_leaves_after_one_bottomed_out_halving():
     assert abs(z[1] - 0.3) < 1e-15 and res[1] <= kernels.NEWTON_TOL
 
 
+def test_newton_entry_at_a_zero_of_dF_stalls():
+    """A Newton step that divides by dF = 0 is not finite: that entry stalls
+    at once and keeps its iterate, with no divide-by-zero warning (the suite
+    turns warnings into errors) and no trial step; the other entry converges."""
+    calls = []
+
+    def F(z):
+        calls.append(z.size)
+        return (z - 0.5) ** 2
+
+    z, res = kernels.newton(F, lambda z: 2.0 * (z - 0.5), np.array([0.01, 0.04]) + 0j,
+                            np.array([0.5, 0.65]))
+    assert calls[:2] == [2, 1]
+    assert z[0] == 0.5 and res[0] == 0.01
+    assert abs(z[1] - 0.7) < 1e-12 and res[1] <= kernels.NEWTON_TOL
+
+
 def _newton_without_stall_exit(F, dF, w, z0):
     """kernels.newton before its stall exit: an entry whose halving bottoms
     out takes its last trial step and goes on iterating."""

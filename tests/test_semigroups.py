@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spirallab import kernels
 from spirallab.families import UnivalentMap
 from spirallab.semigroups import (
     Generator,
@@ -173,6 +174,25 @@ def test_koenigs_invert_array_round_trip(tau):
     back = h.invert_array(h.eval_array(zs), guess=0j)
     assert np.max(np.abs(back - zs)) < 1e-9
     assert abs(h.invert(h.eval(complex(zs[0]))) - zs[0]) < 1e-9
+
+
+def test_koenigs_dilation_map_at_zero_carries_its_spiral_multiplier():
+    """A dilation Koenigs map with tau = 0 is mu-spirallike for its own mu
+    (mu h/(z h') = f/z), so it carries spiral_multiplier = mu; with tau != 0
+    or of hyperbolic type it carries None.  Its points to |z| = 0.99 invert
+    from guess=0j, and spiral_newton alone on that multiplier solves them."""
+    mu = np.exp(-1j)
+    h = koenigs(Generator([0, mu, -0.5 * mu], kind="dilation", tau=0.0))
+    assert h.spiral_multiplier == mu
+    assert koenigs(gen_conj_logistic()).spiral_multiplier is None
+    assert koenigs(gen_hyperbolic()).spiral_multiplier is None
+    zs = random_disk(np.random.default_rng(40), 200, 0.99)
+    ws = h.eval_array(zs)
+    assert np.max(np.abs(h.invert_array(ws, guess=0j) - zs)) < 1e-9
+    z, res = kernels.spiral_newton(h.eval_array, h.deriv_array, ws, h.spiral_multiplier,
+                                   h.deriv(0j))
+    assert np.all(res <= kernels.NEWTON_TOL)
+    assert np.max(np.abs(z - zs)) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.3], ids=["plain", "conjugated"])
