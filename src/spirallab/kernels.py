@@ -23,6 +23,7 @@ and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
 from w alone, for the Mobius and half-plane maps.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -344,8 +345,9 @@ def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
     If the map has a key (None: kept nowhere, and the memo is left alone) its
     read-only criterion grid is kept in a one-entry memo, keyed by
     (*key, nr, nt), which a later sweep of the same map and grid reads.  A
-    larger grid streams in blocks of whole rings, each reading one more ring
-    on either side for its edge.
+    larger grid streams in blocks of whole rings, each ring's criterion built
+    once: a block's edge reads the last ring of the block before it and the
+    first of the block after it.
     """
     global _memo
     radii, ring = polar_grid(nr, nt)
@@ -353,23 +355,21 @@ def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
     hit = _memo is not None and _memo[0] == key
     if key is not None and not hit:
         _memo = None
-    if hit:
-        crit = _memo[1]
-    elif whole:
-        crit = criterion(abs_dF, radii, ring)
-        if key is not None:
+    if whole:
+        crit = _memo[1] if hit else criterion(abs_dF, radii, ring)
+        if key is not None and not hit:
             crit.flags.writeable = False
             _memo = (key, crit)
-    step = nr if whole else max(1, SWEEP_BLOCK // nt)
-    best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
-    for a in range(0, nr, step):
-        b = min(a + step, nr)
-        lo, hi = max(a - 1, 0), min(b + 1, nr)
-        c = crit if whole else criterion(abs_dF, radii[lo:hi], ring)
-        # rings a-1 .. b; below ring 0 counts as in K, beyond the outermost as outside
-        out = np.concatenate([np.ones((int(lo == a), nt), bool), c <= threshold,
-                              np.zeros((int(hi == b), nt), bool)])
-        own = out[1:-1]
+        blocks = iter([crit <= threshold])
+    else:
+        step = max(1, SWEEP_BLOCK // nt)
+        blocks = (criterion(abs_dF, radii[a:a + step], ring) <= threshold
+                  for a in range(0, nr, step))
+    best, witness, n_out, a = np.inf, complex(np.nan, np.nan), 0, 0
+    # below ring 0 counts as in K, beyond the outermost ring as outside
+    below, own = np.ones((1, nt), bool), next(blocks)
+    for above in itertools.chain(blocks, [np.zeros((1, nt), bool)]):
+        out = np.concatenate([below, own, above[:1]])
         n_out += int(np.count_nonzero(own))
         i, j = np.nonzero(own & ~(out[:-2] & out[2:] & np.roll(own, 1, 1) & np.roll(own, -1, 1)))
         if i.size:
@@ -378,6 +378,7 @@ def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
             k = int(np.argmin(d))
             if d[k] < best:
                 best, witness = float(d[k]), complex(x[k])
+        a, below, own = a + own.shape[0], own[-1:], above
     bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
     return best, witness, bmin, n_out
 

@@ -281,7 +281,8 @@ def schroder_residual(h, gen: Generator, t, samples):
 
 
 def spirallike_margin(h, mu):
-    """min over the margin circle of Re( mu h(z) / (z h'(z)) ).
+    """min over the margin circle of Re( mu h(z) / (z h'(z)) ), or -inf when h'
+    has a zero inside it.
 
     h is accepted as mu-spirallike (interior point case, h(0)=0) when the
     margin is >= -1e-9; Re mu <= 0, where the margin decides nothing, is refused."""
@@ -291,4 +292,24 @@ def spirallike_margin(h, mu):
     if abs(h.eval(0j)) > 1e-10:
         raise ValueError("interior-point criterion needs h(0) = 0")
     z = margin_circle()
-    return float(np.min((mu * h.eval_array(z) / (z * h.deriv_array(z))).real))
+    dh = h.deriv_array(z)
+    margin = float(np.min((mu * h.eval_array(z) / (z * dh)).real))
+    # the minimum principle needs h' != 0 inside; where h' vanishes, h is not
+    # locally univalent and mu h/(z h') has a pole or h a multiple zero
+    return margin if abs(_turns(h, z, dh)) < 0.5 else -np.inf
+
+
+def _turns(h, z, dh):
+    """Zeros of h' inside the margin circle z, dh = h'(z): the turns of h' along
+    it (argument principle), each step turning by more than pi/4, as near a
+    pole of h' just beyond the circle, split in 16 up to six times."""
+    t, dt, inc, turn = np.angle(z), 2.0 * np.pi / z.size, np.angle(np.roll(dh, -1) / dh), 0.0
+    for _ in range(6):
+        fast = np.abs(inc) > np.pi / 4
+        if not fast.any():
+            break
+        turn += np.sum(inc[~fast])
+        s = t[fast, None] + dt / 16 * np.arange(17)
+        w = h.deriv_array(abs(z[0]) * np.exp(1j * s))
+        t, dt, inc = s[:, :-1].ravel(), dt / 16, np.angle(w[:, 1:] / w[:, :-1]).ravel()
+    return (turn + np.sum(inc)) / (2.0 * np.pi)

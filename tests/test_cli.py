@@ -400,6 +400,18 @@ def test_bad_times_and_counts_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("num", [[0, 1, 1.2], [0, 0, 1]], ids=["z+1.2z^2", "z^2"])
+def test_spiral_check_fails_a_map_whose_derivative_vanishes_inside(tmp_path, num):
+    """h' of z + 1.2z^2 vanishes at -0.417 and that of z^2 at 0: neither map is
+    locally univalent, though Re(h/(z h')) is positive all along the margin
+    circle (about 0.142 and 0.5).  The zero count of h' on the circle fails
+    them with margin -inf, written as null."""
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"family": "rational", "num": num, "den": [1]}))
+    code, rep = run(tmp_path, "spiral-check", "--fn", str(fn), "--mu", "1,0")
+    assert code == 1 and rep["margin"] is None and rep["pass"] is False
+
+
 @pytest.mark.parametrize("mu", ["0", "-1,0", "0,1"])
 def test_spiral_check_refuses_re_mu_not_positive(tmp_path, capsys, mu):
     """The margin is at most Re mu, so koebe with mu = 0 passed with margin

@@ -235,6 +235,25 @@ def test_spirallike_margin_negative_for_wrong_mu():
     assert spirallike_margin(UnivalentMap.koebe(), 0.05 + 1.0j) < 0
 
 
+@pytest.mark.parametrize("c, critical", [(0.4995, False), (0.5006, True), (1.2, True)])
+def test_spirallike_margin_is_minus_inf_where_h_prime_vanishes(c, critical):
+    """h = z + c z^2 has h'(-1/(2c)) = 0: inside the margin circle
+    |z| = 0.999 for c = 0.5006 and 1.2, just beyond it for c = 0.4995."""
+    margin = spirallike_margin(UnivalentMap.rational([0, 1, c], [1]), 1.0)
+    assert (margin == -np.inf) == critical
+    assert margin > 0 or critical
+
+
+@pytest.mark.parametrize("h", [
+    UnivalentMap.koebe(), UnivalentMap.spiral_koebe(0.0), UnivalentMap.mobius_spiral(0.9999),
+    UnivalentMap.rational([0, 1], [1, -2, 1]),
+], ids=["koebe", "spiral_koebe", "mobius_0.9999", "double_pole_on_circle"])
+def test_spirallike_margin_counts_no_zero_beside_a_pole_beyond_the_circle(h):
+    """A pole of h' 1e-3 beyond the margin circle turns its argument by up to
+    3 pi within a few samples; the refined steps still count no zero of h'."""
+    assert 0 < spirallike_margin(h, 1.0) < 1e-2
+
+
 @pytest.mark.parametrize("spec, want", [
     ({"poly": [0, 1, -1], "kind": "dilation", "tau": 0, "mu": 1}, gen_logistic()),
     ({"poly": [[-1, 0], 0, [1, 0]], "kind": "hyperbolic", "tau": [1, 0]}, gen_hyperbolic()),
