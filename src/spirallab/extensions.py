@@ -337,12 +337,16 @@ def _gamma_probes(z1, fibre, xs, step, n_gamma):
     """The probes z1 + step e^(2 pi i k / n_gamma) with their fibre term and
     the preimage x of their sample, in blocks of whole directions k,
     direction-major, of at most SWEEP_BLOCK points (one direction a block when
-    z1 is larger: never all n_gamma copies)."""
-    per = max(1, kernels.SWEEP_BLOCK // max(1, z1.size))
+    z1 is larger: never all n_gamma copies).  The fibre term and x are tiled
+    once a call, and not at all for one direction a block."""
+    n = z1.size
+    per = max(1, min(n_gamma, kernels.SWEEP_BLOCK // max(1, n)))
+    if per > 1:
+        fibre, xs = np.tile(fibre, per), np.tile(xs, per)
     for k0 in range(0, n_gamma, per):
         ks = range(k0, min(k0 + per, n_gamma))
         dirs = np.array([[np.exp(2j * np.pi * k / n_gamma)] for k in ks])
-        yield (z1 + step * dirs).ravel(), np.tile(fibre, len(ks)), np.tile(xs, len(ks))
+        yield (z1 + step * dirs).ravel(), fibre[:len(ks) * n], xs[:len(ks) * n]
 
 
 def _ri(z):

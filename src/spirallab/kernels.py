@@ -305,12 +305,15 @@ def invert(code, params, num, den, w, guess, mu=None):
                      lambda z: eval_deriv(code, params, num, den, z), w, guess, mu)
 
 
+@lru_cache
 def polar_grid(nr, nt):
     """Radii r_k = 1 - (1 - k/nr)^2, k < nr, which concentrate at the rim, and
-    the ring of the nt-th roots of unity."""
+    the ring of the nt-th roots of unity; both read-only, built once a grid."""
     k = np.arange(nr, dtype=float)
     theta = 2.0 * np.pi * np.arange(nt) / nt
-    return 1.0 - (1.0 - k / nr) ** 2, np.exp(1j * theta)
+    radii, ring = 1.0 - (1.0 - k / nr) ** 2, np.exp(1j * theta)
+    radii.flags.writeable = ring.flags.writeable = False
+    return radii, ring
 
 
 def criterion(abs_dF, radii, ring):
@@ -322,6 +325,23 @@ def criterion(abs_dF, radii, ring):
         r = radii[k:k + s, None]
         np.multiply(abs_dF(r * ring), 1.0 - r * r, out=crit[k:k + s])
     return crit
+
+
+def _edge(below, own, above):
+    """Flat ring-major indices of the edge points of a block own of whole
+    rings of K: points of K with a neighbour outside K along their ray (the
+    ring below is below[-1], the one above above[0]) or their ring (which
+    wraps around)."""
+    inner = own.copy()
+    inner[0] &= below[-1]
+    inner[1:] &= own[:-1]
+    inner[:-1] &= own[1:]
+    inner[-1] &= above[0]
+    inner[:, 1:] &= own[:, :-1]
+    inner[:, 0] &= own[:, -1]
+    inner[:, :-1] &= own[:, 1:]
+    inner[:, -1] &= own[:, 0]
+    return np.flatnonzero(own & ~inner)
 
 
 MEMO_MAX_POINTS = 2**18  # largest grid min_distance sweeps whole, and keeps
@@ -369,9 +389,8 @@ def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
     # below ring 0 counts as in K, beyond the outermost ring as outside
     below, own = np.ones((1, nt), bool), next(blocks)
     for above in itertools.chain(blocks, [np.zeros((1, nt), bool)]):
-        out = np.concatenate([below, own, above[:1]])
         n_out += int(np.count_nonzero(own))
-        i, j = np.nonzero(own & ~(out[:-2] & out[2:] & np.roll(own, 1, 1) & np.roll(own, -1, 1)))
+        i, j = np.divmod(_edge(below, own, above), nt)
         if i.size:
             x = radii[a + i] * ring[j]
             d = np.abs(F(x) - center)

@@ -450,6 +450,88 @@ def _edge_points(h, threshold, grid):
     return np.array(edge)
 
 
+def _old_edge(below, own, above):
+    """The edge mask's first formula, kept as the oracle of ``kernels._edge``:
+    the block stacked between its neighbour rings, two rolled copies along
+    the ring and a 2-D np.nonzero, as flat ring-major indices."""
+    out = np.concatenate([below, own, above[:1]])
+    i, j = np.nonzero(own & ~(out[:-2] & out[2:] & np.roll(own, 1, 1) & np.roll(own, -1, 1)))
+    return i * own.shape[1] + j
+
+
+@st.composite
+def _edge_blocks(draw):
+    """(below, own, above): one ring, 1-5 rings and 1-3 rings of nt in 1-9 points."""
+    nt = draw(st.integers(1, 9))
+
+    def rings(k):
+        return np.array(draw(st.lists(st.booleans(), min_size=k * nt, max_size=k * nt)),
+                        dtype=bool).reshape(k, nt)
+
+    return rings(1), rings(draw(st.integers(1, 5))), rings(draw(st.integers(1, 3)))
+
+
+@given(_edge_blocks())
+@settings(max_examples=300, deadline=None)
+def test_edge_mask_matches_the_rolled_formula(blocks):
+    """The flat edge mask lists the rolled formula's points, index for index,
+    on every block shape down to one ring of one point, where the ring's
+    wrap-around neighbours are the point itself."""
+    got = kernels._edge(*blocks)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, _old_edge(*blocks))
+
+
+def test_polar_grid_is_built_once_and_read_only():
+    radii, ring = kernels.polar_grid(7, 5)
+    again = kernels.polar_grid(7, 5)
+    assert again[0] is radii and again[1] is ring
+    for a in (radii, ring):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+def _same(got, expected):
+    """Tuple equality that counts a NaN as equal to a NaN (the witness of an
+    empty complement)."""
+    return len(got) == len(expected) and all(
+        a == b or (a != a and b != b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
+@pytest.mark.parametrize("grid", [(1, 1), (2, 1), (1, 2), (2, 2), (5, 2)],
+                         ids=lambda g: "x".join(map(str, g)))
+@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+def test_sweep_of_tiny_grids_matches_per_ring_loop(h, grid, streamed, no_memo, monkeypatch):
+    """Grids of one or two points a ring, whole and streamed a ring a block, at
+    a threshold between each two criterion values (K from empty to the whole
+    grid, and no tie the per-ring loop's |h'| may break apart): the minimum is the one over the rolled formula's edge, the rim
+    minimum and the count of K are the per-ring ones, and the edge minimum is
+    at least the per-ring minimum over all of K."""
+    if streamed:
+        monkeypatch.setattr(kernels, "MEMO_MAX_POINTS", 0)
+        monkeypatch.setattr(kernels, "SWEEP_BLOCK", 1)
+    fam = _family(h)
+    radii, ring = kernels.polar_grid(*grid)
+    crit = kernels.criterion(lambda z: kernels.abs_deriv(*fam, z), radii, ring)
+    x, u = radii[:, None] * ring, np.unique(crit)
+    for threshold in [u[0] - 1.0, *(0.5 * (u[:-1] + u[1:])), u[-1] + 1.0]:
+        out = crit <= threshold
+        edge = x.ravel()[_old_edge(np.ones((1, grid[1]), bool), out, np.zeros((1, grid[1]), bool))]
+        for centre in (complex(EVAL_MAP(*fam, X0)), 0.5 * complex(EVAL_MAP(*fam, X0))):
+            got = kernels.covered_min_distance(*fam, threshold, centre, *grid, BOUNDARY_EPS)
+            ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z),
+                                         lambda z: EVAL_DERIV(*fam, z),
+                                         threshold, centre, *grid, BOUNDARY_EPS)
+            best, witness = np.inf, complex(np.nan, np.nan)
+            if edge.size:
+                d = np.abs(EVAL_MAP(*fam, edge) - centre)
+                k = int(np.argmin(d))
+                best, witness = float(d[k]), complex(edge[k])
+            assert _same(got, (best, witness, *ref[2:]))
+            assert got[3] == np.count_nonzero(out) and got[0] >= ref[0]
+
+
 def _grid_evals(monkeypatch, grid, fail_at=None):
     """Patch kernels.eval_map to record each call's points off the rim circle
     |x| = 1 - BOUNDARY_EPS, which every sweep evaluates; with fail_at the
