@@ -12,7 +12,6 @@ smallest double).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -32,6 +31,7 @@ UNDECIDED = (NoConvergence, BranchTrackingError, StepUnderflow, LeftDomain,
 FAMILY_SHORTCUTS = ("identity", "koebe", "half_plane")
 COMPLEX_OPTIONS = ("--x0", "--beta", "--z0", "--mu", "--lambda")
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
+CSV_BATCH = 1 << 12  # rows per write of a dump built in batches (--dump-region)
 
 
 class UsageError(ValueError):
@@ -110,11 +110,23 @@ def _load_poly(arg, m, r):
     return q
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, chunks):
+    """header, then the rows of each chunk, one field per header name, byte for
+    byte as csv.writer writes them: fields by str, comma-separated,
+    CRLF-terminated, none quoted (no number needs it).  Each chunk's text is
+    built in one pass and written at once."""
+    row = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for rows in chunks:
+            fh.write("".join([row % tuple(r) for r in rows]))
+
+
+def _region_rows(pts, inside):
+    """The rows (x_re, x_im, in_omega) of --dump-region, CSV_BATCH at a time."""
+    for a in range(0, pts.size, CSV_BATCH):
+        x, i = pts[a:a + CSV_BATCH], inside[a:a + CSV_BATCH]
+        yield zip(x.real.tolist(), x.imag.tolist(), i.astype(int).tolist())
 
 
 # -- subcommands ------------------------------------------------------------
@@ -134,8 +146,7 @@ def cmd_covering(args):
     if args.dump_region:
         spec = covering.OmegaSpec.build(h, x0, args.alpha)
         pts, inside = covering.omega_region_points(h, spec, grid)
-        _write_csv(args.dump_region, ["x_re", "x_im", "in_omega"],
-                   ([p.real, p.imag, int(i)] for p, i in zip(pts, inside)))
+        _write_csv(args.dump_region, ["x_re", "x_im", "in_omega"], _region_rows(pts, inside))
     return rep, rep["pass"]
 
 
@@ -151,7 +162,7 @@ def cmd_koenigs(args):
     resid = float(np.max(np.abs(h.deriv_array(zs) * gen.f(zs) - gen.mu * hv)))
     if args.out_csv:
         _write_csv(args.out_csv, ["z_re", "z_im", "h_re", "h_im"],
-                   ([z.real, z.imag, v.real, v.imag] for z, v in zip(zs, hv)))
+                   [np.column_stack((zs.real, zs.imag, hv.real, hv.imag)).tolist()])
     return {"linearization_residual": resid, "n_samples": int(zs.size)}, resid <= 1e-8
 
 
@@ -202,7 +213,8 @@ def cmd_sharp_bound(args):
     tail = float(sharp_bound.f_sharp(p, t_tail))
     if args.dump_curve:
         ts = np.geomspace(1e-6, t_tail, 2000)
-        _write_csv(args.dump_curve, ["t", "f"], zip(ts, sharp_bound.f_sharp(p, ts)))
+        _write_csv(args.dump_curve, ["t", "f"],
+                   [np.column_stack((ts, sharp_bound.f_sharp(p, ts))).tolist()])
     ok = ineq["min_margin"] >= 0 and abs(tail - 1.0) <= 1e-6
     return {"infimum": inf, "limit_zero": p.limit_zero, "inequality_margin": ineq,
             "f_at_tmax": tail}, ok
@@ -226,11 +238,12 @@ def cmd_gen_extend(args):
     flow = genext.flow_ball(g, xs[:args.flows], ys[:args.flows], args.T)
     exits = int(np.sum(flow.exited))
     if args.dump_traj:
-        ts = flow.t.tolist()
+        # each flow's reached checkpoints in turn: t, then the state's real view
+        rows = [np.column_stack((flow.t[:n], flow.v[:n, i].view(float)))
+                for i, n in enumerate(flow.reached)]
         _write_csv(args.dump_traj, ["t", "x_re", "x_im"]
                    + [f"y{k}_{p}" for k in range(space.m) for p in ("re", "im")],
-                   ([ts[k]] + flow.v[k, i].view(float).tolist()
-                    for i, n in enumerate(flow.reached) for k in range(n)))
+                   [np.concatenate(rows).tolist()] if rows else [])
     findings = {"conjugation_residual": resid, "dh_identity_residual": dh_res,
                 "ball_exits": exits, "flows": min(args.flows, len(xs)),
                 "ode_steps": flow.steps}

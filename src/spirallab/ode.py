@@ -12,6 +12,8 @@ paid only on a step with a time of t_eval strictly inside it, so one call with
 FSAL kept throughout replaces a call per checkpoint.
 """
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 # DOP853 tableau, copied from scipy/integrate/_ivp/dop853_coefficients.py
@@ -125,26 +127,30 @@ class LeftDomain(RuntimeError):
         self.steps = steps
 
 
-def _point(y, h, kr, i):
-    """The point y + h sum_j a_ij k_j at which stage i is evaluated."""
-    return y + h * (_A[i, :i] @ kr[:i]).view(complex).reshape(y.shape)
+def _point(y, h, kr, i, s, s_r):
+    """The point y + h sum_j a_ij k_j at which stage i is evaluated, a new
+    array; the sum goes into the scratch s (complex, of y's shape), through
+    s_r, its flat real view."""
+    np.matmul(_A[i, :i], kr[:i], out=s_r)
+    return y + h * s
 
 
-def _dense_states(rhs, y, y1, k, kr, h, theta):
+def _dense_states(rhs, y, y1, k, kr, h, theta, s):
     """States at the fractions theta of an accepted step of size h from y to
     y1 with stages k[:13] (k[12] = f(y1)), by DOP853's continuous extension,
-    after evaluating its 3 extra stages into k[13:]."""
+    after evaluating its 3 extra stages into k[13:] (s: _point's scratch)."""
     for i in range(13, 16):
-        k[i] = rhs(_point(y, h, kr, i)).ravel()
+        k[i] = rhs(_point(y, h, kr, i, *s)).ravel()
     dy = y1 - y
     hf0, hf1 = (h * k[[0, 12]]).reshape((2,) + y.shape)
     terms = [dy, hf0 - dy, 2 * dy - hf0 - hf1,
              *h * (_D @ kr).view(complex).reshape((4,) + y.shape)]
     th = theta.reshape(theta.shape + (1,) * y.ndim)
+    one_th = 1 - th
     # y + th (F0 + (1 - th) (F1 + th (F2 + (1 - th) (F3 + ... + th F6))))
     out = terms[6]
     for i in range(5, -1, -1):
-        out = terms[i] + (th if i % 2 else 1 - th) * out
+        out = terms[i] + (th if i % 2 else one_th) * out
     return y + th * out
 
 
@@ -171,7 +177,8 @@ def integrate(rhs, y0, t_end, tol=1e-11, max_steps=1_000_000, domain=None,
                                 and np.all(np.diff(t_eval) >= 0)):
             raise ValueError("t_eval must be increasing times in [0, t_end]")
         dense = np.empty(t_eval.shape + y.shape, dtype=complex)
-        done = np.searchsorted(t_eval, 0.0, side="right")
+        t_list = t_eval.tolist()
+        done = bisect_right(t_list, 0.0)
         dense[:done] = y
     h = min(0.1, t_end) if t_end > 0 else 0.0
     steps = 0
@@ -179,6 +186,8 @@ def integrate(rhs, y0, t_end, tol=1e-11, max_steps=1_000_000, domain=None,
     left = None  # rows outside the domain at the last squeezed step
     k = np.empty((16, y.size), dtype=complex)
     kr = k.view(float)  # real weights act on real and imaginary parts alike
+    scratch = np.empty_like(y)  # each stage's weighted sum of k, in turn
+    s = scratch, scratch.reshape(-1).view(float)
     if t_end > 0:
         k[0] = rhs(y).ravel()
     while t < t_end:
@@ -192,8 +201,8 @@ def integrate(rhs, y0, t_end, tol=1e-11, max_steps=1_000_000, domain=None,
                                  None if dense is None else dense[:done], steps)
             raise StepUnderflow("step size underflow")
         for i in range(1, 12):
-            k[i] = rhs(_point(y, h, kr, i)).ravel()
-        y1 = _point(y, h, kr, 12)
+            k[i] = rhs(_point(y, h, kr, i, *s)).ravel()
+        y1 = _point(y, h, kr, 12, *s)
         # dop853.f's error in the max norm: the 5th-order estimate e5 times
         # e5 / hypot(e5, e3 / 10), e3 the 3rd-order one
         e5, e3 = np.abs((_E @ kr[:12]).view(complex)).max(axis=1).tolist()
@@ -210,11 +219,11 @@ def integrate(rhs, y0, t_end, tol=1e-11, max_steps=1_000_000, domain=None,
             # t + (t_end - t) can round below t_end, leaving an ulp to step
             t_new = t_end if last else t + h
             if dense is not None:
-                inner = np.searchsorted(t_eval, t_new, side="left")
+                inner = bisect_left(t_list, t_new, done)
                 if inner > done:
                     dense[done:inner] = _dense_states(rhs, y, y1, k, kr, h,
-                                                      (t_eval[done:inner] - t) / h)
-                done = np.searchsorted(t_eval, t_new, side="right")
+                                                      (t_eval[done:inner] - t) / h, s)
+                done = bisect_right(t_list, t_new, inner)
                 dense[inner:done] = y1
             t = t_new
             y = y1

@@ -33,10 +33,14 @@ def canonical_bytes(payload: dict) -> bytes:
                       allow_nan=False).encode()
 
 
+def dumps(payload: dict) -> str:
+    """The report as indented strict JSON text, newline-terminated."""
+    return json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def dump(payload: dict, fh):
     """The report to an open text file, indented, as strict JSON."""
-    json.dump(_finite(payload), fh, sort_keys=True, indent=2, allow_nan=False)
-    fh.write("\n")
+    fh.write(dumps(payload))
 
 
 def determinism_hash(payload: dict) -> str:
@@ -51,11 +55,15 @@ def determinism_hash(payload: dict) -> str:
 
 def write_report(path, payload: dict):
     """Atomic write: the report either exists complete or not at all."""
+    data = memoryview(dumps(payload).encode())
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            dump(payload, fh)
+        try:
+            while data:  # one write, unless the file system takes less
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

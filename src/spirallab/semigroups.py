@@ -105,11 +105,15 @@ class Generator:
         return cls(coeffs, spec.get("kind", "dilation"), tau, mu)
 
 
+@lru_cache
 def margin_circle():
-    """The margins' samples, 2,560 points on |z| = 1 - 1e-3.  Each margin is the
-    real part of a function holomorphic on the disk, so by the minimum
-    principle its minimum over |z| <= 1 - 1e-3 lies on that circle."""
-    return (1.0 - 1e-3) * np.exp(2j * np.pi * np.arange(2560) / 2560)
+    """The margins' samples, 2,560 points on |z| = 1 - 1e-3, read-only, built
+    once.  Each margin is the real part of a function holomorphic on the disk,
+    so by the minimum principle its minimum over |z| <= 1 - 1e-3 lies on that
+    circle."""
+    z = (1.0 - 1e-3) * np.exp(2j * np.pi * np.arange(2560) / 2560)
+    z.flags.writeable = False
+    return z
 
 
 def berkson_porta_margin(gen: Generator):

@@ -1,12 +1,17 @@
 """End-to-end tests of the spirallab command line interface."""
 
 import csv
+import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from spirallab import cli, covering
 from spirallab.cli import build_parser, main
 from spirallab.extensions import (BallSpace, HomogeneousPolynomial, sample_ball, sup_norm_Q,
                                   sup_norm_Q_bound)
@@ -359,6 +364,111 @@ def test_gen_extend_dump_traj(tmp_path, flows):
     assert rows == [[flow.t[k], *flow.v[k, i].view(float)]
                     for i, n in enumerate(flow.reached) for k in range(n)]
 
+
+def _csv_module_text(header, rows):
+    """What csv.writer writes for header and rows, the reference of the dumps."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+               1.7976931348623157e308]
+CSV_CELLS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                      st.floats().map(np.float64), st.sampled_from(EDGE_FLOATS).map(np.float64),
+                      st.integers())
+
+
+@st.composite
+def csv_chunks(draw):
+    """(header, chunks of rows of header's width)."""
+    header = [f"c{k}" for k in range(draw(st.integers(1, 5)))]
+    row = st.lists(CSV_CELLS, min_size=len(header), max_size=len(header))
+    return header, draw(st.lists(st.lists(row, max_size=8), max_size=4))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dump=csv_chunks())
+def test_write_csv_writes_the_csv_module_bytes(tmp_path, dump):
+    """The dumps' one-pass writer: the bytes of csv.writer, for rows of Python
+    floats, numpy float64 scalars and ints, in any chunks (none: the header)."""
+    header, chunks = dump
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, header, chunks)
+    assert path.read_bytes() == _csv_module_text(
+        header, [row for rows in chunks for row in rows]).encode()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=24),
+       width=st.integers(1, 4))
+def test_write_csv_of_a_float_arrays_rows_matches_its_scalars(tmp_path, cells, width):
+    """A float array's tolist() rows write what csv.writer writes for the
+    array's own np.float64 scalars."""
+    a = np.array(cells[:len(cells) // width * width], dtype=float).reshape(-1, width)
+    path = tmp_path / "rows.csv"
+    header = [f"x{k}" for k in range(width)]
+    cli._write_csv(path, header, [a.tolist()])
+    assert path.read_bytes() == _csv_module_text(header, [list(row) for row in a]).encode()
+
+
+@pytest.mark.parametrize("flows", [0, 3])
+def test_gen_extend_dump_traj_bytes(tmp_path, flows):
+    """--dump-traj is the csv module's text of flow_ball's checkpoint rows, and
+    with --flows 0 its header alone."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [-1, 0]], "kind": "dilation",
+                               "tau": [0, 0], "mu": [1, 0]}))
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"degree": 2, "terms": [{"exps": [2], "coef": [0.25, 0]}]}))
+    traj = tmp_path / "traj.csv"
+    code, rep = run(tmp_path, "gen-extend", "--gen", str(gen), "--lambda", "1,0", "--r", "2",
+                    "--Q", str(q), "--samples", "5", "--flows", str(flows), "--T", "1.5",
+                    "--seed", "4", "--dump-traj", str(traj))
+    assert code == 0 and rep["flows"] == flows
+    space = BallSpace(r=2, m=1)
+    g = ExtendedGenerator(
+        base=Generator([0, 1, -1], kind="dilation", tau=0, mu=1), lam=1.0,
+        space=space, Q=HomogeneousPolynomial.build(2, 1, {(2,): 0.25}))
+    xs, ys = sample_ball(space, 5, np.random.default_rng(4))
+    flow = flow_ball(g, xs[:flows], ys[:flows], 1.5)
+    rows = [[flow.t[k], *flow.v[k, i].view(float)]
+            for i, n in enumerate(flow.reached) for k in range(n)]
+    assert len(rows) == 51 * flows
+    assert traj.read_bytes() == _csv_module_text(
+        ["t", "x_re", "x_im", "y0_re", "y0_im"], rows).encode()
+
+
+def test_sharp_bound_dump_curve_bytes(tmp_path):
+    """--dump-curve is the csv module's text of its (t, f(t)) numpy scalars."""
+    curve = tmp_path / "f.csv"
+    code, _ = run(tmp_path, "sharp-bound", "--lambda", "1,0.5", "--r", "2",
+                  "--dump-curve", str(curve))
+    assert code == 0
+    ts = np.geomspace(1e-6, 50.0 / (1.0 * 2), 2000)
+    rows = zip(ts, f_sharp(SharpParams(lam=1 + 0.5j, r=2), ts))
+    assert curve.read_bytes() == _csv_module_text(["t", "f"], rows).encode()
+
+
+@pytest.mark.parametrize("batch", [5, 12, cli.CSV_BATCH])
+def test_covering_dump_region_bytes(tmp_path, monkeypatch, batch):
+    """--dump-region, written CSV_BATCH rows at a time, is the csv module's
+    text of the region rows, whatever the batches."""
+    monkeypatch.setattr(cli, "CSV_BATCH", batch)
+    region = tmp_path / "region.csv"
+    code, _ = run(tmp_path, "covering", "--fn", "koebe", "--x0", "0.3,0.1", "--alpha", "0.5",
+                  "--grid", "3,4", "--dump-region", str(region))
+    assert code == 0
+    h = cli._load_map("koebe")
+    pts, inside = covering.omega_region_points(h, covering.OmegaSpec.build(h, 0.3 + 0.1j, 0.5),
+                                               (3, 4))
+    rows = [[p.real, p.imag, int(i)] for p, i in zip(pts, inside)]
+    assert len(rows) == 12 and 0 < sum(row[2] for row in rows) < 12
+    assert region.read_bytes() == _csv_module_text(["x_re", "x_im", "in_omega"], rows).encode()
 
 def test_usage_errors_exit_2(tmp_path):
     assert main(["covering", "--fn", "koebe", "--x0", "2,0",

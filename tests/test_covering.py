@@ -199,13 +199,15 @@ def test_omega_region_points_fractions():
 SWEEP_GRIDS = [(400, 400), (401, 400), (401, 7), (3, 5000)]
 
 
-def _per_ring_min_distance(F, dF, threshold, center, nr, nt, boundary_eps):
-    """Reference: the covering sweep one ring at a time."""
+def _per_ring_min_distance(F, abs_dF, threshold, center, nr, nt, boundary_eps):
+    """Reference: the covering sweep one ring at a time.  abs_dF is the
+    modulus |F'| the sweep reads, so a threshold tied with a grid point's
+    criterion counts that point as the sweep does."""
     radii, ring = kernels.polar_grid(nr, nt)
     best, witness, n_out = np.inf, complex(np.nan, np.nan), 0
     for r in radii:
         x = r * ring
-        out = np.abs(dF(x)) * (1.0 - r * r) <= threshold
+        out = abs_dF(x) * (1.0 - r * r) <= threshold
         if out.any():
             n_out += int(out.sum())
             d = np.abs(F(x[out]) - center)
@@ -227,7 +229,7 @@ def test_blocked_sweep_matches_per_ring_loop(h, grid):
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
         got = kernels.covered_min_distance(*fam, spec.threshold, center, *grid, BOUNDARY_EPS)
         ref = _per_ring_min_distance(lambda z: kernels.eval_map(*fam, z),
-                                     lambda z: kernels.eval_deriv(*fam, z),
+                                     lambda z: kernels.abs_deriv(*fam, z),
                                      spec.threshold, center, *grid, BOUNDARY_EPS)
         assert ref[3] > 0
         assert got == ref
@@ -263,7 +265,7 @@ def test_generic_map_sweep_matches_per_ring_loop(kind):
             h.eval_array, h.abs_deriv_array, None, spec.threshold, center, *grid,
             BOUNDARY_EPS)
         ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(
-            h.eval_array, h.deriv_array, spec.threshold, center, *grid, BOUNDARY_EPS)
+            h.eval_array, h.abs_deriv_array, spec.threshold, center, *grid, BOUNDARY_EPS)
         assert n_out == ref_n_out > 0
         assert abs(best - ref_best) <= 1e-12 * ref_best
         assert abs(bmin - ref_bmin) <= 1e-12 * ref_bmin
@@ -292,7 +294,7 @@ def _family(h):
 
 
 # the reference sweep reads these, so a test may patch kernels.eval_map
-EVAL_MAP, EVAL_DERIV = kernels.eval_map, kernels.eval_deriv
+EVAL_MAP, ABS_DERIV = kernels.eval_map, kernels.abs_deriv
 
 
 def _sweep(h, x0, alpha, shift, grid):
@@ -301,7 +303,7 @@ def _sweep(h, x0, alpha, shift, grid):
     fam = _family(h)
     args = (spec.threshold, shift * complex(EVAL_MAP(*fam, x0)), *grid, BOUNDARY_EPS)
     ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z),
-                                 lambda z: EVAL_DERIV(*fam, z), *args)
+                                 lambda z: ABS_DERIV(*fam, z), *args)
     return kernels.covered_min_distance(*fam, *args), ref
 
 
@@ -505,7 +507,7 @@ def _same(got, expected):
 def test_sweep_of_tiny_grids_matches_per_ring_loop(h, grid, streamed, no_memo, monkeypatch):
     """Grids of one or two points a ring, whole and streamed a ring a block, at
     a threshold between each two criterion values (K from empty to the whole
-    grid, and no tie the per-ring loop's |h'| may break apart): the minimum
+    grid): the minimum
     is the one over the rolled formula's edge, the rim minimum and the count
     of K are the per-ring ones, and the edge minimum is at least the per-ring
     minimum over all of K."""
@@ -522,7 +524,7 @@ def test_sweep_of_tiny_grids_matches_per_ring_loop(h, grid, streamed, no_memo, m
         for centre in (complex(EVAL_MAP(*fam, X0)), 0.5 * complex(EVAL_MAP(*fam, X0))):
             got = kernels.covered_min_distance(*fam, threshold, centre, *grid, BOUNDARY_EPS)
             ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z),
-                                         lambda z: EVAL_DERIV(*fam, z),
+                                         lambda z: ABS_DERIV(*fam, z),
                                          threshold, centre, *grid, BOUNDARY_EPS)
             best, witness = np.inf, complex(np.nan, np.nan)
             if edge.size:
@@ -531,6 +533,27 @@ def test_sweep_of_tiny_grids_matches_per_ring_loop(h, grid, streamed, no_memo, m
                 best, witness = float(d[k]), complex(edge[k])
             assert _same(got, (best, witness, *ref[2:]))
             assert got[0] >= ref[0]
+
+
+def test_per_ring_loop_counts_a_tied_threshold_as_the_sweep_does(no_memo):
+    """A threshold equal to a grid point's own criterion puts that point in K,
+    in the sweep and in the per-ring loop alike, which reads the same |h'|.
+    The complex |h'| differs from it in the last ulp: on Koebe's 5x2 grid,
+    at the third smallest criterion, it counts 2 points, not 3."""
+    h = UnivalentMap.koebe()
+    fam = _family(h)
+    radii, ring = kernels.polar_grid(5, 2)
+    crit = kernels.criterion(lambda z: kernels.abs_deriv(*fam, z), radii, ring)
+    for k, threshold in enumerate(np.unique(crit)):
+        got = kernels.covered_min_distance(*fam, threshold, 0j, 5, 2, BOUNDARY_EPS)
+        ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: ABS_DERIV(*fam, z),
+                                     threshold, 0j, 5, 2, BOUNDARY_EPS)
+        assert got[3] == ref[3] == np.sum(crit <= threshold)
+        assert got[2] == ref[2]
+        if k == 2:
+            assert got[3] == 3
+            assert np.sum(np.abs(kernels.eval_deriv(*fam, radii[:, None] * ring))
+                          * (1.0 - radii[:, None] ** 2) <= threshold) == 2
 
 
 def _grid_evals(monkeypatch, grid, fail_at=None):
@@ -605,7 +628,7 @@ def test_sweep_evaluates_h_only_on_the_edge_and_the_rim(h, mode, no_memo, monkey
 
     got = kernels.min_distance(F, lambda z: kernels.abs_deriv(*fam, z), key,
                                spec.threshold, centre, *grid, BOUNDARY_EPS)
-    ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: EVAL_DERIV(*fam, z),
+    ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: ABS_DERIV(*fam, z),
                                  spec.threshold, centre, *grid, BOUNDARY_EPS)
     assert got == ref
     assert np.array_equal(np.concatenate(seen[:-1]), _edge_points(h, spec.threshold, grid))
@@ -656,7 +679,7 @@ def test_edge_sweep_is_at_least_the_complement_sweep(code, x0, alpha, c):
     spec = OmegaSpec.build(h, x0, alpha)
     args = (spec.threshold, complex(EVAL_MAP(*fam, c)), 48, 40, BOUNDARY_EPS)
     got = kernels.covered_min_distance(*fam, *args)
-    ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: EVAL_DERIV(*fam, z),
+    ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: ABS_DERIV(*fam, z),
                                  *args)
     c_in_complement = kernels.abs_deriv(*fam, np.array([c]))[0] * (1.0 - abs(c) ** 2) \
         <= spec.threshold

@@ -58,6 +58,71 @@ def test_extra_stages_only_on_steps_with_a_time_inside():
     assert counts[1] == counts[0] and counts[2] == counts[0] + 3
 
 
+def _ball_field():
+    g = gx.ExtendedGenerator(base=logistic(), lam=1.0 + 0.5j, space=BallSpace(r=2.0, m=1),
+                             Q=HomogeneousPolynomial.build(2, 1, {(2,): 0.25}))
+
+    def f(v):
+        out = np.empty_like(v)
+        out[:, 0], out[:, 1:] = gx.extend_generator(g, v[:, 0], v[:, 1:])
+        return -out
+
+    v0 = np.array([[0.5 + 0.2j, 0.3], [-0.6 + 0.1j, 0.2j], [0.1j, -0.5], [0.05, 0.4 - 0.1j]])
+    return f, v0, g.space
+
+
+@pytest.mark.parametrize("case", ["disk_point", "ball_4x2"])
+def test_every_stage_point_is_its_expression_bit_for_bit(monkeypatch, case):
+    """The stage points, whose sums of k go through one reused scratch array,
+    are bit for bit y + h (A[i, :i] @ k[:i]), with the stages k recomputed
+    here from the points the rhs saw, on every stage of every step, dense
+    stages included."""
+    if case == "disk_point":
+        g, domain = logistic(), None
+        f, y0 = (lambda z: -g.f(z)), np.array([0.5 + 0.2j])
+    else:
+        f, y0, space = _ball_field()
+        domain = lambda v: space.gauge(v[:, 0], v[:, 1:]) < 1.0  # noqa: E731
+    seen, built = [], []
+    point = ode._point
+
+    def spy(y, h, kr, i, *out):
+        y = y.copy()
+        p = point(y, h, kr, i, *out)
+        built.append((y, h, i, p.copy()))
+        return p
+
+    def rhs(z):
+        seen.append(z.copy())
+        return f(z)
+
+    monkeypatch.setattr(ode, "_point", spy)
+    ts = np.cumsum(np.r_[0.0, np.full(20, 1.5 / 20)])
+    _, steps, _ = ode.integrate(rhs, y0, ts[-1], domain=domain, t_eval=ts)
+    assert steps > 1 and any(i > 12 for _, _, i, _ in built)
+    points = {}
+    for y, h, i, p in built:
+        if i == 1:
+            points = {0: y}
+        k = np.array([f(points[j]).ravel() for j in range(i)])
+        want = y + h * (ode._A[i, :i] @ k.view(float)).view(complex).reshape(y.shape)
+        assert p.tobytes() == want.tobytes(), (i, h)
+        points[i] = p
+    # the rhs was called at each stage point (not y1, stage 12), in order
+    calls = iter([z.tobytes() for z in seen])
+    assert all(p.tobytes() in calls for _, _, i, p in built if i != 12)
+
+
+def test_an_rhs_returning_its_argument_still_integrates():
+    """Every stage's sum goes through one scratch array, which no stage point
+    and no state may alias: z' = z, whose rhs hands each point back as its
+    stage, integrates to e^t z0, at every checkpoint."""
+    ts = np.linspace(0.0, 1.0, 11)
+    dense, _, _ = ode.integrate(lambda z: z, Z0, 1.0, t_eval=ts)
+    assert np.max(np.abs(dense - np.exp(ts)[:, None] * Z0)) <= 1e-10
+    y, _, _ = ode.integrate(lambda z: z, Z0, 1.0)
+    assert np.max(np.abs(y - np.e * Z0)) <= 1e-10
+
 def test_plain_integration_keeps_its_steps():
     """flow reports hash their steps and endpoint: these pin the integrator's
     steps, its step control and its default tolerance."""

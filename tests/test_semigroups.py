@@ -12,6 +12,7 @@ from spirallab.semigroups import (
     flow,
     flow_many,
     koenigs,
+    margin_circle,
     schroder_residual,
     spirallike_margin,
 )
@@ -103,6 +104,16 @@ def test_berkson_porta_margin_sign():
 
     assert berkson_porta_margin(Bad()) < 0
 
+
+
+def test_margin_circle_is_one_read_only_array():
+    """Built once: every margin reads the same read-only samples."""
+    z = margin_circle()
+    assert margin_circle() is z
+    assert not z.flags.writeable
+    assert np.array_equal(z, (1.0 - 1e-3) * np.exp(2j * np.pi * np.arange(2560) / 2560))
+    with pytest.raises(ValueError):
+        z[0] = 0.0
 
 # ------------------------------------------------------------------ koenigs
 
