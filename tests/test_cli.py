@@ -470,6 +470,7 @@ def test_covering_dump_region_bytes(tmp_path, monkeypatch, batch):
     assert len(rows) == 12 and 0 < sum(row[2] for row in rows) < 12
     assert region.read_bytes() == _csv_module_text(["x_re", "x_im", "in_omega"], rows).encode()
 
+
 def test_usage_errors_exit_2(tmp_path):
     assert main(["covering", "--fn", "koebe", "--x0", "2,0",
                  "--alpha", "0.5"]) == 2

@@ -507,10 +507,9 @@ def _same(got, expected):
 def test_sweep_of_tiny_grids_matches_per_ring_loop(h, grid, streamed, no_memo, monkeypatch):
     """Grids of one or two points a ring, whole and streamed a ring a block, at
     a threshold between each two criterion values (K from empty to the whole
-    grid): the minimum
-    is the one over the rolled formula's edge, the rim minimum and the count
-    of K are the per-ring ones, and the edge minimum is at least the per-ring
-    minimum over all of K."""
+    grid): the minimum is the one over the rolled formula's edge, the rim
+    minimum and the count of K are the per-ring ones, and the edge minimum is
+    at least the per-ring minimum over all of K."""
     if streamed:
         monkeypatch.setattr(kernels, "MEMO_MAX_POINTS", 0)
         monkeypatch.setattr(kernels, "SWEEP_BLOCK", 1)
