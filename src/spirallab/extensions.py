@@ -213,8 +213,13 @@ def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
     an array, x1 the preimage of the contracted center e^(-mu t) z0, the first
     coordinate of e^(-At)(z0, 0); NaN where it has no preimage."""
     z1, _ = semigroup_action(A, t, z0, 0j)
-    return (1.0 - np.abs(np.exp(-A.lam * t)) ** A.r) / 4.0 \
-        * h.conformal_radius_array(z1, guess=guess)
+    return _rt_scale(A, t) * h.conformal_radius_array(z1, guess=guess)
+
+
+def _rt_scale(A: SpiralMatrix, t):
+    """(1 - |e^(-lambda t)|^r)/4, the covering radius R_t over the conformal
+    radius at the contracted center."""
+    return (1.0 - np.abs(np.exp(-A.lam * t)) ** A.r) / 4.0
 
 
 def sample_ball(space: BallSpace, n, rng, margin=INTERIOR_MARGIN):
@@ -287,11 +292,14 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     mode='muir': push each extended point H(x, y) through the shear-conjugated
     linear action and test membership.  mode='gamma': perturb the contracted
     first coordinate along n_gamma directions at gamma_frac of the covering
-    radius.  Both move h(x), h'(x) Q(y) and |h'(x)| ||y||^r, read once, by
-    scalars: Q(c w) = c^r Q(w), and |h'^(1/r)|^r = |h'| on every branch, so
-    no branch of h'^(1/r) is taken but for the w of a reported witness.  Every
-    membership solve starts at the sample's own preimage x.  failures counts
-    every failed membership; witnesses keeps the first max_witnesses of them.
+    radius; a map with a conformal_radius_form gets the conformal radius on
+    that circle in closed form (_gamma_circle), any other map a membership
+    test of every probe.  Both move h(x), h'(x) Q(y) and |h'(x)| ||y||^r,
+    read once, by scalars: Q(c w) = c^r Q(w), and |h'^(1/r)|^r = |h'| on
+    every branch, so no branch of h'^(1/r) is taken but for the w of a
+    reported witness.  Every membership solve starts at the sample's own
+    preimage x.  failures counts every failed membership; witnesses keeps the
+    first max_witnesses of them.
     """
     if mode not in ("muir", "gamma") or n_samples < 1 or min(times, default=0.0) < 0:
         raise ValueError(f"need mode muir or gamma, n_samples >= 1 and times >= 0, "
@@ -303,25 +311,42 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     xs, ys = sample_ball(space, n_samples, rng)
     hx, fibre0 = h.eval_array(xs), h.abs_deriv_array(xs) * space.fibre(ys)
     hq = h.deriv_array(xs) * Q.eval(ys) if mode == "muir" else None
-    failures, checked, bad_rows = 0, 0, []
+    form = h.conformal_radius_form if mode == "gamma" else None
+    failures, checked, kept, found = 0, 0, 0, []  # found: (t, probes, sample rows)
     for t in times:
         e_mu = np.exp(-A.mu * t)
         fibre = np.abs(np.exp(-A.fiber_rate * t)) ** A.r * fibre0
         if mode == "muir":
             probes = [(e_mu * hx + (e_mu - np.exp(-A.fiber_rate * A.r * t)) * hq, fibre, xs)]
         else:
-            step = gamma_frac * covering_radius_Rt(h, A, t, hx, guess=xs)
-            probes = _gamma_probes(e_mu * hx, fibre, xs, step, n_gamma)
-        for z, fib, guess in probes:
-            ok = membership_H_arrays(h, space, z, fib, guess)
+            # R_t and the circle read one conformal radius at the contracted centre
+            z1 = e_mu * hx
+            d1 = h.conformal_radius_array(z1, guess=xs)
+            step = gamma_frac * (_rt_scale(A, t) * d1)
+            probes = _gamma_probes(z1, fibre, xs, step, n_gamma)
+        # blocks of (membership of each probe, the probes at flat indices)
+        if form is None:
+            blocks = ((membership_H_arrays(h, space, z, fib, guess), z.__getitem__)
+                      for z, fib, guess in probes)
+        else:
+            blocks = _gamma_circle(form, z1, d1, step, fibre, n_gamma)
+        for ok, probe in blocks:
             bad = np.flatnonzero(~ok)
             checked += ok.size
             failures += bad.size
-            bad_rows += [(t, z[i], i % n_samples) for i in bad[:max_witnesses - len(bad_rows)]]
-    rows = [i for _, _, i in bad_rows]
-    ws = extend_H_arrays(h, space, xs[rows], ys[rows])[1] if rows else ()
-    witnesses = [{"t": t, "z": _ri(z), "w": _ri_vec(np.exp(-A.fiber_rate * t) * w)}
-                 for (t, z, _), w in zip(bad_rows, ws)]
+            bad = bad[:max_witnesses - kept]
+            if bad.size:
+                found.append((t, probe(bad), bad % n_samples))
+                kept += bad.size
+    witnesses = []
+    if found:
+        rows = np.concatenate([i for _, _, i in found])
+        scale = np.concatenate([np.full(i.size, np.exp(-A.fiber_rate * t)) for t, _, i in found])
+        ws = scale[:, None] * extend_H_arrays(h, space, xs[rows], ys[rows])[1]
+        zs = np.concatenate([z for _, z, _ in found])
+        witnesses = [{"t": t, "z": [z.real, z.imag], "w": [[v.real, v.imag] for v in w]}
+                     for t, z, w in zip([t for t, _, i in found for _ in i],
+                                        zs.tolist(), ws.tolist())]
     return {
         "mode": mode,
         "n_samples": int(n_samples),
@@ -349,9 +374,30 @@ def _gamma_probes(z1, fibre, xs, step, n_gamma):
         yield (z1 + step * dirs).ravel(), fibre[:len(ks) * n], xs[:len(ks) * n]
 
 
-def _ri(z):
-    return [float(np.real(z)), float(np.imag(z))]
+def _gamma_circle(form, z1, d1, step, fibre, n_gamma):
+    """Gamma-mode membership on the circles of radius step about z1 for a map
+    whose conformal radius is the form (b, g): one block of the n samples a
+    direction k, with the probes z1 + step e^(2 pi i k / n_gamma) at indices,
+    built as _gamma_probes builds them.  fibre >= 0, so a NaN d1 and a radius
+    <= 0 both fail, as the NaN of the point formula does."""
+    for d, radius in _circle_radii(form, z1, d1, step, n_gamma):
+        yield fibre < radius, lambda i, d=d: z1[i] + step[i] * d
 
 
-def _ri_vec(w):
-    return [_ri(v) for v in np.atleast_1d(w)]
+def _circle_radii(form, z1, d1, s, n_gamma):
+    """Each direction d = e^(i phi), phi = 2 pi k / n_gamma, with the conformal
+    radius delta(w) = a + 2 Re(b w) + g |w|^2, (b, g) = form, at the points
+    w = z1 + s d, from d1 = delta(z1): delta(w) = d1 + g s^2 +
+    2 s Re((b + g conj(z1)) d), so two real arrays are built once and each
+    direction reads each once.  No positivity cut: delta(w) <= 0 where w
+    leaves the image."""
+    b, g = form
+    base = d1 + g * s * s
+    re = 2.0 * s * (b.real + g * z1.real)
+    im = 2.0 * s * (b.imag - g * z1.imag)
+    for k in range(n_gamma):
+        d = np.exp(2j * np.pi * k / n_gamma)
+        radius = re * d.real
+        radius += base
+        radius -= im * d.imag
+        yield d, radius

@@ -7,8 +7,9 @@ with disk_map.  The class defines eval_array and deriv_array on ndarrays and
 may define deriv2_array, log_deriv_array, invert_array (the preimages of w in
 the open disk, NaN where there are none), abs_deriv_array,
 conformal_radius_array (|h'(x)|(1 - |x|^2) at x = h^-1(w), NaN where w has no
-preimage) and spiral_multiplier; disk_map writes the rest, so every disk map
-has all of them, plus invert and the scalar twin of each array method, which
+preimage), conformal_radius_form (the pair (b, g) where that radius is
+a + 2 Re(b w) + g |w|^2 in w) and spiral_multiplier; disk_map writes the
+rest, so every disk map has all of them, plus invert and the scalar twin of each array method, which
 refuses a point outside the disk.  Callers do not write into the arrays these methods
 return: a map may hand out a shared, read-only array (KoenigsMap.log_deriv_array
 does).  UnivalentMap covers the closed-form families, ComposedMap a disk map
@@ -98,7 +99,8 @@ def disk_map(cls):
     class: verdictbench/tracing.py wraps them in each class's own __dict__):
     where cls defines none, log_deriv_array (continued_log_deriv),
     invert_array (damped Newton), abs_deriv_array, conformal_radius_array (from
-    invert_array and abs_deriv_array) and spiral_multiplier; then
+    invert_array and abs_deriv_array), conformal_radius_form (None) and
+    spiral_multiplier (None); then
     invert and the scalar twin of each of eval_array, deriv_array,
     deriv2_array and log_deriv_array."""
     own = vars(cls)
@@ -106,6 +108,7 @@ def disk_map(cls):
                         ("invert_array", _newton_invert_array),
                         ("abs_deriv_array", _abs_deriv_array),
                         ("conformal_radius_array", _conformal_radius_array),
+                        ("conformal_radius_form", None),
                         ("spiral_multiplier", None)):
         if name not in own:
             setattr(cls, name, value)
@@ -210,6 +213,13 @@ class UnivalentMap:
         Mobius and half-plane maps, else from invert_array."""
         d = kernels.conformal_radius(self.code, self.params, w)
         return _conformal_radius_array(self, w, guess) if d is None else d
+
+    @property
+    def conformal_radius_form(self):
+        """(b, g) with conformal_radius_array(w) = a + 2 Re(b w) + g |w|^2 where
+        positive, for the Mobius and half-plane maps; None for the others
+        (``kernels.conformal_radius_form``)."""
+        return kernels.conformal_radius_form(self.code, self.params)
 
     # -- serialization ---------------------------------------------------------
 

@@ -20,7 +20,8 @@ in a one-entry memo, so every disk map shares them; ``invert`` and
 disk or NaN, and ``preimages`` alone decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
 and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
-from w alone, for the Mobius and half-plane maps.
+from w alone, for the Mobius and half-plane maps, whose
+``conformal_radius_form`` gives it as one real quadratic form in w.
 """
 
 import itertools
@@ -195,6 +196,18 @@ def conformal_radius(code, params, w):
     else:
         return None
     return np.where(d > 0.0, d, np.nan)
+
+
+def conformal_radius_form(code, params):
+    """(b, g) of the families whose conformal_radius is the real quadratic form
+    a + 2 Re(b w) + g |w|^2 in w where positive, None for the others.
+    mobius: a = 1, (b, g) = (-c, |c|^2 - 1); half_plane: a = 0, (b, g) = (1, 0)."""
+    if code == 2:
+        c = params[0]
+        return -c, c.real * c.real + c.imag * c.imag - 1.0
+    if code == 4:
+        return 1.0 + 0j, 0.0
+    return None
 
 
 def _clamp(z):

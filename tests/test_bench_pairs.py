@@ -93,3 +93,28 @@ def test_summarize_unresolved_spread_failed_share_and_zero_median(bench_pairs):
     zero[0]["change"] = zero[2]["change"] = result(0.4, -1.0)
     got = bench_pairs.summarize(zero, end_to_end)["min_digits"]
     assert got["worse_by"] is None and not got["within_bound"]
+
+
+def traced(calibration_s):
+    return {"metrics": {"machine.calibration_s": {"value": calibration_s, "unit": "s"},
+                        "cli.self_s": {"value": 0.02, "unit": "s"}}}
+
+
+def test_traced_pair_stores_both_calibrations_and_warns_on_a_wide_ratio(bench_pairs, capsys):
+    """A traced pair keeps both runs and both sides' calibration loop times
+    with their ratio, larger over smaller, and warns on stderr when one side's
+    loop ran more than CALIBRATION_WARN times the other's, whichever side."""
+    par, chg = traced(1.0e-3), traced(1.1e-3)
+    got = bench_pairs.traced_pair(par, chg)
+    assert got["parent"] is par and got["change"] is chg
+    assert got["calibration_s"] == {"parent": 1.0e-3, "change": 1.1e-3,
+                                    "ratio": pytest.approx(1.1)}
+    assert capsys.readouterr().err == ""
+    for slow, (p, c) in (("change", (1.0e-3, 1.6e-3)), ("parent", (1.3e-3, 1.0e-3))):
+        got = bench_pairs.traced_pair(traced(p), traced(c))
+        assert got["calibration_s"]["ratio"] == pytest.approx(max(p, c) / min(p, c))
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: the {slow} side's calibration loop")
+    assert bench_pairs.CALIBRATION_WARN == 1.2
+    bench_pairs.traced_pair(traced(1.0e-3), traced(1.19e-3))
+    assert capsys.readouterr().err == ""

@@ -494,14 +494,17 @@ def test_invariance_of_a_spirallike_map_has_no_failures(mode):
 
 @pytest.mark.parametrize("h,mu,lam,r,m,n,failing", [
     (RATIONAL, 1.0, 1.0, 1.0, 2, 30, False),
-    (UnivalentMap.half_plane(), 1.0, 0.9 + 0.4j, 2.0, 1, 300, False),
+    # the half-plane map (1 - z)/(1 + z) as a rational map, which has no
+    # conformal_radius_form, so its gamma sweep probes every point
+    (UnivalentMap.rational([1, -1], [1, 1]), 1.0, 0.9 + 0.4j, 2.0, 1, 300, False),
     (UnivalentMap.spiral_koebe(0.5), np.exp(0.5j), 1.0, 1.0, 1, 300, True),
     (UnivalentMap.spiral_koebe(0.5), np.exp(0.5j), 1.0, 1.0, 2, 30, True),
 ], ids=["rational", "half_plane", "spiral_koebe", "spiral_koebe_m2"])
 def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n, failing,
                                                              monkeypatch):
     """Gamma mode probes blocks of whole directions, at most SWEEP_BLOCK points
-    a membership call: the report is the same as with one direction a call.
+    a membership call, for maps without a conformal_radius_form: the report is
+    the same as with one direction a call.
     spiral_koebe(0.5) with mu = e^{+0.5i} fails, so the witnesses of a tiled
     block (their w rows, m = 2 included) are compared too."""
     args = (h, mu, lam, space(r, m), HomogeneousPolynomial.zero(int(r), m),
@@ -595,9 +598,10 @@ def test_spiral_koebe_invariance_at_large_w(mode):
 ], ids=["half_plane", "mobius_0.3i", "spiral_koebe_0.5"])
 def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
     """Membership and R_t read the conformal radius in real arithmetic: in
-    closed form from z for half_plane and mobius, from |h'| at the preimage
-    for spiral_koebe.  With disk_map's default, the preimage and the modulus
-    of the complex h', in its place the report is the same (spiral_koebe
+    closed form from z for half_plane and mobius (on the gamma circle too),
+    from |h'| at the preimage for spiral_koebe.  With disk_map's default, the
+    preimage and the modulus of the complex h', in its place, and every gamma
+    probe a membership test, the report is the same (spiral_koebe
     included, whose sweep reaches |z| > 450).  A gamma witness, where any, is
     built from R_t, so its z may move in the last bits; everything else, the
     counts and every membership decision included, is compared as JSON, where
@@ -615,6 +619,7 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
     if h.family in ("half_plane", "mobius_spiral"):
         monkeypatch.setattr(type(h), "conformal_radius_array",
                             families._conformal_radius_array)
+        monkeypatch.setattr(type(h), "conformal_radius_form", None)
     reports.append(verify_invariance(*args, **kw))
     assert calls
     z_fast, z_ref = (np.array([complex(*w.pop("z")) for w in rep["witnesses"]])
@@ -634,20 +639,28 @@ def test_sweep_moves_the_named_actions_of_the_extension(h, r, m, monkeypatch):
     """The sweep moves h(x), h'(x) Q(y) and |h'(x)| ||y||^r by scalars, taking
     no branch of h'^(1/r); the first coordinate it tests (muir) and the fibre
     term (both modes) are conjugated_action / semigroup_action of
-    extend_H_arrays to 1e-13 relative, with and without Q."""
+    extend_H_arrays to 1e-13 relative, with and without Q.  The gamma circle
+    of a map with a conformal_radius_form (mobius, half_plane) is centred at
+    semigroup_action's first coordinate, with radius gamma_frac R_t bit for
+    bit."""
     rng = np.random.default_rng(47)
     exps = [e for e in itertools.product(range(r + 1), repeat=m) if sum(e) == r]
     sp, times, n = space(float(r), m), [0.3, 1.7], 40
     mu, lam = 1 + 0.5j, 0.7 - 0.2j
     A = SpiralMatrix(mu, lam, float(r))
     calls = []
-    orig = extensions.membership_H_arrays
+    orig, orig_circle = extensions.membership_H_arrays, extensions._gamma_circle
 
     def recorded(h, space, z, fibre, guess):
         calls.append((z, fibre))
         return orig(h, space, z, fibre, guess)
 
+    def recorded_circle(form, z1, d1, step, fibre, n_gamma):
+        calls.append((z1, fibre, step))
+        return orig_circle(form, z1, d1, step, fibre, n_gamma)
+
     monkeypatch.setattr(extensions, "membership_H_arrays", recorded)
+    monkeypatch.setattr(extensions, "_gamma_circle", recorded_circle)
     zs, ws = extend_H_arrays(h, sp, *sample_ball(sp, n, np.random.default_rng(5)))
     for Q in (HomogeneousPolynomial.zero(r, m),
               HomogeneousPolynomial.build(r, m, {e: complex(*rng.normal(size=2)) * 0.1
@@ -657,13 +670,19 @@ def test_sweep_moves_the_named_actions_of_the_extension(h, r, m, monkeypatch):
             calls.clear()
             verify_invariance(h, mu, lam, sp, Q, times, n_samples=n, mode=mode, seed=5, n_gamma=4)
             assert len(calls) == len(times)
-            for t, (z, fibre) in zip(times, calls):
+            circle = mode == "gamma" and h.conformal_radius_form is not None
+            assert all(len(c) == (3 if circle else 2) for c in calls)
+            for t, (z, fibre, *step) in zip(times, calls):
                 z_ref, w_ref = action(t)
                 f_ref = np.tile(sp.fibre(w_ref), fibre.size // n)
                 assert np.all(np.abs(fibre - f_ref) <= 1e-13 * f_ref)
                 if mode == "muir":
                     scale = np.abs(z_ref - np.exp(-mu * t) * zs) + np.abs(np.exp(-mu * t) * zs)
                     assert np.all(np.abs(z - z_ref) <= 1e-13 * scale)
+                if circle:
+                    assert fibre.size == n and np.array_equal(z, z_ref)
+                    assert np.array_equal(step[0], 0.999 * covering_radius_Rt(h, A, t, zs),
+                                          equal_nan=True)
 
 
 # (r, m, Q, lambda, mu) of test_extend_outcomes_are_pinned
@@ -728,3 +747,97 @@ def test_rational_sweep_takes_no_branch(mode, monkeypatch):
     out = verify_invariance(RATIONAL, 1.0, 1.0, space(2.0, 1), q_poly(0.75), [0.1, 0.5, 1.0, 2.0],
                             n_samples=300, mode=mode, seed=0)
     assert out["pass"] and out["witnesses"] == []
+
+
+def _form_maps():
+    """Mobius with real, imaginary and complex c (|c| <= 0.999), and the
+    half-plane map."""
+    mag = st.floats(0.0, 0.999)
+    return st.one_of(
+        mag.map(lambda u: UnivalentMap.mobius_spiral(u)),
+        mag.map(lambda u: UnivalentMap.mobius_spiral(-u)),
+        mag.map(lambda u: UnivalentMap.mobius_spiral(1j * u)),
+        st.tuples(mag, st.floats(0.0, 2 * np.pi)).map(
+            lambda p: UnivalentMap.mobius_spiral(p[0] * np.exp(1j * p[1]))),
+        st.just(UnivalentMap.half_plane()))
+
+
+@given(h=_form_maps(), rho=st.floats(0.0, 0.999), arg=st.floats(0.0, 2 * np.pi),
+       frac=st.floats(1e-6, 1.0), scale=st.sampled_from([0.25, 4.0]))
+@settings(max_examples=300, deadline=None)
+def test_circle_radius_matches_the_point_kernel(h, rho, arg, frac, scale):
+    """On the circle z1 + s e^(2 pi i k / 16) about z1 = h(x), the closed form
+    d1 + g s^2 + 2 s Re((b + g conj(z1)) e^(i phi)) is kernels.conformal_radius
+    at every probe within 32 eps (1 + |z1| + s)^2, the rounding of the two
+    formulas' terms.  s <= delta(z1)/4 stays inside the image (Koebe 1/4);
+    s up to 4 delta(z1) leaves it, where, outside that band, the closed form is
+    <= 0 exactly where the point kernel is NaN."""
+    z1 = h.eval_array(np.array([rho * np.exp(1j * arg)]))
+    d1 = h.conformal_radius_array(z1)
+    s = frac * scale * d1
+    got = list(extensions._circle_radii(h.conformal_radius_form, z1, d1, s, 16))
+    dirs = np.array([d for d, _ in got])
+    assert np.array_equal(dirs, np.exp(2j * np.pi * np.arange(16) / 16))
+    circle = np.concatenate([radius for _, radius in got])
+    point = kernels.conformal_radius(h.code, h.params, z1 + s * dirs)
+    band = 32 * np.finfo(float).eps * (1.0 + abs(z1[0]) + s[0]) ** 2
+    inside = ~np.isnan(point)
+    assert np.all(np.abs(circle[inside] - point[inside]) <= band)
+    assert np.all(circle[~inside] <= band)
+    clear = np.abs(circle) > band
+    assert np.array_equal((circle <= 0)[clear], ~inside[clear])
+    if scale == 0.25:
+        assert inside.all()
+
+
+# (c, mu) of Mobius gamma sweeps that fail (3,431 to 24,092 of 160,000 probes)
+FAILING_MOBIUS = [(c, mu) for c in (0.3j, 0.9, -0.95 + 0.2j)
+                  for mu in (np.exp(1.4j), np.exp(-1.5j), 0.05 + 1j)]
+
+
+@pytest.mark.parametrize("case", [*range(len(FAILING_MOBIUS)), "half_plane_r2m2"],
+                         ids=lambda c: c if isinstance(c, str) else f"mobius{c}")
+def test_circle_path_equals_probe_path_on_failing_sweeps(case, monkeypatch):
+    """Gamma sweeps that fail, every witness kept: nine Mobius sweeps (2,000
+    samples, five times) and the pinned r2m2 half-plane case (300 samples, the
+    CLI's default times and seed), each with its conformal radius read in
+    closed form on the circle and with every probe a membership test (the
+    form switched off), give the same report JSON."""
+    if case == "half_plane_r2m2":
+        r, m, _, lam, mu = PINNED_CASES["r2m2"]
+        args = (UnivalentMap.half_plane(), complex(*map(float, mu.split(","))),
+                complex(*map(float, lam.split(","))), space(float(r), int(m)),
+                HomogeneousPolynomial.zero(int(r), int(m)), [0.1, 0.5, 1.0, 2.0])
+        kw = dict(n_samples=300, seed=0)
+    else:
+        c, mu = FAILING_MOBIUS[case]
+        args = (UnivalentMap.mobius_spiral(c), mu, 1.0, space(2.0, 1), q_poly(0.25j),
+                [0.1, 0.5, 1.0, 2.0, 4.0])
+        kw = dict(n_samples=2000, seed=7)
+    circle = verify_invariance(*args, mode="gamma", max_witnesses=10**6, **kw)
+    monkeypatch.setattr(UnivalentMap, "conformal_radius_form", None)
+    probed = verify_invariance(*args, mode="gamma", max_witnesses=10**6, **kw)
+    assert circle["failures"] > 0 and len(circle["witnesses"]) == circle["failures"]
+    assert json.dumps(circle) == json.dumps(probed)
+    if case == "half_plane_r2m2":
+        assert circle["failures"] == PINNED["half_plane"][5][2]
+
+
+@pytest.mark.parametrize("h,form", [
+    (UnivalentMap.mobius_spiral(0.3 - 0.4j), (-(0.3 - 0.4j), 0.25 - 1.0)),
+    (UnivalentMap.half_plane(), (1.0, 0.0)),
+    (UnivalentMap.koebe(), None),
+    (RATIONAL, None),
+    (normalize_at(UnivalentMap.half_plane(), 0.2j), None),
+], ids=["mobius", "half_plane", "koebe", "rational", "composed"])
+def test_conformal_radius_form_is_the_closed_form_radius(h, form):
+    """The Mobius and half-plane maps carry (b, g) with conformal_radius_array
+    = a + 2 Re(b w) + g |w|^2 where positive; every other disk map (disk_map's
+    default) carries None."""
+    assert h.conformal_radius_form == (form and pytest.approx(form, abs=1e-15))
+    if form is not None:
+        w = h.eval_array(random_disk(np.random.default_rng(8), 50))
+        b, g = form
+        a = 1.0 if h.family == "mobius_spiral" else 0.0
+        want = a + 2 * (b * w).real + g * np.abs(w) ** 2
+        assert np.allclose(h.conformal_radius_array(w), want, rtol=1e-12, atol=1e-12)

@@ -21,7 +21,10 @@ when the working tree has uncommitted edits.  Both sides run their own
   medians, ``within_bound``, ``unresolved`` when the runs spread wider than
   the bound, ``gain_rule_met``), plus each side's worst failed share
   (failed/attempted) and whether every run was correct.
-- ``--traced W:S`` runs one ``--trace 1`` run of each side.
+- ``--traced W:S`` runs one ``--trace 1`` run of each side and stores both
+  sides' ``machine.calibration_s`` with the ratio of the larger to the
+  smaller; above CALIBRATION_WARN it warns on stderr, since a slow spell on
+  one side reads as a change in every layer of that one run.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
   ``determinism_hash`` differs, the ops whose dumped files (``--dump-traj``,
@@ -49,6 +52,7 @@ import tempfile
 import urllib.parse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CALIBRATION_WARN = 1.2  # the traced sides' largest calibration ratio without a warning
 
 # One round of ops, run once from the tree given as argv[1] in the work
 # directory argv[4], moving each dumped file to keep_path(argv[5], op, option);
@@ -231,6 +235,20 @@ def summarize(runs, end_to_end):
     return out
 
 
+def traced_pair(parent, change):
+    """The traced run of each side with calibration_s: each side's
+    machine.calibration_s and their ratio, larger over smaller; warns on
+    stderr when that ratio is above CALIBRATION_WARN."""
+    cal = {side: run["metrics"]["machine.calibration_s"]["value"]
+           for side, run in (("parent", parent), ("change", change))}
+    ratio = max(cal.values()) / min(cal.values())
+    if ratio > CALIBRATION_WARN:
+        slow = max(cal, key=cal.get)
+        print(f"warning: the {slow} side's calibration loop ran {ratio:.2f}x the other's; "
+              f"its traced layers read slower for it", file=sys.stderr)
+    return {"parent": parent, "change": change, "calibration_s": {**cal, "ratio": ratio}}
+
+
 def spec(text, parts):
     fields = text.split(":")
     if len(fields) != parts:
@@ -313,9 +331,9 @@ def main():
 
         for workload, seed in args.traced:
             key = f"{workload}/seed{seed}"
-            doc.setdefault("traced", {})[key] = {
-                side: run_bench(trees[side], workload, seed, seconds, 1)
-                for side in ("parent", "change")}
+            doc.setdefault("traced", {})[key] = traced_pair(
+                *(run_bench(trees[side], workload, seed, seconds, 1)
+                  for side in ("parent", "change")))
             save()
 
         for workload, seed in args.hashes:
