@@ -750,8 +750,8 @@ def test_rational_sweep_takes_no_branch(mode, monkeypatch):
 
 
 def _form_maps():
-    """Mobius with real, imaginary and complex c (|c| <= 0.999), and the
-    half-plane map."""
+    """Mobius with positive, negative, imaginary and complex c (|c| <= 0.999),
+    and the half-plane map."""
     mag = st.floats(0.0, 0.999)
     return st.one_of(
         mag.map(lambda u: UnivalentMap.mobius_spiral(u)),
@@ -769,9 +769,10 @@ def test_circle_radius_matches_the_point_kernel(h, rho, arg, frac, scale):
     """On the circle z1 + s e^(2 pi i k / 16) about z1 = h(x), the closed form
     d1 + g s^2 + 2 s Re((b + g conj(z1)) e^(i phi)) is kernels.conformal_radius
     at every probe within 32 eps (1 + |z1| + s)^2, the rounding of the two
-    formulas' terms.  s <= delta(z1)/4 stays inside the image (Koebe 1/4);
-    s up to 4 delta(z1) leaves it, where, outside that band, the closed form is
-    <= 0 exactly where the point kernel is NaN."""
+    formulas' terms.  s <= delta(z1)/4 stays inside the image (Koebe 1/4;
+    for these images, a disk or a half-plane, the boundary is at least
+    delta/2 away); s up to 4 delta(z1) leaves it, where, outside that band,
+    the closed form is <= 0 exactly where the point kernel is NaN."""
     z1 = h.eval_array(np.array([rho * np.exp(1j * arg)]))
     d1 = h.conformal_radius_array(z1)
     s = frac * scale * d1
@@ -834,10 +835,12 @@ def test_conformal_radius_form_is_the_closed_form_radius(h, form):
     """The Mobius and half-plane maps carry (b, g) with conformal_radius_array
     = a + 2 Re(b w) + g |w|^2 where positive; every other disk map (disk_map's
     default) carries None."""
-    assert h.conformal_radius_form == (form and pytest.approx(form, abs=1e-15))
-    if form is not None:
-        w = h.eval_array(random_disk(np.random.default_rng(8), 50))
-        b, g = form
-        a = 1.0 if h.family == "mobius_spiral" else 0.0
-        want = a + 2 * (b * w).real + g * np.abs(w) ** 2
-        assert np.allclose(h.conformal_radius_array(w), want, rtol=1e-12, atol=1e-12)
+    if form is None:
+        assert h.conformal_radius_form is None
+        return
+    assert h.conformal_radius_form == pytest.approx(form, abs=1e-15)
+    w = h.eval_array(random_disk(np.random.default_rng(8), 50))
+    b, g = form
+    a = 1.0 if h.family == "mobius_spiral" else 0.0
+    want = a + 2 * (b * w).real + g * np.abs(w) ** 2
+    assert np.allclose(h.conformal_radius_array(w), want, rtol=1e-12, atol=1e-12)
