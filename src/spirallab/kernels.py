@@ -33,7 +33,11 @@ from numpy.polynomial import polynomial as P
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
 DISK_CLAMP = 1.0 - 1e-9
-SWEEP_BLOCK = 4096  # grid points per sweep block: the temporaries stay in L2
+# grid points per block of a sweep (the polar covering sweep, gamma-mode probes,
+# the sharp-bound margin): the temporaries stay in L2, and, 32 KiB a float
+# array, below the allocator's mmap and trim thresholds, so the heap is not
+# trimmed and faulted in again between verdicts
+SWEEP_BLOCK = 4096
 SPIRAL_TAU = 8.0     # spiral_newton starts at e^(-mu SPIRAL_TAU) w
 SPIRAL_STEPS = 12    # its path steps, each of SPIRAL_MAX_STEPS // SPIRAL_STEPS
 SPIRAL_MAX_STEPS = 384  # intervals of tau; a failing entry halves its own step

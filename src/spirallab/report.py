@@ -8,7 +8,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 
 SCHEMA = "spirallab/1"
 NON_DETERMINISTIC_KEYS = ("timing_s",)
@@ -53,11 +52,21 @@ def determinism_hash(payload: dict) -> str:
     return hashlib.sha256(canonical_bytes(clean)).hexdigest()
 
 
+def _create_temp(d):
+    """A new file in directory d, open for writing, and its path.  Unlike
+    mkstemp's 0600, its mode is 0666 under the umask, as open() gives."""
+    while True:
+        tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def write_report(path, payload: dict):
     """Atomic write: the report either exists complete or not at all."""
     data = memoryview(dumps(payload).encode())
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    fd, tmp = _create_temp(os.path.dirname(os.path.abspath(path)))
     try:
         try:
             while data:  # one write, unless the file system takes less

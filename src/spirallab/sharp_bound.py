@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .kernels import horner
 
 N_GRID = 20000  # points of each t grid: the margin and the root scan
@@ -95,17 +96,25 @@ def verify_cor_inequality(p: SharpParams):
     MarginUnderflow is raised where the sign is not decided in double
     precision: a nonreal lambda whose minimum reads 0.0, or a t grid or margin
     that is not finite (50/(r Re lambda) or sinh overflows; a non-finite t
-    makes the margin non-finite)."""
+    makes the margin non-finite).  The margin, elementwise in t, is read in
+    slices of kernels.SWEEP_BLOCK points of the whole grid, keeping the first
+    minimum as np.argmin does: the report is the whole grid's, bit for bit."""
+    block = kernels.SWEEP_BLOCK
+    lo, i = math.inf, 0
     with np.errstate(all="ignore"):
         t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)
-        margin = cor_margin(p, t_grid)
-    if not np.isfinite(margin).all():
-        raise MarginUnderflow(f"the margin or its t grid is not finite for lambda = {p.lam!r}")
-    i = int(np.argmin(margin))
-    if p.b != 0 and margin[i] == 0.0:
+        for start in range(0, N_GRID, block):
+            margin = cor_margin(p, t_grid[start:start + block])
+            if not np.isfinite(margin).all():
+                raise MarginUnderflow(
+                    f"the margin or its t grid is not finite for lambda = {p.lam!r}")
+            j = int(np.argmin(margin))
+            if margin[j] < lo:
+                lo, i = float(margin[j]), start + j
+    if p.b != 0 and lo == 0.0:
         raise MarginUnderflow(f"the margin underflows to 0.0 at t = {float(t_grid[i])!r}")
     return {
-        "min_margin": float(margin[i]),
+        "min_margin": lo,
         "argmin_t": float(t_grid[i]),
         "strict": bool(p.b != 0),
     }

@@ -118,3 +118,43 @@ def test_traced_pair_stores_both_calibrations_and_warns_on_a_wide_ratio(bench_pa
     assert bench_pairs.CALIBRATION_WARN == 1.2
     bench_pairs.traced_pair(traced(1.0e-3), traced(1.19e-3))
     assert capsys.readouterr().err == ""
+
+
+# A stand-in for verdictbench/run.py: one setup launch that touches --seed
+# pages of memory, small pages only, then a result line.
+FAKE_RUN = r'''
+import json, subprocess, sys
+touch = """
+import mmap, sys
+n = int(sys.argv[1]) * mmap.PAGESIZE
+m = mmap.mmap(-1, n + mmap.PAGESIZE)
+m.madvise(mmap.MADV_NOHUGEPAGE)
+for i in range(0, n, mmap.PAGESIZE):
+    m[i] = 1
+"""
+pages = sys.argv[sys.argv.index("--seed") + 1]
+subprocess.run([sys.executable, "-c", touch, pages], check=True)
+print("setup done")
+print(json.dumps({"metrics": {"campaign_s": {"value": 0.1}}, "pages": int(pages)}))
+'''
+
+
+def test_run_bench_counts_the_minor_faults_of_the_whole_process_tree(bench_pairs, tmp_path):
+    """run_bench returns the run's result and, beside it, the minor faults of
+    the run and of the processes it launched: a setup launch that touches
+    4096 more pages adds at least that many faults.  summarize judges the
+    result objects only, so faults kept beside them change no verdict."""
+    (tmp_path / "verdictbench").mkdir()
+    (tmp_path / "verdictbench" / "run.py").write_text(FAKE_RUN)
+    small, small_faults = bench_pairs.run_bench(str(tmp_path), "w", 0, 1, 0)
+    big, big_faults = bench_pairs.run_bench(str(tmp_path), "w", 4096, 1, 0)
+    assert small == {"metrics": {"campaign_s": {"value": 0.1}}, "pages": 0}
+    assert big["pages"] == 4096
+    assert big_faults - small_faults >= 0.9 * 4096
+
+    end_to_end = [{"name": "campaign_s", "better": "lower", "bound": 0.2}]
+    runs = [{"parent": result(0.40, 9.0), "change": result(0.30, 9.0)} for _ in range(3)]
+    want = bench_pairs.summarize(runs, end_to_end)
+    for run in runs:
+        run["minor_faults"] = {"parent": 10 ** 6, "change": 0}
+    assert bench_pairs.summarize(runs, end_to_end) == want

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -709,6 +711,33 @@ def test_reports_are_strict_json(tmp_path):
     assert _strict_loads(path.read_text()) == want
     assert _strict_loads(canonical_bytes(payload).decode()) == want
     assert determinism_hash(payload) == determinism_hash(want)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_reports_take_the_umask_like_open(tmp_path, umask):
+    """A report's mode is the one open() gives a new file under the same umask
+    (0644 under 022, 0600 under 077), not mkstemp's fixed 0600."""
+    old = os.umask(umask)
+    try:
+        write_report(tmp_path / "r.json", {"n": 1})
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "r.json").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.json").st_mode) == 0o666 & ~umask
+
+
+def test_a_failed_report_write_leaves_no_file(tmp_path, monkeypatch):
+    """The temporary file is removed when the rename fails, and the report
+    does not appear."""
+    def fail(src, dst):
+        raise OSError("no rename")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="no rename"):
+        write_report(tmp_path / "r.json", {"n": 1})
+    assert os.listdir(tmp_path) == []
 
 
 CONJ_LOGISTIC = {"poly": [[0.3 * -1 / 1.3, 0], [-0.7 * -1 / 1.3, 0], [1 / 1.3, 0]],

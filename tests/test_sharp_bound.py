@@ -1,10 +1,14 @@
 """Tests for the sharp-coefficient scalar function and its infimum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spirallab import kernels, sharp_bound
 from spirallab.sharp_bound import (
     N_GRID,
+    MarginUnderflow,
     NoRootsInWindow,
     SharpParams,
     cor_margin,
@@ -120,6 +124,77 @@ def test_cor_margin_is_zero_for_real_lambda(lam, r):
     p = SharpParams(lam=lam, r=r)
     assert np.all(cor_margin(p, np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)) == 0.0)
     assert abs(verify_cor_inequality(p)["min_margin"]) < 1e-12
+
+
+def _whole_grid_report(p):
+    """verify_cor_inequality's report from one cor_margin call on the whole t grid."""
+    with np.errstate(all="ignore"):
+        t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), sharp_bound.N_GRID)
+        margin = cor_margin(p, t_grid)
+    if not np.isfinite(margin).all():
+        raise MarginUnderflow(f"the margin or its t grid is not finite for lambda = {p.lam!r}")
+    i = int(np.argmin(margin))
+    if p.b != 0 and margin[i] == 0.0:
+        raise MarginUnderflow(f"the margin underflows to 0.0 at t = {float(t_grid[i])!r}")
+    return {"min_margin": float(margin[i]), "argmin_t": float(t_grid[i]),
+            "strict": bool(p.b != 0)}
+
+
+def _outcome(fn, p):
+    # repr tells -0.0 from 0.0, so equal outcomes are equal bit for bit
+    try:
+        return repr(fn(p))
+    except MarginUnderflow as e:
+        return f"MarginUnderflow: {e}"
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, N_GRID + 1])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("lam", [1 + 1j, 2 - 3j, 3.0, 1 + 1e-6j, 1e-3 + 1j,
+                                 1 + 1e-300j, 1e300 + 1j, 1e-320 + 1j], ids=str)
+def test_blocked_margin_equals_the_whole_grid(monkeypatch, lam, r, block):
+    """The margin read in slices of SWEEP_BLOCK points gives the whole grid's
+    report bit for bit: complex, real (margin 0 everywhere, so argmin_t is the
+    grid's first t), nearly real and tiny Re lambda, and both MarginUnderflow
+    messages (Im lambda = 1e-300 underflows; sinh overflows at Re lambda =
+    1e300, the grid's end is inf at 1e-320).  One-point slices run on a grid
+    of 1000 points, since 20,000 of them take half a second a case."""
+    monkeypatch.setattr(kernels, "SWEEP_BLOCK", block)
+    if block == 1:
+        monkeypatch.setattr(sharp_bound, "N_GRID", 1000)
+    p = SharpParams(lam=lam, r=r)
+    want = _outcome(_whole_grid_report, p)
+    assert _outcome(verify_cor_inequality, p) == want
+    if lam == 3.0:
+        assert verify_cor_inequality(p)["argmin_t"] == 1e-4
+    if lam in (1 + 1e-300j, 1e300 + 1j, 1e-320 + 1j):
+        assert want.startswith("MarginUnderflow: the margin")
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, N_GRID + 1])
+def test_blocked_margin_keeps_the_first_minimum_across_slices(monkeypatch, block):
+    """A margin whose minimum is tied from grid point 5001 on reports point
+    5001, as np.argmin does, whichever slice the ties fall in."""
+    t_grid = np.geomspace(1e-4, 25.0, N_GRID)
+    monkeypatch.setattr(kernels, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(sharp_bound, "cor_margin",
+                        lambda p, t: np.where(t >= t_grid[5001], -1.0, 1.0))
+    got = verify_cor_inequality(SharpParams(lam=1 + 1j, r=2))
+    assert got == {"min_margin": -1.0, "argmin_t": float(t_grid[5001]), "strict": True}
+
+
+def test_margin_grid_is_read_in_block_sized_memory():
+    """The margin's temporaries are block-sized: the tracemalloc peak, the
+    160 KB t grid and the geomspace behind it included, stays within 1 MiB,
+    where a whole-grid margin keeps about 2 MiB alive."""
+    p = SharpParams(lam=1 + 1j, r=2)
+    tracemalloc.start()
+    try:
+        verify_cor_inequality(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_critical_points_are_stationary():

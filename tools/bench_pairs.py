@@ -15,16 +15,19 @@ when the working tree has uncommitted edits.  Both sides run their own
 ``run_seconds`` of ``BENCHMARK.json`` long.
 
 - ``--pairs W:S:N`` runs N pairs of ``--trace 0`` runs of workload W at seed S,
-  alternating which side runs first, and summarises every end-to-end metric of
-  ``BENCHMARK.json``: each side's quartiles, the pairs the change won, and
-  the verdict on the metric (its bound, the relative ``worse_by`` of the
-  medians, ``within_bound``, ``unresolved`` when the runs spread wider than
-  the bound, ``gain_rule_met``), plus each side's worst failed share
+  alternating which side runs first, records each run's minor page faults
+  (``minor_faults``, beside the result objects and not judged), and
+  summarises every end-to-end metric of ``BENCHMARK.json``: each side's
+  quartiles, the pairs the change won, and the verdict on the metric (its
+  bound, the relative ``worse_by`` of the medians, ``within_bound``,
+  ``unresolved`` when the runs spread wider than the bound,
+  ``gain_rule_met``), plus each side's worst failed share
   (failed/attempted) and whether every run was correct.
 - ``--traced W:S`` runs one ``--trace 1`` run of each side and stores both
-  sides' ``machine.calibration_s`` with the ratio of the larger to the
-  smaller; above CALIBRATION_WARN it warns on stderr, since a slow spell on
-  one side reads as a change in every layer of that one run.
+  sides' minor page faults and ``machine.calibration_s`` with the ratio of
+  the larger to the smaller; above CALIBRATION_WARN it warns on stderr,
+  since a slow spell on one side reads as a change in every layer of that
+  one run.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
   ``determinism_hash`` differs, the ops whose dumped files (``--dump-traj``,
@@ -44,6 +47,7 @@ import json
 import math
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -104,11 +108,16 @@ def bench_env():
 
 
 def run_bench(tree, workload, seed, seconds, trace):
+    """The run's result object and the minor page faults of its whole process
+    tree, setup launches included (the RUSAGE_CHILDREN delta: every process
+    the run started has been waited for when it ends)."""
     cmd = [sys.executable, "verdictbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=tree, env=bench_env(), check=True,
                          stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    return json.loads(out.strip().splitlines()[-1]), faults
 
 
 def keep_path(keep, op, opt):
@@ -318,9 +327,10 @@ def main():
             runs = []
             for k in range(n):
                 first = "parent" if k % 2 == 0 else "change"
-                run = {"first": first}
+                run = {"first": first, "minor_faults": {}}
                 for side in (first, "change" if first == "parent" else "parent"):
-                    run[side] = run_bench(trees[side], workload, seed, seconds, 0)
+                    run[side], run["minor_faults"][side] = run_bench(trees[side], workload,
+                                                                     seed, seconds, 0)
                     print(f"{key} pair {k + 1}/{n} {side}: campaign_s "
                           f"{run[side]['metrics']['campaign_s']['value']:.4f}", file=sys.stderr)
                 runs.append(run)
@@ -331,9 +341,11 @@ def main():
 
         for workload, seed in args.traced:
             key = f"{workload}/seed{seed}"
-            doc.setdefault("traced", {})[key] = traced_pair(
-                *(run_bench(trees[side], workload, seed, seconds, 1)
-                  for side in ("parent", "change")))
+            got = {side: run_bench(trees[side], workload, seed, seconds, 1)
+                   for side in ("parent", "change")}
+            doc.setdefault("traced", {})[key] = {
+                **traced_pair(got["parent"][0], got["change"][0]),
+                "minor_faults": {side: faults for side, (_, faults) in got.items()}}
             save()
 
         for workload, seed in args.hashes:
