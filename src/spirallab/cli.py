@@ -201,7 +201,7 @@ def cmd_extend(args):
         mode=args.mode, seed=args.seed)
     # the bound is exact for at most one term; only a sum of terms is sampled
     sup_q = (extensions.sup_norm_Q_bound(q, space) if len(q.terms) <= 1
-             else extensions.sup_norm_Q(q, space, samples=20_000, seed=args.seed))
+             else extensions.sup_norm_Q(q, space, seed=args.seed))
     return {**rep, "sup_norm_Q": sup_q, "bound": extensions.q_bound(lam)}, rep["pass"]
 
 

@@ -55,6 +55,14 @@ class DegreeMismatch(ValueError):
     pass
 
 
+def _exponents(k):
+    """The multi-index k as ints, refusing a negative or fractional exponent."""
+    exps = tuple(int(e) for e in k)
+    if any(e < 0 or e != v for e, v in zip(exps, k)):
+        raise DegreeMismatch(f"exponents must be integers >= 0, got {list(k)}")
+    return exps
+
+
 @dataclass(frozen=True)
 class HomogeneousPolynomial:
     """Degree-r homogeneous polynomial on C^m, monomial coefficients keyed by
@@ -72,7 +80,7 @@ class HomogeneousPolynomial:
 
     @classmethod
     def build(cls, degree, m, terms):
-        items = tuple(sorted((tuple(int(e) for e in k), complex(v))
+        items = tuple(sorted((_exponents(k), complex(v))
                              for k, v in dict(terms).items()))
         return cls(degree=int(degree), m=int(m), terms=items)
 
@@ -120,7 +128,7 @@ class HomogeneousPolynomial:
         terms = {}
         m = None
         for t in spec.get("terms", []):
-            exps = tuple(int(e) for e in t["exps"])
+            exps = _exponents(t["exps"])
             m = len(exps) if m is None else m
             terms[exps] = _c(t["coef"])
         if m is None:
@@ -234,7 +242,7 @@ def sample_ball(space: BallSpace, n, rng, margin=INTERIOR_MARGIN):
     return xs, ys
 
 
-def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=100_000,
+def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=20_000,
                seed=0, ascent_steps=50):
     """Estimate of sup_{||y||=1} |Q(y)|: random sphere sweep plus projected
     gradient ascent from the best starts.  An estimate, not a certificate."""

@@ -20,6 +20,7 @@ the Koenigs functions of generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -42,10 +43,6 @@ class PointOutsideDisk(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    pass
-
-
-class DerivativeVanishes(ValueError):
     pass
 
 
@@ -170,12 +167,14 @@ class UnivalentMap:
         den = tuple(complex(c) for c in den)
         if not any(den):
             raise ValueError("zero denominator polynomial")
-        # a pole on the circle is allowed; 1e-6 absorbs the root finder's error
-        # on a double root there (a few 1e-8), the highest order a univalent
-        # map's pole on the circle can have
-        roots = P.polyroots(den)
-        if np.any(np.abs(roots) < 1.0 - 1e-6):
-            raise ValueError(f"denominator has a root inside the disk, a pole: {roots}")
+        w = _critical(num, den)
+        # a pole or a zero of h' = W/D^2 on the circle is allowed, as Koebe's
+        for c, what in ((den, "denominator has a root inside the disk, a pole"),
+                        (w, "h' vanishes inside the disk")):
+            if roots_inside(c):
+                raise ValueError(f"{what}, at {roots_inside(c)[0]}")
+        if not any(w):
+            raise ValueError("h' vanishes identically")
         return cls("rational", num=num, den=den)
 
     # -- evaluation --------------------------------------------------------
@@ -239,6 +238,21 @@ class UnivalentMap:
         if fam == "rational":
             return cls.rational([_c(v) for v in spec["num"]], [_c(v) for v in spec["den"]])
         raise ValueError(f"unknown family in spec: {fam!r}")
+
+
+@lru_cache(maxsize=64)
+def roots_inside(c):
+    """The roots in |z| < 1 - 1e-6 of the ascending coefficients c (a tuple),
+    solved once per c.  A root on the circle is outside: 1e-6 absorbs the root
+    finder's error on a double root there (a few 1e-8)."""
+    roots = P.polyroots(c)
+    return tuple(roots[np.abs(roots) < 1.0 - 1e-6])
+
+
+@lru_cache(maxsize=32)
+def _critical(num, den):
+    """W = N'D - ND', the numerator of h' = W/D^2, derived once per map."""
+    return tuple(P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den))))
 
 
 def _c(v):
@@ -317,9 +331,7 @@ def normalize_at(h, x0):
     """h normalized at x0: g(z) = (h(phi(z)) - h(x0)) / (h'(x0) (|x0|^2 - 1)),
     phi the disk automorphism based at x0, so g(0) = 0 and g'(0) = 1."""
     x0 = complex(x0)
-    d = h.deriv(x0)
-    if d == 0:
-        raise DerivativeVanishes(f"h'({x0}) = 0")
+    d = h.deriv(x0)  # not 0: every disk map is univalent
     return ComposedMap(h, x0, h.eval(x0), d * (abs(x0) ** 2 - 1.0))
 
 
@@ -345,8 +357,6 @@ def continued_log_deriv(h, x):
         t = np.linspace(0.0, 1.0, steps + 1)
         for idx in np.split(todo, np.arange(rows, todo.size, rows)):
             d = h.deriv_array(t * flat[idx, None])
-            if np.any(d == 0):
-                raise DerivativeVanishes("h' vanishes on the continuation path")
             inc = np.log(d[:, 1:] / d[:, :-1])
             ok = np.max(np.abs(inc.imag), axis=1) < np.pi / 2
             out[idx[ok]] = np.log(d[ok, 0]) + inc[ok].sum(axis=1)

@@ -38,7 +38,7 @@ class ExtendedGenerator:
             # the rigorous upper bound, so it is needed only when that is too large
             bound = self.space.r * abs(self.lam) * q_bound(self.lam)
             if sup_norm_Q_bound(self.Q, self.space) > bound + 1e-12:
-                est = sup_norm_Q(self.Q, self.space, samples=20_000)
+                est = sup_norm_Q(self.Q, self.space)
                 if est > bound + 1e-12:
                     raise ValueError(f"sup|Q| estimate {est} exceeds bound {bound}")
 

@@ -39,6 +39,8 @@ class Generator:
     the angular derivative at a boundary tau.  The zero at tau is divided out
     once, by synthetic division: g = f/(z - tau), u = (mu - f')/(z - tau) and
     v = (mu - g)/(z - tau) are polynomials, since g(tau) = f'(tau) = mu.
+    A root of g in the disk is refused: the Berkson-Porta form
+    f = (z - tau)(1 - conj(tau) z)p makes tau f's only zero there.
     """
 
     coeffs: tuple
@@ -69,6 +71,9 @@ class Generator:
         if abs(self.mu - self.df(self.tau)) > 1e-10 * max(1.0, abs(self.mu)):
             raise InvalidGenerator(f"mu = {self.mu} is not f'(tau) = {self.df(self.tau)}")
         self._g = _divided(c, self.tau)
+        if families.roots_inside(self._g):
+            raise InvalidGenerator(
+                f"f has a second zero inside the disk, at {families.roots_inside(self._g)[0]}")
         self._u = _divided(P.polysub([self.mu], d1), self.tau)
         self._v = _divided(P.polysub([self.mu], self._g), self.tau)
 
@@ -208,9 +213,7 @@ class KoenigsMap:
         self.mu = gen.mu
         self._memo = (None, None)
         if gen.kind == "hyperbolic":
-            f0 = gen.f(np.asarray([0j]))[0]
-            if f0 == 0:
-                raise InvalidGenerator("hyperbolic generator with f(0) = 0")
+            f0 = gen.f(np.asarray([0j]))[0]  # -tau g(0), not 0: g has no zero inside
             self._base = 0j
             self._log_c = (np.log(-1.0 / gen.tau), np.log(self.mu / f0))
         else:
@@ -247,8 +250,6 @@ class KoenigsMap:
             q = 1.0 - np.conj(b) * ws
             ws, dw = (b - ws) / q, (abs(b) ** 2 - 1.0) * zeta / q**2
         gw = gen.g(ws)
-        if np.any(gw == 0):
-            raise InvalidGenerator("f vanishes inside the disk away from tau")
         return w @ (dw * gen.v(ws) / gw), w @ (dw * gen.u(ws) / gw)
 
     def eval_array(self, z):
@@ -285,8 +286,8 @@ def schroder_residual(h, gen: Generator, t, samples):
 
 
 def spirallike_margin(h, mu):
-    """min over the margin circle of Re( mu h(z) / (z h'(z)) ), or -inf when h'
-    has a zero inside it.
+    """min over the margin circle of Re( mu h(z) / (z h'(z)) ), h' having no
+    zero inside (UnivalentMap.rational refuses one).
 
     h is accepted as mu-spirallike (interior point case, h(0)=0) when the
     margin is >= -1e-9; Re mu <= 0, where the margin decides nothing, is refused."""
@@ -296,24 +297,4 @@ def spirallike_margin(h, mu):
     if abs(h.eval(0j)) > 1e-10:
         raise ValueError("interior-point criterion needs h(0) = 0")
     z = margin_circle()
-    dh = h.deriv_array(z)
-    margin = float(np.min((mu * h.eval_array(z) / (z * dh)).real))
-    # the minimum principle needs h' != 0 inside; where h' vanishes, h is not
-    # locally univalent and mu h/(z h') has a pole or h a multiple zero
-    return margin if abs(_turns(h, z, dh)) < 0.5 else -np.inf
-
-
-def _turns(h, z, dh):
-    """Zeros of h' inside the margin circle z, dh = h'(z): the turns of h' along
-    it (argument principle), each step turning by more than pi/4, as near a
-    pole of h' just beyond the circle, split in 16 up to six times."""
-    t, dt, inc, turn = np.angle(z), 2.0 * np.pi / z.size, np.angle(np.roll(dh, -1) / dh), 0.0
-    for _ in range(6):
-        fast = np.abs(inc) > np.pi / 4
-        if not fast.any():
-            break
-        turn += np.sum(inc[~fast])
-        s = t[fast, None] + dt / 16 * np.arange(17)
-        w = h.deriv_array(abs(z[0]) * np.exp(1j * s))
-        t, dt, inc = s[:, :-1].ravel(), dt / 16, np.angle(w[:, 1:] / w[:, :-1]).ravel()
-    return (turn + np.sum(inc)) / (2.0 * np.pi)
+    return float(np.min((mu * h.eval_array(z) / (z * h.deriv_array(z))).real))

@@ -514,15 +514,61 @@ def test_bad_times_and_counts_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("num", [[0, 1, 1.2], [0, 0, 1]], ids=["z+1.2z^2", "z^2"])
-def test_spiral_check_fails_a_map_whose_derivative_vanishes_inside(tmp_path, num):
+def test_spiral_check_fails_a_map_whose_derivative_vanishes_inside(tmp_path, capsys, num):
     """h' of z + 1.2z^2 vanishes at -0.417 and that of z^2 at 0: neither map is
     locally univalent, though Re(h/(z h')) is positive all along the margin
-    circle (about 0.142 and 0.5).  The zero count of h' on the circle fails
-    them with margin -inf, written as null."""
+    circle (about 0.142 and 0.5).  The map is refused when it is built, so
+    spiral-check, covering and extend each exit 2 with no report."""
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps({"family": "rational", "num": num, "den": [1]}))
-    code, rep = run(tmp_path, "spiral-check", "--fn", str(fn), "--mu", "1,0")
-    assert code == 1 and rep["margin"] is None and rep["pass"] is False
+    for argv in (("spiral-check", "--fn", str(fn), "--mu", "1,0"),
+                 ("covering", "--fn", str(fn), "--x0", "0,0", "--alpha", "0.5"),
+                 ("extend", "--fn", str(fn), "--r", "1", "--mu", "1,0", "--lambda", "1,0")):
+        code, rep = run(tmp_path, *argv)
+        assert code == 2 and rep is None
+        assert "h' vanishes inside the disk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,spec,argv", [
+    ("--gen", {"poly": [0, 1, 1.0005]}, ("spiral-check",)),
+    ("--gen", {"poly": [0, 1, 1.0005]}, ("koenigs",)),
+    ("--fn", {"family": "rational", "num": [0, 1, 0.50025], "den": [1]},
+     ("spiral-check", "--mu", "1")),
+    ("--fn", {"family": "rational", "num": [0, 1, 0.50025], "den": [1]},
+     ("covering", "--x0", "0,0", "--alpha", "0.5")),
+], ids=["spiral_check_gen", "koenigs_gen", "spiral_check_fn", "covering_fn"])
+def test_a_zero_between_the_margin_circle_and_the_circle_exits_2(tmp_path, capsys, option,
+                                                                spec, argv):
+    """g = 1 + 1.0005z and h' = 1 + 1.0005z of h = z + 0.50025z^2 vanish at
+    -0.9995, between the margin circle |z| = 0.999 and the unit circle, where
+    no sampled margin sees it: f has a second zero in the disk, and h is not
+    univalent.  Each spec is refused when it is built, with one error line that
+    names the root, no report and no traceback."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, rep = run(tmp_path, argv[0], option, str(path), *argv[1:])
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert "inside the disk, at (-0.99950" in err
+
+
+@pytest.mark.parametrize("exps", [[-1, 3], [2.9, 0]], ids=["negative", "fractional"])
+@pytest.mark.parametrize("cmd", ["extend", "gen-extend"])
+def test_q_with_a_negative_or_fractional_exponent_exits_2(tmp_path, capsys, exps, cmd):
+    """y1^-1 y2^3 has degree 2 but is no polynomial (its sup norm bound turned
+    complex, a TypeError traceback), and the exponent 2.9 was read as 2: both
+    are input errors, exit 2 with one error line and no report."""
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"degree": 2, "terms": [{"exps": exps, "coef": [0.1, 0]}]}))
+    base = (("--fn", "koebe", "--mu", "1,0") if cmd == "extend"
+            else ("--gen", str(tmp_path / "gen.json")))
+    (tmp_path / "gen.json").write_text(json.dumps({"poly": [0, 1, -1]}))
+    code, rep = run(tmp_path, cmd, *base, "--r", "2", "--m", "2", "--lambda", "1,0",
+                    "--Q", str(q))
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert err == f"error: bad polynomial spec {q}: exponents must be integers >= 0, got {exps}\n"
 
 
 @pytest.mark.parametrize("mu", ["0", "-1,0", "0,1"])
@@ -661,13 +707,14 @@ def test_non_finite_and_empty_inputs_exit_2(tmp_path, capsys, argv):
 
 
 def test_solver_fault_exits_3_undecided(tmp_path, capsys):
-    """A generator with a negative Berkson-Porta margin forces the flow from
-    -0.9 against the boundary: the ODE solver gives up, which is undecided
-    (exit 3), not a checked failure and not a traceback."""
+    """f = z(1 + z/1.01)^2 has no zero in the disk besides 0, so it is accepted,
+    but its Berkson-Porta margin is -0.478: it forces the flow from
+    -0.5 + 0.85i against the boundary, the ODE solver gives up, which is
+    undecided (exit 3), not a checked failure and not a traceback."""
     gen = tmp_path / "gen.json"
-    gen.write_text(json.dumps({"poly": [[0, 0], [1, 0], [1.5, 0]], "kind": "dilation",
-                               "tau": [0, 0], "mu": [1, 0]}))
-    code, rep = run(tmp_path, "flow", "--gen", str(gen), "--z0=-0.9,0", "--t", "5")
+    gen.write_text(json.dumps({"poly": [0, 1, 1.9801980198019802, 0.9802960494069208],
+                               "kind": "dilation", "tau": [0, 0], "mu": [1, 0]}))
+    code, rep = run(tmp_path, "flow", "--gen", str(gen), "--z0=-0.5,0.85", "--t", "5")
     assert code == 3
     assert rep is None
     assert capsys.readouterr().err.startswith("error: undecided: LeftDomain: ")

@@ -94,15 +94,10 @@ def test_generator_validation_rejects_bad_mu():
 def test_berkson_porta_margin_sign():
     assert berkson_porta_margin(gen_logistic()) > 0
     assert berkson_porta_margin(gen_hyperbolic()) > 0
-    # -f is not a generator: margin goes negative (duck-typed, since the
-    # Generator constructor itself rejects Re mu <= 0); g = -f/z
-    class Bad:
-        tau = 0.0 + 0j
-
-        def g(self, z):
-            return -(1 - z)
-
-    assert berkson_porta_margin(Bad()) < 0
+    # f = z(1 + z/1.01)^2 is no generator, though its only zero in the disk is
+    # 0, so the constructor accepts it: the margin fails it
+    bad = Generator([0, 1, 1.9801980198019802, 0.9802960494069208], kind="dilation", tau=0.0)
+    assert berkson_porta_margin(bad) < 0
 
 
 
@@ -246,13 +241,18 @@ def test_spirallike_margin_negative_for_wrong_mu():
     assert spirallike_margin(UnivalentMap.koebe(), 0.05 + 1.0j) < 0
 
 
-@pytest.mark.parametrize("c, critical", [(0.4995, False), (0.5006, True), (1.2, True)])
-def test_spirallike_margin_is_minus_inf_where_h_prime_vanishes(c, critical):
-    """h = z + c z^2 has h'(-1/(2c)) = 0: inside the margin circle
-    |z| = 0.999 for c = 0.5006 and 1.2, just beyond it for c = 0.4995."""
-    margin = spirallike_margin(UnivalentMap.rational([0, 1, c], [1]), 1.0)
-    assert (margin == -np.inf) == critical
-    assert margin > 0 or critical
+@pytest.mark.parametrize("c, critical", [(0.4995, False), (0.5006, True), (0.50025, True),
+                                         (1.2, True)])
+def test_rational_map_with_a_critical_point_inside_is_refused(c, critical):
+    """h = z + c z^2 has h'(-1/(2c)) = 0: inside the disk for c = 0.5006,
+    0.50025 (between the margin circle |z| = 0.999 and the circle) and 1.2,
+    just beyond it for c = 0.4995, whose margin is then read."""
+    if critical:
+        with pytest.raises(ValueError, match="h' vanishes inside the disk, at ") as e:
+            UnivalentMap.rational([0, 1, c], [1])
+        assert abs(complex(str(e.value).split(" at ")[1]) + 0.5 / c) < 1e-12
+    else:
+        assert spirallike_margin(UnivalentMap.rational([0, 1, c], [1]), 1.0) > 0
 
 
 @pytest.mark.parametrize("h", [
