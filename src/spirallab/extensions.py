@@ -55,11 +55,11 @@ class DegreeMismatch(ValueError):
     pass
 
 
-def _exponents(k):
-    """The multi-index k as ints, refusing a negative or fractional exponent."""
+def _exponents(k, what="exponents must be integers"):
+    """The entries of k as ints, refusing a negative or fractional one."""
     exps = tuple(int(e) for e in k)
     if any(e < 0 or e != v for e, v in zip(exps, k)):
-        raise DegreeMismatch(f"exponents must be integers >= 0, got {list(k)}")
+        raise DegreeMismatch(f"{what} >= 0, got {list(k)}")
     return exps
 
 
@@ -124,7 +124,7 @@ class HomogeneousPolynomial:
 
     @classmethod
     def from_spec(cls, spec):
-        deg = int(spec["degree"])
+        (deg,) = _exponents([spec["degree"]], "the degree must be an integer")
         terms = {}
         m = None
         for t in spec.get("terms", []):
@@ -384,7 +384,7 @@ def _gamma_probes(z1, fibre, xs, step, n_gamma):
 
 def _gamma_circle(form, z1, d1, step, fibre, n_gamma):
     """Gamma-mode membership on the circles of radius step about z1 for a map
-    whose conformal radius is the form (b, g): one block of the n samples a
+    whose conformal radius is the form (a, b, g): one block of the n samples a
     direction k, with the probes z1 + step e^(2 pi i k / n_gamma) at indices,
     built as _gamma_probes builds them.  fibre >= 0, so a NaN d1 and a radius
     <= 0 both fail, as the NaN of the point formula does."""
@@ -394,12 +394,12 @@ def _gamma_circle(form, z1, d1, step, fibre, n_gamma):
 
 def _circle_radii(form, z1, d1, s, n_gamma):
     """Each direction d = e^(i phi), phi = 2 pi k / n_gamma, with the conformal
-    radius delta(w) = a + 2 Re(b w) + g |w|^2, (b, g) = form, at the points
+    radius delta(w) = a + 2 Re(b w) + g |w|^2, (a, b, g) = form, at the points
     w = z1 + s d, from d1 = delta(z1): delta(w) = d1 + g s^2 +
     2 s Re((b + g conj(z1)) d), so two real arrays are built once and each
     direction reads each once.  No positivity cut: delta(w) <= 0 where w
     leaves the image."""
-    b, g = form
+    _, b, g = form
     base = d1 + g * s * s
     re = 2.0 * s * (b.real + g * z1.real)
     im = 2.0 * s * (b.imag - g * z1.imag)

@@ -7,7 +7,7 @@ with disk_map.  The class defines eval_array and deriv_array on ndarrays and
 may define deriv2_array, log_deriv_array, invert_array (the preimages of w in
 the open disk, NaN where there are none), abs_deriv_array,
 conformal_radius_array (|h'(x)|(1 - |x|^2) at x = h^-1(w), NaN where w has no
-preimage), conformal_radius_form (the pair (b, g) where that radius is
+preimage), conformal_radius_form (the triple (a, b, g) where that radius is
 a + 2 Re(b w) + g |w|^2 in w) and spiral_multiplier; disk_map writes the
 rest, so every disk map has all of them, plus invert and the scalar twin of each array method, which
 refuses a point outside the disk.  Callers do not write into the arrays these methods
@@ -163,11 +163,10 @@ class UnivalentMap:
 
     @classmethod
     def rational(cls, num, den):
-        num = tuple(complex(c) for c in num)
-        den = tuple(complex(c) for c in den)
+        num, den = (tuple(map(complex, c)) for c in (num, den))
         if not any(den):
             raise ValueError("zero denominator polynomial")
-        w = _critical(num, den)
+        w = kernels._rational(num, den)[3]
         # a pole or a zero of h' = W/D^2 on the circle is allowed, as Koebe's
         for c, what in ((den, "denominator has a root inside the disk, a pole"),
                         (w, "h' vanishes inside the disk")):
@@ -215,9 +214,8 @@ class UnivalentMap:
 
     @property
     def conformal_radius_form(self):
-        """(b, g) with conformal_radius_array(w) = a + 2 Re(b w) + g |w|^2 where
-        positive, for the Mobius and half-plane maps; None for the others
-        (``kernels.conformal_radius_form``)."""
+        """``kernels.conformal_radius_form``: (a, b, g) for the Mobius and
+        half-plane maps, None for the others."""
         return kernels.conformal_radius_form(self.code, self.params)
 
     # -- serialization ---------------------------------------------------------
@@ -242,17 +240,22 @@ class UnivalentMap:
 
 @lru_cache(maxsize=64)
 def roots_inside(c):
-    """The roots in |z| < 1 - 1e-6 of the ascending coefficients c (a tuple),
-    solved once per c.  A root on the circle is outside: 1e-6 absorbs the root
-    finder's error on a double root there (a few 1e-8)."""
+    """The roots of the ascending coefficients c (a tuple) inside the open disk
+    by more than their own error, solved once per c.  The eigenvalue solve is
+    backward stable: a computed root r is a root of coefficients within
+    K eps |c_k| of c, K a small multiple of the degree (Edelman and Murakami,
+    1995); K = 1e3 also covers Horner's rounding of p(r).  So |p(r)| <=
+    e = K eps sum |c_k| |r|^k, and an m-fold root lies within
+    (m! e / |p^(m)(r)|)^(1/m) of r (Wilkinson's bound at m = 1): r's error is
+    the least over m, as p'(r) = 0 at an exactly computed double root."""
     roots = P.polyroots(c)
-    return tuple(roots[np.abs(roots) < 1.0 - 1e-6])
-
-
-@lru_cache(maxsize=32)
-def _critical(num, den):
-    """W = N'D - ND', the numerator of h' = W/D^2, derived once per map."""
-    return tuple(P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den))))
+    size, err = np.abs(roots), np.inf
+    e = 1e3 * np.finfo(float).eps * P.polyval(size, np.abs(c))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0: no bound at this m
+        for m in range(1, len(c)):
+            dm = np.abs(P.polyval(roots, P.polyder(c, m)))
+            err = np.fmin(err, (math.factorial(m) * e / dm) ** (1.0 / m))
+    return tuple(roots[size + err < 1.0])
 
 
 def _c(v):

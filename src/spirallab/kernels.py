@@ -20,8 +20,8 @@ in a one-entry memo, so every disk map shares them; ``invert`` and
 disk or NaN, and ``preimages`` alone decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
 and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
-from w alone, for the Mobius and half-plane maps, whose
-``conformal_radius_form`` gives it as one real quadratic form in w.
+from w alone, for the Mobius and half-plane maps, from the one real quadratic
+form in w of ``conformal_radius_form``.
 """
 
 import itertools
@@ -55,8 +55,11 @@ def horner(c, z):
 
 @lru_cache(maxsize=32)
 def _rational(num, den):
-    """((N, N', N''), (D, D', D'')) as coefficient tuples, derived once per map."""
-    return tuple(tuple(tuple(P.polyder(c, k)) for k in range(3)) for c in (num, den))
+    """(N, D, D', W, W') of h = N/D as coefficient tuples, derived once per map:
+    W = N'D - ND' is the numerator of h' = W/D^2, so h'' = (W'D - 2WD')/D^3."""
+    d1 = P.polyder(den)
+    w = P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, d1))
+    return tuple(tuple(c) for c in (num, den, d1, w, P.polyder(w)))
 
 
 def eval_map(code, params, num, den, z):
@@ -74,8 +77,8 @@ def eval_map(code, params, num, den, z):
     if code == 4:
         return (1.0 - z) / (1.0 + z)
     if code == 5:
-        nc, dc = _rational(num, den)
-        return horner(nc[0], z) / horner(dc[0], z)
+        n, d = _rational(num, den)[:2]
+        return horner(n, z) / horner(d, z)
     raise ValueError(f"unknown family code {code}")
 
 
@@ -93,9 +96,8 @@ def eval_deriv(code, params, num, den, z):
     if code == 4:
         return -2.0 / (1.0 + z) ** 2
     if code == 5:
-        nc, dc = _rational(num, den)
-        n, n1, d, d1 = (horner(c, z) for c in (nc[0], nc[1], dc[0], dc[1]))
-        return (n1 * d - n * d1) / d**2
+        _, d, _, w, _ = _rational(num, den)
+        return horner(w, z) / horner(d, z) ** 2
     raise ValueError(f"unknown family code {code}")
 
 
@@ -139,11 +141,8 @@ def eval_deriv2(code, params, num, den, z):
     if code == 4:
         return 4.0 / (1.0 + z) ** 3
     if code == 5:
-        nc, dc = _rational(num, den)
-        n, n1, n2 = (horner(c, z) for c in nc)
-        d, d1, d2 = (horner(c, z) for c in dc)
-        u = n1 * d - n * d1
-        return ((n2 * d - n * d2) * d - 2.0 * d1 * u) / d**3
+        d, d1, w, w1 = (horner(c, z) for c in _rational(num, den)[1:])
+        return (w1 * d - 2.0 * w * d1) / d**3
     raise ValueError(f"unknown family code {code}")
 
 
@@ -185,33 +184,30 @@ def _closed_invert(code, params, w):
     return None
 
 
-def conformal_radius(code, params, w):
-    """|h'(x)|(1 - |x|^2) at the preimage x of w in the open disk, in real
-    arithmetic from w alone, NaN where the value is <= 0, which is where the
-    closed-form inverse leaves the disk; None for a family without this
-    closed form.  mobius: |1 - cw|^2 - |w|^2; half_plane: 2 Re w."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    u, v = w.real, w.imag
-    if code == 2:
-        c = params[0]
-        d = (1.0 - c.real * u + c.imag * v) ** 2 + (c.real * v + c.imag * u) ** 2 - (u * u + v * v)
-    elif code == 4:
-        d = 2.0 * u
-    else:
-        return None
-    return np.where(d > 0.0, d, np.nan)
-
-
 def conformal_radius_form(code, params):
-    """(b, g) of the families whose conformal_radius is the real quadratic form
-    a + 2 Re(b w) + g |w|^2 in w where positive, None for the others.
-    mobius: a = 1, (b, g) = (-c, |c|^2 - 1); half_plane: a = 0, (b, g) = (1, 0)."""
+    """(a, b, g) of the families whose conformal radius |h'(x)|(1 - |x|^2) at
+    x = h^-1(w) is the real quadratic form a + 2 Re(b w) + g |w|^2 in w where
+    positive, None for the others.  mobius: |1 - cw|^2 - |w|^2, so
+    (1, -c, |c|^2 - 1); half_plane: 2 Re w, so (0, 1, 0)."""
     if code == 2:
         c = params[0]
-        return -c, c.real * c.real + c.imag * c.imag - 1.0
+        return 1.0, -c, c.real * c.real + c.imag * c.imag - 1.0
     if code == 4:
-        return 1.0 + 0j, 0.0
+        return 0.0, 1.0 + 0j, 0.0
     return None
+
+
+def conformal_radius(code, params, w):
+    """The conformal radius at w from ``conformal_radius_form``, NaN where it is
+    <= 0 (where the closed-form inverse leaves the disk); None without a form."""
+    form = conformal_radius_form(code, params)
+    if form is None:
+        return None
+    (a, b, g), w = form, np.atleast_1d(np.asarray(w, dtype=complex))
+    d = a + 2.0 * (b.real * w.real - b.imag * w.imag)
+    if g:  # the half-plane's g = 0: no |w|^2, which overflows long before 2 Re w
+        d += g * (w.real ** 2 + w.imag ** 2)
+    return np.where(d > 0.0, d, np.nan)
 
 
 def _clamp(z):

@@ -1,6 +1,8 @@
 """The parent-versus-change summary of tools/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import json
+import math
 import os
 
 import pytest
@@ -158,3 +160,42 @@ def test_run_bench_counts_the_minor_faults_of_the_whole_process_tree(bench_pairs
     for run in runs:
         run["minor_faults"] = {"parent": 10 ** 6, "change": 0}
     assert bench_pairs.summarize(runs, end_to_end) == want
+
+
+def up(v, n):
+    """The n-th double above v."""
+    for _ in range(n):
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+def test_compare_hashes_names_the_report_keys_that_moved_in_ulp(bench_pairs, tmp_path):
+    """For each op whose hash differs, the keys of its two kept reports whose
+    values differ, dotted through objects, list items under their list's key,
+    with the largest move of their numbers in ulp; a differing bool, string or
+    list length reads None, timing_s and the hash are left out, and an op
+    whose hashes are equal lists nothing."""
+    x = 0.1
+    parent = {"determinism_hash": "p", "timing_s": {"total": 1.0}, "tolerance": x,
+              "witnesses": [{"z": [x, -1.0]}, {"z": [2.0, 3.0]}], "pass": True,
+              "checked": 4, "mode": "gamma", "times": [1.0], "same": 5.0}
+    change = {"determinism_hash": "c", "timing_s": {"total": 2.0}, "tolerance": up(x, 2),
+              "witnesses": [{"z": [up(x, 1), -1.0]}, {"z": [2.0, up(3.0, 7)]}], "pass": False,
+              "checked": 5, "mode": "muir", "times": [1.0, 2.0], "same": 5.0}
+    keep = {side: tmp_path / side for side in ("parent", "change")}
+    for side, rep in (("parent", parent), ("change", change)):
+        keep[side].mkdir()
+        for op in ("moved", "equal"):
+            with open(bench_pairs.keep_path(str(keep[side]), op, "--out"), "w") as fh:
+                json.dump(rep if op == "moved" else parent, fh)
+    got = bench_pairs.compare_hashes(
+        {"hashes": {"moved": "p", "equal": "p"}, "dumps": {}, "raised": {}},
+        {"hashes": {"moved": "c", "equal": "p"}, "dumps": {}, "raised": {}},
+        {side: str(path) for side, path in keep.items()})
+    assert got["differ"] == ["moved"]
+    assert got["differ_keys"] == {"moved": {"tolerance": 2, "witnesses.z": 7, "pass": None,
+                                            "checked": bench_pairs.ulps(4, 5), "mode": None,
+                                            "times": None}}
+    assert bench_pairs.ulps(-0.0, 0.0) == 0
+    assert bench_pairs.ulps(-5e-324, 5e-324) == 2
+    assert bench_pairs.ulps(1.0, up(1.0, 3)) == 3

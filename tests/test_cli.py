@@ -571,6 +571,46 @@ def test_q_with_a_negative_or_fractional_exponent_exits_2(tmp_path, capsys, exps
     assert err == f"error: bad polynomial spec {q}: exponents must be integers >= 0, got {exps}\n"
 
 
+GEN_NEAR_RIM = {"poly": [0, 1, 1.0000001]}
+FN_NEAR_RIM = {"family": "rational", "num": [0, 1, 0.50000005], "den": [1]}
+
+
+@pytest.mark.parametrize("option,spec,argv", [
+    ("--gen", GEN_NEAR_RIM, ("spiral-check",)),
+    ("--gen", GEN_NEAR_RIM, ("koenigs",)),
+    ("--fn", FN_NEAR_RIM, ("spiral-check", "--mu", "1")),
+    ("--fn", FN_NEAR_RIM, ("covering", "--x0", "0,0", "--alpha", "0.5")),
+    ("--fn", FN_NEAR_RIM, ("extend", "--r", "1", "--mu", "1,0", "--lambda", "1,0")),
+], ids=["spiral_check_gen", "koenigs_gen", "spiral_check_fn", "covering_fn", "extend_fn"])
+def test_a_simple_zero_1e_7_inside_the_circle_exits_2(tmp_path, capsys, option, spec, argv):
+    """g = 1 + 1.0000001z and h' of h = z + 0.50000005z^2 vanish at
+    -0.9999999, a simple root found to about 1e-15: a fixed 1e-6 band below
+    the circle took it for a root on the circle.  Each spec is refused when it
+    is built, with one error line that names the root and no report."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, rep = run(tmp_path, argv[0], option, str(path), *argv[1:])
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert "inside the disk, at (-0.99999990" in err
+
+
+@pytest.mark.parametrize("cmd", ["extend", "gen-extend"])
+def test_q_with_a_fractional_degree_exits_2(tmp_path, capsys, cmd):
+    """A degree of 2.5 was read as 2, so 0.1 y^2 passed as a degree-2.5
+    polynomial: an input error, exit 2 with one error line and no report."""
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"degree": 2.5, "terms": [{"exps": [2], "coef": 0.1}]}))
+    base = (("--fn", "koebe", "--mu", "1,0") if cmd == "extend"
+            else ("--gen", str(tmp_path / "gen.json")))
+    (tmp_path / "gen.json").write_text(json.dumps({"poly": [0, 1, -1]}))
+    code, rep = run(tmp_path, cmd, *base, "--r", "2", "--lambda", "1,0", "--Q", str(q))
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert err == f"error: bad polynomial spec {q}: the degree must be an integer >= 0, got [2.5]\n"
+
+
 @pytest.mark.parametrize("mu", ["0", "-1,0", "0,1"])
 def test_spiral_check_refuses_re_mu_not_positive(tmp_path, capsys, mu):
     """The margin is at most Re mu, so koebe with mu = 0 passed with margin

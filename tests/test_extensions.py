@@ -825,22 +825,41 @@ def test_circle_path_equals_probe_path_on_failing_sweeps(case, monkeypatch):
 
 
 @pytest.mark.parametrize("h,form", [
-    (UnivalentMap.mobius_spiral(0.3 - 0.4j), (-(0.3 - 0.4j), 0.25 - 1.0)),
-    (UnivalentMap.half_plane(), (1.0, 0.0)),
+    (UnivalentMap.mobius_spiral(0.3 - 0.4j), (1.0, -(0.3 - 0.4j), 0.25 - 1.0)),
+    (UnivalentMap.half_plane(), (0.0, 1.0, 0.0)),
     (UnivalentMap.koebe(), None),
     (RATIONAL, None),
     (normalize_at(UnivalentMap.half_plane(), 0.2j), None),
 ], ids=["mobius", "half_plane", "koebe", "rational", "composed"])
 def test_conformal_radius_form_is_the_closed_form_radius(h, form):
-    """The Mobius and half-plane maps carry (b, g) with conformal_radius_array
-    = a + 2 Re(b w) + g |w|^2 where positive; every other disk map (disk_map's
-    default) carries None."""
+    """The Mobius and half-plane maps carry (a, b, g) with
+    conformal_radius_array = a + 2 Re(b w) + g |w|^2 where positive; every
+    other disk map (disk_map's default) carries None."""
     if form is None:
         assert h.conformal_radius_form is None
         return
     assert h.conformal_radius_form == pytest.approx(form, abs=1e-15)
     w = h.eval_array(random_disk(np.random.default_rng(8), 50))
-    b, g = form
-    a = 1.0 if h.family == "mobius_spiral" else 0.0
+    a, b, g = form
     want = a + 2 * (b * w).real + g * np.abs(w) ** 2
     assert np.allclose(h.conformal_radius_array(w), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.3 - 0.4j, 0.9, -0.95 + 0.2j, 0.999j, 0.0],
+                         ids=lambda c: f"mobius{c}")
+def test_form_is_the_mobius_and_half_plane_radius(c):
+    """The form's radius is |1 - cw|^2 - |w|^2 for the Mobius map, within
+    8 eps (1 + |w|)^2, the rounding of both formulas' terms, and 2 Re w for
+    the half-plane bit for bit, on the images of points out to |x| = 0.999
+    and at |w| up to 1e200, where |w|^2 overflows."""
+    x = random_disk(np.random.default_rng(9), 2000, 0.999)
+    h = UnivalentMap.mobius_spiral(c)
+    w = h.eval_array(x)
+    got = kernels.conformal_radius(h.code, h.params, w)
+    want = np.abs(1.0 - c * w) ** 2 - np.abs(w) ** 2
+    assert not np.isnan(got).any()
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (1.0 + np.abs(w)) ** 2)
+    w = UnivalentMap.half_plane().eval_array(x)
+    assert np.array_equal(kernels.conformal_radius(4, (), w), 2.0 * w.real)
+    assert np.array_equal(kernels.conformal_radius(4, (), [1e200, 1e150 + 1e155j]),
+                          [2e200, 2e150])

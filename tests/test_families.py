@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -22,6 +22,7 @@ from spirallab.families import (
     invert_map,
     newton_invert,
     normalize_at,
+    roots_inside,
 )
 from spirallab.semigroups import Generator, koenigs, spirallike_margin
 
@@ -643,6 +644,49 @@ def test_abs_deriv_matches_mpmath(h):
     assert np.array_equal(h.abs_deriv_array(zs), got)
 
 
+def _clusters(radius, n):
+    """(root, multiplicity 1-4) lists of at most n roots of the given modulus."""
+    return st.lists(st.tuples(st.builds(lambda r, t: r * cmath.exp(1j * t), radius,
+                                        st.floats(0.0, 2 * np.pi)),
+                              st.integers(1, 4)), max_size=n)
+
+
+@given(rim=_clusters(st.just(1.0), 3), inner=_clusters(st.floats(0.0, 0.9), 2),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+@settings(max_examples=400, deadline=None)
+def test_roots_inside_are_the_roots_inside_whatever_their_multiplicity(rim, inner, scale):
+    """Roots on the circle and at |z| <= 0.9, each of multiplicity 1-4 and
+    0.25 or more apart, scaled by 1e-6, 1 or 1e6: roots_inside finds each
+    root inside with its multiplicity, nearer to it than to any on the circle,
+    though the root finder moves an m-fold root by about eps^(1/m).  (Roots
+    closer together act as one root of their summed multiplicity, whose
+    error the bound can no longer hold at twelve.)"""
+    points = [z for z, _ in rim + inner]
+    assume(all(abs(a - b) >= 0.25 for i, a in enumerate(points) for b in points[:i]))
+    roots = [z for z, m in rim + inner for _ in range(m)]
+    got = roots_inside(tuple(scale * P.polyfromroots(roots)) if roots else (scale,))
+    assert len(got) == sum(m for _, m in inner)
+    for r in got:
+        assert min(abs(r - z) for z, _ in inner) < min((abs(r - z) for z, _ in rim),
+                                                       default=np.inf)
+
+
+@pytest.mark.parametrize("roots,scale,inside", [
+    ([1, 1], 1.0, 0), ([1, -1], 1.0, 0), ([1j, 1j], 1.0, 0), ([1, 1, 1], 1.0, 0),
+    ([1, 1, 1, 1], 1.0, 0), ([-1, -1], 1e6, 0),
+    ([1 - 1e-9], 1.0, 1), ([0.99999], 1.0, 1), ([0.999, 0.999], 1.0, 2), ([0.5, 0.5], 1.0, 2),
+    ([0.9, 0.9, 0.9], 1.0, 3),
+], ids=["koebe_D", "koebe_W", "double_i", "triple_1", "quadruple_1", "double_-1_scaled",
+        "simple_1-1e-9", "simple_0.99999", "double_0.999", "double_0.5", "triple_0.9"])
+def test_roots_inside_beyond_their_error_and_none_on_the_circle(roots, scale, inside):
+    """Roots on the circle are not inside, whatever their multiplicity (a fixed
+    1e-6 band took the triple and quadruple roots at 1 for roots inside); a
+    simple root 1e-9 inside the circle, found to about 1e-16, is inside; and
+    so is (z - 0.5)^2, solved exactly, where p'(r) = 0 and Wilkinson's m = 1
+    bound is infinite, so only the least bound over m finds it."""
+    assert len(roots_inside(tuple(scale * P.polyfromroots(roots)))) == inside
+
+
 @pytest.mark.parametrize("num,den", [
     (RATIONAL.num, RATIONAL.den),
     ((0.3, 1 + 0.2j, -0.1j, 0.05), (1, -0.4j, 0.1)),
@@ -650,15 +694,17 @@ def test_abs_deriv_matches_mpmath(h):
 ], ids=["conftest", "cubic", "constant_den"])
 def test_rational_kernels_match_polyval_bit_for_bit(num, den):
     """Horner on coefficients derived once per map gives numpy's polyval of
-    polyder, bit for bit, for h, h' and h''."""
+    N, D, D', W = N'D - ND' and W', bit for bit, for h = N/D, h' = W/D^2 and
+    h'' = (W'D - 2WD')/D^3."""
     zs = random_disk(np.random.default_rng(12), 1000, 0.99)
-    n, n1, n2 = (P.polyval(zs, P.polyder(num, k)) for k in range(3))
-    d, d1, d2 = (P.polyval(zs, P.polyder(den, k)) for k in range(3))
-    u = n1 * d - n * d1
+    wc = P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den)))
+    assert np.array_equal(kernels._rational(num, den)[3], wc)
+    n, d, d1 = (P.polyval(zs, c) for c in (num, den, P.polyder(den)))
+    w, w1 = (P.polyval(zs, c) for c in (wc, P.polyder(wc)))
     assert np.array_equal(kernels.eval_map(5, (), num, den, zs), n / d)
-    assert np.array_equal(kernels.eval_deriv(5, (), num, den, zs), u / d**2)
+    assert np.array_equal(kernels.eval_deriv(5, (), num, den, zs), w / d**2)
     assert np.array_equal(kernels.eval_deriv2(5, (), num, den, zs),
-                          ((n2 * d - n * d2) * d - 2.0 * d1 * u) / d**3)
+                          (w1 * d - 2.0 * w * d1) / d**3)
 
 
 @pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)

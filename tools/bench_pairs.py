@@ -30,8 +30,10 @@ when the working tree has uncommitted edits.  Both sides run their own
   one run.
 - ``--hashes W:S`` runs every op of one round once per side, both in the same
   work directory (reports hash their input paths), and lists the ops whose
-  ``determinism_hash`` differs, the ops whose dumped files (``--dump-traj``,
-  ``--out-csv``, ``--dump-region``, ``--dump-curve``) differ, with the largest
+  ``determinism_hash`` differs, with the report keys that moved and the
+  largest move of each one's numbers in ulp (``differ_keys``), the ops whose
+  dumped files (``--dump-traj``, ``--out-csv``, ``--dump-region``,
+  ``--dump-curve``) differ, with the largest
   absolute difference of the numeric cells of each differing dump that has
   the same header and shape on both sides, the ops that ran on one side only,
   the ops that raised an uncaught exception on either side, and the other ops
@@ -50,6 +52,7 @@ import platform
 import resource
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -59,7 +62,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALIBRATION_WARN = 1.2  # the traced sides' largest calibration ratio without a warning
 
 # One round of ops, run once from the tree given as argv[1] in the work
-# directory argv[4], moving each dumped file to keep_path(argv[5], op, option);
+# directory argv[4], moving each report and dumped file to
+# keep_path(argv[5], op, option), the report's option being --out;
 # prints {"hashes": {op name: determinism hash or None},
 # "dumps": {op name: {dump option: sha256 of the file or None}},
 # "raised": {op name: exception}}.  An op that raises is recorded and the
@@ -86,7 +90,7 @@ for op in wl.ops:
     if os.path.exists(out):
         with open(out) as fh:
             hashes[op.name] = json.load(fh)["determinism_hash"]
-        os.unlink(out)
+        os.replace(out, os.path.join(keep, urllib.parse.quote(op.name + "--out", safe="")))
     for opt in ("--dump-traj", "--out-csv", "--dump-region", "--dump-curve"):
         if opt in op.argv:
             path = op.argv[op.argv.index(opt) + 1]
@@ -158,11 +162,40 @@ def max_abs_diff(a, b):
     return worst
 
 
+def ulps(x, y):
+    """How many doubles lie from x to y: 0 for equal values, 1 for neighbours."""
+    a, b = (struct.unpack("<q", struct.pack("<d", float(v)))[0] for v in (x, y))
+    a, b = (i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF) for i in (a, b))  # -0.0 is 0.0
+    return abs(a - b)
+
+
+def report_moves(a, b, key="", moves=None):
+    """{key: largest move in ulp of its numeric leaves} for every key whose
+    value differs between the parsed reports a and b, dotted through nested
+    objects (list items share their list's key), timing_s and the hash left
+    out; None where a differing leaf is not a number on both sides (a bool,
+    a string, a null, a missing key or a list of another length)."""
+    moves = {} if moves is None else moves
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            if k not in ("timing_s", "determinism_hash"):
+                report_moves(a.get(k), b.get(k), f"{key}.{k}" if key else k, moves)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for u, v in zip(a, b):
+            report_moves(u, v, key, moves)
+    elif a != b:
+        num = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        old = moves.get(key, 0)
+        moves[key] = max(old, ulps(a, b)) if num and old is not None else None
+    return moves
+
+
 def compare_hashes(parent, change, keep):
     """Ops whose report hash differs, ops whose dumped files differ (a dump
     missing on one side counts as different) with the largest absolute
     difference of each one's numeric cells (max_abs_diff over its differing
-    dumps, kept under keep[side]), ops run on one side only, ops that raised
+    dumps, kept under keep[side]), for each op whose hash differs the
+    report_moves of its two reports (kept there too), ops run on one side only, ops that raised
     an uncaught exception on either side (with each side's exception), and
     the other ops that wrote no report; ops without a report on a side count
     as neither equal nor different."""
@@ -182,8 +215,17 @@ def compare_hashes(parent, change, keep):
                for opt in pd.get(op, {}).keys() & cd.get(op, {}).keys()
                if pd[op][opt] != cd[op][opt]]
         diffs[op] = max(got) if got and None not in got else None
+    differ = sorted(k for k in both if k not in missing and ph[k] != ch[k])
+    moved = {}
+    for op in differ:
+        reports = []
+        for side in ("parent", "change"):
+            with open(keep_path(keep[side], op, "--out")) as fh:
+                reports.append(json.load(fh))
+        moved[op] = report_moves(*reports)
     return {"ops": len(both),
-            "differ": sorted(k for k in both if k not in missing and ph[k] != ch[k]),
+            "differ": differ,
+            "differ_keys": moved,
             "dumps": sum(len(pd.get(k, {})) for k in both),
             "dumps_differ": dumps_differ,
             "dumps_max_abs_diff": diffs,
