@@ -653,14 +653,14 @@ def _clusters(radius, n):
 
 @given(rim=_clusters(st.just(1.0), 3), inner=_clusters(st.floats(0.0, 0.9), 2),
        scale=st.sampled_from([1e-6, 1.0, 1e6]))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_roots_inside_are_the_roots_inside_whatever_their_multiplicity(rim, inner, scale):
     """Roots on the circle and at |z| <= 0.9, each of multiplicity 1-4 and
     0.25 or more apart, scaled by 1e-6, 1 or 1e6: roots_inside finds each
     root inside with its multiplicity, nearer to it than to any on the circle,
     though the root finder moves an m-fold root by about eps^(1/m).  (Roots
     closer together act as one root of their summed multiplicity, whose
-    error the bound can no longer hold at twelve.)"""
+    error the bound no longer holds from ten on.)"""
     points = [z for z, _ in rim + inner]
     assume(all(abs(a - b) >= 0.25 for i, a in enumerate(points) for b in points[:i]))
     roots = [z for z, m in rim + inner for _ in range(m)]

@@ -33,11 +33,11 @@ when the working tree has uncommitted edits.  Both sides run their own
   ``determinism_hash`` differs, with the report keys that moved and the
   largest move of each one's numbers in ulp (``differ_keys``), the ops whose
   dumped files (``--dump-traj``, ``--out-csv``, ``--dump-region``,
-  ``--dump-curve``) differ, with the largest
-  absolute difference of the numeric cells of each differing dump that has
-  the same header and shape on both sides, the ops that ran on one side only,
-  the ops that raised an uncaught exception on either side, and the other ops
-  that wrote no report on either side.
+  ``--dump-curve``) differ, with the largest absolute difference of the
+  numeric cells of each differing dump that has the same header and shape on
+  both sides, the ops that ran on one side only, the ops that raised an
+  uncaught exception on either side, and the other ops that wrote no report
+  on either side.
 
 The output file is rewritten after every run, and sections already in it are
 kept, so several invocations can fill one file.
@@ -195,10 +195,10 @@ def compare_hashes(parent, change, keep):
     missing on one side counts as different) with the largest absolute
     difference of each one's numeric cells (max_abs_diff over its differing
     dumps, kept under keep[side]), for each op whose hash differs the
-    report_moves of its two reports (kept there too), ops run on one side only, ops that raised
-    an uncaught exception on either side (with each side's exception), and
-    the other ops that wrote no report; ops without a report on a side count
-    as neither equal nor different."""
+    report_moves of its two reports (kept there too), ops run on one side
+    only, ops that raised an uncaught exception on either side (with each
+    side's exception), and the other ops that wrote no report; ops without a
+    report on a side count as neither equal nor different."""
     ph, ch = parent["hashes"], change["hashes"]
     both = ph.keys() & ch.keys()
     raised = {}
