@@ -44,8 +44,7 @@ def grid_tolerance(predicted):
 def _min_distance(h, threshold, center, grid):
     if isinstance(h, UnivalentMap):
         return kernels.covered_min_distance(
-            h.code, h.params, h.num or None, h.den or None,
-            threshold, center, *grid, BOUNDARY_EPS)
+            h.family, h.params, h.num, h.den, threshold, center, *grid, BOUNDARY_EPS)
     return kernels.min_distance(h.eval_array, h.abs_deriv_array, None,
                                 threshold, center, *grid, BOUNDARY_EPS)
 

@@ -21,28 +21,23 @@ ASCENT_STARTS = 10  # the best sphere samples sup_norm_Q ascends from
 
 @dataclass(frozen=True)
 class BallSpace:
+    """The ball {|x|^2 + ||y||^r < 1} in C x C^m, ||.|| the p-norm on C^m
+    (p = inf: the sup norm)."""
+
     r: float
     m: int
-    y_norm: str = "euclidean"
-    p: float | None = None
+    p: float = 2.0
 
     def __post_init__(self):
         if not 1 <= self.r < np.inf:
             raise ValueError(f"r must be finite and >= 1, got {self.r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.y_norm not in ("euclidean", "sup", "p_norm"):
-            raise ValueError(f"unknown norm {self.y_norm!r}")
-        if self.y_norm == "p_norm" and (self.p is None or self.p < 1):
-            raise ValueError("p_norm needs p >= 1")
+        if not 1 <= self.p <= np.inf:
+            raise ValueError(f"p must lie in [1, inf], got {self.p}")
 
     def norm(self, y):
-        y = np.asarray(y, dtype=complex)
-        if self.y_norm == "euclidean":
-            return np.linalg.norm(y, axis=-1)
-        if self.y_norm == "sup":
-            return np.max(np.abs(y), axis=-1)
-        return np.sum(np.abs(y) ** self.p, axis=-1) ** (1.0 / self.p)
+        return np.linalg.norm(np.asarray(y, dtype=complex), ord=self.p, axis=-1)
 
     def fibre(self, y):
         return self.norm(y) ** self.r  # ||y||^r, the fibre term of the gauge
@@ -284,11 +279,10 @@ def sup_norm_Q_bound(Q: HomogeneousPolynomial, space: BallSpace):
     On the unit sphere of the p-norm, |y^a| peaks at |y_k|^p = a_k/|a|, where
     it is (prod_k a_k^a_k / |a|^|a|)^(1/p): the square root of that for the
     Euclidean norm and 1 for the sup norm."""
-    p = {"euclidean": 2.0, "sup": np.inf}.get(space.y_norm, space.p)
     total = 0.0
     for exps, coef in Q.terms:
         a = np.asarray(exps, dtype=float)
-        total += abs(coef) * float(np.prod((a / a.sum()) ** a)) ** (1.0 / p)
+        total += abs(coef) * float(np.prod((a / a.sum()) ** a)) ** (1.0 / space.p)
     return total
 
 

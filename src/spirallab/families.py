@@ -19,7 +19,7 @@ the Koenigs functions of generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 
@@ -28,14 +28,7 @@ from numpy.polynomial import polynomial as P
 
 from . import kernels
 
-FAMILY_CODES = {
-    "identity": 0,
-    "koebe": 1,
-    "mobius_spiral": 2,
-    "spiral_koebe": 3,
-    "half_plane": 4,
-    "rational": 5,
-}
+FAMILIES = ("identity", "koebe", "mobius_spiral", "spiral_koebe", "half_plane", "rational")
 
 
 class PointOutsideDisk(ValueError):
@@ -126,12 +119,10 @@ class UnivalentMap:
     num: tuple = ()
     den: tuple = ()
     spiral_multiplier: complex | None = None
-    code: int = field(init=False)
 
     def __post_init__(self):
-        if self.family not in FAMILY_CODES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "code", FAMILY_CODES[self.family])
         if self.family == "mobius_spiral" and abs(self.params[0]) >= 1.0:
             raise ValueError("mobius_spiral needs |c| < 1 (pole outside the closed disk)")
 
@@ -152,7 +143,10 @@ class UnivalentMap:
 
     @classmethod
     def spiral_koebe(cls, theta):
-        # e^(-i theta)-spirallike: its image is the plane minus a spiral slit
+        # e^(-i theta)-spirallike: its image is the plane minus a spiral slit.  The
+        # map has period pi in theta, so theta is reduced into [-pi/2, pi/2] first
+        # (exactly), where the multiplier has Re >= 0
+        theta = math.remainder(theta, math.pi)
         p = 2.0 * np.exp(-1j * theta) * np.cos(theta)
         return cls("spiral_koebe", params=(p, p - 1.0),
                    spiral_multiplier=complex(np.exp(-1j * theta)))
@@ -179,7 +173,7 @@ class UnivalentMap:
     # -- evaluation --------------------------------------------------------
 
     def _k(self, fn, z):
-        return fn(self.code, self.params, self.num or None, self.den or None, _as_points(z))
+        return fn(self.family, self.params, self.num, self.den, _as_points(z))
 
     def eval_array(self, z):
         return self._k(kernels.eval_map, z)
@@ -202,21 +196,21 @@ class UnivalentMap:
     def invert_array(self, w, guess=0j):
         """Preimages of the points w in the open disk, NaN where there is none
         (``kernels.invert``)."""
-        return kernels.invert(self.code, self.params, self.num or None, self.den or None,
-                              w, guess, self.spiral_multiplier)
+        return kernels.invert(self.family, self.params, self.num, self.den, w, guess,
+                              self.spiral_multiplier)
 
     def conformal_radius_array(self, w, guess=0j):
         """|h'(x)|(1 - |x|^2) at the preimages x of the points w, NaN where
         there is none: ``kernels.conformal_radius`` from w alone for the
         Mobius and half-plane maps, else from invert_array."""
-        d = kernels.conformal_radius(self.code, self.params, w)
+        d = kernels.conformal_radius(self.family, self.params, w)
         return _conformal_radius_array(self, w, guess) if d is None else d
 
     @property
     def conformal_radius_form(self):
         """``kernels.conformal_radius_form``: (a, b, g) for the Mobius and
         half-plane maps, None for the others."""
-        return kernels.conformal_radius_form(self.code, self.params)
+        return kernels.conformal_radius_form(self.family, self.params)
 
     # -- serialization ---------------------------------------------------------
 

@@ -1,14 +1,14 @@
 """Numpy kernels: the built-in disk-map families, damped Newton inversion and
 the polar covering sweep.
 
-Families are addressed by an integer code:
+Families are addressed by name:
 
-    0  identity      h(z) = z
-    1  koebe         h(z) = z/(1-z)^2
-    2  mobius        h(z) = z/(1+c z),            params = [c]
-    3  spiral_koebe  h(z) = z(1-z)^(-p),          params = [p, p-1]
-    4  half_plane    h(z) = (1-z)/(1+z)
-    5  rational      h(z) = N(z)/D(z),            num/den = ascending coeff tuples
+    identity       h(z) = z
+    koebe          h(z) = z/(1-z)^2
+    mobius_spiral  h(z) = z/(1+c z),            params = [c]
+    spiral_koebe   h(z) = z(1-z)^(-p),          params = [p, p-1]
+    half_plane     h(z) = (1-z)/(1+z)
+    rational       h(z) = N(z)/D(z),            num/den = ascending coeff tuples
 
 All z-arguments are complex128 ndarrays (scalars go through np.asarray).
 ``newton``, ``spiral_newton`` and ``preimages`` take the map as callables F and dF
@@ -16,8 +16,9 @@ on arrays, and ``min_distance``, the one covering sweep, takes F and the
 modulus |F'|, evaluates F only on the edge of the region complement and the
 rim (minimum modulus principle) and keeps the last keyed map's criterion grid
 in a one-entry memo, so every disk map shares them; ``invert`` and
-``covered_min_distance`` are their entry points for the family codes.  Every inverse returns the preimage in the open
-disk or NaN, and ``preimages`` alone decides which Newton solves count.
+``covered_min_distance`` are their entry points for the named families.  Every
+inverse returns the preimage in the open disk or NaN, and ``preimages`` alone
+decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
 and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
 from w alone, for the Mobius and half-plane maps, from the one real quadratic
@@ -62,145 +63,147 @@ def _rational(num, den):
     return tuple(tuple(c) for c in (num, den, d1, w, P.polyder(w)))
 
 
-def eval_map(code, params, num, den, z):
+def eval_map(family, params, num, den, z):
     z = np.asarray(z, dtype=complex)
-    if code == 0:
+    if family == "identity":
         return z.copy()
-    if code == 1:
+    if family == "koebe":
         return z / (1.0 - z) ** 2
-    if code == 2:
+    if family == "mobius_spiral":
         return z / (1.0 + params[0] * z)
-    if code == 3:
+    if family == "spiral_koebe":
         # ufunc calls, not operators: numpy would run an operator on a large
         # temporary in place, which rounds the complex product differently
         return np.multiply(z, np.exp(np.multiply(-params[0], np.log1p(-z))))
-    if code == 4:
+    if family == "half_plane":
         return (1.0 - z) / (1.0 + z)
-    if code == 5:
+    if family == "rational":
         n, d = _rational(num, den)[:2]
         return horner(n, z) / horner(d, z)
-    raise ValueError(f"unknown family code {code}")
+    raise ValueError(f"unknown family {family!r}")
 
 
-def eval_deriv(code, params, num, den, z):
+def eval_deriv(family, params, num, den, z):
     z = np.asarray(z, dtype=complex)
-    if code == 0:
+    if family == "identity":
         return np.ones_like(z)
-    if code == 1:
+    if family == "koebe":
         return (1.0 + z) / (1.0 - z) ** 3
-    if code == 2:
+    if family == "mobius_spiral":
         return 1.0 / (1.0 + params[0] * z) ** 2
-    if code == 3:
+    if family == "spiral_koebe":
         p, q = params[0], params[1]
         return np.exp(-(p + 1.0) * np.log1p(-z)) * (1.0 + q * z)
-    if code == 4:
+    if family == "half_plane":
         return -2.0 / (1.0 + z) ** 2
-    if code == 5:
+    if family == "rational":
         _, d, _, w, _ = _rational(num, den)
         return horner(w, z) / horner(d, z) ** 2
-    raise ValueError(f"unknown family code {code}")
+    raise ValueError(f"unknown family {family!r}")
 
 
-def abs_deriv(code, params, num, den, z):
-    """|h'(z)| as a float array; closed forms in x + iy = z for codes 0-4, so no
-    complex exp/log/power is paid where only the modulus is needed."""
+def abs_deriv(family, params, num, den, z):
+    """|h'(z)| as a float array; closed forms in x + iy = z for every family but
+    rational, so no complex exp/log/power is paid where only the modulus is
+    needed."""
     z = np.asarray(z, dtype=complex)
-    if code == 5:
-        return np.abs(eval_deriv(code, params, num, den, z))
+    if family == "rational":
+        return np.abs(eval_deriv(family, params, num, den, z))
     x, y = z.real, z.imag
-    if code == 0:
+    if family == "identity":
         return np.ones(z.shape)
-    if code == 4:
+    if family == "half_plane":
         return 2.0 / ((1.0 + x) ** 2 + y * y)
-    if code == 2:
+    if family == "mobius_spiral":
         c = params[0]
         return 1.0 / ((1.0 + c.real * x - c.imag * y) ** 2 + (c.real * y + c.imag * x) ** 2)
     b = (1.0 - x) ** 2 + y * y  # |1 - z|^2
-    if code == 1:
+    if family == "koebe":
         return np.sqrt(((1.0 + x) ** 2 + y * y) / (b * b * b))
-    if code == 3:
+    if family == "spiral_koebe":
         # |(1-z)^-(p+1)| = exp(Im(p+1) arg(1-z) - Re(p+1) log|1-z|)
         s, q = params[0] + 1.0, params[1]
         return (np.exp(s.imag * np.arctan2(-y, 1.0 - x) - 0.5 * s.real * np.log(b))
                 * np.hypot(1.0 + q.real * x - q.imag * y, q.real * y + q.imag * x))
-    raise ValueError(f"unknown family code {code}")
+    raise ValueError(f"unknown family {family!r}")
 
 
-def eval_deriv2(code, params, num, den, z):
+def eval_deriv2(family, params, num, den, z):
     z = np.asarray(z, dtype=complex)
-    if code == 0:
+    if family == "identity":
         return np.zeros_like(z)
-    if code == 1:
+    if family == "koebe":
         return 2.0 * (2.0 + z) / (1.0 - z) ** 4
-    if code == 2:
+    if family == "mobius_spiral":
         c = params[0]
         return -2.0 * c / (1.0 + c * z) ** 3
-    if code == 3:
+    if family == "spiral_koebe":
         p, q = params[0], params[1]
         return p * np.exp(-(p + 2.0) * np.log1p(-z)) * (2.0 + q * z)
-    if code == 4:
+    if family == "half_plane":
         return 4.0 / (1.0 + z) ** 3
-    if code == 5:
+    if family == "rational":
         d, d1, w, w1 = (horner(c, z) for c in _rational(num, den)[1:])
         return (w1 * d - 2.0 * w * d1) / d**3
-    raise ValueError(f"unknown family code {code}")
+    raise ValueError(f"unknown family {family!r}")
 
 
-def log_deriv(code, params, num, den, z):
+def log_deriv(family, params, num, den, z):
     """Continuous logarithm of h', anchored at log h'(0) = principal value.
 
-    Closed forms exist for codes 0-4 because every factor has positive real
-    part on the disk; rational maps need path continuation (handled upstream).
+    Closed forms exist for every family but rational because every factor has
+    positive real part on the disk; rational maps need path continuation
+    (handled upstream).
     """
     z = np.asarray(z, dtype=complex)
-    if code == 0:
+    if family == "identity":
         return np.zeros_like(z)
-    if code == 1:
+    if family == "koebe":
         return np.log1p(z) - 3.0 * np.log1p(-z)
-    if code == 2:
+    if family == "mobius_spiral":
         return -2.0 * np.log1p(params[0] * z)
-    if code == 3:
+    if family == "spiral_koebe":
         p, q = params[0], params[1]
         return -(p + 1.0) * np.log1p(-z) + np.log1p(q * z)
-    if code == 4:
+    if family == "half_plane":
         return np.log(2.0) + 1j * np.pi - 2.0 * np.log1p(z)
-    raise ValueError(f"no closed-form log-derivative for family code {code}")
+    raise ValueError(f"no closed-form log-derivative for family {family!r}")
 
 
-def _closed_invert(code, params, w):
-    if code == 0:
+def _closed_invert(family, params, w):
+    if family == "identity":
         return w.copy()
-    if code == 1:
+    if family == "koebe":
         # rationalized root of w z^2 - (2w+1) z + w = 0; stable as w -> 0.  The
         # root is on the circle where Re s = 0, exactly on the slit w <= -1/4
         s = np.sqrt(4.0 * w + 1.0)
         return np.where(s.real > 0.0, 2.0 * w / (2.0 * w + 1.0 + s), np.nan + 0j)
     with np.errstate(divide="ignore", invalid="ignore"):  # the pole's image goes to NaN
-        if code == 2:
+        if family == "mobius_spiral":
             return w / (1.0 - params[0] * w)
-        if code == 4:
+        if family == "half_plane":
             # the root is on the circle where Re w = 0
             return np.where(w.real > 0.0, (1.0 - w) / (1.0 + w), np.nan + 0j)
     return None
 
 
-def conformal_radius_form(code, params):
+def conformal_radius_form(family, params):
     """(a, b, g) of the families whose conformal radius |h'(x)|(1 - |x|^2) at
     x = h^-1(w) is the real quadratic form a + 2 Re(b w) + g |w|^2 in w where
     positive, None for the others.  mobius: |1 - cw|^2 - |w|^2, so
     (1, -c, |c|^2 - 1); half_plane: 2 Re w, so (0, 1, 0)."""
-    if code == 2:
+    if family == "mobius_spiral":
         c = params[0]
         return 1.0, -c, c.real * c.real + c.imag * c.imag - 1.0
-    if code == 4:
+    if family == "half_plane":
         return 0.0, 1.0 + 0j, 0.0
     return None
 
 
-def conformal_radius(code, params, w):
+def conformal_radius(family, params, w):
     """The conformal radius at w from ``conformal_radius_form``, NaN where it is
     <= 0 (where the closed-form inverse leaves the disk); None without a form."""
-    form = conformal_radius_form(code, params)
+    form = conformal_radius_form(family, params)
     if form is None:
         return None
     (a, b, g), w = form, np.atleast_1d(np.asarray(w, dtype=complex))
@@ -305,17 +308,17 @@ def preimages(F, dF, w, guess, mu):
     return np.where(res <= tol, z, np.nan + 0j)
 
 
-def invert(code, params, num, den, w, guess, mu=None):
+def invert(family, params, num, den, w, guess, mu=None):
     """Invert h on arrays: the preimage of w in the open disk, or NaN.  Closed
     form where the family has one (NaN where it leaves the disk), else
     ``preimages`` from ``guess`` (with the spiral continuation when the map's
     spiral multiplier mu is given)."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    closed = _closed_invert(code, params, w)
+    closed = _closed_invert(family, params, w)
     if closed is not None:
         return np.where(np.abs(closed) < 1.0, closed, np.nan + 0j)
-    return preimages(lambda z: eval_map(code, params, num, den, z),
-                     lambda z: eval_deriv(code, params, num, den, z), w, guess, mu)
+    return preimages(lambda z: eval_map(family, params, num, den, z),
+                     lambda z: eval_deriv(family, params, num, den, z), w, guess, mu)
 
 
 @lru_cache
@@ -415,9 +418,9 @@ def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
     return best, witness, bmin, n_out
 
 
-def covered_min_distance(code, params, num, den, threshold, center, nr, nt, boundary_eps):
-    """``min_distance`` of the family map with the given code, keyed by its code
-    and parameters."""
-    return min_distance(lambda z: eval_map(code, params, num, den, z),
-                        lambda z: abs_deriv(code, params, num, den, z),
-                        (code, params, num, den), threshold, center, nr, nt, boundary_eps)
+def covered_min_distance(family, params, num, den, threshold, center, nr, nt, boundary_eps):
+    """``min_distance`` of the named family map, keyed by its family and
+    parameters."""
+    return min_distance(lambda z: eval_map(family, params, num, den, z),
+                        lambda z: abs_deriv(family, params, num, den, z),
+                        (family, params, num, den), threshold, center, nr, nt, boundary_eps)

@@ -7,10 +7,10 @@ from spirallab.families import UnivalentMap
 
 
 RATIONAL = UnivalentMap.rational([0, 1, 0.1], [1, -1])  # (z + z^2/10)/(1 - z)
-# one map per family code 0-5, in code order
-ALL_CODES = [UnivalentMap.identity(), UnivalentMap.koebe(),
-             UnivalentMap.mobius_spiral(0.25j), UnivalentMap.spiral_koebe(0.5),
-             UnivalentMap.half_plane(), RATIONAL]
+# one map per family, in the order of families.FAMILIES
+ALL_FAMILIES = [UnivalentMap.identity(), UnivalentMap.koebe(),
+                UnivalentMap.mobius_spiral(0.25j), UnivalentMap.spiral_koebe(0.5),
+                UnivalentMap.half_plane(), RATIONAL]
 
 
 def standard_families():

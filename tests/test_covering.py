@@ -20,7 +20,7 @@ from spirallab.covering import (
 from spirallab.families import UnivalentMap, disk_automorphism, disk_map, normalize_at
 from spirallab.semigroups import Generator, koenigs
 
-from conftest import ALL_CODES, RATIONAL, random_disk
+from conftest import ALL_FAMILIES, RATIONAL, random_disk
 
 
 def in_omega(h, spec, x):
@@ -127,7 +127,7 @@ def test_shifted_radius_is_the_conformal_radius_at_the_centre(h, x0, alpha, beta
     assert rep["center"] == [centre.real, centre.imag]
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_plain_check_is_the_shifted_body_at_beta_one(h, monkeypatch):
     """The plain check is the one covering body at beta = 1: centre h(x0),
     radius (1 - alpha)/4 delta(x0) with no solve, and no secondary bound.
@@ -219,13 +219,13 @@ def _per_ring_min_distance(F, abs_dF, threshold, center, nr, nt, boundary_eps):
 
 
 @pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=lambda g: "x".join(map(str, g)))
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_blocked_sweep_matches_per_ring_loop(h, grid):
     """The family sweep visits the grid in blocks of whole rings and returns the
     per-ring result bit for bit, about h(x0) and about the shifted centre."""
     x0 = 0.3 + 0.1j
     spec = OmegaSpec.build(h, x0, 0.5)
-    fam = (h.code, h.params, h.num or None, h.den or None)
+    fam = (h.family, h.params, h.num, h.den)
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
         got = kernels.covered_min_distance(*fam, spec.threshold, center, *grid, BOUNDARY_EPS)
         ref = _per_ring_min_distance(lambda z: kernels.eval_map(*fam, z),
@@ -236,7 +236,7 @@ def test_blocked_sweep_matches_per_ring_loop(h, grid):
 
 
 @pytest.mark.parametrize("grid", [(100, 100), (3, 5000)], ids=["100x100", "3x5000"])
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_omega_region_points_match_per_ring_loop(h, grid):
     spec = OmegaSpec.build(h, 0.3 + 0.1j, 0.5)
     radii, ring = kernels.polar_grid(*grid)
@@ -250,7 +250,7 @@ def test_omega_region_points_match_per_ring_loop(h, grid):
 
 @pytest.mark.parametrize("kind", ["normalized", "koenigs"])
 def test_generic_map_sweep_matches_per_ring_loop(kind):
-    """Maps outside the family codes go through ``kernels.min_distance`` with no
+    """Maps outside the named families go through ``kernels.min_distance`` with no
     key.  A KoenigsMap sizes its quadrature by the largest |z| of each call, so
     the block size may move its last digits: agreement to 1e-12 relative."""
     if kind == "normalized":
@@ -287,10 +287,27 @@ def test_generic_map_sweep_leaves_the_memo_alone(no_memo):
     assert all(np.array_equal(a, b) for a, b in zip(memo[1:], before))
 
 
+def test_covering_verdict_of_a_koenigs_map_sweeps_without_the_memo(no_memo):
+    """The covering verdict of a map outside the named families, the Koenigs
+    map z/(1 - z) of the logistic generator, passes through the unkeyed sweep:
+    the family memo is left as it was, and the predicted radius is that of the
+    same map built as a rational family map, to 1e-12 relative."""
+    kernels.covered_min_distance(*_family(UnivalentMap.koebe()), 0.1, 0j, 60, 60, BOUNDARY_EPS)
+    memo = kernels._memo
+    h = koenigs(Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0))
+    x0, alpha = 0.2 - 0.1j, 0.5
+    rep = verify_covering_bound(h, x0, alpha, grid=(60, 60))
+    assert rep["pass"]
+    assert kernels._memo is memo
+    want = verify_covering_bound(UnivalentMap.rational([0, 1], [1, -1]), x0, alpha,
+                                 grid=(60, 60))["predicted_radius"]
+    assert abs(rep["predicted_radius"] - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------- criterion memo
 
 def _family(h):
-    return h.code, h.params, h.num or None, h.den or None
+    return h.family, h.params, h.num, h.den
 
 
 # the reference sweep reads these, so a test may patch kernels.eval_map
@@ -330,13 +347,13 @@ def _assert_edge_result(got, ref, centre_in_complement):
         assert got == ref
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_memo_sequence_matches_per_ring_loop(h, no_memo):
     """Maps A, B, A, A on each of two grids, each sweep with its own threshold
     and centre: misses and hits alike return the per-ring result bit for bit,
     apart from the minimum about a centre whose preimage is in the complement
     (the half-plane map's shifted steps)."""
-    other = ALL_CODES[(ALL_CODES.index(h) + 1) % len(ALL_CODES)]
+    other = ALL_FAMILIES[(ALL_FAMILIES.index(h) + 1) % len(ALL_FAMILIES)]
     steps = [(h, 0.3 + 0.1j, 0.5, 1.0), (other, -0.2j, 0.4, 0.5),
              (h, -0.4 + 0.2j, 0.7, 0.5), (h, 0.1, 0.3, 1.0)]
     for grid in [(400, 400), (401, 7)]:
@@ -348,7 +365,7 @@ def test_memo_sequence_matches_per_ring_loop(h, no_memo):
             assert kernels._memo[0] == (*_family(g), *grid)
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_memo_hit_evaluates_no_abs_deriv(h, no_memo, monkeypatch):
     """A memo hit reads the criterion grid: the one abs_deriv call left is
     OmegaSpec's |h'(x0)| at its one point."""
@@ -366,11 +383,11 @@ def test_memo_hit_evaluates_no_abs_deriv(h, no_memo, monkeypatch):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_sweep_that_raises_leaves_no_memo_entry(h, no_memo, monkeypatch):
     """A sweep cut short by an exception stores no half-filled grid, and the
     next sweep of that map is a correct miss."""
-    other = ALL_CODES[(ALL_CODES.index(h) + 1) % len(ALL_CODES)]
+    other = ALL_FAMILIES[(ALL_FAMILIES.index(h) + 1) % len(ALL_FAMILIES)]
     _sweep(other, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
     real, calls = kernels.abs_deriv, []
 
@@ -389,7 +406,7 @@ def test_sweep_that_raises_leaves_no_memo_entry(h, no_memo, monkeypatch):
     assert got == ref
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_stored_criterion_is_read_only(h, no_memo):
     _sweep(h, 0.3 + 0.1j, 0.5, 1.0, (400, 400))
     _, crit = kernels._memo
@@ -401,7 +418,7 @@ def test_stored_criterion_is_read_only(h, no_memo):
         crit[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_grid_above_the_cap_stores_nothing(h, no_memo):
     """Grids of at most MEMO_MAX_POINTS points, the default 400 x 400 among them,
     are kept; a larger grid streams and leaves the memo empty."""
@@ -414,7 +431,7 @@ def test_grid_above_the_cap_stores_nothing(h, no_memo):
     assert kernels._memo is None
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_grid_above_the_cap_streams_in_block_sized_memory(h, no_memo):
     """A sweep above the cap holds block-sized scratch arrays only: its
     tracemalloc peak stays within sixteen complex blocks (1 MiB), far below the
@@ -503,7 +520,7 @@ def _same(got, expected):
 @pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
 @pytest.mark.parametrize("grid", [(1, 1), (2, 1), (1, 2), (2, 2), (5, 2)],
                          ids=lambda g: "x".join(map(str, g)))
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_sweep_of_tiny_grids_matches_per_ring_loop(h, grid, streamed, no_memo, monkeypatch):
     """Grids of one or two points a ring, whole and streamed a ring a block, at
     a threshold between each two criterion values (K from empty to the whole
@@ -562,19 +579,19 @@ def _grid_evals(monkeypatch, grid, fail_at=None):
     rim = (1.0 - BOUNDARY_EPS) * kernels.polar_grid(*grid)[1]
     calls = []
 
-    def counted(code, params, num, den, z):
+    def counted(family, params, num, den, z):
         if not (np.shape(z) == rim.shape and np.array_equal(z, rim)):
             calls.append(np.array(z))
             if len(calls) == fail_at:
                 raise FloatingPointError("midway")
-        return EVAL_MAP(code, params, num, den, z)
+        return EVAL_MAP(family, params, num, den, z)
 
     monkeypatch.setattr(kernels, "eval_map", counted)
     return calls
 
 
 @pytest.mark.parametrize("grid", [(400, 400), (401, 7)], ids=["400x400", "401x7"])
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_image_memo_follows_a_complement_that_grows_shrinks_and_grows(h, grid, no_memo):
     """One map at alpha up, down and up again: the complement grows, shrinks
     and grows past its first size, and every hit on the kept criterion
@@ -589,7 +606,7 @@ def test_image_memo_follows_a_complement_that_grows_shrinks_and_grows(h, grid, n
     assert kernels._memo[0] == (*_family(h), *grid)
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_miss_evaluates_h_on_no_more_than_its_complement(h, no_memo, monkeypatch):
     """A miss evaluates h in one call, on the edge of its complement: every
     edge point once, in ring-major order, and no other complement point."""
@@ -603,7 +620,7 @@ def test_miss_evaluates_h_on_no_more_than_its_complement(h, no_memo, monkeypatch
 
 
 @pytest.mark.parametrize("mode", ["hit", "streamed", "no key"])
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_sweep_evaluates_h_only_on_the_edge_and_the_rim(h, mode, no_memo, monkeypatch):
     """A memo hit, a grid above the cap streamed in blocks of three rings and
     a sweep with no key each evaluate F on the edge of the complement, every
@@ -636,7 +653,7 @@ def test_sweep_evaluates_h_only_on_the_edge_and_the_rim(h, mode, no_memo, monkey
     assert (kernels._memo is not None) == (mode == "hit")
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_hit_that_raises_leaves_a_sound_memo(h, no_memo, monkeypatch):
     """A hit cut short by an exception in F keeps the memo's criterion, so the
     next sweep of that map is still bit-identical."""
@@ -665,15 +682,15 @@ def test_centre_outside_omega_measures_zero():
 disk = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 
 
-@given(code=st.integers(0, len(ALL_CODES) - 1), x0=disk, c=disk,
+@given(k=st.integers(0, len(ALL_FAMILIES) - 1), x0=disk, c=disk,
        alpha=st.floats(0.05, 0.95))
 @settings(max_examples=60, deadline=None)
-def test_edge_sweep_is_at_least_the_complement_sweep(code, x0, alpha, c):
+def test_edge_sweep_is_at_least_the_complement_sweep(k, x0, alpha, c):
     """About any centre h(c), the edge minimum is at least the per-ring minimum
     over the whole complement K, and equal to it when c lies outside K, so
     that h(c) is in h(Omega_alpha) and |h - h(c)| has no zero on K; the rim
     minimum and the complement count are the per-ring ones."""
-    h = ALL_CODES[code]
+    h = ALL_FAMILIES[k]
     fam = _family(h)
     spec = OmegaSpec.build(h, x0, alpha)
     args = (spec.threshold, complex(EVAL_MAP(*fam, c)), 48, 40, BOUNDARY_EPS)

@@ -30,7 +30,7 @@ from spirallab.extensions import (
 )
 from spirallab.families import BranchedPower, UnivalentMap, disk_map, normalize_at
 
-from conftest import ALL_CODES, RATIONAL, random_disk
+from conftest import ALL_FAMILIES, RATIONAL, random_disk
 
 
 def space(r=2.0, m=1):
@@ -53,6 +53,25 @@ def test_gauge_formula():
     sp = BallSpace(r=3.0, m=1)
     g = sp.gauge(0.5j, np.array([0.5 + 0j]))
     assert abs(g - (0.25 + 0.5**3)) < 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fibre_norm_is_the_p_norm_bit_for_bit(m):
+    """One exponent p names the fibre norm: at p = 2, inf and 3 the norm is,
+    bit for bit, numpy's default vector norm, the largest modulus and the
+    p-th root of the sum of p-th powers."""
+    rng = np.random.default_rng(50)
+    y = rng.normal(size=(500, m)) + 1j * rng.normal(size=(500, m))
+    a = np.abs(y)
+    for p, want in ((2.0, np.linalg.norm(y, axis=-1)), (np.inf, np.max(a, axis=-1)),
+                    (3.0, np.sum(a**3.0, axis=-1) ** (1.0 / 3.0))):
+        assert np.array_equal(BallSpace(r=2.0, m=m, p=p).norm(y), want)
+
+
+@pytest.mark.parametrize("p", [0.5, -np.inf, np.nan])
+def test_fibre_norm_refuses_p_below_1_and_nan(p):
+    with pytest.raises(ValueError, match="p must lie in"):
+        BallSpace(r=2.0, m=2, p=p)
 
 
 def test_sample_ball_stays_interior():
@@ -349,15 +368,14 @@ def _branch_tracked_membership(h, sp, zs, ws):
     return ok, sp.gauge(xs, ws / BranchedPower(h, sp.r).array(xs)[:, None])
 
 
-@pytest.mark.parametrize("norm,p", [("euclidean", None), ("sup", None), ("p_norm", 3.0)],
-                         ids=["euclidean", "sup", "p3"])
+@pytest.mark.parametrize("p", [2.0, np.inf, 3.0], ids=["euclidean", "sup", "p3"])
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
-def test_membership_gauge_matches_branch_tracked_definition(h, r, norm, p):
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
+def test_membership_gauge_matches_branch_tracked_definition(h, r, p):
     """|x|^2 + ||w||^r / |h'(x)| decides membership as the gauge of
     (x, w / h'(x)^(1/r)) does, also within 1e-6 of the rim; only points whose
     gauge lies within 1e-12 of 1, where rounding decides, are skipped."""
-    sp = BallSpace(r=r, m=2, y_norm=norm, p=p)
+    sp = BallSpace(r=r, m=2, p=p)
     rng = np.random.default_rng(48)
     n = 600
     xs = random_disk(rng, n, 0.7)
@@ -634,7 +652,7 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_sweep_moves_the_named_actions_of_the_extension(h, r, m, monkeypatch):
     """The sweep moves h(x), h'(x) Q(y) and |h'(x)| ||y||^r by scalars, taking
     no branch of h'^(1/r); the first coordinate it tests (muir) and the fibre
@@ -780,7 +798,7 @@ def test_circle_radius_matches_the_point_kernel(h, rho, arg, frac, scale):
     dirs = np.array([d for d, _ in got])
     assert np.array_equal(dirs, np.exp(2j * np.pi * np.arange(16) / 16))
     circle = np.concatenate([radius for _, radius in got])
-    point = kernels.conformal_radius(h.code, h.params, z1 + s * dirs)
+    point = kernels.conformal_radius(h.family, h.params, z1 + s * dirs)
     band = 32 * np.finfo(float).eps * (1.0 + abs(z1[0]) + s[0]) ** 2
     inside = ~np.isnan(point)
     assert np.all(np.abs(circle[inside] - point[inside]) <= band)
@@ -855,11 +873,11 @@ def test_form_is_the_mobius_and_half_plane_radius(c):
     x = random_disk(np.random.default_rng(9), 2000, 0.999)
     h = UnivalentMap.mobius_spiral(c)
     w = h.eval_array(x)
-    got = kernels.conformal_radius(h.code, h.params, w)
+    got = kernels.conformal_radius(h.family, h.params, w)
     want = np.abs(1.0 - c * w) ** 2 - np.abs(w) ** 2
     assert not np.isnan(got).any()
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (1.0 + np.abs(w)) ** 2)
     w = UnivalentMap.half_plane().eval_array(x)
-    assert np.array_equal(kernels.conformal_radius(4, (), w), 2.0 * w.real)
-    assert np.array_equal(kernels.conformal_radius(4, (), [1e200, 1e150 + 1e155j]),
+    assert np.array_equal(kernels.conformal_radius("half_plane", (), w), 2.0 * w.real)
+    assert np.array_equal(kernels.conformal_radius("half_plane", (), [1e200, 1e150 + 1e155j]),
                           [2e200, 2e150])

@@ -1,6 +1,7 @@
 """Unit and property tests for the univalent map families."""
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from spirallab.families import (
 )
 from spirallab.semigroups import Generator, koenigs, spirallike_margin
 
-from conftest import ALL_CODES, RATIONAL, random_disk, standard_families
+from conftest import ALL_FAMILIES, RATIONAL, random_disk, standard_families
 
 disk_points = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                                  allow_infinity=False)
@@ -224,10 +225,10 @@ def test_koebe_closed_inverse_on_the_slit_is_nan():
     assert np.isnan(UnivalentMap.koebe().invert_array(np.concatenate([w, np.conj(w)]))).all()
 
 
-CLOSED_CODES = [h for h in ALL_CODES if h.code in (2, 4)]
+CLOSED_FORMS = [h for h in ALL_FAMILIES if h.family in ("mobius_spiral", "half_plane")]
 
 
-@pytest.mark.parametrize("h", CLOSED_CODES + [UnivalentMap.mobius_spiral(-0.7 + 0.2j)],
+@pytest.mark.parametrize("h", CLOSED_FORMS + [UnivalentMap.mobius_spiral(-0.7 + 0.2j)],
                          ids=lambda h: f"{h.family}{h.params}")
 def test_closed_form_conformal_radius_matches_the_default(h):
     """kernels.conformal_radius, from w alone, agrees with disk_map's default
@@ -322,14 +323,28 @@ def test_spiral_koebe_newton_round_trip_from_zero(theta):
     assert np.max(np.abs(back - zs)) <= 1e-9
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0, 1.3])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.3, 2.0, 1.2 + math.pi])
 def test_spiral_koebe_multiplier_is_spirallike(theta):
-    """spiral_koebe(theta) carries mu = e^(-i theta), for which
-    Re(mu h / (z h')) >= 0 on the disk grid; the mirror multiplier fails."""
-    h = UnivalentMap.spiral_koebe(theta)
-    assert h.spiral_multiplier == np.exp(-1j * theta)
+    """spiral_koebe(theta) carries mu = e^(-i t), t = theta reduced into
+    [-pi/2, pi/2] modulo pi, for which Re(mu h / (z h')) >= 0 on the disk
+    grid; the mirror multiplier fails."""
+    h, t = UnivalentMap.spiral_koebe(theta), math.remainder(theta, math.pi)
+    assert h.spiral_multiplier == np.exp(-1j * t)
     assert spirallike_margin(h, h.spiral_multiplier) > 0
-    assert spirallike_margin(h, np.exp(1j * theta)) < 0
+    assert spirallike_margin(h, np.exp(1j * t)) < 0
+
+
+@pytest.mark.parametrize("theta", [2.0, 3.0, 1.2 + math.pi])
+def test_spiral_koebe_has_period_pi(theta):
+    """The map z(1 - z)^(-p), p = 2 e^(-i theta) cos(theta), has period pi in
+    theta: theta and theta - pi build the same map, with one multiplier of
+    positive real part, and a cold inverse from 0 solves all but at most 2 of
+    2,000 points out to |x| = 0.999."""
+    h, g = UnivalentMap.spiral_koebe(theta), UnivalentMap.spiral_koebe(theta - math.pi)
+    assert h == g
+    assert h.spiral_multiplier.real > 0
+    ws = h.eval_array(random_disk(np.random.default_rng(49), 2000, 0.999))
+    assert np.count_nonzero(np.isnan(h.invert_array(ws))) <= 2
 
 
 def test_spiral_newton_walks_the_spiral():
@@ -577,22 +592,22 @@ def test_continued_log_arrays_match_single_points():
 
 # ----------------------------------------------------------------- kernels
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_log_deriv_exponentiates_to_deriv(h):
-    """exp(log h') = h' on every family code; the rational code has no closed
+    """exp(log h') = h' on every family; the rational family has no closed
     form in the kernels and goes through the continued logarithm."""
     zs = random_disk(np.random.default_rng(9), 500, 0.9)
-    if h.code == 5:
+    if h.family == "rational":
         with pytest.raises(ValueError):
-            kernels.log_deriv(h.code, h.params, h.num, h.den, zs)
+            kernels.log_deriv(h.family, h.params, h.num, h.den, zs)
         ld = h.log_deriv_array(zs)
     else:
-        ld = kernels.log_deriv(h.code, h.params, None, None, zs)
-    d = kernels.eval_deriv(h.code, h.params, h.num or None, h.den or None, zs)
+        ld = kernels.log_deriv(h.family, h.params, h.num, h.den, zs)
+    d = kernels.eval_deriv(h.family, h.params, h.num, h.den, zs)
     assert np.max(np.abs(np.exp(ld) / d - 1.0)) < 1e-13
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_deriv2_matches_cauchy_integral(h):
     """h''(z) = 2/rho^2 * mean_k h(z + rho w^k) w^(-2k) over the n-th roots of
     unity w (the trapezoid rule of Cauchy's formula, exact to rounding here)."""
@@ -602,7 +617,7 @@ def test_deriv2_matches_cauchy_integral(h):
     rho = (1.0 - np.abs(zs)) / 2.0
     vals = h.eval_array(zs[:, None] + rho[:, None] * ring)
     cauchy = 2.0 / rho**2 * np.mean(vals * ring ** -2, axis=1)
-    d2 = kernels.eval_deriv2(h.code, h.params, h.num or None, h.den or None, zs)
+    d2 = kernels.eval_deriv2(h.family, h.params, h.num, h.den, zs)
     assert np.max(np.abs(d2 - cauchy) / np.maximum(1.0, np.abs(d2))) < 1e-9
 
 
@@ -610,16 +625,16 @@ def _mp_deriv(h, z):
     """h'(z) in mpmath arithmetic, from the map's own (rounded) parameters."""
     mpmath = pytest.importorskip("mpmath")
     z = mpmath.mpc(complex(z))
-    if h.code == 0:
+    if h.family == "identity":
         return mpmath.mpc(1)
-    if h.code == 1:
+    if h.family == "koebe":
         return (1 + z) / (1 - z) ** 3
-    if h.code == 2:
+    if h.family == "mobius_spiral":
         return 1 / (1 + mpmath.mpc(complex(h.params[0])) * z) ** 2
-    if h.code == 3:
+    if h.family == "spiral_koebe":
         p, q = (mpmath.mpc(complex(v)) for v in h.params)
         return mpmath.exp(-(p + 1) * mpmath.log(1 - z)) * (1 + q * z)
-    if h.code == 4:
+    if h.family == "half_plane":
         return -2 / (1 + z) ** 2
     num, den = ([mpmath.mpc(complex(c)) for c in cs] for cs in (h.num, h.den))
     n, d = (sum(c * z**k for k, c in enumerate(cs)) for cs in (num, den))
@@ -627,9 +642,9 @@ def _mp_deriv(h, z):
     return (n1 * d - n * d1) / d**2
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_abs_deriv_matches_mpmath(h):
-    """The real-arithmetic |h'| of every family code agrees with h' at 40 digits
+    """The real-arithmetic |h'| of every family agrees with h' at 40 digits
     to 1e-14 relative, out to |z| = 1 - 1e-9 (the complex path's own error on
     these points is a few 1e-15)."""
     mpmath = pytest.importorskip("mpmath")
@@ -638,7 +653,7 @@ def test_abs_deriv_matches_mpmath(h):
     zs = np.concatenate([random_disk(rng, 200, 0.99), rim])
     with mpmath.workdps(40):
         exact = np.array([float(abs(_mp_deriv(h, z))) for z in zs])
-    got = kernels.abs_deriv(h.code, h.params, h.num or None, h.den or None, zs)
+    got = kernels.abs_deriv(h.family, h.params, h.num, h.den, zs)
     assert got.dtype == float
     assert np.max(np.abs(got / exact - 1.0)) <= 1e-14
     assert np.array_equal(h.abs_deriv_array(zs), got)
@@ -701,13 +716,13 @@ def test_rational_kernels_match_polyval_bit_for_bit(num, den):
     assert np.array_equal(kernels._rational(num, den)[3], wc)
     n, d, d1 = (P.polyval(zs, c) for c in (num, den, P.polyder(den)))
     w, w1 = (P.polyval(zs, c) for c in (wc, P.polyder(wc)))
-    assert np.array_equal(kernels.eval_map(5, (), num, den, zs), n / d)
-    assert np.array_equal(kernels.eval_deriv(5, (), num, den, zs), w / d**2)
-    assert np.array_equal(kernels.eval_deriv2(5, (), num, den, zs),
+    assert np.array_equal(kernels.eval_map("rational", (), num, den, zs), n / d)
+    assert np.array_equal(kernels.eval_deriv("rational", (), num, den, zs), w / d**2)
+    assert np.array_equal(kernels.eval_deriv2("rational", (), num, den, zs),
                           (w1 * d - 2.0 * w * d1) / d**3)
 
 
-@pytest.mark.parametrize("h", ALL_CODES, ids=lambda h: h.family)
+@pytest.mark.parametrize("h", ALL_FAMILIES, ids=lambda h: h.family)
 def test_kernels_do_not_depend_on_the_batch_size(h):
     """h, h', h'' and |h'| of 160,000 points in one call equal those of 4,000
     point chunks bit for bit: numpy would run an operator on a temporary of
@@ -715,18 +730,18 @@ def test_kernels_do_not_depend_on_the_batch_size(h):
     differently."""
     zs = random_disk(np.random.default_rng(23), 160_000, 0.99)
     fns = [kernels.eval_map, kernels.eval_deriv, kernels.eval_deriv2, kernels.abs_deriv]
-    if h.code != 5:
+    if h.family != "rational":
         fns.append(kernels.log_deriv)
     for fn in fns:
         def at(z):
-            return fn(h.code, h.params, h.num or None, h.den or None, z)
+            return fn(h.family, h.params, h.num, h.den, z)
 
         chunks = np.concatenate([at(z) for z in np.split(zs, 40)])
         assert at(zs).tobytes() == chunks.tobytes(), fn.__name__
-    if h.code in (0, 1, 2, 4):  # the closed-form inverses and conformal radii
+    if h.family in ("identity", "koebe", "mobius_spiral", "half_plane"):  # the closed-form inverses and conformal radii
         ws = h.eval_array(zs)
-        for fn in (lambda w: kernels.invert(h.code, h.params, None, None, w, 0j),
-                   lambda w: kernels.conformal_radius(h.code, h.params, w)):
+        for fn in (lambda w: kernels.invert(h.family, h.params, h.num, h.den, w, 0j),
+                   lambda w: kernels.conformal_radius(h.family, h.params, w)):
             whole = fn(ws)
             if whole is not None:
                 chunks = np.concatenate([fn(w) for w in np.split(ws, 40)])
@@ -747,8 +762,7 @@ def test_kernels_do_not_depend_on_the_batch_size(h):
         "rational"])
 def test_spec_literal_builds_its_family(spec, want):
     h = UnivalentMap.from_spec(spec)
-    assert (h.family, h.code, h.params, h.num, h.den) == (
-        want.family, want.code, want.params, want.num, want.den)
+    assert (h.family, h.params, h.num, h.den) == (want.family, want.params, want.num, want.den)
     zs = random_disk(np.random.default_rng(11), 20)
     assert np.array_equal(h.eval_array(zs), want.eval_array(zs))
 

@@ -329,4 +329,4 @@ def test_sup_norm_bound_is_exact_for_monomials():
     """sup |y^a| on the unit sphere: sqrt(prod a^a / |a|^|a|) (Euclidean), 1 (sup)."""
     Q = HomogeneousPolynomial.build(3, 2, {(1, 2): 1.0})
     assert abs(sup_norm_Q_bound(Q, BallSpace(r=3.0, m=2)) - np.sqrt(4 / 27)) <= 1e-15
-    assert sup_norm_Q_bound(Q, BallSpace(r=3.0, m=2, y_norm="sup")) == 1.0
+    assert sup_norm_Q_bound(Q, BallSpace(r=3.0, m=2, p=np.inf)) == 1.0

@@ -260,8 +260,9 @@ def test_rational_map_with_a_critical_point_inside_is_refused(c, critical):
     UnivalentMap.rational([0, 1], [1, -2, 1]),
 ], ids=["koebe", "spiral_koebe", "mobius_0.9999", "double_pole_on_circle"])
 def test_spirallike_margin_counts_no_zero_beside_a_pole_beyond_the_circle(h):
-    """A pole of h' 1e-3 beyond the margin circle turns its argument by up to
-    3 pi within a few samples; the refined steps still count no zero of h'."""
+    """Starlike maps whose h' has a pole on the unit circle or just beyond it,
+    1e-3 or more beyond the margin circle: their margin on that circle's
+    samples is positive and small, as h / (z h') nears 0 by the pole."""
     assert 0 < spirallike_margin(h, 1.0) < 1e-2
 
 
