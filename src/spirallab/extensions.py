@@ -198,17 +198,20 @@ def conjugated_action(A: SpiralMatrix, Q: HomogeneousPolynomial, t, z, w):
 def membership_H(h, space: BallSpace, z, w, guess=0j):
     """Is (z, w) in the image of the unperturbed extension?  False (not an
     exception) when the first-coordinate inversion fails."""
-    return bool(membership_H_arrays(h, space, np.asarray([z]), space.fibre(w), guess)[0])
+    return bool(membership_H_arrays(h, space, np.asarray([z]), space.fibre(w), guess)[0][0])
 
 
 def membership_H_arrays(h, space: BallSpace, zs, fibre, guess=0j):
     """Membership of the points (zs[i], ws[i]) in the image of the unperturbed
-    extension, a boolean array, from fibre = space.fibre(ws): H maps the ball
-    onto fibre < delta(z), delta = h.conformal_radius_array, since on every
-    branch of the root x = h^-1(z), y = w / h'(x)^(1/r) has gauge |x|^2 +
+    extension, from fibre = space.fibre(ws): H maps the ball onto
+    fibre < delta(z), delta the conformal radius at x = h^-1(z), since on
+    every branch of the root y = w / h'(x)^(1/r) has gauge |x|^2 +
     fibre / |h'(x)|.  Points without a preimage in the disk (delta NaN) are
-    outside."""
-    return fibre < h.conformal_radius_array(np.asarray(zs, dtype=complex), guess=guess)
+    outside.  Returns (inside, x): a boolean array and the preimages x solved
+    from guess, both from h.preimage_radius_array (x None where delta is read
+    from z alone)."""
+    x, delta = h.preimage_radius_array(np.asarray(zs, dtype=complex), guess=guess)
+    return fibre < delta, x
 
 
 def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
@@ -299,8 +302,12 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     test of every probe.  Both move h(x), h'(x) Q(y) and |h'(x)| ||y||^r,
     read once, by scalars: Q(c w) = c^r Q(w), and |h'^(1/r)|^r = |h'| on
     every branch, so no branch of h'^(1/r) is taken but for the w of a
-    reported witness.  Every membership solve starts at the sample's own
-    preimage x.  failures counts every failed membership; witnesses keeps the
+    reported witness.  Where h.preimage_radius_array solves preimages (every
+    map but Mobius and half-plane), each sample's solve at each time starts at
+    the last preimage found for it, its own x at the first time: the probe's
+    own in muir mode; in gamma mode the centre's x1 behind R_t, which also
+    starts that time's probes.  A solve that finds none (NaN) keeps the start
+    it had.  failures counts every failed membership; witnesses keeps the
     first max_witnesses of them.
     """
     if mode not in ("muir", "gamma") or n_samples < 1 or min(times, default=0.0) < 0:
@@ -313,23 +320,28 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     xs, ys = sample_ball(space, n_samples, rng)
     hx, fibre0 = h.eval_array(xs), h.abs_deriv_array(xs) * space.fibre(ys)
     hq = h.deriv_array(xs) * Q.eval(ys) if mode == "muir" else None
-    form = h.conformal_radius_form if mode == "gamma" else None
+    form = h.conformal_radius_form
     failures, checked, kept, found = 0, 0, 0, []  # found: (t, probes, sample rows)
+    start = xs  # each sample's last preimage
     for t in times:
         e_mu = np.exp(-A.mu * t)
         fibre = np.abs(np.exp(-A.fiber_rate * t)) ** A.r * fibre0
         if mode == "muir":
-            probes = [(e_mu * hx + (e_mu - np.exp(-A.fiber_rate * A.r * t)) * hq, fibre, xs)]
+            z = e_mu * hx + (e_mu - np.exp(-A.fiber_rate * A.r * t)) * hq
+            ok, x = membership_H_arrays(h, space, z, fibre, start)
         else:
             # R_t and the circle read one conformal radius at the contracted centre
             z1 = e_mu * hx
-            d1 = h.conformal_radius_array(z1, guess=xs)
+            x, d1 = h.preimage_radius_array(z1, guess=start)
             step = gamma_frac * (_rt_scale(A, t) * d1)
-            probes = _gamma_probes(z1, fibre, xs, step, n_gamma)
+        if x is not None:
+            start = np.where(np.isnan(x), start, x)
         # blocks of (membership of each probe, the probes at flat indices)
-        if form is None:
-            blocks = ((membership_H_arrays(h, space, z, fib, guess), z.__getitem__)
-                      for z, fib, guess in probes)
+        if mode == "muir":
+            blocks = [(ok, z.__getitem__)]
+        elif form is None:
+            blocks = ((membership_H_arrays(h, space, z, fib, guess)[0], z.__getitem__)
+                      for z, fib, guess in _gamma_probes(z1, fibre, start, step, n_gamma))
         else:
             blocks = _gamma_circle(form, z1, d1, step, fibre, n_gamma)
         for ok, probe in blocks:

@@ -6,8 +6,10 @@ A "disk map" anywhere in this package is an instance of a class decorated
 with disk_map.  The class defines eval_array and deriv_array on ndarrays and
 may define deriv2_array, log_deriv_array, invert_array (the preimages of w in
 the open disk, NaN where there are none), abs_deriv_array,
-conformal_radius_array (|h'(x)|(1 - |x|^2) at x = h^-1(w), NaN where w has no
-preimage), conformal_radius_form (the triple (a, b, g) where that radius is
+preimage_radius_array (the pair (x, delta) of x = h^-1(w) and the conformal
+radius delta = |h'(x)|(1 - |x|^2) there, both NaN where w has no preimage; x
+None where delta is read from w alone), conformal_radius_array (delta),
+conformal_radius_form (the triple (a, b, g) where delta is
 a + 2 Re(b w) + g |w|^2 in w) and spiral_multiplier; disk_map writes the
 rest, so every disk map has all of them, plus invert and the scalar twin of each array method, which
 refuses a point outside the disk.  Callers do not write into the arrays these methods
@@ -73,11 +75,20 @@ def _abs_deriv_array(self, z):
     return np.abs(self.deriv_array(z))
 
 
-def _conformal_radius_array(self, w, guess=0j):
-    x = self.invert_array(w, guess=guess)
+def preimage_radius(h, w, guess=0j):
+    """(x, delta) at the points w: the preimages x = h^-1(w) from
+    h.invert_array started at guess, and the conformal radius
+    |h'(x)|(1 - |x|^2) there, both NaN where w has no preimage in the disk:
+    disk_map's preimage_radius_array, and its conformal_radius_array is
+    delta."""
+    x = h.invert_array(w, guess=guess)
     ok = ~np.isnan(x)
-    x = np.where(ok, x, 0j)
-    return np.where(ok, self.abs_deriv_array(x) * (1.0 - np.abs(x) ** 2), np.nan)
+    x0 = np.where(ok, x, 0j)
+    return x, np.where(ok, h.abs_deriv_array(x0) * (1.0 - np.abs(x0) ** 2), np.nan)
+
+
+def _conformal_radius_array(self, w, guess=0j):
+    return preimage_radius(self, w, guess)[1]
 
 
 def _continued_log_deriv_array(self, z):
@@ -88,8 +99,9 @@ def disk_map(cls):
     """The one writer of the members disk maps share, on cls itself (not a base
     class: verdictbench/tracing.py wraps them in each class's own __dict__):
     where cls defines none, log_deriv_array (continued_log_deriv),
-    invert_array (damped Newton), abs_deriv_array, conformal_radius_array (from
-    invert_array and abs_deriv_array), conformal_radius_form (None) and
+    invert_array (damped Newton), abs_deriv_array, preimage_radius_array
+    (preimage_radius), conformal_radius_array (its radius, from invert_array
+    and abs_deriv_array), conformal_radius_form (None) and
     spiral_multiplier (None); then
     invert and the scalar twin of each of eval_array, deriv_array,
     deriv2_array and log_deriv_array."""
@@ -97,6 +109,7 @@ def disk_map(cls):
     for name, value in (("log_deriv_array", _continued_log_deriv_array),
                         ("invert_array", _newton_invert_array),
                         ("abs_deriv_array", _abs_deriv_array),
+                        ("preimage_radius_array", preimage_radius),
                         ("conformal_radius_array", _conformal_radius_array),
                         ("conformal_radius_form", None),
                         ("spiral_multiplier", None)):
@@ -199,12 +212,17 @@ class UnivalentMap:
         return kernels.invert(self.family, self.params, self.num, self.den, w, guess,
                               self.spiral_multiplier)
 
+    def preimage_radius_array(self, w, guess=0j):
+        """``preimage_radius``, but for the Mobius and half-plane maps
+        (None, ``kernels.conformal_radius``): the radius from w alone, and no
+        preimage solved."""
+        d = kernels.conformal_radius(self.family, self.params, w)
+        return preimage_radius(self, w, guess) if d is None else (None, d)
+
     def conformal_radius_array(self, w, guess=0j):
         """|h'(x)|(1 - |x|^2) at the preimages x of the points w, NaN where
-        there is none: ``kernels.conformal_radius`` from w alone for the
-        Mobius and half-plane maps, else from invert_array."""
-        d = kernels.conformal_radius(self.family, self.params, w)
-        return _conformal_radius_array(self, w, guess) if d is None else d
+        there is none, from preimage_radius_array."""
+        return self.preimage_radius_array(w, guess)[1]
 
     @property
     def conformal_radius_form(self):

@@ -39,6 +39,8 @@ DISK_CLAMP = 1.0 - 1e-9
 # array, below the allocator's mmap and trim thresholds, so the heap is not
 # trimmed and faulted in again between verdicts
 SWEEP_BLOCK = 4096
+HALVINGS = 24  # a Newton step that goes uphill tries 2^-1 ... 2^-HALVINGS of itself
+_HALVES = np.ldexp(1.0, -np.arange(1, HALVINGS + 1))
 SPIRAL_TAU = 8.0     # spiral_newton starts at e^(-mu SPIRAL_TAU) w
 SPIRAL_STEPS = 12    # its path steps, each of SPIRAL_MAX_STEPS // SPIRAL_STEPS
 SPIRAL_MAX_STEPS = 384  # intervals of tau; a failing entry halves its own step
@@ -226,11 +228,14 @@ def newton(F, dF, w, z0):
 
     Iterates are clamped to |z| <= DISK_CLAMP since images may be unbounded.
     An entry stops once |F(z) - w| <= NEWTON_TOL or after NEWTON_MAX_ITER
-    steps; each step is halved, at most 24 times, until the residual drops.
-    An entry whose halving bottoms out (step 2^-24 and still no decrease), or
-    whose step is not finite (dF = 0 there), stalls: it keeps its last
-    iterate and stops at once.  F and dF only see
-    the entries still iterating.  Returns (z, |F(z) - w|) in the shape of w.
+    steps.  A step first tries the full Newton step; the entries it leaves
+    uphill try all of its halvings 2^-1 ... 2^-HALVINGS in one F call (in
+    blocks of at most SWEEP_BLOCK trial points) and take the first that is
+    not uphill, as halving one trial at a time would: a drop, or a NaN
+    residual.  An entry whose halvings all go uphill, or whose step is not
+    finite (dF = 0 there), stalls: it keeps its last iterate and stops at
+    once.  F and dF only see the entries still iterating.  Returns
+    (z, |F(z) - w|) in the shape of w.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     z = _clamp(np.atleast_1d(np.asarray(z0, dtype=complex)) * np.ones_like(w))
@@ -243,14 +248,21 @@ def newton(F, dF, w, z0):
         za, ra, wa = z[act], resid[act], wf[act]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = ra / dF(za)
-        lam = np.ones(act.size)
         cand, new = np.empty_like(za), np.full_like(za, np.inf)
         todo = np.flatnonzero(np.isfinite(step))
-        while todo.size:
-            c = _clamp(za[todo] - lam[todo] * step[todo])
-            cand[todo], new[todo] = c, F(c) - wa[todo]
-            todo = todo[(np.abs(new[todo]) >= np.abs(ra[todo])) & (lam[todo] > 2.0**-24)]
-            lam[todo] *= 0.5
+        c = _clamp(za[todo] - step[todo])
+        cand[todo], new[todo] = c, F(c) - wa[todo]
+        up = todo[np.abs(new[todo]) >= np.abs(ra[todo])]
+        per = max(1, SWEEP_BLOCK // HALVINGS)
+        for a in range(0, up.size, per):
+            i = up[a:a + per]
+            c = _clamp(za[i, None] - _HALVES * step[i, None])
+            f = F(c.ravel()).reshape(c.shape) - wa[i, None]
+            # each entry's first trial that is not uphill (a drop or a NaN), else its last
+            stop = ~(np.abs(f) >= np.abs(ra[i, None]))
+            stop[:, -1] = True
+            j = (np.arange(i.size), np.argmax(stop, axis=1))
+            cand[i], new[i] = c[j], f[j]
         down = np.abs(new) < np.abs(ra)
         moved = act[down]
         z[moved], resid[moved] = cand[down], new[down]
@@ -286,26 +298,32 @@ def spiral_newton(F, dF, w, mu, d0):
 def preimages(F, dF, w, guess, mu):
     """Preimages of w in the open disk under F, NaN where there is none: an
     entry is accepted when |F(z) - w| <= NEWTON_TOL max(1, |w|).  ``newton``
-    from ``guess`` (broadcast to w); the entries a non-zero guess leaves
-    unaccepted are solved again from 0, so a warm start loses no entry that
-    the start at 0 accepts.  Given a spiral multiplier mu (F(0) = 0 and F(D) mu-spirallike,
+    from ``guess`` (broadcast to w; a non-finite guess starts at 0); the
+    entries a non-zero guess leaves unaccepted, a NaN residual included, are
+    solved again from 0, so a warm start loses no entry that the start at 0
+    accepts.  Given a spiral multiplier mu (F(0) = 0 and F(D) mu-spirallike,
     else None) the entries still unaccepted are solved again by
     ``spiral_newton``.  Each retry's result is kept where its residual is
-    smaller."""
+    smaller.  A non-finite w is not solved: its preimage is NaN."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    z, res = newton(F, dF, w, guess)
-    tol = NEWTON_TOL * np.maximum(1.0, np.abs(w))
-    zf, rf, wf = z.ravel(), res.ravel(), w.ravel()
-    retries = [(np.broadcast_to(guess, w.shape).ravel() != 0, lambda v: newton(F, dF, v, 0j))]
+    out = np.full(w.size, np.nan + 0j)
+    live = np.flatnonzero(np.isfinite(w))
+    wf = w.ravel()[live]
+    g = np.broadcast_to(np.asarray(guess, dtype=complex), w.shape).ravel()[live]
+    g = np.where(np.isfinite(g), g, 0j)
+    z, rf = newton(F, dF, wf, g)
+    tol = NEWTON_TOL * np.maximum(1.0, np.abs(wf))
+    retries = [(g != 0, lambda v: newton(F, dF, v, 0j))]
     if mu is not None:
         retries.append((True, lambda v: spiral_newton(F, dF, v, mu, dF(np.zeros(1, complex))[0])))
     for rows, retry in retries:
-        bad = np.flatnonzero((rf > tol.ravel()) & rows)
+        bad = np.flatnonzero(~(rf <= tol) & rows)
         if bad.size:
             z2, r2 = retry(wf[bad])
-            up = r2 < rf[bad]
-            zf[bad[up]], rf[bad[up]] = z2[up], r2[up]
-    return np.where(res <= tol, z, np.nan + 0j)
+            up = (r2 < rf[bad]) | np.isnan(rf[bad])
+            z[bad[up]], rf[bad[up]] = z2[up], r2[up]
+    out[live] = np.where(rf <= tol, z, np.nan + 0j)
+    return out.reshape(w.shape)
 
 
 def invert(family, params, num, den, w, guess, mu=None):

@@ -29,6 +29,7 @@ from spirallab.extensions import (
     verify_invariance,
 )
 from spirallab.families import BranchedPower, UnivalentMap, disk_map, normalize_at
+from spirallab.semigroups import Generator, koenigs
 
 from conftest import ALL_FAMILIES, RATIONAL, random_disk
 
@@ -309,7 +310,7 @@ def test_membership_of_near_rim_koebe_points():
     xs = rad * np.exp(2j * np.pi * rng.uniform(size=n))
     ys = (0.5 * (1 - rad**2) * rng.uniform(size=n))[:, None] + 0j
     zs, ws = extend_H_arrays(h, sp, xs, ys)
-    assert membership_H_arrays(h, sp, zs, sp.fibre(ws)).all()
+    assert membership_H_arrays(h, sp, zs, sp.fibre(ws))[0].all()
 
 
 def test_membership_of_a_map_without_invert_array():
@@ -329,10 +330,10 @@ def test_membership_of_a_map_without_invert_array():
     xs, ys = sample_ball(sp, 100, np.random.default_rng(47))
     assert g.log_deriv_array(xs).tobytes() == families.continued_log_deriv(g, xs).tobytes()
     zs, ws = extend_H_arrays(g, sp, xs, ys)
-    assert membership_H_arrays(g, sp, zs, sp.fibre(ws)).all()
+    assert membership_H_arrays(g, sp, zs, sp.fibre(ws))[0].all()
     # the same x with |y| = 1.01 lies outside the ball
     zs, ws = extend_H_arrays(g, sp, xs, 1.01 * ys / np.abs(ys))
-    assert not membership_H_arrays(g, sp, zs, sp.fibre(ws)).any()
+    assert not membership_H_arrays(g, sp, zs, sp.fibre(ws))[0].any()
 
 
 @pytest.mark.parametrize("h", [UnivalentMap.mobius_spiral(0.3j), UnivalentMap.half_plane()],
@@ -351,7 +352,7 @@ def test_membership_of_a_closed_form_map_does_not_evaluate_h(h, monkeypatch):
 
     monkeypatch.setattr(kernels, "eval_map", forbidden)
     monkeypatch.setattr(kernels, "invert", forbidden)
-    ok = membership_H_arrays(h, sp, zo, fibre)
+    ok = membership_H_arrays(h, sp, zo, fibre)[0]
     assert ok[:200].all()
     if h.family == "half_plane":
         assert not ok[200:].any()
@@ -386,7 +387,7 @@ def test_membership_gauge_matches_branch_tracked_definition(h, r, p):
     zs, ws = extend_H_arrays(h, sp, xs, ys)
     ok, gauge = _branch_tracked_membership(h, sp, zs, ws)
     keep = np.abs(gauge - 1.0) > 1e-12
-    assert np.array_equal(membership_H_arrays(h, sp, zs, sp.fibre(ws))[keep], (ok & (gauge < 1.0))[keep])
+    assert np.array_equal(membership_H_arrays(h, sp, zs, sp.fibre(ws))[0][keep], (ok & (gauge < 1.0))[keep])
     near = keep & ok & (np.abs(gauge - 1.0) < 1e-6)
     assert (gauge[near] < 1.0).sum() > 50 and (gauge[near] > 1.0).sum() > 50
 
@@ -402,8 +403,8 @@ def test_rational_membership_does_no_path_continuation(monkeypatch):
         raise AssertionError("continued_log_deriv called")
 
     monkeypatch.setattr(families, "continued_log_deriv", no_continuation)
-    assert membership_H_arrays(RATIONAL, sp, zs, sp.fibre(ws)).all()
-    assert not membership_H_arrays(RATIONAL, sp, zo, sp.fibre(wo)).any()
+    assert membership_H_arrays(RATIONAL, sp, zs, sp.fibre(ws))[0].all()
+    assert not membership_H_arrays(RATIONAL, sp, zo, sp.fibre(wo))[0].any()
 
 
 def test_covering_radius_Rt_identity():
@@ -635,6 +636,7 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
 
     monkeypatch.setattr(type(h), "abs_deriv_array", complex_modulus)
     if h.family in ("half_plane", "mobius_spiral"):
+        monkeypatch.setattr(type(h), "preimage_radius_array", families.preimage_radius)
         monkeypatch.setattr(type(h), "conformal_radius_array",
                             families._conformal_radius_array)
         monkeypatch.setattr(type(h), "conformal_radius_form", None)
@@ -881,3 +883,41 @@ def test_form_is_the_mobius_and_half_plane_radius(c):
     assert np.array_equal(kernels.conformal_radius("half_plane", (), w), 2.0 * w.real)
     assert np.array_equal(kernels.conformal_radius("half_plane", (), [1e200, 1e150 + 1e155j]),
                           [2e200, 2e150])
+
+
+LOGISTIC_KOENIGS = koenigs(Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0))
+
+
+@pytest.mark.parametrize("mode", ["muir", "gamma"])
+@pytest.mark.parametrize("h,mu,n,failing", [
+    (RATIONAL, 1.0, 300, False),
+    (UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), 300, False),
+    (UnivalentMap.spiral_koebe(0.5), np.exp(0.5j), 300, True),
+    (UnivalentMap.koebe(), 1.0, 300, False),
+    (LOGISTIC_KOENIGS, 1.0, 60, False),
+], ids=["rational", "spiral_koebe_passes", "spiral_koebe_fails", "koebe", "koenigs_logistic"])
+def test_warm_started_sweep_equals_its_single_time_sweeps(h, mu, n, failing, mode):
+    """Each sample's solve at a time starts at its last preimage, so a sweep
+    over four times, given out of order, solves from other starts than four
+    sweeps of one time each, which all start at the samples' own x.  checked
+    and failures are the same exactly, and so are the witnesses, in order,
+    with w to 1e-13 relative and z to NEWTON_TOL relative: a gamma witness's
+    z is built from R_t, whose conformal radius at the centre is solved from
+    another start, and both solves stop at a residual of NEWTON_TOL (the
+    failing spiral_koebe gamma sweep moves z by up to 4.4e-13 relative at
+    seeds 0-5)."""
+    args = (h, mu, 1.0, space(2.0, 1), q_poly(0.25j))
+    kw = dict(n_samples=n, mode=mode, seed=3, n_gamma=8, max_witnesses=10**6)
+    times = [1.5, 0.2, 3.0, 0.7]
+    whole = verify_invariance(*args, times, **kw)
+    parts = [verify_invariance(*args, [t], **kw) for t in times]
+    assert whole["checked"] == sum(p["checked"] for p in parts)
+    assert whole["failures"] == sum(p["failures"] for p in parts)
+    assert (whole["failures"] > 0) == failing
+    wit = [w for p in parts for w in p["witnesses"]]
+    assert len(whole["witnesses"]) == len(wit) == whole["failures"]
+    for a, b in zip(whole["witnesses"], wit):
+        assert a["t"] == b["t"]
+        for key, tol in (("z", kernels.NEWTON_TOL), ("w", 1e-13)):
+            u, v = (np.array(c[key]) @ [1, 1j] for c in (a, b))
+            assert np.all(np.abs(u - v) <= tol * np.abs(v))

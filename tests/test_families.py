@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -128,7 +129,8 @@ def test_array_paths_match_scalar(families):
 # ---------------------------------------------------------------- protocol
 
 PROTOCOL = ("eval", "deriv", "eval_array", "deriv_array", "abs_deriv_array", "invert",
-            "invert_array", "conformal_radius_array", "spiral_multiplier")
+            "invert_array", "preimage_radius_array", "conformal_radius_array",
+            "spiral_multiplier")
 TWINS = ("eval", "deriv", "deriv2", "log_deriv")
 
 
@@ -309,6 +311,54 @@ def test_preimages_solve_a_lost_warm_start_again_from_zero():
     assert np.array_equal(kernels.preimages(F, dF, F(xs), np.full(3, 0.9 + 0j), None), cold)
 
 
+@pytest.mark.parametrize("h", [UnivalentMap.spiral_koebe(0.5),
+                               UnivalentMap.rational([0, 1, 0.1], [1, -0.5])],
+                         ids=["spiral_koebe", "rational"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)],
+                         ids=["nan", "inf", "-inf", "inf_imag"])
+def test_non_finite_guess_starts_at_zero(h, bad):
+    """An entry whose guess is not finite is solved from 0: its preimage is
+    bit for bit that of guess 0, with no warning (a NaN start once gave NaN
+    for points with a preimage, and inf warned), beside an entry started at
+    0.1."""
+    xs = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.6j])
+    ws = h.eval_array(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = h.invert_array(ws, guess=np.array([bad, 0.1, bad]))
+    assert np.array_equal(back[::2], h.invert_array(ws, guess=0j)[::2])
+    assert np.max(np.abs(back - xs)) < 1e-12
+
+
+def test_preimages_leave_non_finite_w_unsolved():
+    """A non-finite w has preimage NaN and is never handed to F, so it gets no
+    spiral walk; the finite entry beside it is solved as alone."""
+    h = UnivalentMap.spiral_koebe(0.5)
+    w = h.eval_array(np.array([0.3 + 0.2j]))
+    ws = np.array([np.nan, np.inf, complex(0.5, -np.inf), w[0]])
+    seen = []
+
+    def F(z):
+        seen.append(z.copy())
+        return h.eval_array(z)
+
+    back = kernels.preimages(F, h.deriv_array, ws, 0j, h.spiral_multiplier)
+    assert np.isnan(back[:3]).all() and back[3] == h.invert_array(w)[0]
+    assert all(z.size <= kernels.HALVINGS and np.isfinite(z).all() for z in seen)
+
+
+def test_preimages_retry_a_nan_residual_from_zero():
+    """A guess where F is NaN leaves a NaN residual, which is no acceptance:
+    the entry is solved again from 0 and finds its preimage."""
+    xs = np.array([-0.3, -0.5j])
+
+    def F(z):  # NaN near 0.9, (z - 0.5)^2 elsewhere
+        return np.where(np.abs(z - 0.9) < 0.05, np.nan, (z - 0.5) ** 2)
+
+    back = kernels.preimages(F, lambda z: 2.0 * (z - 0.5), F(xs), np.array([0.9, 0.0]), None)
+    assert np.max(np.abs(back - xs)) < 1e-12
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0, 1.3])
 def test_spiral_koebe_newton_round_trip_from_zero(theta):
     """Damped Newton from 0 alone leaves points of spiral_koebe(theta)
@@ -402,8 +452,9 @@ def test_spiral_newton_goes_on_in_one_node_steps_past_a_failing_node(monkeypatch
 
 def test_newton_stalled_entry_leaves_after_one_bottomed_out_halving():
     """An entry whose Newton step never lowers the residual leaves after one
-    full halving (25 trial steps, down to 2^-24) and keeps its iterate; the
-    other entry converges on its first step."""
+    full halving (25 trial steps, down to 2^-24: the full step, then its 24
+    halvings in one F call) and keeps its iterate; the other entry converges
+    on its first step."""
     calls = []
 
     def F(z):
@@ -414,7 +465,7 @@ def test_newton_stalled_entry_leaves_after_one_bottomed_out_halving():
         return np.where(z.real < 0, -1.0, 1.0) + 0j
 
     z, res = kernels.newton(F, dF, np.array([-0.3, 0.3]) + 0j, np.array([-0.5, 0.5]))
-    assert calls == [2, 2] + [1] * 24
+    assert calls == [2, 2, 24]
     assert z[0] == -0.5 and abs(res[0] - 0.2) < 1e-15
     assert abs(z[1] - 0.3) < 1e-15 and res[1] <= kernels.NEWTON_TOL
 
@@ -479,6 +530,132 @@ def test_newton_converged_entries_unchanged_by_the_stall_exit(h, r_max):
     ok = res <= kernels.NEWTON_TOL
     assert np.array_equal(ok, res_ref <= kernels.NEWTON_TOL)
     assert np.array_equal(z[ok], z_ref[ok]) and np.array_equal(res[ok], res_ref[ok])
+
+
+def _newton_one_trial_a_call(F, dF, w, z0, seen=None):
+    """kernels.newton with each trial step its own F call: the full step, then
+    its halvings one at a time until the residual is no longer >= the old
+    one or the step is 2^-24.  seen, where given, collects how each step
+    ended: its number of halvings where the residual dropped, "stall" where
+    the last halving still went uphill, "nan" at a NaN trial and "inf" for a
+    step that is not finite."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    z = kernels._clamp(np.atleast_1d(np.asarray(z0, dtype=complex)) * np.ones_like(w))
+    z, wf = z.ravel(), w.ravel()
+    resid = F(z) - wf
+    act = np.flatnonzero(np.abs(resid) > kernels.NEWTON_TOL)
+    for _ in range(kernels.NEWTON_MAX_ITER):
+        if not act.size:
+            break
+        za, ra, wa = z[act], resid[act], wf[act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ra / dF(za)
+        lam = np.ones(act.size)
+        cand, new = np.empty_like(za), np.full_like(za, np.inf)
+        fin = np.isfinite(step)
+        todo = np.flatnonzero(fin)
+        while todo.size:
+            c = kernels._clamp(za[todo] - lam[todo] * step[todo])
+            cand[todo], new[todo] = c, F(c) - wa[todo]
+            todo = todo[(np.abs(new[todo]) >= np.abs(ra[todo])) & (lam[todo] > 2.0**-24)]
+            lam[todo] *= 0.5
+        if seen is not None:
+            seen.update(["inf"] * int(np.count_nonzero(~fin)))
+            seen.update("nan" if np.isnan(n) else "stall" if abs(n) >= abs(r) else -math.log2(k)
+                        for k, n, r in zip(lam[fin], new[fin], ra[fin]))
+        down = np.abs(new) < np.abs(ra)
+        moved = act[down]
+        z[moved], resid[moved] = cand[down], new[down]
+        act = moved[np.abs(new[down]) > kernels.NEWTON_TOL]
+    return z.reshape(w.shape), np.abs(resid).reshape(w.shape)
+
+
+def _halving_map(a):
+    """F(z) = z + a z^2, elementwise and so independent of the batch, with a
+    Newton derivative that sends a step uphill left of Re z = -0.6 (every
+    halving fails: a stall), 2.5e7 times too long right of Re z = 0.6 (it
+    drops at 2^-24, its last halving), and 0 above Im z = 0.8 (a step that is
+    not finite); F is NaN on a small disk, where a trial reads NaN."""
+    def F(z):
+        return np.where(np.abs(z - (0.3 - 0.8j)) < 0.15, np.nan, z + a * z * z)
+
+    def dF(z):
+        d = 1.0 + 2.0 * a * z
+        d = np.where(z.real < -0.6, -d, np.where(z.real > 0.6, d / 2.5e7, d))
+        return np.where(z.imag > 0.8, 0j, d)
+
+    return F, dF
+
+
+def _disk_and_beyond(n, r_max):
+    return st.lists(st.complex_numbers(max_magnitude=r_max, allow_nan=False,
+                                       allow_infinity=False), min_size=n, max_size=n)
+
+
+@given(a=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+       pairs=st.integers(1, 30).flatmap(lambda n: st.tuples(_disk_and_beyond(n, 1.2),
+                                                            _disk_and_beyond(n, 0.99))))
+@settings(max_examples=200, deadline=None)
+def test_batched_halvings_equal_one_trial_a_call(a, pairs):
+    """kernels.newton, which tries a step's 24 halvings in one F call, gives
+    z and the residual bit for bit as trying them one F call each, for a map
+    whose values do not depend on the batch."""
+    F, dF = _halving_map(a)
+    w, z0 = (np.array(v, dtype=complex) for v in pairs)
+    z, res = kernels.newton(F, dF, w, z0)
+    z_ref, res_ref = _newton_one_trial_a_call(F, dF, w, z0)
+    assert np.array_equal(z, z_ref, equal_nan=True)
+    assert np.array_equal(res, res_ref, equal_nan=True)
+
+
+def test_batched_halvings_cover_every_way_a_step_ends():
+    """Forty seeded draws of the property above, compared the same way, end
+    steps with no halving, with 1 to 23 of them, with all 24, in a stall, at a
+    NaN trial and with a step that is not finite."""
+    rng, seen = np.random.default_rng(0), set()
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        F, dF = _halving_map(complex(*rng.uniform(-2.0, 2.0, 2)))
+        w, z0 = (r * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+                 for r in (1.2, 0.99))
+        z, res = kernels.newton(F, dF, w, z0)
+        z_ref, res_ref = _newton_one_trial_a_call(F, dF, w, z0, seen)
+        assert np.array_equal(z, z_ref, equal_nan=True)
+        assert np.array_equal(res, res_ref, equal_nan=True)
+    assert {0, 24, "stall", "nan", "inf"} <= seen
+    assert seen & set(range(1, 24))
+
+
+def test_halvings_stay_in_blocks_of_sweep_block_points(monkeypatch):
+    """The cold Newton solve (from 0) of 10,000 points of spiral_koebe(0.5)
+    near its slit, the image of |x| = 0.995, sends thousands of steps uphill
+    at once.  Their halvings go to F in calls of at most SWEEP_BLOCK points,
+    and newton's peak allocation is within 8 SWEEP_BLOCK arrays of its peak
+    with one entry's halvings a call; all of them in one call (the block
+    unbounded) add more than that, and bit for bit the same z."""
+    h = UnivalentMap.spiral_koebe(0.5)
+    ws = h.eval_array(0.995 * np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=10_000)))
+    runs, default = {}, kernels.SWEEP_BLOCK
+    for block in (kernels.HALVINGS, default, 10**9):
+        sizes = []
+
+        def F(z):
+            sizes.append(z.size)
+            return h.eval_array(z)
+
+        monkeypatch.setattr(kernels, "SWEEP_BLOCK", block)
+        tracemalloc.start()
+        try:
+            z, _ = kernels.newton(F, h.deriv_array, ws, 0j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs[block] = z, max(sizes), peak
+    (z1, _, least), (z, most, peak), (z_all, most_all, peak_all) = runs.values()
+    bound = 8 * default * 16  # bytes of 8 complex arrays of SWEEP_BLOCK points
+    assert most <= max(ws.size, default) and most_all > 10 * default
+    assert peak - least <= bound < peak_all - least
+    assert np.array_equal(z, z1) and np.array_equal(z, z_all)
 
 
 def test_normalized_map_inverts_through_its_base_map():
