@@ -587,14 +587,14 @@ def _halving_map(a):
     return F, dF
 
 
-def _disk_and_beyond(n, r_max):
+def _complex_lists(n, r_max):
     return st.lists(st.complex_numbers(max_magnitude=r_max, allow_nan=False,
                                        allow_infinity=False), min_size=n, max_size=n)
 
 
 @given(a=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-       pairs=st.integers(1, 30).flatmap(lambda n: st.tuples(_disk_and_beyond(n, 1.2),
-                                                            _disk_and_beyond(n, 0.99))))
+       pairs=st.integers(1, 30).flatmap(lambda n: st.tuples(_complex_lists(n, 1.2),
+                                                            _complex_lists(n, 0.99))))
 @settings(max_examples=200, deadline=None)
 def test_batched_halvings_equal_one_trial_a_call(a, pairs):
     """kernels.newton, which tries a step's 24 halvings in one F call, gives
