@@ -209,10 +209,9 @@ def cmd_sharp_bound(args):
     p = sharp_bound.SharpParams(lam=_parse_complex(args.lam), r=args.r)
     ineq = sharp_bound.verify_cor_inequality(p)
     inf = sharp_bound.infimum_f(p, ineq)
-    t_tail = 50.0 / (p.a * p.r)
-    tail = float(sharp_bound.f_sharp(p, t_tail))
+    tail = float(sharp_bound.f_sharp(p, p.t_max))
     if args.dump_curve:
-        ts = np.geomspace(1e-6, t_tail, 2000)
+        ts = np.geomspace(1e-6, p.t_max, 2000)
         _write_csv(args.dump_curve, ["t", "f"],
                    [np.column_stack((ts, sharp_bound.f_sharp(p, ts))).tolist()])
     ok = ineq["min_margin"] >= 0 and abs(tail - 1.0) <= 1e-6

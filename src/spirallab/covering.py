@@ -62,7 +62,7 @@ def _verdict(h, x0, alpha, beta, grid):
         d1, secondary = d0, None
     else:
         center = beta * center
-        d1 = float(h.conformal_radius_array([center], guess=x0)[0])
+        d1 = float(h.preimage_radius_array([center], guess=x0)[1][0])
         if np.isnan(d1):
             raise NoConvergence(f"no preimage in the disk for w = {center}")
         secondary = (abs(beta) - alpha) / 4.0 * d0

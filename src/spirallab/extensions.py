@@ -16,6 +16,7 @@ from .families import BranchedPower, _c
 from .families import newton_invert  # noqa: F401  verdictbench/tracing.py wraps this name
 
 INTERIOR_MARGIN = 1e-3
+GAMMA_FRAC = 0.999  # gamma mode probes the circle of this fraction of R_t
 ASCENT_STARTS = 10  # the best sphere samples sup_norm_Q ascends from
 
 
@@ -208,8 +209,8 @@ def membership_H_arrays(h, space: BallSpace, zs, fibre, guess=0j):
     every branch of the root y = w / h'(x)^(1/r) has gauge |x|^2 +
     fibre / |h'(x)|.  Points without a preimage in the disk (delta NaN) are
     outside.  Returns (inside, x): a boolean array and the preimages x solved
-    from guess, both from h.preimage_radius_array (x None where delta is read
-    from z alone)."""
+    from guess, both from h.preimage_radius_array (x None where the map's
+    conformal_radius_form gives delta from z alone)."""
     x, delta = h.preimage_radius_array(np.asarray(zs, dtype=complex), guess=guess)
     return fibre < delta, x
 
@@ -219,7 +220,7 @@ def covering_radius_Rt(h, A: SpiralMatrix, t, z0, guess=0j):
     an array, x1 the preimage of the contracted center e^(-mu t) z0, the first
     coordinate of e^(-At)(z0, 0); NaN where it has no preimage."""
     z1, _ = semigroup_action(A, t, z0, 0j)
-    return _rt_scale(A, t) * h.conformal_radius_array(z1, guess=guess)
+    return _rt_scale(A, t) * h.preimage_radius_array(z1, guess=guess)[1]
 
 
 def _rt_scale(A: SpiralMatrix, t):
@@ -290,23 +291,22 @@ def sup_norm_Q_bound(Q: HomogeneousPolynomial, space: BallSpace):
 
 
 def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
-                      mode="muir", seed=0, n_gamma=16, gamma_frac=0.999,
-                      max_witnesses=20):
+                      mode="muir", seed=0, n_gamma=16, max_witnesses=20):
     """Invariance sweep over random interior points and the given times.
 
     mode='muir': push each extended point H(x, y) through the shear-conjugated
     linear action and test membership.  mode='gamma': perturb the contracted
-    first coordinate along n_gamma directions at gamma_frac of the covering
+    first coordinate along n_gamma directions at GAMMA_FRAC of the covering
     radius; a map with a conformal_radius_form gets the conformal radius on
     that circle in closed form (_gamma_circle), any other map a membership
     test of every probe.  Both move h(x), h'(x) Q(y) and |h'(x)| ||y||^r,
     read once, by scalars: Q(c w) = c^r Q(w), and |h'^(1/r)|^r = |h'| on
     every branch, so no branch of h'^(1/r) is taken but for the w of a
     reported witness.  Where h.preimage_radius_array solves preimages (every
-    map but Mobius and half-plane), each sample's solve at each time starts at
-    the last preimage found for it, its own x at the first time: the probe's
-    own in muir mode; in gamma mode the centre's x1 behind R_t, which also
-    starts that time's probes.  A solve that finds none (NaN) keeps the start
+    map without a conformal_radius_form), each sample's solve at each time
+    starts at the last preimage found for it, its own x at the first time: the
+    probe's own in muir mode; in gamma mode the centre's x1 behind R_t, which
+    also starts that time's probes.  A solve that finds none (NaN) keeps the start
     it had.  failures counts every failed membership; witnesses keeps the
     first max_witnesses of them.
     """
@@ -333,7 +333,7 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
             # R_t and the circle read one conformal radius at the contracted centre
             z1 = e_mu * hx
             x, d1 = h.preimage_radius_array(z1, guess=start)
-            step = gamma_frac * (_rt_scale(A, t) * d1)
+            step = GAMMA_FRAC * (_rt_scale(A, t) * d1)
         if x is not None:
             start = np.where(np.isnan(x), start, x)
         # blocks of (membership of each probe, the probes at flat indices)

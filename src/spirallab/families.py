@@ -6,17 +6,17 @@ A "disk map" anywhere in this package is an instance of a class decorated
 with disk_map.  The class defines eval_array and deriv_array on ndarrays and
 may define deriv2_array, log_deriv_array, invert_array (the preimages of w in
 the open disk, NaN where there are none), abs_deriv_array,
-preimage_radius_array (the pair (x, delta) of x = h^-1(w) and the conformal
-radius delta = |h'(x)|(1 - |x|^2) there, both NaN where w has no preimage; x
-None where delta is read from w alone), conformal_radius_array (delta),
-conformal_radius_form (the triple (a, b, g) where delta is
-a + 2 Re(b w) + g |w|^2 in w) and spiral_multiplier; disk_map writes the
-rest, so every disk map has all of them, plus invert and the scalar twin of each array method, which
-refuses a point outside the disk.  Callers do not write into the arrays these methods
-return: a map may hand out a shared, read-only array (KoenigsMap.log_deriv_array
-does).  UnivalentMap covers the closed-form families, ComposedMap a disk map
-composed with a disk automorphism and renormalized, and semigroups.KoenigsMap
-the Koenigs functions of generators.
+conformal_radius_form (the triple (a, b, g) where the conformal radius
+delta = |h'(x)|(1 - |x|^2) at x = h^-1(w) is a + 2 Re(b w) + g |w|^2 in w)
+and spiral_multiplier; disk_map writes the rest, so every disk map has all of
+them, plus preimage_radius_array (the pair (x, delta), both NaN where w has no
+preimage; x None where a form gives delta from w alone), invert and the scalar
+twin of each array method, which refuses a point outside the disk.  Callers
+do not write into the arrays these methods return: a map may hand out a
+shared, read-only array (KoenigsMap.log_deriv_array does).  UnivalentMap
+covers the closed-form families, ComposedMap a disk map composed with a disk
+automorphism and renormalized, and semigroups.KoenigsMap the Koenigs
+functions of generators.
 """
 
 from __future__ import annotations
@@ -79,16 +79,18 @@ def preimage_radius(h, w, guess=0j):
     """(x, delta) at the points w: the preimages x = h^-1(w) from
     h.invert_array started at guess, and the conformal radius
     |h'(x)|(1 - |x|^2) there, both NaN where w has no preimage in the disk:
-    disk_map's preimage_radius_array, and its conformal_radius_array is
-    delta."""
+    preimage_radius_array of a map without a conformal_radius_form."""
     x = h.invert_array(w, guess=guess)
     ok = ~np.isnan(x)
     x0 = np.where(ok, x, 0j)
     return x, np.where(ok, h.abs_deriv_array(x0) * (1.0 - np.abs(x0) ** 2), np.nan)
 
 
-def _conformal_radius_array(self, w, guess=0j):
-    return preimage_radius(self, w, guess)[1]
+def _preimage_radius_array(self, w, guess=0j):
+    form = self.conformal_radius_form
+    if form is None:
+        return preimage_radius(self, w, guess)
+    return None, kernels.conformal_radius(form, w)
 
 
 def _continued_log_deriv_array(self, z):
@@ -100,17 +102,16 @@ def disk_map(cls):
     class: verdictbench/tracing.py wraps them in each class's own __dict__):
     where cls defines none, log_deriv_array (continued_log_deriv),
     invert_array (damped Newton), abs_deriv_array, preimage_radius_array
-    (preimage_radius), conformal_radius_array (its radius, from invert_array
-    and abs_deriv_array), conformal_radius_form (None) and
-    spiral_multiplier (None); then
-    invert and the scalar twin of each of eval_array, deriv_array,
-    deriv2_array and log_deriv_array."""
+    ((None, kernels.conformal_radius) where the map has a
+    conformal_radius_form, else preimage_radius, from invert_array and
+    abs_deriv_array), conformal_radius_form (None) and spiral_multiplier
+    (None); then invert and the scalar twin of each of eval_array,
+    deriv_array, deriv2_array and log_deriv_array."""
     own = vars(cls)
     for name, value in (("log_deriv_array", _continued_log_deriv_array),
                         ("invert_array", _newton_invert_array),
                         ("abs_deriv_array", _abs_deriv_array),
-                        ("preimage_radius_array", preimage_radius),
-                        ("conformal_radius_array", _conformal_radius_array),
+                        ("preimage_radius_array", _preimage_radius_array),
                         ("conformal_radius_form", None),
                         ("spiral_multiplier", None)):
         if name not in own:
@@ -211,18 +212,6 @@ class UnivalentMap:
         (``kernels.invert``)."""
         return kernels.invert(self.family, self.params, self.num, self.den, w, guess,
                               self.spiral_multiplier)
-
-    def preimage_radius_array(self, w, guess=0j):
-        """``preimage_radius``, but for the Mobius and half-plane maps
-        (None, ``kernels.conformal_radius``): the radius from w alone, and no
-        preimage solved."""
-        d = kernels.conformal_radius(self.family, self.params, w)
-        return preimage_radius(self, w, guess) if d is None else (None, d)
-
-    def conformal_radius_array(self, w, guess=0j):
-        """|h'(x)|(1 - |x|^2) at the preimages x of the points w, NaN where
-        there is none, from preimage_radius_array."""
-        return self.preimage_radius_array(w, guess)[1]
 
     @property
     def conformal_radius_form(self):

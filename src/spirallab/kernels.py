@@ -21,8 +21,8 @@ inverse returns the preimage in the open disk or NaN, and ``preimages`` alone
 decides which Newton solves count.
 ``abs_deriv`` gives |h'| in real arithmetic, for consumers that need only it,
 and ``conformal_radius`` the conformal radius |h'(x)|(1-|x|^2) at x = h^-1(w)
-from w alone, for the Mobius and half-plane maps, from the one real quadratic
-form in w of ``conformal_radius_form``.
+from w alone, from the triple (a, b, g) of the one real quadratic form in w
+that ``conformal_radius_form`` gives the Mobius and half-plane maps.
 """
 
 import itertools
@@ -202,12 +202,10 @@ def conformal_radius_form(family, params):
     return None
 
 
-def conformal_radius(family, params, w):
-    """The conformal radius at w from ``conformal_radius_form``, NaN where it is
-    <= 0 (where the closed-form inverse leaves the disk); None without a form."""
-    form = conformal_radius_form(family, params)
-    if form is None:
-        return None
+def conformal_radius(form, w):
+    """The conformal radius a + 2 Re(b w) + g |w|^2 at the points w of a map
+    whose ``conformal_radius_form`` is form = (a, b, g), NaN where it is <= 0
+    (where the closed-form inverse leaves the disk)."""
     (a, b, g), w = form, np.atleast_1d(np.asarray(w, dtype=complex))
     d = a + 2.0 * (b.real * w.real - b.imag * w.imag)
     if g:  # the half-plane's g = 0: no |w|^2, which overflows long before 2 Re w

@@ -16,6 +16,8 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+MAX_STEPS = 1_000_000  # integrate's step cap: StepUnderflow beyond it
+
 # DOP853 tableau, copied from scipy/integrate/_ivp/dop853_coefficients.py
 # (BSD-3), which takes it from Hairer's dop853.f.  Row i of _A weights the stages
 # behind stage i's point.  Row 12 is the 8th-order solution, so stage 12 is f at
@@ -154,8 +156,7 @@ def _dense_states(rhs, y, y1, k, kr, h, theta, s):
     return y + th * out
 
 
-def integrate(rhs, y0, t_end, tol=1e-11, max_steps=1_000_000, domain=None,
-              t_eval=None):
+def integrate(rhs, y0, t_end, tol=1e-11, domain=None, t_eval=None):
     """Integrate y' = rhs(y) from 0 to t_end (autonomous).
 
     domain, if given, is a predicate returning a flag or an array of flags (one
@@ -191,8 +192,8 @@ def integrate(rhs, y0, t_end, tol=1e-11, max_steps=1_000_000, domain=None,
     if t_end > 0:
         k[0] = rhs(y).ravel()
     while t < t_end:
-        if steps >= max_steps:
-            raise StepUnderflow(f"not converged after {max_steps} steps")
+        if steps >= MAX_STEPS:
+            raise StepUnderflow(f"not converged after {MAX_STEPS} steps")
         h = min(h, t_end - t)
         last = h == t_end - t
         if h < 1e-15 * max(1.0, t_end):

@@ -39,6 +39,12 @@ class SharpParams:
         return self.lam.imag
 
     @property
+    def t_max(self):
+        # the tail time 50/(r Re lambda): |e^(-r lambda t)| = e^-50 there, so f
+        # is its limit 1 to double precision
+        return 50.0 / (self.a * self.r)
+
+    @property
     def limit_zero(self):
         # the t -> 0+ limit, also the infimum over t > 0
         return (self.a / abs(self.lam)) ** 2
@@ -95,14 +101,14 @@ def verify_cor_inequality(p: SharpParams):
     Positive everywhere for Im lambda != 0; identically zero for real lambda.
     MarginUnderflow is raised where the sign is not decided in double
     precision: a nonreal lambda whose minimum reads 0.0, or a t grid or margin
-    that is not finite (50/(r Re lambda) or sinh overflows; a non-finite t
-    makes the margin non-finite).  The margin, elementwise in t, is read in
+    that is not finite (t_max or sinh overflows; a non-finite t makes the
+    margin non-finite).  The margin, elementwise in t, is read in
     slices of kernels.SWEEP_BLOCK points of the whole grid, keeping the first
     minimum as np.argmin does: the report is the whole grid's, bit for bit."""
     block = kernels.SWEEP_BLOCK
     lo, i = math.inf, 0
     with np.errstate(all="ignore"):
-        t_grid = np.geomspace(1e-4, 50.0 / (p.a * p.r), N_GRID)
+        t_grid = np.geomspace(1e-4, p.t_max, N_GRID)
         for start in range(0, N_GRID, block):
             margin = cor_margin(p, t_grid[start:start + block])
             if not np.isfinite(margin).all():

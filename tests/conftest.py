@@ -1,4 +1,7 @@
-"""Shared fixtures: the standard map families and a deterministic RNG."""
+"""Shared fixtures: the standard map families, a deterministic RNG and a
+comparison of large reports."""
+
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +34,38 @@ def families():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def first_difference(got, want, path="report"):
+    """Where json.dumps(got) and json.dumps(want) first differ, as the path of
+    a key or a list index, or None where they are equal."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        if list(got) != list(want):
+            return f"{path}: keys {list(got)} != {list(want)}"
+        for k in got:
+            d = first_difference(got[k], want[k], f"{path}[{k!r}]")
+            if d:
+                return d
+        return None
+    if isinstance(got, list) and isinstance(want, list):
+        for i, (a, b) in enumerate(zip(got, want)):
+            d = first_difference(a, b, f"{path}[{i}]")
+            if d:
+                return d
+        if len(got) != len(want):
+            return f"{path}: length {len(got)} != {len(want)}"
+        return None
+    if json.dumps(got) != json.dumps(want):
+        return f"{path}: {json.dumps(got)} != {json.dumps(want)}"
+    return None
+
+
+def assert_same_json(got, want):
+    """json.dumps(got) == json.dumps(want), failing with the first differing
+    key or witness index instead of a diff of two dumps that may hold tens of
+    thousands of witnesses."""
+    if json.dumps(got) != json.dumps(want):
+        pytest.fail(first_difference(got, want) or "the dumps differ")
 
 
 def random_disk(rng, n, r_max=0.9):

@@ -119,10 +119,10 @@ SHIFTED_CASES = [
                          ids=["koebe", "mobius", "rational", "koebe-complex-beta"])
 def test_shifted_radius_is_the_conformal_radius_at_the_centre(h, x0, alpha, beta):
     """The shifted check reads delta(x1) = |h'(x1)|(1 - |x1|^2) at the preimage
-    x1 of beta h(x0) from h.conformal_radius_array, bit for bit."""
+    x1 of beta h(x0) from h.preimage_radius_array, bit for bit."""
     rep = verify_shifted_covering_bound(h, x0, alpha, beta, grid=(60, 60))
     centre = beta * h.eval(x0)
-    d1 = h.conformal_radius_array([centre], guess=x0)[0]
+    d1 = h.preimage_radius_array([centre], guess=x0)[1][0]
     assert rep["predicted_radius"] == (abs(beta) - alpha) / (4.0 * abs(beta)) * d1
     assert rep["center"] == [centre.real, centre.imag]
 
@@ -334,7 +334,7 @@ def _centre_in_complement(h, x0, alpha, shift):
     where the edge sweep's minimum may exceed the all-complement one."""
     spec = OmegaSpec.build(h, x0, alpha)
     centre = shift * complex(EVAL_MAP(*_family(h), x0))
-    return h.conformal_radius_array([centre], guess=x0)[0] <= spec.threshold
+    return h.preimage_radius_array([centre], guess=x0)[1][0] <= spec.threshold
 
 
 def _assert_edge_result(got, ref, centre_in_complement):

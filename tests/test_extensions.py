@@ -31,7 +31,7 @@ from spirallab.extensions import (
 from spirallab.families import BranchedPower, UnivalentMap, disk_map, normalize_at
 from spirallab.semigroups import Generator, koenigs
 
-from conftest import ALL_FAMILIES, RATIONAL, random_disk
+from conftest import ALL_FAMILIES, RATIONAL, assert_same_json, random_disk
 
 
 def space(r=2.0, m=1):
@@ -545,7 +545,7 @@ def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n
     single = verify_invariance(*args, **kw)
     assert calls == [n] * 16 * 4
     assert (blocked["failures"] > 0) == failing
-    assert json.dumps(blocked) == json.dumps(single)
+    assert_same_json(blocked, single)
 
 
 @pytest.mark.parametrize("mode", ["muir", "gamma"])
@@ -618,13 +618,13 @@ def test_spiral_koebe_invariance_at_large_w(mode):
 def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
     """Membership and R_t read the conformal radius in real arithmetic: in
     closed form from z for half_plane and mobius (on the gamma circle too),
-    from |h'| at the preimage for spiral_koebe.  With disk_map's default, the
-    preimage and the modulus of the complex h', in its place, and every gamma
-    probe a membership test, the report is the same (spiral_koebe
-    included, whose sweep reaches |z| > 450).  A gamma witness, where any, is
-    built from R_t, so its z may move in the last bits; everything else, the
-    counts and every membership decision included, is compared as JSON, where
-    NaN witnesses match."""
+    from |h'| at the preimage for spiral_koebe.  With the form switched off,
+    so that preimage_radius_array inverts h, the modulus of the complex h' in
+    place of |h'|, and every gamma probe a membership test, the report is the
+    same (spiral_koebe included, whose sweep reaches |z| > 450).  A gamma
+    witness, where any, is built from R_t, so its z may move in the last bits;
+    everything else, the counts and every membership decision included, is
+    compared as JSON, where NaN witnesses match."""
     args = (h, mu, 1.0, space(2.0, 1), q_poly(0.25j), [0.5, 2.0])
     kw = dict(n_samples=2000, mode=mode, seed=17, n_gamma=4, max_witnesses=10**6)
     reports = [verify_invariance(*args, **kw)]
@@ -635,16 +635,12 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
         return np.abs(h.deriv_array(z))
 
     monkeypatch.setattr(type(h), "abs_deriv_array", complex_modulus)
-    if h.family in ("half_plane", "mobius_spiral"):
-        monkeypatch.setattr(type(h), "preimage_radius_array", families.preimage_radius)
-        monkeypatch.setattr(type(h), "conformal_radius_array",
-                            families._conformal_radius_array)
-        monkeypatch.setattr(type(h), "conformal_radius_form", None)
+    monkeypatch.setattr(type(h), "conformal_radius_form", None)
     reports.append(verify_invariance(*args, **kw))
     assert calls
     z_fast, z_ref = (np.array([complex(*w.pop("z")) for w in rep["witnesses"]])
                      for rep in reports)
-    assert json.dumps(reports[0]) == json.dumps(reports[1])
+    assert_same_json(reports[0], reports[1])
     assert np.array_equal(np.isnan(z_fast), np.isnan(z_ref))
     ok = ~np.isnan(z_ref)
     assert np.all(np.abs(z_fast[ok] - z_ref[ok]) <= 1e-15 * np.abs(z_ref[ok]))
@@ -794,13 +790,13 @@ def test_circle_radius_matches_the_point_kernel(h, rho, arg, frac, scale):
     delta/2 away); s up to 4 delta(z1) leaves it, where, outside that band,
     the closed form is <= 0 exactly where the point kernel is NaN."""
     z1 = h.eval_array(np.array([rho * np.exp(1j * arg)]))
-    d1 = h.conformal_radius_array(z1)
+    d1 = h.preimage_radius_array(z1)[1]
     s = frac * scale * d1
     got = list(extensions._circle_radii(h.conformal_radius_form, z1, d1, s, 16))
     dirs = np.array([d for d, _ in got])
     assert np.array_equal(dirs, np.exp(2j * np.pi * np.arange(16) / 16))
     circle = np.concatenate([radius for _, radius in got])
-    point = kernels.conformal_radius(h.family, h.params, z1 + s * dirs)
+    point = kernels.conformal_radius(h.conformal_radius_form, z1 + s * dirs)
     band = 32 * np.finfo(float).eps * (1.0 + abs(z1[0]) + s[0]) ** 2
     inside = ~np.isnan(point)
     assert np.all(np.abs(circle[inside] - point[inside]) <= band)
@@ -823,7 +819,8 @@ def test_circle_path_equals_probe_path_on_failing_sweeps(case, monkeypatch):
     samples, five times) and the pinned r2m2 half-plane case (300 samples, the
     CLI's default times and seed), each with its conformal radius read in
     closed form on the circle and with every probe a membership test (the
-    form switched off), give the same report JSON."""
+    form switched off, each probe's radius still kernels.conformal_radius of
+    the form), give the same report JSON."""
     if case == "half_plane_r2m2":
         r, m, _, lam, mu = PINNED_CASES["r2m2"]
         args = (UnivalentMap.half_plane(), complex(*map(float, mu.split(","))),
@@ -836,10 +833,13 @@ def test_circle_path_equals_probe_path_on_failing_sweeps(case, monkeypatch):
                 [0.1, 0.5, 1.0, 2.0, 4.0])
         kw = dict(n_samples=2000, seed=7)
     circle = verify_invariance(*args, mode="gamma", max_witnesses=10**6, **kw)
+    form = args[0].conformal_radius_form
     monkeypatch.setattr(UnivalentMap, "conformal_radius_form", None)
+    monkeypatch.setattr(UnivalentMap, "preimage_radius_array",
+                        lambda h, w, guess=0j: (None, kernels.conformal_radius(form, w)))
     probed = verify_invariance(*args, mode="gamma", max_witnesses=10**6, **kw)
     assert circle["failures"] > 0 and len(circle["witnesses"]) == circle["failures"]
-    assert json.dumps(circle) == json.dumps(probed)
+    assert_same_json(circle, probed)
     if case == "half_plane_r2m2":
         assert circle["failures"] == PINNED["half_plane"][5][2]
 
@@ -853,7 +853,7 @@ def test_circle_path_equals_probe_path_on_failing_sweeps(case, monkeypatch):
 ], ids=["mobius", "half_plane", "koebe", "rational", "composed"])
 def test_conformal_radius_form_is_the_closed_form_radius(h, form):
     """The Mobius and half-plane maps carry (a, b, g) with
-    conformal_radius_array = a + 2 Re(b w) + g |w|^2 where positive; every
+    the conformal radius a + 2 Re(b w) + g |w|^2 where positive; every
     other disk map (disk_map's default) carries None."""
     if form is None:
         assert h.conformal_radius_form is None
@@ -862,7 +862,7 @@ def test_conformal_radius_form_is_the_closed_form_radius(h, form):
     w = h.eval_array(random_disk(np.random.default_rng(8), 50))
     a, b, g = form
     want = a + 2 * (b * w).real + g * np.abs(w) ** 2
-    assert np.allclose(h.conformal_radius_array(w), want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(h.preimage_radius_array(w)[1], want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.3 - 0.4j, 0.9, -0.95 + 0.2j, 0.999j, 0.0],
@@ -875,13 +875,15 @@ def test_form_is_the_mobius_and_half_plane_radius(c):
     x = random_disk(np.random.default_rng(9), 2000, 0.999)
     h = UnivalentMap.mobius_spiral(c)
     w = h.eval_array(x)
-    got = kernels.conformal_radius(h.family, h.params, w)
+    got = kernels.conformal_radius(h.conformal_radius_form, w)
     want = np.abs(1.0 - c * w) ** 2 - np.abs(w) ** 2
     assert not np.isnan(got).any()
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (1.0 + np.abs(w)) ** 2)
-    w = UnivalentMap.half_plane().eval_array(x)
-    assert np.array_equal(kernels.conformal_radius("half_plane", (), w), 2.0 * w.real)
-    assert np.array_equal(kernels.conformal_radius("half_plane", (), [1e200, 1e150 + 1e155j]),
+    h = UnivalentMap.half_plane()
+    w = h.eval_array(x)
+    form = h.conformal_radius_form
+    assert np.array_equal(kernels.conformal_radius(form, w), 2.0 * w.real)
+    assert np.array_equal(kernels.conformal_radius(form, [1e200, 1e150 + 1e155j]),
                           [2e200, 2e150])
 
 

@@ -15,18 +15,19 @@ from spirallab import kernels
 from spirallab.extensions import BallSpace, sample_ball
 from spirallab.families import (
     BranchedPower,
+    ComposedMap,
     NoConvergence,
     PointOutsideDisk,
     UnivalentMap,
-    _conformal_radius_array,
     continued_log_deriv,
     disk_automorphism,
     invert_map,
     newton_invert,
     normalize_at,
+    preimage_radius,
     roots_inside,
 )
-from spirallab.semigroups import Generator, koenigs, spirallike_margin
+from spirallab.semigroups import Generator, KoenigsMap, koenigs, spirallike_margin
 
 from conftest import ALL_FAMILIES, RATIONAL, random_disk, standard_families
 
@@ -129,8 +130,7 @@ def test_array_paths_match_scalar(families):
 # ---------------------------------------------------------------- protocol
 
 PROTOCOL = ("eval", "deriv", "eval_array", "deriv_array", "abs_deriv_array", "invert",
-            "invert_array", "preimage_radius_array", "conformal_radius_array",
-            "spiral_multiplier")
+            "invert_array", "preimage_radius_array", "spiral_multiplier")
 TWINS = ("eval", "deriv", "deriv2", "log_deriv")
 
 
@@ -162,6 +162,15 @@ def test_every_disk_map_has_the_whole_protocol(name):
         with pytest.raises(PointOutsideDisk):
             getattr(h, m)(1.2)
     assert h.invert(h.eval(z)) == invert_map(h, h.eval(z))
+
+
+def test_the_conformal_radius_has_one_member():
+    """preimage_radius_array is the one member that gives the conformal
+    radius: no disk-map class has a conformal_radius_array, and every one
+    gets disk_map's one preimage_radius_array."""
+    maps = (UnivalentMap, ComposedMap, KoenigsMap)
+    assert [c for c in maps if hasattr(c, "conformal_radius_array")] == []
+    assert len({c.preimage_radius_array for c in maps}) == 1
 
 
 # --------------------------------------------------------------- inversion
@@ -233,8 +242,9 @@ CLOSED_FORMS = [h for h in ALL_FAMILIES if h.family in ("mobius_spiral", "half_p
 @pytest.mark.parametrize("h", CLOSED_FORMS + [UnivalentMap.mobius_spiral(-0.7 + 0.2j)],
                          ids=lambda h: f"{h.family}{h.params}")
 def test_closed_form_conformal_radius_matches_the_default(h):
-    """kernels.conformal_radius, from w alone, agrees with disk_map's default
-    |h'(x)|(1 - |x|^2) at x = h^-1(w) out to |x| = 0.995, within 16 eps /
+    """kernels.conformal_radius, from w alone, agrees with the inverted path
+    families.preimage_radius, |h'(x)|(1 - |x|^2) at x = h^-1(w), out to
+    |x| = 0.995, within 16 eps /
     (1 - |x|^2): the default's own cancellation in 1 - |x|^2 (at most 6 of
     these units is seen)."""
     rng = np.random.default_rng(22)
@@ -242,9 +252,9 @@ def test_closed_form_conformal_radius_matches_the_default(h):
     xs = np.concatenate([random_disk(rng, 2000, 0.995), rim])
     xs = xs[np.abs(xs) <= 0.995]
     ws = h.eval_array(xs)
-    closed = h.conformal_radius_array(ws)
-    assert closed.dtype == float
-    default = _conformal_radius_array(h, ws)
+    x, closed = h.preimage_radius_array(ws)
+    assert x is None and closed.dtype == float
+    default = preimage_radius(h, ws)[1]
     eps = np.finfo(float).eps
     assert np.all(np.abs(closed / default - 1.0) <= 16 * eps / (1.0 - np.abs(xs) ** 2))
 
@@ -257,13 +267,38 @@ def test_closed_form_conformal_radius_matches_the_default(h):
 ], ids=["mobius_pole", "mobius_real", "half_plane"])
 def test_conformal_radius_off_the_image_is_nan(h, ws):
     """Points off h(D), the image of the pole (w = -1, w = 1/c) and the
-    half-plane's boundary line: the closed form and disk_map's default are
-    both NaN, and neither warns."""
+    half-plane's boundary line: the closed form and the inverted path
+    families.preimage_radius are both NaN, and neither warns."""
     ws = np.asarray(ws, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(h.conformal_radius_array(ws)).all()
-        assert np.isnan(_conformal_radius_array(h, ws)).all()
+        assert np.isnan(h.preimage_radius_array(ws)[1]).all()
+        assert np.isnan(preimage_radius(h, ws)[1]).all()
+
+
+@pytest.mark.parametrize("h", [UnivalentMap.mobius_spiral(0.3j), UnivalentMap.half_plane()],
+                         ids=lambda h: h.family)
+def test_the_form_alone_picks_the_closed_form_radius(h, monkeypatch):
+    """conformal_radius_form is the one switch: with it, preimage_radius_array
+    reads the radius from w alone and inverts nothing; switched to None, and
+    nothing else, it calls invert_array and is families.preimage_radius bit
+    for bit."""
+    ws = h.eval_array(random_disk(np.random.default_rng(38), 50))
+    calls = []
+    orig = UnivalentMap.invert_array
+
+    def counted(h, w, guess=0j):
+        calls.append(np.size(w))
+        return orig(h, w, guess)
+
+    monkeypatch.setattr(UnivalentMap, "invert_array", counted)
+    x, _ = h.preimage_radius_array(ws)
+    assert x is None and calls == []
+    monkeypatch.setattr(UnivalentMap, "conformal_radius_form", None)
+    x, d = h.preimage_radius_array(ws)
+    assert calls == [ws.size]
+    x_ref, d_ref = preimage_radius(h, ws)
+    assert x.tobytes() == x_ref.tobytes() and d.tobytes() == d_ref.tobytes()
 
 
 def test_newton_preimage_at_large_w_is_accepted_relative_to_w():
@@ -917,12 +952,12 @@ def test_kernels_do_not_depend_on_the_batch_size(h):
         assert at(zs).tobytes() == chunks.tobytes(), fn.__name__
     if h.family in ("identity", "koebe", "mobius_spiral", "half_plane"):  # the closed-form inverses and conformal radii
         ws = h.eval_array(zs)
-        for fn in (lambda w: kernels.invert(h.family, h.params, h.num, h.den, w, 0j),
-                   lambda w: kernels.conformal_radius(h.family, h.params, w)):
-            whole = fn(ws)
-            if whole is not None:
-                chunks = np.concatenate([fn(w) for w in np.split(ws, 40)])
-                assert whole.tobytes() == chunks.tobytes()
+        fns = [lambda w: kernels.invert(h.family, h.params, h.num, h.den, w, 0j)]
+        if h.conformal_radius_form is not None:
+            fns.append(lambda w: kernels.conformal_radius(h.conformal_radius_form, w))
+        for fn in fns:
+            chunks = np.concatenate([fn(w) for w in np.split(ws, 40)])
+            assert fn(ws).tobytes() == chunks.tobytes()
 
 
 # --------------------------------------------------------------- ser/deser
