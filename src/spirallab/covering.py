@@ -12,7 +12,7 @@ from . import kernels
 from .families import NoConvergence, UnivalentMap
 from .families import invert_map  # noqa: F401  verdictbench/tracing.py wraps this name
 
-BOUNDARY_EPS = 1e-3
+GRID = (400, 400)  # the covering checks' polar grid (nr, nt)
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,8 @@ def grid_tolerance(predicted):
 def _min_distance(h, threshold, center, grid):
     if isinstance(h, UnivalentMap):
         return kernels.covered_min_distance(
-            h.family, h.params, h.num, h.den, threshold, center, *grid, BOUNDARY_EPS)
-    return kernels.min_distance(h.eval_array, h.abs_deriv_array, None,
-                                threshold, center, *grid, BOUNDARY_EPS)
+            h.family, h.params, h.num, h.den, threshold, center, *grid)
+    return kernels.min_distance(h.eval_array, h.abs_deriv_array, None, threshold, center, *grid)
 
 
 def _verdict(h, x0, alpha, beta, grid):
@@ -88,13 +87,13 @@ def _verdict(h, x0, alpha, beta, grid):
     return rep
 
 
-def verify_covering_bound(h, x0, alpha, grid=(400, 400)):
+def verify_covering_bound(h, x0, alpha, grid=GRID):
     """Check: h(Omega_alpha) covers radius (1-alpha)/4 |h'(x0)|(1-|x0|^2)
     around h(x0): the shifted check at beta = 1, where x1 = x0."""
     return _verdict(h, x0, alpha, 1.0, grid)
 
 
-def verify_shifted_covering_bound(h, x0, alpha, beta, grid=(400, 400)):
+def verify_shifted_covering_bound(h, x0, alpha, beta, grid=GRID):
     """Check the shifted-center covering radius at beta*h(x0) plus the
     secondary lower bound it dominates.  When the predicted radius falls below
     the secondary bound the chain of bounds is not proved for this map (a

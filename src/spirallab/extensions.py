@@ -16,8 +16,9 @@ from .families import BranchedPower, _c
 from .families import newton_invert  # noqa: F401  verdictbench/tracing.py wraps this name
 
 INTERIOR_MARGIN = 1e-3
-GAMMA_FRAC = 0.999  # gamma mode probes the circle of this fraction of R_t
-ASCENT_STARTS = 10  # the best sphere samples sup_norm_Q ascends from
+GAMMA_FRAC, N_GAMMA = 0.999, 16  # gamma mode probes N_GAMMA points on the circle of GAMMA_FRAC R_t
+MAX_WITNESSES = 20  # the failures an invariance report lists
+SUP_SAMPLES, ASCENT_STARTS, ASCENT_STEPS = 20_000, 10, 50  # sup_norm_Q's points, starts, steps
 
 
 @dataclass(frozen=True)
@@ -229,26 +230,25 @@ def _rt_scale(A: SpiralMatrix, t):
     return (1.0 - np.abs(np.exp(-A.lam * t)) ** A.r) / 4.0
 
 
-def sample_ball(space: BallSpace, n, rng, margin=INTERIOR_MARGIN):
-    """Interior samples: gauge <= 1 - margin by construction."""
-    v = rng.uniform(0.0, 1.0 - margin, n)
+def sample_ball(space: BallSpace, n, rng):
+    """Interior samples: gauge <= 1 - INTERIOR_MARGIN by construction."""
+    v = rng.uniform(0.0, 1.0 - INTERIOR_MARGIN, n)
     phase = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     xs = np.sqrt(v) * phase
     g = rng.standard_normal((n, space.m)) + 1j * rng.standard_normal((n, space.m))
     dirs = g / space.norm(g)[:, None]
-    mag_r = rng.uniform(0.0, 1.0, n) * (1.0 - margin - v)
+    mag_r = rng.uniform(0.0, 1.0, n) * (1.0 - INTERIOR_MARGIN - v)
     ys = dirs * (mag_r ** (1.0 / space.r))[:, None]
     return xs, ys
 
 
-def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=20_000,
-               seed=0, ascent_steps=50):
-    """Estimate of sup_{||y||=1} |Q(y)|: random sphere sweep plus projected
-    gradient ascent from the best starts.  An estimate, not a certificate."""
+def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, seed=0):
+    """Estimate of sup_{||y||=1} |Q(y)|: ASCENT_STEPS of projected gradient ascent
+    from the best ASCENT_STARTS of SUP_SAMPLES random sphere points, not a bound."""
     if not Q.terms:
         return 0.0
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, Q.m)) + 1j * rng.standard_normal((samples, Q.m))
+    g = rng.standard_normal((SUP_SAMPLES, Q.m)) + 1j * rng.standard_normal((SUP_SAMPLES, Q.m))
     ys = g / space.norm(g)[:, None]
     vals = np.abs(Q.eval(ys))
     best = float(np.max(vals))
@@ -257,7 +257,7 @@ def sup_norm_Q(Q: HomogeneousPolynomial, space: BallSpace, samples=20_000,
     y = ys[np.argsort(vals)[-ASCENT_STARTS:]]
     step = np.full(len(y), 0.1)
     val = np.abs(Q.eval(y))
-    for _ in range(ascent_steps):
+    for _ in range(ASCENT_STEPS):
         d = Q.eval(y)[:, None] * np.conj(Q.grad(y))  # ascent direction for |Q|^2
         nd = np.linalg.norm(d, axis=-1)
         rows = np.flatnonzero(nd)
@@ -291,12 +291,12 @@ def sup_norm_Q_bound(Q: HomogeneousPolynomial, space: BallSpace):
 
 
 def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
-                      mode="muir", seed=0, n_gamma=16, max_witnesses=20):
+                      mode="muir", seed=0):
     """Invariance sweep over random interior points and the given times.
 
     mode='muir': push each extended point H(x, y) through the shear-conjugated
     linear action and test membership.  mode='gamma': perturb the contracted
-    first coordinate along n_gamma directions at GAMMA_FRAC of the covering
+    first coordinate along N_GAMMA directions at GAMMA_FRAC of the covering
     radius; a map with a conformal_radius_form gets the conformal radius on
     that circle in closed form (_gamma_circle), any other map a membership
     test of every probe.  Both move h(x), h'(x) Q(y) and |h'(x)| ||y||^r,
@@ -308,7 +308,7 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     probe's own in muir mode; in gamma mode the centre's x1 behind R_t, which
     also starts that time's probes.  A solve that finds none (NaN) keeps the start
     it had.  failures counts every failed membership; witnesses keeps the
-    first max_witnesses of them.
+    first MAX_WITNESSES of them.
     """
     if mode not in ("muir", "gamma") or n_samples < 1 or min(times, default=0.0) < 0:
         raise ValueError(f"need mode muir or gamma, n_samples >= 1 and times >= 0, "
@@ -316,8 +316,7 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     if mode == "muir" and Q.terms and Q.degree != space.r:
         raise DegreeMismatch(f"Q degree {Q.degree} != space r {space.r}")
     A = SpiralMatrix(complex(mu), complex(lam), space.r)
-    rng = np.random.default_rng(seed)
-    xs, ys = sample_ball(space, n_samples, rng)
+    xs, ys = sample_ball(space, n_samples, np.random.default_rng(seed))
     hx, fibre0 = h.eval_array(xs), h.abs_deriv_array(xs) * space.fibre(ys)
     hq = h.deriv_array(xs) * Q.eval(ys) if mode == "muir" else None
     form = h.conformal_radius_form
@@ -341,14 +340,14 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
             blocks = [(ok, z.__getitem__)]
         elif form is None:
             blocks = ((membership_H_arrays(h, space, z, fib, guess)[0], z.__getitem__)
-                      for z, fib, guess in _gamma_probes(z1, fibre, start, step, n_gamma))
+                      for z, fib, guess in _gamma_probes(z1, fibre, start, step))
         else:
-            blocks = _gamma_circle(form, z1, d1, step, fibre, n_gamma)
+            blocks = _gamma_circle(form, z1, d1, step, fibre)
         for ok, probe in blocks:
             bad = np.flatnonzero(~ok)
             checked += ok.size
             failures += bad.size
-            bad = bad[:max_witnesses - kept]
+            bad = bad[:MAX_WITNESSES - kept]
             if bad.size:
                 found.append((t, probe(bad), bad % n_samples))
                 kept += bad.size
@@ -372,34 +371,34 @@ def verify_invariance(h, mu, lam, space: BallSpace, Q, times, n_samples=1000,
     }
 
 
-def _gamma_probes(z1, fibre, xs, step, n_gamma):
-    """The probes z1 + step e^(2 pi i k / n_gamma) with their fibre term and
+def _gamma_probes(z1, fibre, xs, step):
+    """The probes z1 + step e^(2 pi i k / N_GAMMA) with their fibre term and
     the preimage x of their sample, in blocks of whole directions k,
     direction-major, of at most SWEEP_BLOCK points (one direction a block when
-    z1 is larger: never all n_gamma copies).  The fibre term and x are tiled
+    z1 is larger: never all N_GAMMA copies).  The fibre term and x are tiled
     once a call, and not at all for one direction a block."""
     n = z1.size
-    per = max(1, min(n_gamma, kernels.SWEEP_BLOCK // max(1, n)))
+    per = max(1, min(N_GAMMA, kernels.SWEEP_BLOCK // max(1, n)))
     if per > 1:
         fibre, xs = np.tile(fibre, per), np.tile(xs, per)
-    for k0 in range(0, n_gamma, per):
-        ks = range(k0, min(k0 + per, n_gamma))
-        dirs = np.array([[np.exp(2j * np.pi * k / n_gamma)] for k in ks])
+    for k0 in range(0, N_GAMMA, per):
+        ks = range(k0, min(k0 + per, N_GAMMA))
+        dirs = np.array([[np.exp(2j * np.pi * k / N_GAMMA)] for k in ks])
         yield (z1 + step * dirs).ravel(), fibre[:len(ks) * n], xs[:len(ks) * n]
 
 
-def _gamma_circle(form, z1, d1, step, fibre, n_gamma):
+def _gamma_circle(form, z1, d1, step, fibre):
     """Gamma-mode membership on the circles of radius step about z1 for a map
     whose conformal radius is the form (a, b, g): one block of the n samples a
-    direction k, with the probes z1 + step e^(2 pi i k / n_gamma) at indices,
+    direction k, with the probes z1 + step e^(2 pi i k / N_GAMMA) at indices,
     built as _gamma_probes builds them.  fibre >= 0, so a NaN d1 and a radius
     <= 0 both fail, as the NaN of the point formula does."""
-    for d, radius in _circle_radii(form, z1, d1, step, n_gamma):
+    for d, radius in _circle_radii(form, z1, d1, step):
         yield fibre < radius, lambda i, d=d: z1[i] + step[i] * d
 
 
-def _circle_radii(form, z1, d1, s, n_gamma):
-    """Each direction d = e^(i phi), phi = 2 pi k / n_gamma, with the conformal
+def _circle_radii(form, z1, d1, s):
+    """Each direction d = e^(i phi), phi = 2 pi k / N_GAMMA, with the conformal
     radius delta(w) = a + 2 Re(b w) + g |w|^2, (a, b, g) = form, at the points
     w = z1 + s d, from d1 = delta(z1): delta(w) = d1 + g s^2 +
     2 s Re((b + g conj(z1)) d), so two real arrays are built once and each
@@ -409,8 +408,8 @@ def _circle_radii(form, z1, d1, s, n_gamma):
     base = d1 + g * s * s
     re = 2.0 * s * (b.real + g * z1.real)
     im = 2.0 * s * (b.imag - g * z1.imag)
-    for k in range(n_gamma):
-        d = np.exp(2j * np.pi * k / n_gamma)
+    for k in range(N_GAMMA):
+        d = np.exp(2j * np.pi * k / N_GAMMA)
         radius = re * d.real
         radius += base
         radius -= im * d.imag

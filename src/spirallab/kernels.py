@@ -376,17 +376,18 @@ def _edge(below, own, above):
     return np.flatnonzero(own & ~inner)
 
 
+BOUNDARY_EPS = 1e-3  # min_distance's rim circle is |x| = 1 - BOUNDARY_EPS
 MEMO_MAX_POINTS = 2**18  # largest grid min_distance sweeps whole, and keeps
 _memo = None  # (key, read-only criterion) of the last family map swept
 
 
-def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
+def min_distance(F, abs_dF, key, threshold, center, nr, nt):
     """Covering sweep of a disk map F, with abs_dF the modulus |F'|, on the
     (nr, nt) ``polar_grid``.
 
     Returns (min |F(x)-center| over the edge of the grid's region complement
     K = {|F'(x)|(1-|x|^2) <= threshold}, witness x, min over the circle
-    |x| = 1-boundary_eps, number of grid points in K).  Ties go to the first
+    |x| = 1-BOUNDARY_EPS, number of grid points in K).  Ties go to the first
     grid point in ring-major order.  An edge point is a point of K with a
     neighbour outside K along its ring or its ray, or a point of K on the
     outermost ring.  F is univalent, so when the centre has no preimage in K,
@@ -430,13 +431,12 @@ def min_distance(F, abs_dF, key, threshold, center, nr, nt, boundary_eps):
             if d[k] < best:
                 best, witness = float(d[k]), complex(x[k])
         a, below, own = a + own.shape[0], own[-1:], above
-    bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
+    bmin = float(np.min(np.abs(F((1.0 - BOUNDARY_EPS) * ring) - center)))
     return best, witness, bmin, n_out
 
 
-def covered_min_distance(family, params, num, den, threshold, center, nr, nt, boundary_eps):
-    """``min_distance`` of the named family map, keyed by its family and
-    parameters."""
+def covered_min_distance(family, params, num, den, threshold, center, nr, nt):
+    """``min_distance`` of the named family map, keyed by its family and parameters."""
     return min_distance(lambda z: eval_map(family, params, num, den, z),
                         lambda z: abs_deriv(family, params, num, den, z),
-                        (family, params, num, den), threshold, center, nr, nt, boundary_eps)
+                        (family, params, num, den), threshold, center, nr, nt)

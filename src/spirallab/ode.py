@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 MAX_STEPS = 1_000_000  # integrate's step cap: StepUnderflow beyond it
+TOL = 1e-11  # integrate's local error tolerance, in the max norm
 
 # DOP853 tableau, copied from scipy/integrate/_ivp/dop853_coefficients.py
 # (BSD-3), which takes it from Hairer's dop853.f.  Row i of _A weights the stages
@@ -156,8 +157,8 @@ def _dense_states(rhs, y, y1, k, kr, h, theta, s):
     return y + th * out
 
 
-def integrate(rhs, y0, t_end, tol=1e-11, domain=None, t_eval=None):
-    """Integrate y' = rhs(y) from 0 to t_end (autonomous).
+def integrate(rhs, y0, t_end, domain=None, t_eval=None):
+    """Integrate y' = rhs(y) from 0 to t_end (autonomous) at local error TOL.
 
     domain, if given, is a predicate returning a flag or an array of flags (one
     per row of a batched state); a converged step with any flag false is first
@@ -209,7 +210,7 @@ def integrate(rhs, y0, t_end, tol=1e-11, domain=None, t_eval=None):
         e5, e3 = np.abs((_E @ kr[:12]).view(complex)).max(axis=1).tolist()
         err = h * e5 * e5 / (e5 * e5 + 0.01 * e3 * e3) ** 0.5 if e5 > 0 else 0.0
         steps += 1
-        if err <= tol:
+        if err <= TOL:
             ok = True if domain is None else np.asarray(domain(y1))
             if not np.all(ok):
                 left = ~ok
@@ -230,6 +231,6 @@ def integrate(rhs, y0, t_end, tol=1e-11, domain=None, t_eval=None):
             y = y1
             k[0] = k[12]
         # step control with the safety factor and step ratio bounds of dop853.f
-        scale = 0.9 * (tol / err) ** 0.125 if err > 0 else 6.0
+        scale = 0.9 * (TOL / err) ** 0.125 if err > 0 else 6.0
         h *= min(6.0, max(0.333, scale))
     return (y if dense is None else dense), steps, err

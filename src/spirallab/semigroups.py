@@ -15,6 +15,8 @@ from .families import _as_points, _c
 # verdictbench/tracing.py wraps the methods of families.ComposedMap under this name
 from .families import ComposedMap as _ConjugatedMap  # noqa: F401
 
+MARGIN_FLOOR = -1e-9  # the least margin berkson_porta_margin and spirallike_margin accept
+
 
 class InvalidGenerator(ValueError):
     pass
@@ -124,7 +126,7 @@ def margin_circle():
 def berkson_porta_margin(gen: Generator):
     """min over the margin circle of Re p(z) for f(z) = (z-tau)(1-conj(tau) z) p(z).
 
-    f is accepted as a generator when the margin is >= -1e-9."""
+    f is accepted as a generator when the margin is >= MARGIN_FLOOR."""
     z = margin_circle()
     return float(np.min((gen.g(z) / (1.0 - np.conj(gen.tau) * z)).real))
 
@@ -270,7 +272,7 @@ class KoenigsMap:
 def koenigs(gen: Generator):
     """Solve h' f = mu h for the generator's Koenigs function."""
     margin = berkson_porta_margin(gen)
-    if margin < -1e-9:
+    if margin < MARGIN_FLOOR:
         raise InvalidGenerator(f"Berkson-Porta margin {margin} < 0")
     return KoenigsMap(gen)
 
@@ -290,7 +292,7 @@ def spirallike_margin(h, mu):
     zero inside (UnivalentMap.rational refuses one).
 
     h is accepted as mu-spirallike (interior point case, h(0)=0) when the
-    margin is >= -1e-9; Re mu <= 0, where the margin decides nothing, is refused."""
+    margin is >= MARGIN_FLOOR; Re mu <= 0, where the margin decides nothing, is refused."""
     mu = complex(mu)
     if mu.real <= 0:
         raise ValueError(f"spiral multiplier needs Re mu > 0, got {mu}")

@@ -178,8 +178,7 @@ def test_07_gamma_disk():
     Q = HomogeneousPolynomial.zero(2, 1)
     out = verify_invariance(h, 1.0, 1.0, sp, Q,
                             times=[0.1, 0.5, 1.0, 2.0, 5.0],
-                            n_samples=1000, mode="gamma", seed=17,
-                            n_gamma=16)
+                            n_samples=1000, mode="gamma", seed=17)
     report(7, "covering gamma-disk at 0.999 R_t",
            out["failures"] == 0,
            f"{out['checked']} perturbed memberships, "

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from spirallab import covering, kernels
 from spirallab.covering import (
-    BOUNDARY_EPS,
     OmegaSpec,
     grid_tolerance,
     omega_region_points,
@@ -199,7 +198,7 @@ def test_omega_region_points_fractions():
 SWEEP_GRIDS = [(400, 400), (401, 400), (401, 7), (3, 5000)]
 
 
-def _per_ring_min_distance(F, abs_dF, threshold, center, nr, nt, boundary_eps):
+def _per_ring_min_distance(F, abs_dF, threshold, center, nr, nt):
     """Reference: the covering sweep one ring at a time.  abs_dF is the
     modulus |F'| the sweep reads, so a threshold tied with a grid point's
     criterion counts that point as the sweep does."""
@@ -214,7 +213,7 @@ def _per_ring_min_distance(F, abs_dF, threshold, center, nr, nt, boundary_eps):
             i = int(np.argmin(d))
             if d[i] < best:
                 best, witness = float(d[i]), complex(x[out][i])
-    bmin = float(np.min(np.abs(F((1.0 - boundary_eps) * ring) - center)))
+    bmin = float(np.min(np.abs(F((1.0 - kernels.BOUNDARY_EPS) * ring) - center)))
     return best, witness, bmin, n_out
 
 
@@ -227,10 +226,10 @@ def test_blocked_sweep_matches_per_ring_loop(h, grid):
     spec = OmegaSpec.build(h, x0, 0.5)
     fam = (h.family, h.params, h.num, h.den)
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
-        got = kernels.covered_min_distance(*fam, spec.threshold, center, *grid, BOUNDARY_EPS)
+        got = kernels.covered_min_distance(*fam, spec.threshold, center, *grid)
         ref = _per_ring_min_distance(lambda z: kernels.eval_map(*fam, z),
                                      lambda z: kernels.abs_deriv(*fam, z),
-                                     spec.threshold, center, *grid, BOUNDARY_EPS)
+                                     spec.threshold, center, *grid)
         assert ref[3] > 0
         assert got == ref
 
@@ -248,6 +247,25 @@ def test_omega_region_points_match_per_ring_loop(h, grid):
     assert np.array_equal(flags, ref_in)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.1])
+def test_the_sweep_reads_its_rim_from_boundary_eps(eps, no_memo, monkeypatch):
+    """min_distance reads kernels.BOUNDARY_EPS at call time: its last F call
+    is the rim circle |x| = 1 - BOUNDARY_EPS, and its rim minimum is taken
+    there."""
+    h = UnivalentMap.koebe()
+    seen = []
+
+    def F(z):
+        seen.append(np.array(z))
+        return h.eval_array(z)
+
+    monkeypatch.setattr(kernels, "BOUNDARY_EPS", eps)
+    _, _, bmin, _ = kernels.min_distance(F, h.abs_deriv_array, None, 0.1, 0j, 40, 32)
+    rim = (1.0 - eps) * kernels.polar_grid(40, 32)[1]
+    assert np.array_equal(seen[-1], rim)
+    assert bmin == float(np.min(np.abs(h.eval_array(rim))))
+
+
 @pytest.mark.parametrize("kind", ["normalized", "koenigs"])
 def test_generic_map_sweep_matches_per_ring_loop(kind):
     """Maps outside the named families go through ``kernels.min_distance`` with no
@@ -262,10 +280,9 @@ def test_generic_map_sweep_matches_per_ring_loop(kind):
     spec = OmegaSpec.build(h, x0, 0.5)
     for center in (h.eval(x0), 0.5 * h.eval(x0)):
         best, _, bmin, n_out = kernels.min_distance(
-            h.eval_array, h.abs_deriv_array, None, spec.threshold, center, *grid,
-            BOUNDARY_EPS)
+            h.eval_array, h.abs_deriv_array, None, spec.threshold, center, *grid)
         ref_best, _, ref_bmin, ref_n_out = _per_ring_min_distance(
-            h.eval_array, h.abs_deriv_array, spec.threshold, center, *grid, BOUNDARY_EPS)
+            h.eval_array, h.abs_deriv_array, spec.threshold, center, *grid)
         assert n_out == ref_n_out > 0
         assert abs(best - ref_best) <= 1e-12 * ref_best
         assert abs(bmin - ref_bmin) <= 1e-12 * ref_bmin
@@ -276,12 +293,12 @@ def test_generic_map_sweep_leaves_the_memo_alone(no_memo):
     h = UnivalentMap.koebe()
     spec = OmegaSpec.build(h, 0.3 + 0.1j, 0.5)
     kernels.covered_min_distance(*_family(h), spec.threshold, h.eval(0.3 + 0.1j),
-                                 400, 400, BOUNDARY_EPS)
+                                 400, 400)
     memo = kernels._memo
     before = [a.copy() for a in memo[1:]]
     g = normalize_at(h, 0.3 + 0.2j)
     got = kernels.min_distance(g.eval_array, g.abs_deriv_array, None, spec.threshold, 0j,
-                               400, 400, BOUNDARY_EPS)
+                               400, 400)
     assert got[3] > 0
     assert kernels._memo is memo
     assert all(np.array_equal(a, b) for a, b in zip(memo[1:], before))
@@ -292,7 +309,7 @@ def test_covering_verdict_of_a_koenigs_map_sweeps_without_the_memo(no_memo):
     map z/(1 - z) of the logistic generator, passes through the unkeyed sweep:
     the family memo is left as it was, and the predicted radius is that of the
     same map built as a rational family map, to 1e-12 relative."""
-    kernels.covered_min_distance(*_family(UnivalentMap.koebe()), 0.1, 0j, 60, 60, BOUNDARY_EPS)
+    kernels.covered_min_distance(*_family(UnivalentMap.koebe()), 0.1, 0j, 60, 60)
     memo = kernels._memo
     h = koenigs(Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.0))
     x0, alpha = 0.2 - 0.1j, 0.5
@@ -318,7 +335,7 @@ def _sweep(h, x0, alpha, shift, grid):
     """(memoized sweep, per-ring reference) about shift * h(x0)."""
     spec = OmegaSpec.build(h, x0, alpha)
     fam = _family(h)
-    args = (spec.threshold, shift * complex(EVAL_MAP(*fam, x0)), *grid, BOUNDARY_EPS)
+    args = (spec.threshold, shift * complex(EVAL_MAP(*fam, x0)), *grid)
     ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z),
                                  lambda z: ABS_DERIV(*fam, z), *args)
     return kernels.covered_min_distance(*fam, *args), ref
@@ -538,10 +555,10 @@ def test_sweep_of_tiny_grids_matches_per_ring_loop(h, grid, streamed, no_memo, m
         edge = x.ravel()[_old_edge(np.ones((1, grid[1]), bool), crit <= threshold,
                                    np.zeros((1, grid[1]), bool))]
         for centre in (complex(EVAL_MAP(*fam, X0)), 0.5 * complex(EVAL_MAP(*fam, X0))):
-            got = kernels.covered_min_distance(*fam, threshold, centre, *grid, BOUNDARY_EPS)
+            got = kernels.covered_min_distance(*fam, threshold, centre, *grid)
             ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z),
                                          lambda z: ABS_DERIV(*fam, z),
-                                         threshold, centre, *grid, BOUNDARY_EPS)
+                                         threshold, centre, *grid)
             best, witness = np.inf, complex(np.nan, np.nan)
             if edge.size:
                 d = np.abs(EVAL_MAP(*fam, edge) - centre)
@@ -561,9 +578,9 @@ def test_per_ring_loop_counts_a_tied_threshold_as_the_sweep_does(no_memo):
     radii, ring = kernels.polar_grid(5, 2)
     crit = kernels.criterion(lambda z: kernels.abs_deriv(*fam, z), radii, ring)
     for k, threshold in enumerate(np.unique(crit)):
-        got = kernels.covered_min_distance(*fam, threshold, 0j, 5, 2, BOUNDARY_EPS)
+        got = kernels.covered_min_distance(*fam, threshold, 0j, 5, 2)
         ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: ABS_DERIV(*fam, z),
-                                     threshold, 0j, 5, 2, BOUNDARY_EPS)
+                                     threshold, 0j, 5, 2)
         assert got[3] == ref[3] == np.sum(crit <= threshold)
         assert got[2] == ref[2]
         if k == 2:
@@ -574,9 +591,9 @@ def test_per_ring_loop_counts_a_tied_threshold_as_the_sweep_does(no_memo):
 
 def _grid_evals(monkeypatch, grid, fail_at=None):
     """Patch kernels.eval_map to record each call's points off the rim circle
-    |x| = 1 - BOUNDARY_EPS, which every sweep evaluates; with fail_at the
+    |x| = 1 - kernels.BOUNDARY_EPS, which every sweep evaluates; with fail_at the
     fail_at-th such call raises FloatingPointError before it evaluates."""
-    rim = (1.0 - BOUNDARY_EPS) * kernels.polar_grid(*grid)[1]
+    rim = (1.0 - kernels.BOUNDARY_EPS) * kernels.polar_grid(*grid)[1]
     calls = []
 
     def counted(family, params, num, den, z):
@@ -632,7 +649,7 @@ def test_sweep_evaluates_h_only_on_the_edge_and_the_rim(h, mode, no_memo, monkey
     centre = complex(EVAL_MAP(*fam, X0))
     key = None if mode == "no key" else fam
     if mode == "hit":
-        kernels.covered_min_distance(*fam, 0.5 * spec.threshold, 0j, *grid, BOUNDARY_EPS)
+        kernels.covered_min_distance(*fam, 0.5 * spec.threshold, 0j, *grid)
     if mode == "streamed":
         monkeypatch.setattr(kernels, "MEMO_MAX_POINTS", grid[0] * grid[1] - 1)
         monkeypatch.setattr(kernels, "SWEEP_BLOCK", 3 * grid[1])
@@ -643,12 +660,12 @@ def test_sweep_evaluates_h_only_on_the_edge_and_the_rim(h, mode, no_memo, monkey
         return EVAL_MAP(*fam, z)
 
     got = kernels.min_distance(F, lambda z: kernels.abs_deriv(*fam, z), key,
-                               spec.threshold, centre, *grid, BOUNDARY_EPS)
+                               spec.threshold, centre, *grid)
     ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: ABS_DERIV(*fam, z),
-                                 spec.threshold, centre, *grid, BOUNDARY_EPS)
+                                 spec.threshold, centre, *grid)
     assert got == ref
     assert np.array_equal(np.concatenate(seen[:-1]), _edge_points(h, spec.threshold, grid))
-    assert np.array_equal(seen[-1], (1.0 - BOUNDARY_EPS) * kernels.polar_grid(*grid)[1])
+    assert np.array_equal(seen[-1], (1.0 - kernels.BOUNDARY_EPS) * kernels.polar_grid(*grid)[1])
     assert len(seen) == 2 or mode == "streamed"
     assert (kernels._memo is not None) == (mode == "hit")
 
@@ -693,7 +710,7 @@ def test_edge_sweep_is_at_least_the_complement_sweep(k, x0, alpha, c):
     h = ALL_FAMILIES[k]
     fam = _family(h)
     spec = OmegaSpec.build(h, x0, alpha)
-    args = (spec.threshold, complex(EVAL_MAP(*fam, c)), 48, 40, BOUNDARY_EPS)
+    args = (spec.threshold, complex(EVAL_MAP(*fam, c)), 48, 40)
     got = kernels.covered_min_distance(*fam, *args)
     ref = _per_ring_min_distance(lambda z: EVAL_MAP(*fam, z), lambda z: ABS_DERIV(*fam, z),
                                  *args)

@@ -1,5 +1,6 @@
 """Tests for the ball geometry, extension operators, and invariance sweeps."""
 
+import inspect
 import itertools
 import json
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spirallab import extensions, families, kernels
+from spirallab import extensions, families, kernels, ode
 from spirallab.cli import main
 from spirallab.extensions import (
     BallSpace,
@@ -117,8 +118,8 @@ def test_sup_norm_monomial():
     sp = BallSpace(r=2.0, m=2)
     q1 = HomogeneousPolynomial.monomial(2, 2, coef=1.0, index=0)
     q2 = HomogeneousPolynomial.build(2, 2, {(1, 1): 1.0})
-    assert abs(sup_norm_Q(q1, sp, samples=20000) - 1.0) < 1e-3
-    assert abs(sup_norm_Q(q2, sp, samples=20000) - 0.5) < 1e-3
+    assert abs(sup_norm_Q(q1, sp) - 1.0) < 1e-3
+    assert abs(sup_norm_Q(q2, sp) - 0.5) < 1e-3
 
 
 def _sup_norm_Q_per_start(Q, space, samples=100_000, seed=0, ascent_steps=50, top=10):
@@ -149,7 +150,7 @@ def _sup_norm_Q_per_start(Q, space, samples=100_000, seed=0, ascent_steps=50, to
     return best
 
 
-def test_sup_norm_batched_ascent_matches_per_start_loop():
+def test_sup_norm_batched_ascent_matches_per_start_loop(monkeypatch):
     """The batched ascent follows the per-start loop to within 1e-15 relative,
     on monomials and on random Q.  It is not bit for bit: numpy rounds complex
     products of 0-d arrays and of whole arrays differently in the last bit
@@ -163,12 +164,14 @@ def test_sup_norm_batched_ascent_matches_per_start_loop():
         pick = rng.choice(len(exps), size=int(rng.integers(1, len(exps) + 1)), replace=False)
         cases.append(HomogeneousPolynomial.build(
             deg, m, {exps[i]: complex(*rng.standard_normal(2)) for i in pick}))
+    monkeypatch.setattr(extensions, "SUP_SAMPLES", 2000)
     for Q in cases:
         sp = BallSpace(r=2.0, m=Q.m)
         # 3 steps stop mid-ascent, where the result still shows the path
         for steps in (3, 50):
             ref = _sup_norm_Q_per_start(Q, sp, samples=2000, ascent_steps=steps)
-            got = sup_norm_Q(Q, sp, samples=2000, ascent_steps=steps)
+            monkeypatch.setattr(extensions, "ASCENT_STEPS", steps)
+            got = sup_norm_Q(Q, sp)
             assert abs(got - ref) <= 1e-15 * ref, (Q, steps)
 
 
@@ -458,11 +461,55 @@ def test_invariance_muir_small():
     assert out["checked"] == 1000
 
 
-def test_invariance_gamma_small():
+FIXED_PARAMETERS = [
+    (verify_invariance, "n_gamma"), (verify_invariance, "max_witnesses"),
+    (sup_norm_Q, "samples"), (sup_norm_Q, "ascent_steps"), (ode.integrate, "tol"),
+    (sample_ball, "margin"), (kernels.min_distance, "boundary_eps"),
+    (kernels.covered_min_distance, "boundary_eps"),
+]
+
+
+@pytest.mark.parametrize("fn,name", FIXED_PARAMETERS,
+                         ids=[f"{fn.__name__}-{name}" for fn, name in FIXED_PARAMETERS])
+def test_fixed_parameters_are_module_constants_not_keywords(fn, name):
+    """The verdicts' fixed parameters (N_GAMMA, MAX_WITNESSES, SUP_SAMPLES,
+    ASCENT_STEPS, ode.TOL, INTERIOR_MARGIN, kernels.BOUNDARY_EPS) are module
+    constants: no signature takes them, and passing one is a TypeError."""
+    assert name not in inspect.signature(fn).parameters
+    sp, h = space(), UnivalentMap.koebe()
+    calls = {
+        verify_invariance: lambda **k: verify_invariance(h, 1.0, 1.0, sp, q_poly(), [0.5], **k),
+        sup_norm_Q: lambda **k: sup_norm_Q(q_poly(), sp, **k),
+        ode.integrate: lambda **k: ode.integrate(lambda z: -z, [0.5], 1.0, **k),
+        sample_ball: lambda **k: sample_ball(sp, 3, np.random.default_rng(0), **k),
+        kernels.min_distance: lambda **k: kernels.min_distance(
+            h.eval_array, h.abs_deriv_array, None, 0.1, 0j, 4, 4, **k),
+        kernels.covered_min_distance: lambda **k: kernels.covered_min_distance(
+            h.family, h.params, h.num, h.den, 0.1, 0j, 4, 4, **k),
+    }
+    with pytest.raises(TypeError, match=name):
+        calls[fn](**{name: 1})
+
+
+@pytest.mark.parametrize("h", [UnivalentMap.koebe(), UnivalentMap.mobius_spiral(0.3j)],
+                         ids=["probes", "circle"])
+def test_a_patched_n_gamma_sets_the_probes_of_a_time(h, monkeypatch):
+    """verify_invariance reads N_GAMMA at call time: patched to 4, gamma mode
+    checks n * len(times) * 4 probes, on the probe path (Koebe) and on the
+    closed-form circle (Mobius) alike."""
+    n, times = 50, [0.3, 1.0, 2.5]
+    args = (h, 1.0, 1.0, space(), q_poly(), times)
+    assert verify_invariance(*args, n_samples=n, mode="gamma")["checked"] == n * len(times) * 16
+    monkeypatch.setattr(extensions, "N_GAMMA", 4)
+    assert verify_invariance(*args, n_samples=n, mode="gamma")["checked"] == n * len(times) * 4
+
+
+def test_invariance_gamma_small(monkeypatch):
     h = UnivalentMap.koebe()
     sp = space(2.0, 1)
+    monkeypatch.setattr(extensions, "N_GAMMA", 8)
     out = verify_invariance(h, 1.0, 1.0, sp, q_poly(0.0), times=[0.5],
-                            n_samples=100, mode="gamma", seed=4, n_gamma=8)
+                            n_samples=100, mode="gamma", seed=4)
     assert out["pass"] and out["failures"] == 0
 
 
@@ -480,17 +527,20 @@ def test_invariance_detects_violation():
     ("muir", 300, [0.1, 0.5, 1.0, 2.0]),
     ("gamma", 100, [0.5, 2.0]),
 ])
-def test_invariance_failures_count_every_failing_point(mode, n_samples, times):
+def test_invariance_failures_count_every_failing_point(mode, n_samples, times, monkeypatch):
     """failures counts every failed membership, not the capped witness list.
     spiral_koebe at theta = 0.5 is e^{-0.5i}-spirallike, not e^{+0.5i}-spirallike,
     so the sweep with mu = e^{+0.5i} has real failures."""
     h = UnivalentMap.spiral_koebe(0.5)
     sp = space(1.0, 1)
-    capped, full = (verify_invariance(h, np.exp(0.5j), 1.0, sp,
-                                      HomogeneousPolynomial.zero(1, 1), times=times,
-                                      n_samples=n_samples, mode=mode, seed=42,
-                                      n_gamma=8, max_witnesses=cap)
-                    for cap in (1, 10**6))
+    monkeypatch.setattr(extensions, "N_GAMMA", 8)
+    reports = []
+    for cap in (1, 10**6):
+        monkeypatch.setattr(extensions, "MAX_WITNESSES", cap)
+        reports.append(verify_invariance(h, np.exp(0.5j), 1.0, sp,
+                                         HomogeneousPolynomial.zero(1, 1), times=times,
+                                         n_samples=n_samples, mode=mode, seed=42))
+    capped, full = reports
     assert capped["failures"] == full["failures"] > 20
     assert not capped["pass"]
     assert len(capped["witnesses"]) == 1
@@ -499,15 +549,15 @@ def test_invariance_failures_count_every_failing_point(mode, n_samples, times):
 
 
 @pytest.mark.parametrize("mode", ["muir", "gamma"])
-def test_invariance_of_a_spirallike_map_has_no_failures(mode):
+def test_invariance_of_a_spirallike_map_has_no_failures(mode, monkeypatch):
     """spiral_koebe(0.5) with its own multiplier mu = e^{-0.5i}: every base
     preimage is found on the spiral path, so nothing fails (Newton from 0
     alone left 7 base preimages NaN at t = 0.5, which made 28 of 32 gamma
     failures)."""
+    monkeypatch.setattr(extensions, "N_GAMMA", 4)
     out = verify_invariance(UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), 1.0,
                             space(1.0, 1), HomogeneousPolynomial.zero(1, 1),
-                            times=[0.5, 2.0], n_samples=100, mode=mode, seed=42,
-                            n_gamma=4)
+                            times=[0.5, 2.0], n_samples=100, mode=mode, seed=42)
     assert out["pass"] and out["failures"] == 0 and out["witnesses"] == []
 
 
@@ -528,7 +578,8 @@ def test_gamma_blocks_of_directions_do_not_change_the_report(h, mu, lam, r, m, n
     block (their w rows, m = 2 included) are compared too."""
     args = (h, mu, lam, space(r, m), HomogeneousPolynomial.zero(int(r), m),
             [0.2, 0.7, 1.5, 3.0])
-    kw = dict(n_samples=n, mode="gamma", seed=9, max_witnesses=10**6)
+    kw = dict(n_samples=n, mode="gamma", seed=9)
+    monkeypatch.setattr(extensions, "MAX_WITNESSES", 10**6)
     calls = []
     orig = extensions.membership_H_arrays
 
@@ -599,13 +650,13 @@ def test_spiral_continuation_refines_only_from_the_failed_node(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["muir", "gamma"])
-def test_spiral_koebe_invariance_at_large_w(mode):
+def test_spiral_koebe_invariance_at_large_w(mode, monkeypatch):
     """spiral_koebe(0.5) is e^(-0.5 i)-spirallike, so no moved point leaves
     H(B); the sweep reaches |w| ~ 450-1100, where Newton ends at residuals of a
     few 1e-12, which the relative acceptance counts as preimages."""
+    monkeypatch.setattr(extensions, "N_GAMMA", 4)
     out = verify_invariance(UnivalentMap.spiral_koebe(0.5), np.exp(-0.5j), 1.0, space(2.0, 1),
-                            q_poly(0.25j), [0.5, 2.0], n_samples=2000, mode=mode, seed=17,
-                            n_gamma=4)
+                            q_poly(0.25j), [0.5, 2.0], n_samples=2000, mode=mode, seed=17)
     assert out["failures"] == 0 and out["pass"]
 
 
@@ -626,7 +677,9 @@ def test_invariance_report_same_with_complex_modulus(h, mu, mode, monkeypatch):
     everything else, the counts and every membership decision included, is
     compared as JSON, where NaN witnesses match."""
     args = (h, mu, 1.0, space(2.0, 1), q_poly(0.25j), [0.5, 2.0])
-    kw = dict(n_samples=2000, mode=mode, seed=17, n_gamma=4, max_witnesses=10**6)
+    kw = dict(n_samples=2000, mode=mode, seed=17)
+    monkeypatch.setattr(extensions, "N_GAMMA", 4)
+    monkeypatch.setattr(extensions, "MAX_WITNESSES", 10**6)
     reports = [verify_invariance(*args, **kw)]
     calls = []
 
@@ -657,7 +710,7 @@ def test_sweep_moves_the_named_actions_of_the_extension(h, r, m, monkeypatch):
     term (both modes) are conjugated_action / semigroup_action of
     extend_H_arrays to 1e-13 relative, with and without Q.  The gamma circle
     of a map with a conformal_radius_form (mobius, half_plane) is centred at
-    semigroup_action's first coordinate, with radius gamma_frac R_t bit for
+    semigroup_action's first coordinate, with radius GAMMA_FRAC R_t bit for
     bit."""
     rng = np.random.default_rng(47)
     exps = [e for e in itertools.product(range(r + 1), repeat=m) if sum(e) == r]
@@ -671,12 +724,13 @@ def test_sweep_moves_the_named_actions_of_the_extension(h, r, m, monkeypatch):
         calls.append((z, fibre))
         return orig(h, space, z, fibre, guess)
 
-    def recorded_circle(form, z1, d1, step, fibre, n_gamma):
+    def recorded_circle(form, z1, d1, step, fibre):
         calls.append((z1, fibre, step))
-        return orig_circle(form, z1, d1, step, fibre, n_gamma)
+        return orig_circle(form, z1, d1, step, fibre)
 
     monkeypatch.setattr(extensions, "membership_H_arrays", recorded)
     monkeypatch.setattr(extensions, "_gamma_circle", recorded_circle)
+    monkeypatch.setattr(extensions, "N_GAMMA", 4)
     zs, ws = extend_H_arrays(h, sp, *sample_ball(sp, n, np.random.default_rng(5)))
     for Q in (HomogeneousPolynomial.zero(r, m),
               HomogeneousPolynomial.build(r, m, {e: complex(*rng.normal(size=2)) * 0.1
@@ -684,7 +738,7 @@ def test_sweep_moves_the_named_actions_of_the_extension(h, r, m, monkeypatch):
         for mode, action in (("muir", lambda t: conjugated_action(A, Q, t, zs, ws)),
                              ("gamma", lambda t: semigroup_action(A, t, zs, ws))):
             calls.clear()
-            verify_invariance(h, mu, lam, sp, Q, times, n_samples=n, mode=mode, seed=5, n_gamma=4)
+            verify_invariance(h, mu, lam, sp, Q, times, n_samples=n, mode=mode, seed=5)
             assert len(calls) == len(times)
             circle = mode == "gamma" and h.conformal_radius_form is not None
             assert all(len(c) == (3 if circle else 2) for c in calls)
@@ -792,7 +846,7 @@ def test_circle_radius_matches_the_point_kernel(h, rho, arg, frac, scale):
     z1 = h.eval_array(np.array([rho * np.exp(1j * arg)]))
     d1 = h.preimage_radius_array(z1)[1]
     s = frac * scale * d1
-    got = list(extensions._circle_radii(h.conformal_radius_form, z1, d1, s, 16))
+    got = list(extensions._circle_radii(h.conformal_radius_form, z1, d1, s))
     dirs = np.array([d for d, _ in got])
     assert np.array_equal(dirs, np.exp(2j * np.pi * np.arange(16) / 16))
     circle = np.concatenate([radius for _, radius in got])
@@ -832,12 +886,13 @@ def test_circle_path_equals_probe_path_on_failing_sweeps(case, monkeypatch):
         args = (UnivalentMap.mobius_spiral(c), mu, 1.0, space(2.0, 1), q_poly(0.25j),
                 [0.1, 0.5, 1.0, 2.0, 4.0])
         kw = dict(n_samples=2000, seed=7)
-    circle = verify_invariance(*args, mode="gamma", max_witnesses=10**6, **kw)
+    monkeypatch.setattr(extensions, "MAX_WITNESSES", 10**6)
+    circle = verify_invariance(*args, mode="gamma", **kw)
     form = args[0].conformal_radius_form
     monkeypatch.setattr(UnivalentMap, "conformal_radius_form", None)
     monkeypatch.setattr(UnivalentMap, "preimage_radius_array",
                         lambda h, w, guess=0j: (None, kernels.conformal_radius(form, w)))
-    probed = verify_invariance(*args, mode="gamma", max_witnesses=10**6, **kw)
+    probed = verify_invariance(*args, mode="gamma", **kw)
     assert circle["failures"] > 0 and len(circle["witnesses"]) == circle["failures"]
     assert_same_json(circle, probed)
     if case == "half_plane_r2m2":
@@ -898,7 +953,8 @@ LOGISTIC_KOENIGS = koenigs(Generator([0, 1, -1], kind="dilation", tau=0.0, mu=1.
     (UnivalentMap.koebe(), 1.0, 300, False),
     (LOGISTIC_KOENIGS, 1.0, 60, False),
 ], ids=["rational", "spiral_koebe_passes", "spiral_koebe_fails", "koebe", "koenigs_logistic"])
-def test_warm_started_sweep_equals_its_single_time_sweeps(h, mu, n, failing, mode):
+def test_warm_started_sweep_equals_its_single_time_sweeps(h, mu, n, failing, mode,
+                                                          monkeypatch):
     """Each sample's solve at a time starts at its last preimage, so a sweep
     over four times, given out of order, solves from other starts than four
     sweeps of one time each, which all start at the samples' own x.  checked
@@ -909,7 +965,9 @@ def test_warm_started_sweep_equals_its_single_time_sweeps(h, mu, n, failing, mod
     failing spiral_koebe gamma sweep moves z by up to 4.4e-13 relative at
     seeds 0-5)."""
     args = (h, mu, 1.0, space(2.0, 1), q_poly(0.25j))
-    kw = dict(n_samples=n, mode=mode, seed=3, n_gamma=8, max_witnesses=10**6)
+    kw = dict(n_samples=n, mode=mode, seed=3)
+    monkeypatch.setattr(extensions, "N_GAMMA", 8)
+    monkeypatch.setattr(extensions, "MAX_WITNESSES", 10**6)
     times = [1.5, 0.2, 3.0, 0.7]
     whole = verify_invariance(*args, times, **kw)
     parts = [verify_invariance(*args, [t], **kw) for t in times]

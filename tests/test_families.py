@@ -236,7 +236,7 @@ def test_koebe_closed_inverse_on_the_slit_is_nan():
     assert np.isnan(UnivalentMap.koebe().invert_array(np.concatenate([w, np.conj(w)]))).all()
 
 
-CLOSED_FORMS = [h for h in ALL_FAMILIES if h.family in ("mobius_spiral", "half_plane")]
+CLOSED_FORMS = [h for h in ALL_FAMILIES if h.conformal_radius_form is not None]
 
 
 @pytest.mark.parametrize("h", CLOSED_FORMS + [UnivalentMap.mobius_spiral(-0.7 + 0.2j)],
@@ -950,8 +950,8 @@ def test_kernels_do_not_depend_on_the_batch_size(h):
 
         chunks = np.concatenate([at(z) for z in np.split(zs, 40)])
         assert at(zs).tobytes() == chunks.tobytes(), fn.__name__
-    if h.family in ("identity", "koebe", "mobius_spiral", "half_plane"):  # the closed-form inverses and conformal radii
-        ws = h.eval_array(zs)
+    if kernels._closed_invert(h.family, h.params, zs[:1]) is not None:
+        ws = h.eval_array(zs)  # the closed-form inverses and conformal radii
         fns = [lambda w: kernels.invert(h.family, h.params, h.num, h.den, w, 0j)]
         if h.conformal_radius_form is not None:
             fns.append(lambda w: kernels.conformal_radius(h.conformal_radius_form, w))
